@@ -2,13 +2,15 @@
 
 Each criterion (tent, reflection/sym, plain Korobov) is the exact squared
 worst-case error of the prefix rule in a Korobov space of some order with
-some effective weights, so one sweep engine serves all three.  The plain
-path scores every candidate in O(N); the fast path exploits that for prime
-N the candidate scores form a length-(N-1) circular correlation once
-candidates and points are reindexed by powers of a primitive root (Rader
-reordering), evaluated with an FFT in O(N log N) per dimension.
+some effective weights (see `CbcCriterion`), so one greedy sweep serves all
+three.  The sweep asks a scorer for T(z) = sum_n omega(n z mod N) W(n) over
+every candidate z; the two scorers differ only in how they compute it.  The
+plain scorer sums directly, O(N) per candidate.  The FFT scorer (Nuyens &
+Cools) exploits that for prime N the candidate scores form a length-(N-1)
+circular correlation once candidates and points are reindexed by powers of a
+primitive root (Rader reordering), evaluated in O(N log N) per dimension.
 
-Both paths share one tie rule -- smallest candidate within a small relative
+Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
 floating-point roundings differ at the 1e-15 level.
 """
@@ -20,67 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GuardError
 from .lattice import LatticeRule
 from .numtheory import is_prime, primitive_root
-from .weights import WeightScheme
-from .worst_case_error import (
-    korobov_residue_table,
-    sym_modified_weights,
-    tent_modified_weights,
-    wce_sq_korobov_lattice,
-)
+from .worst_case_error import CbcCriterion, korobov_residue_table
 
 TIE_TOL = 1e-10
 _CHUNK_ELEMS = 1 << 22
-
-CRITERION_KINDS = ("tent", "sym", "plain_korobov")
-
-
-@dataclass(frozen=True)
-class CbcCriterion:
-    """A construction criterion: which transform the rule is destined for.
-
-    tent:          order-1 Korobov error with weights gamma'^(1/2)
-    sym:           order-(alpha/2) Korobov error with weights gamma''^(1/2), even alpha
-    plain_korobov: order-alpha Korobov error with the weights as given
-    """
-
-    kind: str
-    base_weights: WeightScheme
-    alpha: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in CRITERION_KINDS:
-            raise DomainError(f"unknown criterion kind {self.kind!r}")
-        if self.kind == "sym":
-            if self.alpha is None or self.alpha % 2 != 0 or self.alpha < 2:
-                raise DomainError("sym criterion needs an even alpha >= 2")
-        if self.kind == "plain_korobov":
-            if self.alpha is None or int(self.alpha) != self.alpha or self.alpha < 1:
-                raise DomainError("plain criterion needs an integer alpha >= 1")
-
-    @property
-    def korobov_order(self) -> int:
-        if self.kind == "tent":
-            return 1
-        if self.kind == "sym":
-            return self.alpha // 2
-        return int(self.alpha)
-
-    def effective_weights(self) -> WeightScheme:
-        if self.kind == "tent":
-            return tent_modified_weights(self.base_weights).sqrt()
-        if self.kind == "sym":
-            return sym_modified_weights(self.alpha, self.base_weights).sqrt()
-        return self.base_weights
-
-    def value(self, rule: LatticeRule) -> float:
-        """The criterion of a full rule, recomputed from scratch."""
-        eff = self.effective_weights()
-        if eff.s != rule.s:
-            eff = _truncate_scheme(eff, rule.s)
-        return wce_sq_korobov_lattice(self.korobov_order, eff, rule).value
 
 
 @dataclass(frozen=True)
@@ -103,20 +51,12 @@ class CbcResult:
         }
 
 
-def _truncate_scheme(w: WeightScheme, s: int) -> WeightScheme:
-    if w.s < s:
-        raise DomainError(f"weights cover {w.s} coordinates, need {s}")
-    if w.form == "product":
-        return WeightScheme.product(w.gamma[:s])
-    if w.form == "pod":
-        return WeightScheme.pod(w.Gamma[:s], w.gamma[:s])
-    raise DomainError("CBC supports product or POD weights only")
-
-
 def _select(scores: np.ndarray) -> int:
     """Smallest candidate whose score sits within TIE_TOL of the minimum.
     Candidate i corresponds to z = i + 1."""
     m = float(np.min(scores))
+    if not np.isfinite(m):
+        raise GuardError(f"CBC score minimum is {m}: the weights overflow double precision")
     thresh = m + TIE_TOL * (1.0 + abs(m))
     return int(np.argmax(scores <= thresh)) + 1
 
@@ -165,36 +105,69 @@ class _PodState:
 
 
 def _make_state(n: int, s: int, crit: CbcCriterion):
-    eff = _truncate_scheme(crit.effective_weights(), s)
+    eff = crit.leading_weights(s)
     if eff.form == "product":
         return _ProductState(n, eff.gamma)
     return _PodState(n, eff.gamma, eff.Gamma)
 
 
-def cbc_plain(N: int, s: int, crit: CbcCriterion) -> CbcResult:
-    """Greedy construction with the O(N) per-candidate sweep; O(s N^2) total."""
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
+def _plain_scorer(N: int, omega: np.ndarray):
+    """T(z) for z = 1..N-1 by direct sums, in blocks of candidates.  The index
+    and gather buffers are allocated once and reused in every dimension."""
+    n_idx = np.arange(N, dtype=np.int64)
+    chunk = min(max(1, _CHUNK_ELEMS // N), N - 1)
+    idx = np.empty((chunk, N), dtype=np.int64)
+    vals = np.empty((chunk, N))
+
+    def score(w: np.ndarray) -> np.ndarray:
+        t = np.empty(N - 1)
+        for lo in range(1, N, chunk):
+            m = min(chunk, N - lo)
+            np.multiply(np.arange(lo, lo + m, dtype=np.int64)[:, None], n_idx, out=idx[:m])
+            np.remainder(idx[:m], N, out=idx[:m])
+            # every index is already reduced mod N; "clip" keeps numpy from buffering out
+            np.take(omega, idx[:m], out=vals[:m], mode="clip")
+            t[lo - 1 : lo - 1 + m] = vals[:m] @ w
+        return t
+
+    return score
+
+
+def _fft_scorer(N: int, omega: np.ndarray):
+    """T(z) for z = 1..N-1, prime N, as one circular correlation of length N-1
+    in the Rader order n = g^i; the FFT of omega is shared by all dimensions."""
+    g = primitive_root(N)
+    perm = np.empty(N - 1, dtype=np.int64)
+    perm[0] = 1
+    for i in range(1, N - 1):
+        perm[i] = perm[i - 1] * g % N
+    f_omega = np.fft.fft(omega[perm])
+
+    def score(w: np.ndarray) -> np.ndarray:
+        t = np.empty(N - 1)
+        t[perm - 1] = omega[0] * w[0] + np.fft.ifft(f_omega * np.conj(np.fft.fft(w[perm]))).real
+        return t
+
+    return score
+
+
+def _sweep(N: int, s: int, crit: CbcCriterion, make_scorer) -> CbcResult:
+    """The greedy loop: z_1 = 1, then each z_d minimizes const + T(z) / N."""
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
     start = time.perf_counter()
     omega = korobov_residue_table(crit.korobov_order, N)
     state = _make_state(N, s, crit)
+    score = make_scorer(N, omega)
     n_idx = np.arange(N, dtype=np.int64)
     z: list[int] = []
     errs: list[float] = []
     for d in range(1, s + 1):
-        if d == 1 or N == 2:
+        if d == 1:
             best = 1
         else:
             const, w = state.weight_vector(d)
-            scores = np.empty(N - 1)
-            chunk = max(1, _CHUNK_ELEMS // N)
-            for lo in range(1, N, chunk):
-                cands = np.arange(lo, min(lo + chunk, N), dtype=np.int64)
-                idx = cands[:, None] * n_idx[None, :] % N
-                scores[lo - 1 : lo - 1 + len(cands)] = const + omega[idx] @ w / N
-            best = _select(scores)
+            best = _select(const + score(w) / N)
         state.update(d, omega[n_idx * best % N])
         z.append(best)
         errs.append(state.criterion())
@@ -202,48 +175,16 @@ def cbc_plain(N: int, s: int, crit: CbcCriterion) -> CbcResult:
                      elapsed=time.perf_counter() - start, n=N, prime=is_prime(N))
 
 
+def cbc_plain(N: int, s: int, crit: CbcCriterion) -> CbcResult:
+    """Greedy construction with the O(N) per-candidate sweep; O(s N^2) total."""
+    if N < 2:
+        raise DomainError(f"need N >= 2, got {N}")
+    return _sweep(N, s, crit, _plain_scorer)
+
+
 def cbc_fast(N: int, s: int, crit: CbcCriterion) -> CbcResult:
     """Same output as cbc_plain, for prime N, in O(s N log N) (product weights)
-    or O(s N log N + s^2 N) (POD weights).
-
-    The candidate sweep T(z) = sum_{n=1}^{N-1} omega(n z mod N) W(n) becomes a
-    circular correlation after reindexing both z and n by powers of a
-    primitive root g; one forward FFT of omega is shared by all dimensions.
-    """
+    or O(s N log N + s^2 N) (POD weights)."""
     if not is_prime(N):
         raise DomainError(f"fast construction requires prime N, got {N}")
-    if s < 1:
-        raise DomainError(f"need s >= 1, got {s}")
-    start = time.perf_counter()
-    omega = korobov_residue_table(crit.korobov_order, N)
-    state = _make_state(N, s, crit)
-    n_idx = np.arange(N, dtype=np.int64)
-    z: list[int] = []
-    errs: list[float] = []
-    if N == 2:
-        for d in range(1, s + 1):
-            state.update(d, omega[n_idx % N])
-            z.append(1)
-            errs.append(state.criterion())
-        return CbcResult(z=tuple(z), per_dimension_error=tuple(errs),
-                         elapsed=time.perf_counter() - start, n=N, prime=True)
-    g = primitive_root(N)
-    perm = np.empty(N - 1, dtype=np.int64)
-    perm[0] = 1
-    for i in range(1, N - 1):
-        perm[i] = perm[i - 1] * g % N
-    f_omega = np.fft.fft(omega[perm])
-    for d in range(1, s + 1):
-        if d == 1:
-            best = 1
-        else:
-            const, w = state.weight_vector(d)
-            t_perm = np.fft.ifft(f_omega * np.conj(np.fft.fft(w[perm]))).real
-            scores = np.empty(N - 1)
-            scores[perm - 1] = const + (omega[0] * w[0] + t_perm) / N
-            best = _select(scores)
-        state.update(d, omega[n_idx * best % N])
-        z.append(best)
-        errs.append(state.criterion())
-    return CbcResult(z=tuple(z), per_dimension_error=tuple(errs),
-                     elapsed=time.perf_counter() - start, n=N, prime=True)
+    return _sweep(N, s, crit, _fft_scorer)

@@ -175,9 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", choices=["tent", "sym"], required=True)
     p.add_argument("--alpha", type=int, default=None, help="even smoothness for --criterion sym")
     p.add_argument("--weights", type=str, required=True, help="JSON file with the base weights")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", default=True)
-    mode.add_argument("--plain", action="store_true", default=False)
+    p.add_argument("--plain", action="store_true", default=False,
+                   help="use the O(N^2 s) plain sweep instead of the FFT (needed for composite N)")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_cbc)
 

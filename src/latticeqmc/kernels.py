@@ -93,48 +93,28 @@ class KernelSpec:
 # -- univariate kernels (unit weight) --------------------------------------
 
 
+def _series_1d(alpha: float, x, y, kmax: int, term):
+    """1 + sum_{k<=kmax} term(x, y, k) / k^(2 alpha), summed in chunks of k."""
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
+    out = np.ones(np.broadcast(x, y).shape[:-1])
+    for lo in range(1, kmax + 1, SERIES_CHUNK):
+        k = np.arange(lo, min(lo + SERIES_CHUNK, kmax + 1), dtype=float)
+        out = out + np.sum(term(x, y, k) / k ** (2 * alpha), axis=-1)
+    return out if out.ndim else float(out)
+
+
+_SERIES_TERMS = {
+    "korobov": lambda x, y, k: 2.0 * np.cos(2 * pi * (x - y) * k),
+    "cosine": lambda x, y, k: 2.0 * np.cos(pi * x * k) * np.cos(pi * y * k),
+    "kor_plus_cos": lambda x, y, k: (np.cos(2 * pi * (x - y) * k)
+                                     + np.cos(pi * x * k) * np.cos(pi * y * k)),
+}
+
+
 def korobov_series_1d(alpha: float, x, y, kmax: int):
     """1 + 2 sum_{k<=kmax} cos(2 pi k (x-y)) / k^(2 alpha), term-by-term."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    out = np.ones(np.broadcast(d, 0.0).shape)
-    for lo in range(1, kmax + 1, SERIES_CHUNK):
-        k = np.arange(lo, min(lo + SERIES_CHUNK, kmax + 1), dtype=float)
-        out = out + 2.0 * np.sum(
-            np.cos(2 * pi * d[..., None] * k) / k ** (2 * alpha), axis=-1
-        )
-    return out if out.ndim else float(out)
-
-
-def cosine_series_1d(alpha: float, x, y, kmax: int):
-    """1 + sum_{k<=kmax} 2 cos(pi k x) cos(pi k y) / k^(2 alpha)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.ones(np.broadcast(x, y).shape)
-    for lo in range(1, kmax + 1, SERIES_CHUNK):
-        k = np.arange(lo, min(lo + SERIES_CHUNK, kmax + 1), dtype=float)
-        out = out + np.sum(
-            2.0 * np.cos(pi * x[..., None] * k) * np.cos(pi * y[..., None] * k)
-            / k ** (2 * alpha),
-            axis=-1,
-        )
-    return out if out.ndim else float(out)
-
-
-def kor_plus_cos_series_1d(alpha: float, x, y, kmax: int):
-    """1 + sum_{k<=kmax} [cos(2 pi k(x-y)) + cos(pi k x) cos(pi k y)] / k^(2 alpha)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    out = np.ones(np.broadcast(x, y).shape)
-    for lo in range(1, kmax + 1, SERIES_CHUNK):
-        k = np.arange(lo, min(lo + SERIES_CHUNK, kmax + 1), dtype=float)
-        out = out + np.sum(
-            (np.cos(2 * pi * d[..., None] * k)
-             + np.cos(pi * x[..., None] * k) * np.cos(pi * y[..., None] * k))
-            / k ** (2 * alpha),
-            axis=-1,
-        )
-    return out if out.ndim else float(out)
+    return _series_1d(alpha, x, y, kmax, _SERIES_TERMS["korobov"])
 
 
 def _sobolev_taus(family: str, alpha: int) -> list[int]:
@@ -175,11 +155,8 @@ def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
             scale = (-1.0) ** (a + 1) * (2 * pi) ** (2 * a)
             out = 1.0 + scale * bernoulli_scaled(2 * a, np.abs(x - y))
             return out if np.ndim(out) else float(out)
-        return korobov_series_1d(alpha, x, y, kmax)
-    if family == "cosine":
-        return cosine_series_1d(alpha, x, y, kmax)
-    if family == "kor_plus_cos":
-        return kor_plus_cos_series_1d(alpha, x, y, kmax)
+    if family in _SERIES_TERMS:
+        return _series_1d(alpha, x, y, kmax, _SERIES_TERMS[family])
     raise DomainError(f"unknown kernel family {family!r}")
 
 

@@ -16,6 +16,7 @@ the subset order), and by explicit iteration for general weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,11 @@ GENERAL_DIM_GUARD = 20
 
 def _subset_key(u: frozenset[int]) -> str:
     return ",".join(str(j) for j in sorted(u))
+
+
+def _check_weights(values) -> None:
+    if not all(0.0 <= g < math.inf for g in values):
+        raise DomainError("weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -52,21 +58,18 @@ class WeightScheme:
         if self.form in ("product", "pod"):
             if len(self.gamma) != self.s:
                 raise DomainError(f"need {self.s} coordinate weights, got {len(self.gamma)}")
-            if any(g < 0 for g in self.gamma):
-                raise DomainError("weights must be nonnegative")
+            _check_weights(self.gamma)
         if self.form == "pod":
             if len(self.Gamma) != self.s:
                 raise DomainError(f"need {self.s} order weights, got {len(self.Gamma)}")
-            if any(g < 0 for g in self.Gamma):
-                raise DomainError("weights must be nonnegative")
+            _check_weights(self.Gamma)
         if self.form == "general":
             if self.s > GENERAL_DIM_GUARD:
                 raise GuardError(f"general weights limited to s <= {GENERAL_DIM_GUARD}")
-            for u, g in self.subsets.items():
+            for u in self.subsets:
                 if not u or not all(1 <= j <= self.s for j in u):
                     raise DomainError(f"bad subset {sorted(u)} for dimension {self.s}")
-                if g < 0:
-                    raise DomainError("weights must be nonnegative")
+            _check_weights(self.subsets.values())
 
     # -- constructors ------------------------------------------------------
 

@@ -24,17 +24,19 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import DomainError, GuardError
+from .fourier import C_PRIME
 from .kernels import KernelSpec, SOBOLEV_FAMILIES, kernel_1d
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime
 from .special_functions import MAX_DEGREE, bernoulli_scaled, riemann_zeta
 from .weights import WeightScheme
 
-C_PRIME = 58.0 / 3.0
 TENT_WEIGHT_FACTOR = C_PRIME / (4.0 * pi**4)
 QUADRATIC_FORM_GUARD = 20_000
 SUBSET_DIM_GUARD = 12
 _BLOCK_ELEMS = 1 << 24
+
+CRITERION_KINDS = ("tent", "sym", "plain_korobov")
 
 REPORT_KINDS = (
     "exact_quadratic_form",
@@ -141,7 +143,7 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
     return _clamped(raw, "closed_form_lattice")
 
 
-# -- modified weights --------------------------------------------------------
+# -- modified weights and the construction criterion ------------------------
 
 
 def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
@@ -156,15 +158,78 @@ def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
     return weights.scaled_per_coordinate(3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha)))
 
 
+@dataclass(frozen=True)
+class CbcCriterion:
+    """A construction criterion: which transform the rule is destined for.
+
+    tent:          order-1 Korobov error with weights gamma'^(1/2)
+    sym:           order-(alpha/2) Korobov error with weights gamma''^(1/2), even alpha
+    plain_korobov: order-alpha Korobov error with the weights as given
+    """
+
+    kind: str
+    base_weights: WeightScheme
+    alpha: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in CRITERION_KINDS:
+            raise DomainError(f"unknown criterion kind {self.kind!r}")
+        if self.kind == "sym":
+            if self.alpha is None or self.alpha % 2 != 0 or self.alpha < 2:
+                raise DomainError("sym criterion needs an even alpha >= 2")
+        if self.kind == "plain_korobov":
+            if self.alpha is None or int(self.alpha) != self.alpha or self.alpha < 1:
+                raise DomainError("plain criterion needs an integer alpha >= 1")
+
+    @property
+    def korobov_order(self) -> int:
+        if self.kind == "tent":
+            return 1
+        if self.kind == "sym":
+            return self.alpha // 2
+        return int(self.alpha)
+
+    def effective_weights(self) -> WeightScheme:
+        if self.kind == "tent":
+            return tent_modified_weights(self.base_weights).sqrt()
+        if self.kind == "sym":
+            return sym_modified_weights(self.alpha, self.base_weights).sqrt()
+        return self.base_weights
+
+    def leading_weights(self, s: int) -> WeightScheme:
+        """The effective product or POD weights of the first s coordinates."""
+        w = self.effective_weights()
+        if w.s < s:
+            raise DomainError(f"weights cover {w.s} coordinates, need {s}")
+        if w.form == "product":
+            return WeightScheme.product(w.gamma[:s])
+        if w.form == "pod":
+            return WeightScheme.pod(w.Gamma[:s], w.gamma[:s])
+        raise DomainError("CBC supports product or POD weights only")
+
+    def value(self, rule: LatticeRule) -> float:
+        """The criterion of a full rule, recomputed from scratch."""
+        eff = self.effective_weights()
+        if eff.s != rule.s:
+            eff = self.leading_weights(rule.s)
+        return wce_sq_korobov_lattice(self.korobov_order, eff, rule).value
+
+
+def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
+    """The criterion of the rule, squared.  It is computed at the rule's full
+    dimension, so weights of another dimension are refused, not truncated."""
+    value = wce_sq_korobov_lattice(crit.korobov_order, crit.effective_weights(), rule).value
+    return ErrorReport(value=value**2, kind="theorem_bound")
+
+
 # -- tent-transform bounds ---------------------------------------------------
 
 
 def wce_tent_bound(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
-    """Square of the order-1 Korobov criterion with weights gamma'^(1/2):
-    an upper bound for the squared error of the tent-transformed rule in the
-    second-order Sobolev space."""
-    crit = wce_sq_korobov_lattice(1, tent_modified_weights(weights).sqrt(), rule)
-    return ErrorReport(value=crit.value**2, kind="theorem_bound")
+    """Square of the tent criterion (order-1 Korobov error with weights
+    gamma'^(1/2)): an upper bound for the squared error of the
+    tent-transformed rule in the second-order Sobolev space."""
+    return _squared_criterion(CbcCriterion("tent", weights), rule)
 
 
 def _projected_dual_sums(rule: LatticeRule, weights: WeightScheme,
@@ -198,6 +263,22 @@ def _projected_dual_sums(rule: LatticeRule, weights: WeightScheme,
     return out
 
 
+def _middle_term(modified: WeightScheme, order: int, rule: LatticeRule,
+                 kmax: int) -> ErrorReport:
+    """sum_u gamma_u (sum_{k_u in dual_u} prod 1/k_j^(2 order))^2, truncated at kmax,
+    with the exact truncation remainder as tail_estimate."""
+    if kmax < 1:
+        raise DomainError("kmax must be positive")
+    sums = _projected_dual_sums(rule, modified, order, kmax)
+    value = 0.0
+    tail = 0.0
+    for _, (g, s_trunc, s_full) in sorted(sums.items(), key=lambda t: (len(t[0]), sorted(t[0]))):
+        value += g * s_trunc**2
+        tail += g * max(s_full**2 - s_trunc**2, 0.0)
+    return ErrorReport(value=value, kind="dual_series_truncated",
+                       truncation_kmax=kmax, tail_estimate=tail)
+
+
 def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule,
                          kmax: int = 10_000) -> ErrorReport:
     """Truncated middle bound sum_u gamma'_u (sum_{k_u in dual_u} prod 1/k_j^2)^2.
@@ -207,17 +288,7 @@ def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule,
     middle term (which sits between the exact tent error and the squared
     criterion bound).
     """
-    if kmax < 1:
-        raise DomainError("kmax must be positive")
-    gamma_p = tent_modified_weights(weights)
-    sums = _projected_dual_sums(rule, gamma_p, 1, kmax)
-    value = 0.0
-    tail = 0.0
-    for _, (g, s_trunc, s_full) in sorted(sums.items(), key=lambda t: (len(t[0]), sorted(t[0]))):
-        value += g * s_trunc**2
-        tail += g * max(s_full**2 - s_trunc**2, 0.0)
-    return ErrorReport(value=value, kind="dual_series_truncated",
-                       truncation_kmax=kmax, tail_estimate=tail)
+    return _middle_term(tent_modified_weights(weights), 1, rule, kmax)
 
 
 # -- symmetrized-rule errors and bounds --------------------------------------
@@ -256,28 +327,16 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
 
 
 def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
-    """Square of the order-(alpha/2) Korobov criterion with weights gamma''^(1/2)."""
-    if alpha % 2 != 0 or alpha < 2:
-        raise DomainError(f"alpha must be even and >= 2, got {alpha}")
-    crit = wce_sq_korobov_lattice(alpha // 2, sym_modified_weights(alpha, weights).sqrt(), rule)
-    return ErrorReport(value=crit.value**2, kind="theorem_bound")
+    """Square of the sym criterion (order-(alpha/2) Korobov error with
+    weights gamma''^(1/2))."""
+    return _squared_criterion(CbcCriterion("sym", weights, alpha), rule)
 
 
 def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule,
                         kmax: int = 10_000) -> ErrorReport:
     """Truncated middle bound for symmetrized rules (even alpha), analogous to
     the tent middle term with 1/k_j^alpha inner sums."""
-    if alpha % 2 != 0 or alpha < 2:
-        raise DomainError(f"alpha must be even and >= 2, got {alpha}")
-    gamma_pp = sym_modified_weights(alpha, weights)
-    sums = _projected_dual_sums(rule, gamma_pp, alpha // 2, kmax)
-    value = 0.0
-    tail = 0.0
-    for _, (g, s_trunc, s_full) in sorted(sums.items(), key=lambda t: (len(t[0]), sorted(t[0]))):
-        value += g * s_trunc**2
-        tail += g * max(s_full**2 - s_trunc**2, 0.0)
-    return ErrorReport(value=value, kind="dual_series_truncated",
-                       truncation_kmax=kmax, tail_estimate=tail)
+    return _middle_term(sym_modified_weights(alpha, weights), alpha // 2, rule, kmax)
 
 
 # -- prime-N construction bounds ---------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latticeqmc.cbc import CbcCriterion, cbc_fast, cbc_plain
-from latticeqmc.errors import DomainError
+from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import LatticeRule, rank1_points
 from latticeqmc.numtheory import is_prime, nearest_prime, primitive_root
 from latticeqmc.special_functions import bernoulli_scaled
@@ -130,6 +130,30 @@ def test_plain_fast_equivalence_pod_weights():
         # the cached criterion is the real criterion of the constructed rule
         v = crit.value(LatticeRule(N=p, z=a.z))
         assert abs(v - a.per_dimension_error[-1]) <= 1e-12 * (1.0 + abs(v))
+
+
+@pytest.mark.parametrize("kind,alpha", [("tent", None), ("sym", 2), ("plain_korobov", 2)])
+def test_plain_fast_equivalence_n4099(kind, alpha):
+    """N = 4099 splits the plain scorer into five candidate blocks, the last
+    one partial, so the reused buffers are sliced in every way they can be."""
+    s = 8
+    gam = [1.0 / j**2 for j in range(1, s + 1)]
+    crit = CbcCriterion(kind=kind, base_weights=WeightScheme.product(gam), alpha=alpha)
+    a = cbc_plain(4099, s, crit)
+    b = cbc_fast(4099, s, crit)
+    assert a.z == b.z
+    for va, vb in zip(a.per_dimension_error, b.per_dimension_error):
+        assert abs(va - vb) <= 1e-12 * (1.0 + abs(va))
+
+
+def test_overflowing_weights_fail_loudly():
+    """Finite weights whose scores overflow must not yield a default vector."""
+    crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product([1.0] + [1e308] * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for run in (cbc_fast, cbc_plain):
+            with pytest.raises(GuardError):
+                run(13, 4, crit)
 
 
 def test_pod_criterion_against_general_weights_oracle():

@@ -74,7 +74,7 @@ def test_cbc_fast_and_plain(tmp_path):
     wfile.write_text(json.dumps({"form": "product", "gamma": [1.0, 1.0]}))
     out = tmp_path / "cbc.json"
     assert main(["cbc", "--n", "5", "--dims", "2", "--criterion", "tent",
-                 "--weights", str(wfile), "--fast", "--out", str(out)]) == 0
+                 "--weights", str(wfile), "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["z"] == [1, 2] and data["prime"] is True
     assert main(["cbc", "--n", "5", "--dims", "2", "--criterion", "tent",

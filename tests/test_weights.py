@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,3 +106,15 @@ def test_validation():
         WeightScheme.general(25, {frozenset({1}): 1.0})
     with pytest.raises(DomainError):
         WeightScheme.product([1.0]).combine(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(DomainError):
+        WeightScheme.product([1.0, bad, 0.5])
+    with pytest.raises(DomainError):
+        WeightScheme.pod([1.0, 1.0], [1.0, bad])
+    with pytest.raises(DomainError):
+        WeightScheme.pod([1.0, bad], [1.0, 1.0])
+    with pytest.raises(DomainError):
+        WeightScheme.general(2, {frozenset({1}): 1.0, frozenset({1, 2}): bad})

@@ -114,6 +114,24 @@ def test_sym_bound_composition():
     assert bound.value == pytest.approx((math.sqrt(gamma_pp) * GOLDEN) ** 2, rel=1e-13)
 
 
+def test_bounds_refuse_weights_of_another_dimension():
+    rule = LatticeRule(N=5, z=(1, 2))
+    for w in (WeightScheme.product([1.0]), WeightScheme.product([1.0, 1.0, 1.0])):
+        with pytest.raises(DomainError):
+            wce_tent_bound(w, rule)
+        with pytest.raises(DomainError):
+            wce_sym_bound(2, w, rule)
+
+
+def test_middle_terms_need_positive_kmax():
+    rule = LatticeRule(N=5, z=(1, 2))
+    w = WeightScheme.product([1.0, 1.0])
+    with pytest.raises(DomainError):
+        wce_tent_middle_term(w, rule, kmax=0)
+    with pytest.raises(DomainError):
+        wce_sym_middle_term(2, w, rule, kmax=0)
+
+
 def test_middle_term_closed_form_case():
     """s=1, N=2: the inner dual sum is zeta(2)/2 and the term gamma' (zeta(2)/2)^2."""
     rule = LatticeRule(N=2, z=(1,))
