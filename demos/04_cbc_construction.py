@@ -1,11 +1,12 @@
 """Component-by-component construction, plain and FFT-accelerated.
 
 The greedy search fixes z_1 = 1 and, for each further coordinate, picks the
-candidate minimizing the exact squared criterion of the prefix rule.  For
-prime N the candidate sweep is a circular correlation after primitive-root
-reindexing, so the fast path needs O(N log N) per dimension instead of
-O(N^2).  Both paths share a deterministic tie rule and return identical
-vectors.
+candidate minimizing the exact squared criterion of the prefix rule.  z and
+N - z always score the same, so only z = 1..N//2 are scored.  For prime N
+the candidate sweep is a circular correlation after primitive-root
+reindexing, which folds to one real correlation of length (N-1)/2, so the
+fast path needs O(N log N) per dimension instead of O(N^2).  Both paths
+share a deterministic tie rule and return identical vectors.
 """
 
 import time

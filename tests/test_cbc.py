@@ -6,13 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from latticeqmc.cbc import CbcCriterion, cbc_fast, cbc_plain
+from latticeqmc import cbc
+from latticeqmc.cbc import TIE_TOL, CbcCriterion, cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import LatticeRule, rank1_points
 from latticeqmc.numtheory import is_prime, nearest_prime, primitive_root
 from latticeqmc.special_functions import bernoulli_scaled
 from latticeqmc.weights import WeightScheme
-from latticeqmc.worst_case_error import C_PRIME, corollary_bound, wce_sq_korobov_lattice
+from latticeqmc.worst_case_error import (
+    C_PRIME,
+    corollary_bound,
+    korobov_residue_table,
+    wce_sq_korobov_lattice,
+)
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 
@@ -134,9 +140,10 @@ def test_plain_fast_equivalence_pod_weights():
 
 @pytest.mark.parametrize("kind,alpha", [("tent", None), ("sym", 2), ("plain_korobov", 2)])
 def test_plain_fast_equivalence_n4099(kind, alpha):
-    """N = 4099 splits the plain scorer into five candidate blocks, the last
-    one partial, so the reused buffers are sliced in every way they can be."""
-    s = 8
+    """N = 4099 splits the plain scorer's 2049 candidates into three blocks,
+    the last one partial, and pads the FFT scorer's correlation (h = 2049 =
+    3 * 683 is not 5-smooth)."""
+    s = 20
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     crit = CbcCriterion(kind=kind, base_weights=WeightScheme.product(gam), alpha=alpha)
     a = cbc_plain(4099, s, crit)
@@ -144,6 +151,75 @@ def test_plain_fast_equivalence_n4099(kind, alpha):
     assert a.z == b.z
     for va, vb in zip(a.per_dimension_error, b.per_dimension_error):
         assert abs(va - vb) <= 1e-12 * (1.0 + abs(va))
+
+
+def _brute_force_scores(N, omega, w):
+    """T(z) = sum_n omega(n z mod N) W(n) for z = 1..N//2, one z at a time."""
+    n = np.arange(N)
+    return np.array([omega[n * z % N] @ w for z in range(1, N // 2 + 1)])
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 4079, 4099])
+@pytest.mark.parametrize("make_scorer", [cbc._plain_scorer, cbc._fft_scorer])
+def test_scorers_match_brute_force(N, make_scorer):
+    """h = (N-1)/2 is 5-smooth for 257 and 641 (direct length), prime for
+    4079 and 3 * 683 for 4099 (zero-padded), and 0..2 for the tiny N."""
+    rng = np.random.default_rng(N)
+    for order in (1, 2):
+        omega = korobov_residue_table(order, N)
+        w = rng.random(N)
+        brute = _brute_force_scores(N, omega, w)
+        t = make_scorer(N, omega)(w)
+        assert t.shape == (N // 2,)
+        assert np.max(np.abs(t - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+
+@pytest.mark.parametrize("N", [3, 5, 257, 641, 4079, 4099])
+def test_folded_rader_order_covers_half_range(N):
+    g = primitive_root(N)
+    h = (N - 1) // 2
+    perm = cbc._rader_half(N, g, h)
+    assert perm.tolist() == [pow(g, i, N) for i in range(h)]
+    assert sorted(np.minimum(perm, N - perm).tolist()) == list(range(1, h + 1))
+
+
+def test_smooth_length_is_minimal():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)
+                    if 2**a * 3**b * 5**c <= 10_000)
+    for n in range(1, 5001):
+        assert cbc._smooth_length(n) == next(m for m in smooth if m >= n)
+    # h = (N-1)/2 takes the direct length for N = 257, 641 and the padded one for 4079, 4099
+    assert all(cbc._smooth_length(h) == h for h in (128, 320))
+    assert not any(cbc._smooth_length(h) == h for h in (2039, 2049))
+
+
+def _full_range_greedy(N, s, crit):
+    """CBC over every candidate 1..N-1, each scored by the closed-form
+    criterion of the prefix rule, with the library's tie rule."""
+    z, errs = [1], [crit.value(LatticeRule(N=N, z=(1,)))]
+    for d in range(2, s + 1):
+        vals = np.array([crit.value(LatticeRule(N=N, z=tuple(z) + (c,))) for c in range(1, N)])
+        m = float(np.min(vals))
+        z.append(int(np.argmax(vals <= m + TIE_TOL * (1.0 + abs(m)))) + 1)
+        errs.append(float(vals[z[-1] - 1]))
+    return tuple(z), errs
+
+
+@pytest.mark.parametrize("N", [12, 100, 256])
+def test_plain_composite_n_matches_full_range_greedy(N):
+    """Scoring only 1..N//2 loses nothing for composite N either."""
+    s = 4
+    gam = [1.0 / j**2 for j in range(1, s + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for crit in (CbcCriterion(kind="tent", base_weights=WeightScheme.product(gam)),
+                     CbcCriterion(kind="sym", base_weights=WeightScheme.pod([1.0] * s, gam),
+                                  alpha=2)):
+            res = cbc_plain(N, s, crit)
+            z, errs = _full_range_greedy(N, s, crit)
+            assert res.z == z
+            for a, b in zip(res.per_dimension_error, errs):
+                assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
 
 
 def test_overflowing_weights_fail_loudly():

@@ -14,6 +14,7 @@ from latticeqmc.worst_case_error import (
     C_PRIME,
     ErrorReport,
     corollary_bound,
+    korobov_residue_table,
     sym_modified_weights,
     tent_modified_weights,
     wce_sq_korobov_lattice,
@@ -43,6 +44,19 @@ def test_golden_value_both_paths():
     quad = wce_sq_quadratic_form(KernelSpec(family="korobov", alpha=1, weights=w),
                                  rank1_points(rule))
     assert quad.value == pytest.approx(GOLDEN, abs=1e-13)
+
+
+@pytest.mark.parametrize("form", ["product", "pod"])
+def test_closed_form_row_blocks_match_unblocked_sum(form):
+    """N = 20011, s = 40 takes several row blocks, the last one partial."""
+    N, s = 20011, 40
+    rule = random_rule(np.random.default_rng(11), N, s)
+    gam = [1.0 / j**2 for j in range(1, s + 1)]
+    w = WeightScheme.product(gam) if form == "product" else WeightScheme.pod([1.0] * s, gam)
+    for alpha in (1, 2):
+        table = korobov_residue_table(alpha, N)
+        unblocked = float(np.mean(w.combine(table[rank1_points(rule).numerators])))
+        assert wce_sq_korobov_lattice(alpha, w, rule).value == pytest.approx(unblocked, rel=1e-12)
 
 
 def test_zero_weights_give_zero_everywhere():
