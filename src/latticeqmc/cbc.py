@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GuardError
+from .kernels import _block_rows
 from .lattice import LatticeRule
 from .numtheory import is_prime, primitive_root
 from .worst_case_error import CbcCriterion, korobov_residue_table
 
 TIE_TOL = 1e-10
-_CHUNK_ELEMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _plain_scorer(N: int, omega: np.ndarray):
     and gather buffers are allocated once and reused in every dimension."""
     half = N // 2
     n_idx = np.arange(N, dtype=np.int64)
-    chunk = min(max(1, _CHUNK_ELEMS // N), half)
+    chunk = min(_block_rows(N), half)
     idx = np.empty((chunk, N), dtype=np.int64)
     vals = np.empty((chunk, N))
 

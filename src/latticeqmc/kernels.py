@@ -25,8 +25,14 @@ from .weights import WeightScheme
 
 FAMILIES = ("korobov", "cosine", "kor_plus_cos", "sobolev", "sob_odd", "sob_odd_alpha")
 SOBOLEV_FAMILIES = ("sobolev", "sob_odd", "sob_odd_alpha")
-SERIES_CHUNK = 2048
 DEFAULT_SERIES_KMAX = 10_000
+_BLOCK_BUDGET = 1 << 18  # 2 MB per float64 block array; larger blocks ran no faster
+
+
+def _block_rows(row_elems: int) -> int:
+    """Rows per block of every blocked loop, so that a block holds about
+    _BLOCK_BUDGET entries (at least one row)."""
+    return max(1, _BLOCK_BUDGET // max(1, row_elems))
 
 
 def _is_integer(a: float) -> bool:
@@ -94,12 +100,14 @@ class KernelSpec:
 
 
 def _series_1d(alpha: float, x, y, kmax: int, term):
-    """1 + sum_{k<=kmax} term(x, y, k) / k^(2 alpha), summed in chunks of k."""
+    """1 + sum_{k<=kmax} term(x, y, k) / k^(2 alpha), summed in blocks of k
+    whose row is the broadcast of x and y."""
     x = np.asarray(x, dtype=float)[..., None]
     y = np.asarray(y, dtype=float)[..., None]
     out = np.ones(np.broadcast(x, y).shape[:-1])
-    for lo in range(1, kmax + 1, SERIES_CHUNK):
-        k = np.arange(lo, min(lo + SERIES_CHUNK, kmax + 1), dtype=float)
+    rows = _block_rows(out.size)
+    for lo in range(1, kmax + 1, rows):
+        k = np.arange(lo, min(lo + rows, kmax + 1), dtype=float)
         out = out + np.sum(term(x, y, k) / k ** (2 * alpha), axis=-1)
     return out if out.ndim else float(out)
 
@@ -110,6 +118,12 @@ _SERIES_TERMS = {
     "kor_plus_cos": lambda x, y, k: (np.cos(2 * pi * (x - y) * k)
                                      + np.cos(pi * x * k) * np.cos(pi * y * k)),
 }
+
+
+def _korobov_closed_form(alpha: int, t):
+    """(-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(t): the Korobov kernel of
+    integer alpha, minus 1, at t = |x - y|."""
+    return (-1.0) ** (alpha + 1) * (2 * pi) ** (2 * alpha) * bernoulli_scaled(2 * alpha, t)
 
 
 def korobov_series_1d(alpha: float, x, y, kmax: int):
@@ -147,14 +161,10 @@ def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
         return sobolev_family_1d(family, int(alpha), x, y)
     if alpha <= 0.5:
         raise DomainError(f"{family} requires alpha > 1/2")
-    if family == "korobov":
-        if _is_integer(alpha):
-            a = int(alpha)
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            scale = (-1.0) ** (a + 1) * (2 * pi) ** (2 * a)
-            out = 1.0 + scale * bernoulli_scaled(2 * a, np.abs(x - y))
-            return out if np.ndim(out) else float(out)
+    if family == "korobov" and _is_integer(alpha):
+        t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+        out = 1.0 + _korobov_closed_form(int(alpha), t)
+        return out if np.ndim(out) else float(out)
     if family in _SERIES_TERMS:
         return _series_1d(alpha, x, y, kmax, _SERIES_TERMS[family])
     raise DomainError(f"unknown kernel family {family!r}")

@@ -3,7 +3,11 @@
 Squared worst-case errors come from three routes that cross-check each other:
 
 * the kernel quadratic form -1 + |P|^-2 sum_{x,y in P} K(x,y), valid for the
-  unit-mean kernel families (closed-form Korobov and the Sobolev family);
+  unit-mean kernel families (closed-form Korobov and the Sobolev family).
+  One blocked sum, `_quadratic_form`, serves both exact errors: the plain
+  kernel on any point set (tent points among them), and for symmetrized
+  rules the reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N
+  base-lattice points instead of K on all 2^s N reflections;
 * the group-collapsed Bernoulli closed form for rank-1 lattice rules in
   Korobov spaces, exact in O(N s) for product weights;
 * truncated dual-lattice series with an exact tail (the truncated and full
@@ -12,7 +16,8 @@ Squared worst-case errors come from three routes that cross-check each other:
 
 On top sit the tent and reflection bounds (squared criterion values with the
 modified weights) and the prime-N construction bounds parameterized by
-lambda.
+lambda.  Every blocked sum here sizes its blocks from the one block budget
+of `kernels`.
 """
 
 from __future__ import annotations
@@ -25,17 +30,16 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
-from .kernels import KernelSpec, SOBOLEV_FAMILIES, kernel_1d
+from .kernels import (KernelSpec, SOBOLEV_FAMILIES, _block_rows, _korobov_closed_form,
+                      kernel_1d, korobov_series_1d)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime
-from .special_functions import MAX_DEGREE, bernoulli_scaled, riemann_zeta
+from .special_functions import MAX_DEGREE, riemann_zeta
 from .weights import WeightScheme
 
 TENT_WEIGHT_FACTOR = C_PRIME / (4.0 * pi**4)
 QUADRATIC_FORM_GUARD = 20_000
 SUBSET_DIM_GUARD = 12
-_BLOCK_ELEMS = 1 << 24
-_ROW_BLOCK_ELEMS = 1 << 18
 
 CRITERION_KINDS = ("tent", "sym", "plain_korobov")
 
@@ -90,7 +94,37 @@ def _clamped(raw: float, kind: str, **kwargs) -> ErrorReport:
                        negative_clamp=max(-raw, 0.0), **kwargs)
 
 
+def _even_alpha(alpha) -> int:
+    """alpha as an int, if it is an even integer >= 2 (4.0 is accepted)."""
+    if alpha is None or alpha % 2 != 0 or alpha < 2:
+        raise DomainError(f"alpha must be an even integer >= 2, got {alpha}")
+    return int(alpha)
+
+
 # -- quadratic form ----------------------------------------------------------
+
+
+def _combine_sum(weights: WeightScheme, rows: int, row_elems: int, block) -> float:
+    """sum of weights.combine(block(lo, hi)) over the row blocks [lo, hi) of 0..rows."""
+    step = _block_rows(row_elems)
+    total = 0.0
+    for lo in range(0, rows, step):
+        total += float(np.sum(weights.combine(block(lo, min(lo + step, rows)))))
+    return total
+
+
+def _quadratic_form(weights: WeightScheme, m: int, points, eta) -> ErrorReport:
+    """|P|^-2 sum_{x,y in P} weights.combine(eta(x, y)) for eta = K_1 - 1 of a
+    unit-mean kernel (its constant 1 cancels against the -1), clamped at 0.
+    points() builds the (m, s) array only after m has passed the guard."""
+    if m > QUADRATIC_FORM_GUARD:
+        raise GuardError(f"{m} points exceed the O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
+    x = points()
+    if x.shape[1] != weights.s:
+        raise DomainError(f"point dimension {x.shape[1]} != weight dimension {weights.s}")
+    raw = _combine_sum(weights, m, x.size,
+                       lambda lo, hi: eta(x[lo:hi, None, :], x[None, :, :]))
+    return _clamped(raw / (m * m), "exact_quadratic_form")
 
 
 def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
@@ -104,20 +138,8 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
         raise DomainError(
             f"quadratic-form shortcut needs a unit-mean closed-form kernel, not {spec.family!r}"
         )
-    if ps.s != spec.s:
-        raise DomainError(f"point set dimension {ps.s} != weight dimension {spec.s}")
-    m = len(ps)
-    if m > QUADRATIC_FORM_GUARD:
-        raise GuardError(f"{m} points exceed the O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
-    x = ps.points
-    block = max(1, _BLOCK_ELEMS // (m * ps.s))
-    parts = []
-    for lo in range(0, m, block):
-        xb = x[lo : lo + block]
-        eta = kernel_1d(spec.family, spec.alpha, xb[:, None, :], x[None, :, :]) - 1.0
-        parts.append(np.sum(spec.weights.combine(eta)))
-    raw = float(np.sum(parts)) / (m * m)  # the constant 1 cancels against -1
-    return _clamped(raw, "exact_quadratic_form")
+    return _quadratic_form(spec.weights, len(ps), lambda: ps.points,
+                           lambda x, y: kernel_1d(spec.family, spec.alpha, x, y) - 1.0)
 
 
 # -- Bernoulli closed form for lattice rules in Korobov spaces ---------------
@@ -125,15 +147,14 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
 
 def korobov_residue_table(alpha: int, N: int) -> np.ndarray:
     """w(r) = (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N) for r = 0..N-1."""
-    r = np.arange(N, dtype=float) / N
-    return (-1.0) ** (alpha + 1) * (2 * pi) ** (2 * alpha) * bernoulli_scaled(2 * alpha, r)
+    return _korobov_closed_form(alpha, np.arange(N, dtype=float) / N)
 
 
 def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of a rank-1 lattice rule in the weighted
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
-    The N x s residues are made and summed in row blocks of about 2^18
-    entries, so memory is O(N), not O(N s)."""
+    The N x s residues are made and summed in row blocks of one block
+    budget, so memory is O(N), not O(N s)."""
     if int(alpha) != alpha or alpha < 1:
         raise DomainError(f"alpha must be a positive integer, got {alpha}")
     if 2 * alpha > MAX_DEGREE:
@@ -143,11 +164,8 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
     N = rule.N
     table = korobov_residue_table(int(alpha), N)
     z = np.array(rule.z, dtype=np.int64)
-    rows = max(1, _ROW_BLOCK_ELEMS // rule.s)
-    total = 0.0
-    for lo in range(0, N, rows):
-        n_block = np.arange(lo, min(lo + rows, N), dtype=np.int64)
-        total += float(np.sum(weights.combine(table[np.outer(n_block, z) % N])))
+    total = _combine_sum(weights, N, rule.s,
+                         lambda lo, hi: table[np.outer(np.arange(lo, hi), z) % N])
     return _clamped(total / N, "closed_form_lattice")
 
 
@@ -161,8 +179,7 @@ def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
 
 def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
     """gamma''_u = gamma_u (3 / (2^(2 alpha + 1) pi^(2 alpha)))^|u|, even alpha."""
-    if alpha % 2 != 0 or alpha < 2:
-        raise DomainError(f"alpha must be even and >= 2, got {alpha}")
+    alpha = _even_alpha(alpha)
     return weights.scaled_per_coordinate(3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha)))
 
 
@@ -183,8 +200,7 @@ class CbcCriterion:
         if self.kind not in CRITERION_KINDS:
             raise DomainError(f"unknown criterion kind {self.kind!r}")
         if self.kind == "sym":
-            if self.alpha is None or self.alpha % 2 != 0 or self.alpha < 2:
-                raise DomainError("sym criterion needs an even alpha >= 2")
+            object.__setattr__(self, "alpha", _even_alpha(self.alpha))
         if self.kind == "plain_korobov":
             if self.alpha is None or int(self.alpha) != self.alpha or self.alpha < 1:
                 raise DomainError("plain criterion needs an integer alpha >= 1")
@@ -240,47 +256,28 @@ def wce_tent_bound(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     return _squared_criterion(CbcCriterion("tent", weights), rule)
 
 
-def _projected_dual_sums(rule: LatticeRule, weights: WeightScheme,
-                         order: int, kmax: int) -> dict:
-    """Truncated and full projected-dual sums sum_{k_u} prod 1/k_j^(2 order),
-    for every nonempty subset u with nonzero weight.
-
-    Both sums factor through characters of the lattice group:
-    the box-truncated sum uses g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order),
-    the full sum uses the Bernoulli closed form of the same series.
-    """
-    if rule.s > SUBSET_DIM_GUARD:
-        raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
-    n = rule.N
-    r = np.arange(n, dtype=float) / n
-    chunk = max(1, _BLOCK_ELEMS // (8 * n))
-    g_trunc = np.zeros(n)
-    for lo in range(1, kmax + 1, chunk):
-        k = np.arange(lo, min(lo + chunk, kmax + 1), dtype=float)
-        g_trunc += 2.0 * np.sum(np.cos(2 * pi * r[:, None] * k) / k ** (2 * order), axis=1)
-    g_full = korobov_residue_table(order, n)
-    nums = rank1_points(rule).numerators
-    m_trunc = g_trunc[nums]
-    m_full = g_full[nums]
-    out = {}
-    for u, g in weights.nonempty_subsets():
-        cols = [j - 1 for j in sorted(u)]
-        s_trunc = float(np.mean(np.prod(m_trunc[:, cols], axis=1)))
-        s_full = float(np.mean(np.prod(m_full[:, cols], axis=1)))
-        out[u] = (g, s_trunc, s_full)
-    return out
-
-
 def _middle_term(modified: WeightScheme, order: int, rule: LatticeRule,
                  kmax: int) -> ErrorReport:
     """sum_u gamma_u (sum_{k_u in dual_u} prod 1/k_j^(2 order))^2, truncated at kmax,
-    with the exact truncation remainder as tail_estimate."""
+    with the exact truncation remainder as tail_estimate.
+
+    Both inner sums factor through characters of the lattice group: the
+    box-truncated one uses g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order),
+    the full one the Bernoulli closed form of the same series.
+    """
     if kmax < 1:
         raise DomainError("kmax must be positive")
-    sums = _projected_dual_sums(rule, modified, order, kmax)
-    value = 0.0
-    tail = 0.0
-    for _, (g, s_trunc, s_full) in sorted(sums.items(), key=lambda t: (len(t[0]), sorted(t[0]))):
+    if rule.s > SUBSET_DIM_GUARD:
+        raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
+    nums = rank1_points(rule).numerators
+    r = np.arange(rule.N, dtype=float) / rule.N
+    m_trunc = (korobov_series_1d(order, r, 0.0, kmax) - 1.0)[nums]
+    m_full = korobov_residue_table(order, rule.N)[nums]
+    value = tail = 0.0
+    for u, g in sorted(modified.nonempty_subsets(), key=lambda t: (len(t[0]), sorted(t[0]))):
+        cols = [j - 1 for j in sorted(u)]
+        s_trunc = float(np.mean(np.prod(m_trunc[:, cols], axis=1)))
+        s_full = float(np.mean(np.prod(m_full[:, cols], axis=1)))
         value += g * s_trunc**2
         tail += g * max(s_full**2 - s_trunc**2, 0.0)
     return ErrorReport(value=value, kind="dual_series_truncated",
@@ -302,36 +299,27 @@ def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule,
 # -- symmetrized-rule errors and bounds --------------------------------------
 
 
-def _reflection_averaged_eta(alpha: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mean of K_odd+alpha(.,.) - 1 over the four reflections of (x, y)."""
-    def f(a, b):
-        return kernel_1d("sob_odd_alpha", alpha, a, b) - 1.0
-
-    return 0.25 * (f(x, y) + f(1.0 - x, y) + f(x, 1.0 - y) + f(1.0 - x, 1.0 - y))
-
-
 def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of the symmetrized rule in the
-    odd+alpha Sobolev subspace (even alpha), via the reflection-averaged
-    kernel on the base lattice: O(N^2 s) instead of (2^s N)^2 pairs."""
-    if alpha % 2 != 0 or alpha < 2:
-        raise DomainError(f"alpha must be even and >= 2, got {alpha}")
+    odd+alpha Sobolev subspace (even alpha): the quadratic form of the
+    reflection-averaged kernel on the base lattice, O(N^2 s) instead of
+    (2^s N)^2 pairs.
+
+    The average of K = K_odd+alpha over the four reflections of (x, y) is
+    1/2 [K(x, y) + K(x, 1 - y)]: b_tau(1 - t) = (-1)^tau b_tau(t) makes each
+    product b_tau(x) b_tau(y) invariant under reflecting both arguments, and
+    |x - y| is unchanged by it, so K(1 - x, 1 - y) = K(x, y) and
+    K(1 - x, y) = K(x, 1 - y).
+    """
+    alpha = _even_alpha(alpha)
     if 2 * alpha > MAX_DEGREE:
         raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported")
-    if weights.s != rule.s:
-        raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
-    if rule.N > QUADRATIC_FORM_GUARD:
-        raise GuardError(f"N = {rule.N} exceeds the O(N^2) guard of {QUADRATIC_FORM_GUARD}")
-    x = rank1_points(rule).points
-    n = rule.N
-    block = max(1, _BLOCK_ELEMS // (n * rule.s))
-    parts = []
-    for lo in range(0, n, block):
-        xb = x[lo : lo + block]
-        eta = _reflection_averaged_eta(int(alpha), xb[:, None, :], x[None, :, :])
-        parts.append(np.sum(weights.combine(eta)))
-    raw = float(np.sum(parts)) / (n * n)
-    return _clamped(raw, "exact_quadratic_form")
+
+    def eta(x, y):
+        return 0.5 * (kernel_1d("sob_odd_alpha", alpha, x, y)
+                      + kernel_1d("sob_odd_alpha", alpha, x, 1.0 - y)) - 1.0
+
+    return _quadratic_form(weights, rule.N, lambda: rank1_points(rule).points, eta)
 
 
 def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
@@ -344,6 +332,7 @@ def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule,
                         kmax: int = 10_000) -> ErrorReport:
     """Truncated middle bound for symmetrized rules (even alpha), analogous to
     the tent middle term with 1/k_j^alpha inner sums."""
+    alpha = _even_alpha(alpha)
     return _middle_term(sym_modified_weights(alpha, weights), alpha // 2, rule, kmax)
 
 
@@ -368,8 +357,7 @@ def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
             raise DomainError(f"lambda must lie in (1/2, 1], got {lam}")
         factor = 2.0 ** (1.0 - lam) * C_PRIME ** (lam / 2.0) * riemann_zeta(2.0 * lam) / pi ** (2.0 * lam)
     elif kind == "sym":
-        if alpha is None or alpha % 2 != 0 or alpha < 2:
-            raise DomainError("sym bound needs an even alpha >= 2")
+        alpha = _even_alpha(alpha)
         if not 1.0 / alpha < lam <= 1.0:
             raise DomainError(f"lambda must lie in (1/{alpha}, 1], got {lam}")
         factor = (

@@ -59,6 +59,14 @@ def test_criterion_validation():
                                      base_weights=WeightScheme.general(2, {frozenset({1}): 1.0})))
 
 
+def test_float_even_alpha_builds_the_same_vectors():
+    w = WeightScheme.product([1.0 / j**2 for j in range(1, 7)])
+    for construct in (cbc_fast, cbc_plain):
+        a = construct(101, 6, CbcCriterion("sym", w, 4.0))
+        b = construct(101, 6, CbcCriterion("sym", w, 4))
+        assert a.z == b.z and a.per_dimension_error == b.per_dimension_error
+
+
 def test_tent_criterion_matches_product_form_display():
     """Criterion value == -1 + mean prod_j (1 + 2 sqrt(c') sqrt(g_j) b_2(x_j))."""
     rng = np.random.default_rng(1)

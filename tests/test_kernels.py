@@ -1,6 +1,7 @@
 """Kernel evaluations: closed forms, series paths, symmetry, PSD, unit mean."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ def test_series_families_tail_bound_is_honest():
             fine = kernel_1d(family, alpha, 0.3, 0.9, kmax=20_000)
             assert abs(coarse - fine) <= series_tail_bound(alpha, 200)
     del rng
+
+
+def test_series_memory_follows_the_block_budget():
+    """The k-blocks shrink as the arrays grow: a (32, 32, 4) array at
+    kmax = 4096 holds a few MB of blocks, not 4096 k-values per entry."""
+    rng = np.random.default_rng(4)
+    x, y = rng.random((2, 32, 32, 4))
+    tracemalloc.start()
+    try:
+        out = kernel_1d("cosine", 1.5, x, y, kmax=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    for i in zip(*(rng.integers(0, n, size=40) for n in x.shape)):
+        assert out[i] == pytest.approx(kernel_1d("cosine", 1.5, x[i], y[i], kmax=4096), rel=1e-13)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

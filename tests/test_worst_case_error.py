@@ -6,12 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from latticeqmc import kernels, worst_case_error
+from latticeqmc.cbc import cbc_plain
 from latticeqmc.errors import DomainError, GuardError
-from latticeqmc.kernels import KernelSpec
+from latticeqmc.kernels import KernelSpec, kernel_1d
 from latticeqmc.lattice import LatticeRule, dual_projected, rank1_points, symmetrize, tent_transform
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     C_PRIME,
+    CbcCriterion,
     ErrorReport,
     corollary_bound,
     korobov_residue_table,
@@ -129,12 +132,18 @@ def test_sym_bound_composition():
 
 
 def test_bounds_refuse_weights_of_another_dimension():
+    """The bounds, and the exact errors through their one quadratic-form check."""
     rule = LatticeRule(N=5, z=(1, 2))
     for w in (WeightScheme.product([1.0]), WeightScheme.product([1.0, 1.0, 1.0])):
         with pytest.raises(DomainError):
             wce_tent_bound(w, rule)
         with pytest.raises(DomainError):
             wce_sym_bound(2, w, rule)
+        with pytest.raises(DomainError):
+            wce_sym_exact(2, w, rule)
+        with pytest.raises(DomainError):
+            wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w),
+                                  rank1_points(rule))
 
 
 def test_middle_terms_need_positive_kmax():
@@ -212,17 +221,71 @@ def test_sym_error_bound_chain():
             assert middle <= bound * (1 + 1e-11) + 1e-14
 
 
-def test_sym_exact_equals_quadratic_form_on_multiset_at_alpha2():
+def test_sym_exact_equals_quadratic_form_on_multiset():
+    """The two-kernel reflection average on the base lattice equals the plain
+    quadratic form on all 2^s reflections: alpha = 2 (sobolev) and alpha = 4
+    (sob_odd_alpha, where b_3 flips sign under t -> 1 - t as well as b_1),
+    product and POD weights."""
     rng = np.random.default_rng(77)
-    for _ in range(8):
-        s = int(rng.integers(1, 3))
-        N = int(rng.integers(2, 40))
+    for i in range(9):
+        s = 1 + i % 3
+        N = int(rng.integers(2, 20))
         rule = random_rule(rng, N, s)
-        w = WeightScheme.product(rng.random(s))
-        via_reflections = wce_sym_exact(2, w, rule).value
-        spec = KernelSpec(family="sobolev", alpha=2, weights=w)
-        via_multiset = wce_sq_quadratic_form(spec, symmetrize(rank1_points(rule))).value
-        assert abs(via_reflections - via_multiset) <= 1e-11 * (1.0 + via_multiset)
+        gam = rng.random(s)
+        multiset = symmetrize(rank1_points(rule))
+        for w in (WeightScheme.product(gam), WeightScheme.pod(rng.random(s), gam)):
+            for alpha, family in ((2, "sobolev"), (4, "sob_odd_alpha")):
+                via_reflections = wce_sym_exact(alpha, w, rule).value
+                spec = KernelSpec(family=family, alpha=alpha, weights=w)
+                via_multiset = wce_sq_quadratic_form(spec, multiset).value
+                assert via_reflections == pytest.approx(via_multiset, rel=1e-9, abs=1e-15)
+
+
+def test_float_even_alpha_is_the_integer_alpha():
+    rule = LatticeRule(N=13, z=(1, 5, 3))
+    w = WeightScheme.product([1.0, 0.5, 0.25])
+    assert sym_modified_weights(4.0, w).gamma == sym_modified_weights(4, w).gamma
+    assert CbcCriterion("sym", w, 4.0).value(rule) == CbcCriterion("sym", w, 4).value(rule)
+    assert wce_sym_exact(4.0, w, rule) == wce_sym_exact(4, w, rule)
+    assert wce_sym_middle_term(4.0, w, rule, kmax=50) == wce_sym_middle_term(4, w, rule, kmax=50)
+    assert corollary_bound("sym", w, 13, 0.5, alpha=4.0) == corollary_bound("sym", w, 13, 0.5,
+                                                                             alpha=4)
+    for bad in (2.5, 3, 3.0, 0):
+        for call in (lambda: sym_modified_weights(bad, w),
+                     lambda: CbcCriterion("sym", w, bad),
+                     lambda: wce_sym_exact(bad, w, rule),
+                     lambda: wce_sym_middle_term(bad, w, rule, kmax=50),
+                     lambda: corollary_bound("sym", w, 13, 0.9, alpha=bad)):
+            with pytest.raises(DomainError):
+                call()
+
+
+@pytest.mark.parametrize("budget", [1, 37])
+def test_results_do_not_depend_on_the_block_budget(budget, monkeypatch):
+    """Budget 1 puts one row in every block; at 37 most loops below end in a
+    partial block (quadratic-form rows of 15 entries, Korobov rows of 3,
+    k-rows of 5); at the default budget each is a single block."""
+    rng = np.random.default_rng(12)
+    small, rule = random_rule(rng, 5, 3), random_rule(rng, 23, 3)
+    gam = rng.random(3)
+    prod_w, pod_w = WeightScheme.product(gam), WeightScheme.pod(rng.random(3), gam)
+    x, y = rng.random(5), rng.random(5)
+    crit = CbcCriterion("sym", pod_w, 2)
+
+    def results():
+        tent = wce_sq_quadratic_form(KernelSpec("sobolev", 2, prod_w),
+                                     tent_transform(rank1_points(small))).value
+        mid = wce_tent_middle_term(pod_w, small, kmax=300)
+        return [tent, wce_sym_exact(2, pod_w, small).value,
+                wce_sq_korobov_lattice(2, prod_w, rule).value,
+                wce_sq_korobov_lattice(2, pod_w, rule).value,
+                mid.value, mid.value + mid.tail_estimate,
+                *kernel_1d("cosine", 1.5, x, y, kmax=300)]
+
+    default, z = results(), cbc_plain(11, 3, crit).z
+    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", budget)
+    assert results() == pytest.approx(default, rel=1e-12)
+    assert cbc_plain(11, 3, crit).z == z
 
 
 def test_corollary_bound_values_and_domains():
@@ -284,7 +347,7 @@ def test_error_report_validation_and_json():
     assert rep.to_dict()["tail_estimate"] is not None
 
 
-def test_quadratic_form_guard():
+def test_quadratic_form_guard(monkeypatch):
     w = WeightScheme.product([1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -292,3 +355,8 @@ def test_quadratic_form_guard():
     with pytest.raises(GuardError):
         wce_sq_quadratic_form(KernelSpec(family="korobov", alpha=1, weights=w),
                               rank1_points(big))
+    # the symmetrized error refuses before it builds the N x s points
+    monkeypatch.setattr(worst_case_error, "rank1_points",
+                        lambda rule: pytest.fail("points built before the guard"))
+    with pytest.raises(GuardError):
+        wce_sym_exact(2, w, big)
