@@ -170,6 +170,18 @@ def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
     raise DomainError(f"unknown kernel family {family!r}")
 
 
+def _lattice_tables(family: str, alpha: int, D: int):
+    """g and beta[tau] at a = 0..D with kernel_1d(family, alpha, a/D, b/D) - 1 =
+    g[|a - b|] + sum_tau beta[tau][a] beta[tau][b]: g is the Korobov closed form,
+    over (2 pi)^(2 alpha) for the Sobolev families, whose beta[tau] is b_tau."""
+    t = np.arange(D + 1) / D
+    g = kernel_1d("korobov", alpha, t, 0.0) - 1.0
+    if family == "korobov":
+        return g, {}
+    return g / (2 * pi) ** (2 * alpha), {tau: bernoulli_scaled(tau, t)
+                                         for tau in _sobolev_taus(family, alpha)}
+
+
 def series_tail_bound(alpha: float, kmax: int) -> float:
     """Uniform bound on the truncation error of every series kernel above:
     each dropped term is at most 2 / k^(2 alpha) in absolute value."""

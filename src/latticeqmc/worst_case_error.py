@@ -4,10 +4,14 @@ Squared worst-case errors come from three routes that cross-check each other:
 
 * the kernel quadratic form -1 + |P|^-2 sum_{x,y in P} K(x,y), valid for the
   unit-mean kernel families (closed-form Korobov and the Sobolev family).
-  One blocked sum, `_quadratic_form`, serves both exact errors: the plain
-  kernel on any point set (tent points among them), and for symmetrized
-  rules the reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N
-  base-lattice points instead of K on all 2^s N reflections;
+  One engine, `_quadratic_form`, serves both exact errors: the plain kernel
+  on any point set (tent points among them), and for symmetrized rules the
+  reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N base-lattice
+  points instead of K on all 2^s N reflections.  It works on the integer
+  numerators over the denominator D: equal rows (n and N - n fold together
+  on tent points and under the reflection average) are summed once with
+  their multiplicity, kernel symmetry leaves one triangle of the pairs, and
+  the kernel is read from tables of D + 1 entries;
 * the group-collapsed Bernoulli closed form for rank-1 lattice rules in
   Korobov spaces, exact in O(N s) for product weights;
 * truncated dual-lattice series with an exact tail (the truncated and full
@@ -31,7 +35,7 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import (KernelSpec, SOBOLEV_FAMILIES, _block_rows, _korobov_closed_form,
-                      kernel_1d, korobov_series_1d)
+                      _lattice_tables, korobov_series_1d)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime
 from .special_functions import MAX_DEGREE, riemann_zeta
@@ -101,30 +105,49 @@ def _even_alpha(alpha) -> int:
     return int(alpha)
 
 
+def _positive_int_alpha(alpha) -> int:
+    """alpha as an int, if it is an integer >= 1 (4.0 is accepted)."""
+    if alpha is None or alpha % 1 != 0 or alpha < 1:
+        raise DomainError(f"alpha must be a positive integer, got {alpha}")
+    return int(alpha)
+
+
 # -- quadratic form ----------------------------------------------------------
 
 
-def _combine_sum(weights: WeightScheme, rows: int, row_elems: int, block) -> float:
-    """sum of weights.combine(block(lo, hi)) over the row blocks [lo, hi) of 0..rows."""
-    step = _block_rows(row_elems)
-    total = 0.0
-    for lo in range(0, rows, step):
-        total += float(np.sum(weights.combine(block(lo, min(lo + step, rows)))))
-    return total
-
-
-def _quadratic_form(weights: WeightScheme, m: int, points, eta) -> ErrorReport:
+def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport:
     """|P|^-2 sum_{x,y in P} weights.combine(eta(x, y)) for eta = K_1 - 1 of a
     unit-mean kernel (its constant 1 cancels against the -1), clamped at 0.
-    points() builds the (m, s) array only after m has passed the guard."""
-    if m > QUADRATIC_FORM_GUARD:
-        raise GuardError(f"{m} points exceed the O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
-    x = points()
-    if x.shape[1] != weights.s:
-        raise DomainError(f"point dimension {x.shape[1]} != weight dimension {weights.s}")
-    raw = _combine_sum(weights, m, x.size,
-                       lambda lo, hi: eta(x[lo:hi, None, :], x[None, :, :]))
-    return _clamped(raw / (m * m), "exact_quadratic_form")
+
+    build() gives the (m, s) numerators over D and tables of D + 1 entries,
+    eta(a, b) = g[|a - b|] + sum_tau beta[tau][a] beta[tau][b] (+ g_sum[a + b]
+    if given); it runs once m and D have passed the guard.  Each distinct row
+    counts with its multiplicity mu; eta is symmetric, so the row block
+    [lo, hi) of the r rows meets only the columns [lo, r): its own square
+    once, the rest twice.  eta is made on (s, rows, columns) arrays, so that
+    its passes run along the long axis."""
+    if max(m, D) > QUADRATIC_FORM_GUARD:
+        raise GuardError(f"{m} points over denominator {D}: both must be at most the "
+                         f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
+    nums, g, beta, g_sum = build()
+    if nums.shape[1] != weights.s:
+        raise DomainError(f"point dimension {nums.shape[1]} != weight dimension {weights.s}")
+    rows, mu = np.unique(nums, axis=0, return_counts=True)
+    rows, mu = np.ascontiguousarray(rows.T), mu.astype(float)
+    r, step = len(mu), _block_rows(rows.size)
+    total = 0.0
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        a, b = rows[:, lo:hi, None], rows[:, None, lo:]
+        eta = g[np.abs(a - b)]
+        if g_sum is not None:
+            eta += g_sum[a + b]
+        for t in beta.values():
+            eta += t[a] * t[b]
+        cols = 2.0 * mu[lo:]
+        cols[:hi - lo] = mu[lo:hi]
+        total += float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
+    return _clamped(total / (m * m), "exact_quadratic_form")
 
 
 def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
@@ -138,8 +161,8 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
         raise DomainError(
             f"quadratic-form shortcut needs a unit-mean closed-form kernel, not {spec.family!r}"
         )
-    return _quadratic_form(spec.weights, len(ps), lambda: ps.points,
-                           lambda x, y: kernel_1d(spec.family, spec.alpha, x, y) - 1.0)
+    return _quadratic_form(spec.weights, len(ps), ps.denominator, lambda: (
+        ps.numerators, *_lattice_tables(spec.family, int(spec.alpha), ps.denominator), None))
 
 
 # -- Bernoulli closed form for lattice rules in Korobov spaces ---------------
@@ -155,17 +178,19 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
     The N x s residues are made and summed in row blocks of one block
     budget, so memory is O(N), not O(N s)."""
-    if int(alpha) != alpha or alpha < 1:
-        raise DomainError(f"alpha must be a positive integer, got {alpha}")
+    alpha = _positive_int_alpha(alpha)
     if 2 * alpha > MAX_DEGREE:
         raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported")
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     N = rule.N
-    table = korobov_residue_table(int(alpha), N)
+    table = korobov_residue_table(alpha, N)
     z = np.array(rule.z, dtype=np.int64)
-    total = _combine_sum(weights, N, rule.s,
-                         lambda lo, hi: table[np.outer(np.arange(lo, hi), z) % N])
+    step = _block_rows(rule.s)
+    total = 0.0
+    for lo in range(0, N, step):
+        n = np.arange(lo, min(lo + step, N))
+        total += float(np.sum(weights.combine(table[np.outer(n, z) % N])))
     return _clamped(total / N, "closed_form_lattice")
 
 
@@ -202,8 +227,7 @@ class CbcCriterion:
         if self.kind == "sym":
             object.__setattr__(self, "alpha", _even_alpha(self.alpha))
         if self.kind == "plain_korobov":
-            if self.alpha is None or int(self.alpha) != self.alpha or self.alpha < 1:
-                raise DomainError("plain criterion needs an integer alpha >= 1")
+            object.__setattr__(self, "alpha", _positive_int_alpha(self.alpha))
 
     @property
     def korobov_order(self) -> int:
@@ -211,7 +235,7 @@ class CbcCriterion:
             return 1
         if self.kind == "sym":
             return self.alpha // 2
-        return int(self.alpha)
+        return self.alpha
 
     def effective_weights(self) -> WeightScheme:
         if self.kind == "tent":
@@ -305,21 +329,26 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     reflection-averaged kernel on the base lattice, O(N^2 s) instead of
     (2^s N)^2 pairs.
 
-    The average of K = K_odd+alpha over the four reflections of (x, y) is
-    1/2 [K(x, y) + K(x, 1 - y)]: b_tau(1 - t) = (-1)^tau b_tau(t) makes each
-    product b_tau(x) b_tau(y) invariant under reflecting both arguments, and
-    |x - y| is unchanged by it, so K(1 - x, 1 - y) = K(x, y) and
-    K(1 - x, y) = K(x, 1 - y).
+    b_tau(1 - t) = (-1)^tau b_tau(t) makes K = K_odd+alpha invariant under
+    reflecting both arguments, so its average over the four reflections of
+    (x, y) is 1/2 [K(x, y) + K(x, 1 - y)].  There the odd tau cancel, leaving
+    eta = b_alpha(x) b_alpha(y) + 1/2 [G(|x - y|) + G(|x + y - 1|)] with
+    G(t) = -b_(2 alpha)(t) = G(1 - t).  eta is unchanged by x -> 1 - x, so
+    each numerator a becomes min(a, N - a), which folds row N - n onto row
+    n.  Then a + b <= N, and G(|x + y - 1|) = G(x + y) is read at a + b in
+    the table of N + 1 entries.
     """
     alpha = _even_alpha(alpha)
     if 2 * alpha > MAX_DEGREE:
         raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported")
+    N = rule.N
 
-    def eta(x, y):
-        return 0.5 * (kernel_1d("sob_odd_alpha", alpha, x, y)
-                      + kernel_1d("sob_odd_alpha", alpha, x, 1.0 - y)) - 1.0
+    def build():
+        g, beta = _lattice_tables("sob_odd_alpha", alpha, N)
+        nums = rank1_points(rule).numerators
+        return np.minimum(nums, N - nums), 0.5 * g, {alpha: beta[alpha]}, 0.5 * g
 
-    return _quadratic_form(weights, rule.N, lambda: rank1_points(rule).points, eta)
+    return _quadratic_form(weights, N, N, build)
 
 
 def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from latticeqmc import kernels, worst_case_error
 from latticeqmc.cbc import cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.kernels import KernelSpec, kernel_1d
-from latticeqmc.lattice import LatticeRule, dual_projected, rank1_points, symmetrize, tent_transform
+from latticeqmc.lattice import (LatticeRule, PointSet, dual_projected, rank1_points, symmetrize,
+                                tent_transform)
+from latticeqmc.special_functions import bernoulli_coefficients
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     C_PRIME,
@@ -37,6 +40,11 @@ def random_rule(rng, N, s) -> LatticeRule:
 
 
 GOLDEN = math.pi**2 / 12.0  # N=2, z=(1), alpha=1, gamma=1
+
+# Pi(1 + gamma eta) - 1 in weights.combine rounds at about eps per pair
+# whatever the value, so values below about 1e-4 cannot be checked to 1e-12
+# relative by any double-precision route; this is their absolute floor.
+ROUNDING_FLOOR = 1e-15
 
 
 def test_golden_value_both_paths():
@@ -241,6 +249,19 @@ def test_sym_exact_equals_quadratic_form_on_multiset():
                 assert via_reflections == pytest.approx(via_multiset, rel=1e-9, abs=1e-15)
 
 
+def test_float_positive_alpha_is_stored_as_an_int():
+    rule = LatticeRule(N=13, z=(1, 5, 3))
+    w = WeightScheme.product([1.0, 0.5, 0.25])
+    crit = CbcCriterion("plain_korobov", w, 4.0)
+    assert crit.alpha == 4 and type(crit.alpha) is int
+    assert wce_sq_korobov_lattice(4.0, w, rule) == wce_sq_korobov_lattice(4, w, rule)
+    for bad in (1.5, 0, -1, None):
+        with pytest.raises(DomainError):
+            CbcCriterion("plain_korobov", w, bad)
+        with pytest.raises(DomainError):
+            wce_sq_korobov_lattice(bad, w, rule)
+
+
 def test_float_even_alpha_is_the_integer_alpha():
     rule = LatticeRule(N=13, z=(1, 5, 3))
     w = WeightScheme.product([1.0, 0.5, 0.25])
@@ -263,20 +284,24 @@ def test_float_even_alpha_is_the_integer_alpha():
 @pytest.mark.parametrize("budget", [1, 37])
 def test_results_do_not_depend_on_the_block_budget(budget, monkeypatch):
     """Budget 1 puts one row in every block; at 37 most loops below end in a
-    partial block (quadratic-form rows of 15 entries, Korobov rows of 3,
-    k-rows of 5); at the default budget each is a single block."""
+    partial block (Korobov rows of 3 entries, k-rows of 5, and the 5
+    distinct rows of the N = 9 quadratic forms, 15 entries each, in blocks of
+    2, 2 and 1 row); at the default budget each is a single block."""
     rng = np.random.default_rng(12)
     small, rule = random_rule(rng, 5, 3), random_rule(rng, 23, 3)
+    folded = LatticeRule(N=9, z=(1, 2, 4))
     gam = rng.random(3)
     prod_w, pod_w = WeightScheme.product(gam), WeightScheme.pod(rng.random(3), gam)
     x, y = rng.random(5), rng.random(5)
     crit = CbcCriterion("sym", pod_w, 2)
 
     def results():
-        tent = wce_sq_quadratic_form(KernelSpec("sobolev", 2, prod_w),
-                                     tent_transform(rank1_points(small))).value
+        tent = [wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
+                                      tent_transform(rank1_points(r))).value
+                for w, r in ((prod_w, small), (pod_w, folded))]
         mid = wce_tent_middle_term(pod_w, small, kmax=300)
-        return [tent, wce_sym_exact(2, pod_w, small).value,
+        return [*tent, wce_sym_exact(2, pod_w, small).value,
+                wce_sym_exact(2, prod_w, folded).value,
                 wce_sq_korobov_lattice(2, prod_w, rule).value,
                 wce_sq_korobov_lattice(2, pod_w, rule).value,
                 mid.value, mid.value + mid.tail_estimate,
@@ -284,8 +309,125 @@ def test_results_do_not_depend_on_the_block_budget(budget, monkeypatch):
 
     default, z = results(), cbc_plain(11, 3, crit).z
     monkeypatch.setattr(kernels, "_BLOCK_BUDGET", budget)
-    assert results() == pytest.approx(default, rel=1e-12)
+    assert results() == pytest.approx(default, rel=1e-12, abs=ROUNDING_FLOOR)
     assert cbc_plain(11, 3, crit).z == z
+
+
+# -- exact rationals and direct double sums ----------------------------------
+
+
+def _b_exact(tau: int, x: Fraction) -> Fraction:
+    """b_tau(x) = B_tau(x) / tau! in exact arithmetic."""
+    return sum(c * x**k for k, c in enumerate(bernoulli_coefficients(tau))) / math.factorial(tau)
+
+
+def _eta_exact(family: str, alpha: int, x: Fraction, y: Fraction) -> Fraction:
+    """K_1(x, y) - 1 as a rational; the Korobov factor (2 pi)^(2 alpha) is
+    taken as the exact value of the double that the library multiplies by."""
+    g = (-1) ** (alpha + 1) * _b_exact(2 * alpha, abs(x - y))
+    if family == "korobov":
+        return Fraction((2 * math.pi) ** (2 * alpha)) * g
+    return g + _b_exact(1, x) * _b_exact(1, y) + _b_exact(2, x) * _b_exact(2, y)
+
+
+def _form_exact(family, alpha, gamma, nums, N, reflect=False) -> Fraction:
+    """-1 + N^-2 sum over all pairs of prod_j (1 + gamma_j eta_j); with reflect,
+    eta_j is averaged over the four reflections of (x_j, y_j), which is the
+    form of the 2^s N-point symmetrized rule for product weights."""
+    eta = {}
+
+    def cell(a, b):
+        if (a, b) not in eta:
+            x, y = Fraction(a, N), Fraction(b, N)
+            pairs = [(x, y), (1 - x, y), (x, 1 - y), (1 - x, 1 - y)] if reflect else [(x, y)]
+            eta[a, b] = sum(_eta_exact(family, alpha, u, v) for u, v in pairs) / len(pairs)
+        return eta[a, b]
+
+    total = Fraction(0)
+    for p in nums:
+        for q in nums:
+            prod = Fraction(1)
+            for j, (a, b) in enumerate(zip(p, q)):
+                prod *= 1 + gamma[j] * cell(a, b)
+            total += prod
+    return total / len(nums) ** 2 - 1
+
+
+RATIONAL_RULES = (LatticeRule(N=7, z=(1, 2, 3)), LatticeRule(N=12, z=(1, 5, 7)),
+                  LatticeRule(N=13, z=(1, 5, 3)))
+
+
+@pytest.mark.parametrize("rule", RATIONAL_RULES, ids=lambda r: f"N{r.N}")
+def test_exact_errors_match_rational_oracle(rule):
+    """The tent, sym and Korobov errors on lattice points are rational (the
+    Korobov one up to the constant (2 pi)^(2 alpha)), so a Fraction sum over
+    all N^2 pairs is exact; gamma_j = 1/j^2, s = 3.  The sym values (5e-7
+    to 5e-6) sit near the rounding floor."""
+    gamma = [Fraction(1, j * j) for j in range(1, 4)]
+    w = WeightScheme.product([float(g) for g in gamma])
+    nums = rank1_points(rule).numerators.tolist()
+    tent_ps = tent_transform(rank1_points(rule))
+    tent = wce_sq_quadratic_form(KernelSpec("sobolev", 2, w), tent_ps).value
+    want = _form_exact("sobolev", 2, gamma, tent_ps.numerators.tolist(), rule.N)
+    assert tent == pytest.approx(float(want), rel=1e-12, abs=0)
+    want = _form_exact("sobolev", 2, gamma, nums, rule.N, reflect=True)
+    assert wce_sym_exact(2, w, rule).value == pytest.approx(float(want), rel=1e-12,
+                                                             abs=ROUNDING_FLOOR)
+    for alpha in (1, 2):
+        want = float(_form_exact("korobov", alpha, gamma, nums, rule.N))
+        quad = wce_sq_quadratic_form(KernelSpec("korobov", alpha, w), rank1_points(rule)).value
+        assert quad == pytest.approx(want, rel=1e-12, abs=0)
+        assert wce_sq_korobov_lattice(alpha, w, rule).value == pytest.approx(want, rel=1e-12,
+                                                                             abs=0)
+
+
+def _direct_form(family: str, alpha: int, w: WeightScheme, ps: PointSet) -> float:
+    """The quadratic form as one unblocked double sum over all m^2 pairs."""
+    x = ps.points
+    eta = kernel_1d(family, alpha, x[:, None, :], x[None, :, :]) - 1.0
+    return float(np.sum(w.combine(eta))) / len(x) ** 2
+
+
+def _three_weights():
+    gam = [1.0, 0.6, 0.3]
+    return (WeightScheme.product(gam), WeightScheme.pod([1.0, 0.5, 2.0], gam),
+            WeightScheme.general(3, {frozenset({1}): 0.7, frozenset({2, 3}): 0.4,
+                                     frozenset({1, 2, 3}): 0.2}))
+
+
+def _rule(N, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return LatticeRule(N=N, z=z)
+
+
+@pytest.mark.parametrize("w", _three_weights(), ids=("product", "pod", "general"))
+def test_engine_equals_direct_double_sum_on_edge_cases(w):
+    """Rows that fold or repeat, N = 2 and symmetrized multisets, against
+    the unblocked double sum of weights.combine(kernel_1d - 1), to 1e-12
+    relative above the rounding floor (the sym values at alpha = 4 are
+    1e-15 to 1e-8 and sit on it)."""
+    even, shared, two = _rule(12, (1, 5, 7)), _rule(12, (2, 4, 10)), _rule(2, (1, 1, 1))
+    cases = [
+        ("sobolev", 2, tent_transform(rank1_points(even))),  # x = 1/2 is its own pair
+        ("sobolev", 2, rank1_points(shared)),  # every row twice
+        ("korobov", 2, rank1_points(shared)),
+        ("korobov", 1, rank1_points(even)),
+        ("sob_odd", 3, tent_transform(rank1_points(two))),
+        ("korobov", 3, rank1_points(two)),
+        ("sobolev", 2, symmetrize(rank1_points(even))),
+        ("sob_odd_alpha", 4, symmetrize(rank1_points(_rule(7, (1, 2, 3))))),
+    ]
+    for family, alpha, ps in cases:
+        got = wce_sq_quadratic_form(KernelSpec(family, alpha, w), ps).value
+        assert got == pytest.approx(_direct_form(family, alpha, w, ps), rel=1e-12,
+                                    abs=ROUNDING_FLOOR)
+    for rule in (even, shared, two, _rule(13, (1, 5, 3))):
+        multiset = symmetrize(rank1_points(rule))
+        for alpha in (2, 4):
+            want = _direct_form("sob_odd_alpha", alpha, w, multiset)
+            assert wce_sym_exact(alpha, w, rule).value == pytest.approx(want, rel=1e-12,
+                                                                        abs=ROUNDING_FLOOR)
 
 
 def test_corollary_bound_values_and_domains():
@@ -360,3 +502,10 @@ def test_quadratic_form_guard(monkeypatch):
                         lambda rule: pytest.fail("points built before the guard"))
     with pytest.raises(GuardError):
         wce_sym_exact(2, w, big)
+    # three points over a denominator of 10^9 would need tables of 10^9 entries
+    monkeypatch.setattr(worst_case_error, "_lattice_tables",
+                        lambda *args: pytest.fail("tables built before the guard"))
+    huge = PointSet(s=1, kind="plain", numerators=np.array([[0], [1], [2]]),
+                    denominator=10**9)
+    with pytest.raises(GuardError):
+        wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w), huge)
