@@ -73,8 +73,8 @@ class _ProductState:
         self.p = np.ones(n)
         self.gamma = gamma
 
-    def weight_vector(self, d: int) -> tuple[float, np.ndarray]:
-        return float(np.mean(self.p)) - 1.0, self.gamma[d - 1] * self.p
+    def weight_vector(self, d: int) -> np.ndarray:
+        return self.gamma[d - 1] * self.p
 
     def update(self, d: int, omega_at_z: np.ndarray) -> None:
         self.p *= 1.0 + self.gamma[d - 1] * omega_at_z
@@ -92,12 +92,10 @@ class _PodState:
         self.gamma = gamma
         self.Gamma = order_weights
 
-    def weight_vector(self, d: int) -> tuple[float, np.ndarray]:
-        const = float(np.mean(sum(self.Gamma[o - 1] * self.elem[o] for o in range(1, d))))
-        w = self.gamma[d - 1] * sum(
+    def weight_vector(self, d: int) -> np.ndarray:
+        return self.gamma[d - 1] * sum(
             self.Gamma[o - 1] * self.elem[o - 1] for o in range(1, d + 1)
         )
-        return const, w
 
     def update(self, d: int, omega_at_z: np.ndarray) -> None:
         v = self.gamma[d - 1] * omega_at_z
@@ -197,7 +195,8 @@ def _fft_scorer(N: int, omega: np.ndarray):
 
 def _sweep(N: int, s: int, crit: CbcCriterion, make_scorer) -> CbcResult:
     """The greedy loop: z_1 = 1, then each z_d minimizes const + T(z) / N over
-    z = 1..N//2 (T(z) = T(N - z), and the tie rule keeps the smaller)."""
+    z = 1..N//2 (T(z) = T(N - z), and the tie rule keeps the smaller), where
+    const is the criterion of dimension d - 1."""
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
     start = time.perf_counter()
@@ -211,8 +210,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, make_scorer) -> CbcResult:
         if d == 1:
             best = 1
         else:
-            const, w = state.weight_vector(d)
-            best = _select(const + score(w) / N)
+            best = _select(errs[-1] + score(state.weight_vector(d)) / N)
         state.update(d, omega[n_idx * best % N])
         z.append(best)
         errs.append(state.criterion())

@@ -21,6 +21,7 @@ from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_exp
 from .fourier import run_appendix_checks
 from .kernels import KernelSpec
 from .lattice import LatticeRule, rank1_points, symmetrize, tent_transform
+from .numtheory import is_prime
 from .weights import WeightScheme
 from .worst_case_error import (
     corollary_bound,
@@ -106,7 +107,7 @@ def _cmd_cbc(args) -> int:
     weights = _load_weights(args.weights)
     crit = CbcCriterion(kind=args.criterion, base_weights=weights,
                         alpha=args.alpha if args.criterion == "sym" else None)
-    runner = cbc_plain if args.plain else cbc_fast
+    runner = cbc_fast if is_prime(args.n) else cbc_plain
     result = runner(args.n, args.dims, crit)
     _emit(json.dumps(result.to_dict()), args.out)
     return 0
@@ -169,14 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", type=str, required=True)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("cbc", help="component-by-component construction")
+    p = sub.add_parser("cbc", help="component-by-component construction "
+                       "(FFT sweep for prime N, the O(N^2 s) plain sweep otherwise)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--criterion", choices=["tent", "sym"], required=True)
     p.add_argument("--alpha", type=int, default=None, help="even smoothness for --criterion sym")
     p.add_argument("--weights", type=str, required=True, help="JSON file with the base weights")
-    p.add_argument("--plain", action="store_true", default=False,
-                   help="use the O(N^2 s) plain sweep instead of the FFT (needed for composite N)")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_cbc)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .cbc import CbcCriterion, cbc_fast
 from .errors import DomainError
 from .lattice import (
+    SYMMETRIZE_DIM_GUARD,
     LatticeRule,
     distinct_count,
     fibonacci_rule,
@@ -92,8 +93,8 @@ class ExperimentConfig:
         bad = set(self.rules) - {"lattice", "tent", "sym"}
         if bad:
             raise DomainError(f"unknown rules {sorted(bad)}")
-        if "sym" in self.rules and self.dims > 20:
-            raise DomainError("symmetrized rules are refused for s > 20")
+        if "sym" in self.rules and self.dims > SYMMETRIZE_DIM_GUARD:
+            raise DomainError(f"symmetrized rules are refused for s > {SYMMETRIZE_DIM_GUARD}")
         if self.rule_source not in ("fibonacci", "cbc_tent"):
             raise DomainError(f"unknown rule source {self.rule_source!r}")
         if self.rule_source == "fibonacci" and self.dims != 2:

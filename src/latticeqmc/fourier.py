@@ -25,7 +25,7 @@ from math import pi
 import numpy as np
 
 from .errors import DomainError
-from .kernels import sobolev_family_1d
+from .kernels import _integer_alpha, sobolev_family_1d
 from .lattice import tent
 from .quadrature import composite_gauss_legendre
 
@@ -59,8 +59,7 @@ def c_phi(k, l):
 def c_sym(k, l, alpha: int):
     """Reflection-averaged kernel coefficient: 6/k^(2a) on the diagonal,
     4/(k^a l^a) off it."""
-    if alpha % 2 != 0 or alpha < 2:
-        raise DomainError(f"alpha must be even and >= 2, got {alpha}")
+    alpha = _integer_alpha(alpha, 2)
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
     if np.any(k < 1) or np.any(l < 1):

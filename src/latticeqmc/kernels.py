@@ -12,9 +12,8 @@ univariate ones through a weight scheme:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from math import pi
+from dataclasses import dataclass
+from math import inf, pi
 
 import numpy as np
 
@@ -35,13 +34,41 @@ def _block_rows(row_elems: int) -> int:
     return max(1, _BLOCK_BUDGET // max(1, row_elems))
 
 
-def _is_integer(a: float) -> bool:
-    return float(a) == int(a)
+def _integer_alpha(alpha, step: int = 1) -> int:
+    """alpha as an int, if it is an integer >= step divisible by step (step 1:
+    a positive integer, step 2: an even one); 4.0 becomes 4."""
+    if alpha is None or not step <= alpha < inf or alpha % step != 0:
+        raise DomainError(f"alpha must be an integer >= {step} divisible by {step}, got {alpha}")
+    return int(alpha)
+
+
+def _closed_form(family: str, alpha) -> bool:
+    """Whether kernel_1d evaluates the family at alpha by Bernoulli
+    polynomials (the Sobolev families, and Korobov at integer alpha) rather
+    than by a truncated series."""
+    return family in SOBOLEV_FAMILIES or (family == "korobov" and alpha % 1 == 0)
+
+
+def _smoothness(family: str, alpha):
+    """The one smoothness rule: alpha as the family takes it.  Every family
+    needs a finite alpha > 1/2; a closed form also needs an integer alpha
+    with 2 alpha <= MAX_DEGREE, returned as an int.  A series kernel keeps
+    alpha as given; the helpers of every series kernel check it as "cosine"."""
+    if family not in FAMILIES:
+        raise DomainError(f"unknown kernel family {family!r}")
+    if alpha is None or not 0.5 < alpha < inf:
+        raise DomainError(f"{family} requires a finite alpha > 1/2, got {alpha}")
+    if not _closed_form(family, alpha):
+        return alpha
+    alpha = _integer_alpha(alpha)
+    if 2 * alpha > MAX_DEGREE:
+        raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel: family, smoothness alpha, weights, and series truncation."""
+    """Which kernel: family, alpha (as `_smoothness` gives it), weights, series truncation."""
 
     family: str
     alpha: float
@@ -49,51 +76,13 @@ class KernelSpec:
     series_kmax: int = DEFAULT_SERIES_KMAX
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown kernel family {self.family!r}")
-        if self.family in SOBOLEV_FAMILIES:
-            if not _is_integer(self.alpha) or self.alpha < 1:
-                raise DomainError(f"{self.family} requires integer alpha >= 1")
-            if 2 * int(self.alpha) > MAX_DEGREE:
-                raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported, got {self.alpha}")
-        else:
-            if self.alpha <= 0.5:
-                raise DomainError(f"{self.family} requires alpha > 1/2, got {self.alpha}")
-            if self.family == "korobov" and _is_integer(self.alpha) and 2 * int(self.alpha) > MAX_DEGREE:
-                raise DomainError(f"integer alpha <= {MAX_DEGREE // 2} supported")
+        object.__setattr__(self, "alpha", _smoothness(self.family, self.alpha))
         if self.series_kmax < 1:
             raise DomainError("series_kmax must be positive")
 
     @property
     def s(self) -> int:
         return self.weights.s
-
-    def with_weights(self, weights: WeightScheme) -> "KernelSpec":
-        return replace(self, weights=weights)
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "kmax": self.series_kmax,
-            "weights": self.weights.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_dict(data: dict) -> "KernelSpec":
-        return KernelSpec(
-            family=data["family"],
-            alpha=data["alpha"],
-            weights=WeightScheme.from_dict(data["weights"]),
-            series_kmax=int(data.get("kmax", DEFAULT_SERIES_KMAX)),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "KernelSpec":
-        return KernelSpec.from_dict(json.loads(text))
 
 
 # -- univariate kernels (unit weight) --------------------------------------
@@ -127,8 +116,9 @@ def _korobov_closed_form(alpha: int, t):
 
 
 def korobov_series_1d(alpha: float, x, y, kmax: int):
-    """1 + 2 sum_{k<=kmax} cos(2 pi k (x-y)) / k^(2 alpha), term-by-term."""
-    return _series_1d(alpha, x, y, kmax, _SERIES_TERMS["korobov"])
+    """1 + 2 sum_{k<=kmax} cos(2 pi k (x-y)) / k^(2 alpha), term-by-term, for
+    any alpha a series kernel takes."""
+    return _series_1d(_smoothness("cosine", alpha), x, y, kmax, _SERIES_TERMS["korobov"])
 
 
 def _sobolev_taus(family: str, alpha: int) -> list[int]:
@@ -155,19 +145,14 @@ def sobolev_family_1d(family: str, alpha: int, x, y):
 
 def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
     """Univariate kernel K_(alpha,1,1) of the requested family at (x, y)."""
+    alpha = _smoothness(family, alpha)
     if family in SOBOLEV_FAMILIES:
-        if not _is_integer(alpha) or alpha < 1:
-            raise DomainError(f"{family} requires integer alpha >= 1")
-        return sobolev_family_1d(family, int(alpha), x, y)
-    if alpha <= 0.5:
-        raise DomainError(f"{family} requires alpha > 1/2")
-    if family == "korobov" and _is_integer(alpha):
-        t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        out = 1.0 + _korobov_closed_form(int(alpha), t)
-        return out if np.ndim(out) else float(out)
-    if family in _SERIES_TERMS:
+        return sobolev_family_1d(family, alpha, x, y)
+    if not _closed_form(family, alpha):
         return _series_1d(alpha, x, y, kmax, _SERIES_TERMS[family])
-    raise DomainError(f"unknown kernel family {family!r}")
+    t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    out = 1.0 + _korobov_closed_form(alpha, t)
+    return out if np.ndim(out) else float(out)
 
 
 def _lattice_tables(family: str, alpha: int, D: int):
@@ -185,6 +170,7 @@ def _lattice_tables(family: str, alpha: int, D: int):
 def series_tail_bound(alpha: float, kmax: int) -> float:
     """Uniform bound on the truncation error of every series kernel above:
     each dropped term is at most 2 / k^(2 alpha) in absolute value."""
+    alpha = _smoothness("cosine", alpha)
     k = np.arange(1, kmax + 1, dtype=float)
     return 2.0 * (riemann_zeta(2 * alpha) - float(np.sum(k ** (-2 * alpha))))
 
@@ -210,8 +196,7 @@ def kernel_mean_identity_check(spec: KernelSpec, x, quad_points: int = 64) -> fl
     The integral factorizes coordinate-wise; each 1-d factor is integrated by
     composite Gauss-Legendre split at x_j (the |x - y| kink).
     """
-    if not (spec.family in SOBOLEV_FAMILIES
-            or (spec.family == "korobov" and _is_integer(spec.alpha))):
+    if not _closed_form(spec.family, spec.alpha):
         raise DomainError("mean-identity check applies to the closed-form kernel families")
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.s,):

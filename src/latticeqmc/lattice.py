@@ -57,7 +57,8 @@ class LatticeRule:
 class PointSet:
     """An ordered multiset of points in [0,1]^s with exact rational coordinates.
 
-    numerators has shape (n_points, s); every coordinate is numerators/denominator.
+    numerators is an integer array of shape (n_points, s) with at least one
+    point; every coordinate is numerators/denominator, an integer >= 1.
     kind is one of "plain", "tent", "symmetrized".
     """
 
@@ -69,9 +70,16 @@ class PointSet:
     def __post_init__(self):
         if self.kind not in ("plain", "tent", "symmetrized"):
             raise DomainError(f"unknown point-set kind {self.kind!r}")
+        if not (isinstance(self.numerators, np.ndarray)
+                and np.issubdtype(self.numerators.dtype, np.integer)):
+            raise DomainError("numerators must be an integer array")
         if self.numerators.ndim != 2 or self.numerators.shape[1] != self.s:
             raise DomainError("numerators must have shape (n_points, s)")
-        if self.numerators.min(initial=0) < 0 or self.numerators.max(initial=0) > self.denominator:
+        if len(self.numerators) == 0:
+            raise DomainError("a point set needs at least one point")
+        if not isinstance(self.denominator, (int, np.integer)) or self.denominator < 1:
+            raise DomainError(f"denominator must be an integer >= 1, got {self.denominator}")
+        if self.numerators.min() < 0 or self.numerators.max() > self.denominator:
             raise DomainError("coordinates must lie in [0, 1]")
 
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, pi
+from math import comb, inf, pi
 
 import numpy as np
 
@@ -104,14 +104,14 @@ _ZETA_CUTOFF = 100_000
 
 
 def riemann_zeta(sigma: float) -> float:
-    """zeta(sigma) for sigma > 1: direct sum plus Euler-Maclaurin tail.
+    """zeta(sigma) for finite sigma > 1: direct sum plus Euler-Maclaurin tail.
 
     Direct summation to 10^5 terms, then the integral term, the half-term
     correction, and four Euler-Maclaurin corrections.  Absolute error is
     below 1e-13 for all sigma >= 1.1 and stays far smaller for sigma >= 2.
     """
-    if sigma <= 1.0:
-        raise DomainError(f"zeta requires sigma > 1, got {sigma}")
+    if not 1.0 < sigma < inf:
+        raise DomainError(f"zeta requires a finite sigma > 1, got {sigma}")
     m = _ZETA_CUTOFF
     k = np.arange(1, m + 1, dtype=float)
     head = float(np.sum(k ** (-sigma)))

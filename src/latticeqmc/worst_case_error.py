@@ -26,7 +26,6 @@ of `kernels`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -34,11 +33,11 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
-from .kernels import (KernelSpec, SOBOLEV_FAMILIES, _block_rows, _korobov_closed_form,
-                      _lattice_tables, korobov_series_1d)
+from .kernels import (DEFAULT_SERIES_KMAX, KernelSpec, _block_rows, _closed_form,
+                      _integer_alpha, _korobov_closed_form, _lattice_tables, korobov_series_1d)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime
-from .special_functions import MAX_DEGREE, riemann_zeta
+from .special_functions import riemann_zeta
 from .weights import WeightScheme
 
 TENT_WEIGHT_FACTOR = C_PRIME / (4.0 * pi**4)
@@ -89,27 +88,10 @@ class ErrorReport:
             "negative_clamp": self.negative_clamp,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def _clamped(raw: float, kind: str, **kwargs) -> ErrorReport:
     return ErrorReport(value=max(raw, 0.0), kind=kind,
                        negative_clamp=max(-raw, 0.0), **kwargs)
-
-
-def _even_alpha(alpha) -> int:
-    """alpha as an int, if it is an even integer >= 2 (4.0 is accepted)."""
-    if alpha is None or alpha % 2 != 0 or alpha < 2:
-        raise DomainError(f"alpha must be an even integer >= 2, got {alpha}")
-    return int(alpha)
-
-
-def _positive_int_alpha(alpha) -> int:
-    """alpha as an int, if it is an integer >= 1 (4.0 is accepted)."""
-    if alpha is None or alpha % 1 != 0 or alpha < 1:
-        raise DomainError(f"alpha must be a positive integer, got {alpha}")
-    return int(alpha)
 
 
 # -- quadratic form ----------------------------------------------------------
@@ -156,13 +138,12 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
     Families whose kernel does not integrate to 1 over the cube are refused:
     they would need the full three-term error formula.
     """
-    closed_korobov = spec.family == "korobov" and float(spec.alpha) == int(spec.alpha)
-    if not (closed_korobov or spec.family in SOBOLEV_FAMILIES):
+    if not _closed_form(spec.family, spec.alpha):
         raise DomainError(
             f"quadratic-form shortcut needs a unit-mean closed-form kernel, not {spec.family!r}"
         )
     return _quadratic_form(spec.weights, len(ps), ps.denominator, lambda: (
-        ps.numerators, *_lattice_tables(spec.family, int(spec.alpha), ps.denominator), None))
+        ps.numerators, *_lattice_tables(spec.family, spec.alpha, ps.denominator), None))
 
 
 # -- Bernoulli closed form for lattice rules in Korobov spaces ---------------
@@ -178,9 +159,7 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
     The N x s residues are made and summed in row blocks of one block
     budget, so memory is O(N), not O(N s)."""
-    alpha = _positive_int_alpha(alpha)
-    if 2 * alpha > MAX_DEGREE:
-        raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported")
+    alpha = _integer_alpha(alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     N = rule.N
@@ -204,7 +183,7 @@ def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
 
 def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
     """gamma''_u = gamma_u (3 / (2^(2 alpha + 1) pi^(2 alpha)))^|u|, even alpha."""
-    alpha = _even_alpha(alpha)
+    alpha = _integer_alpha(alpha, 2)
     return weights.scaled_per_coordinate(3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha)))
 
 
@@ -225,9 +204,9 @@ class CbcCriterion:
         if self.kind not in CRITERION_KINDS:
             raise DomainError(f"unknown criterion kind {self.kind!r}")
         if self.kind == "sym":
-            object.__setattr__(self, "alpha", _even_alpha(self.alpha))
+            object.__setattr__(self, "alpha", _integer_alpha(self.alpha, 2))
         if self.kind == "plain_korobov":
-            object.__setattr__(self, "alpha", _positive_int_alpha(self.alpha))
+            object.__setattr__(self, "alpha", _integer_alpha(self.alpha))
 
     @property
     def korobov_order(self) -> int:
@@ -309,7 +288,7 @@ def _middle_term(modified: WeightScheme, order: int, rule: LatticeRule,
 
 
 def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule,
-                         kmax: int = 10_000) -> ErrorReport:
+                         kmax: int = DEFAULT_SERIES_KMAX) -> ErrorReport:
     """Truncated middle bound sum_u gamma'_u (sum_{k_u in dual_u} prod 1/k_j^2)^2.
 
     tail_estimate is the exact truncation remainder: the full inner sums have
@@ -338,9 +317,7 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     n.  Then a + b <= N, and G(|x + y - 1|) = G(x + y) is read at a + b in
     the table of N + 1 entries.
     """
-    alpha = _even_alpha(alpha)
-    if 2 * alpha > MAX_DEGREE:
-        raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported")
+    alpha = _integer_alpha(alpha, 2)
     N = rule.N
 
     def build():
@@ -358,10 +335,10 @@ def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
 
 
 def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule,
-                        kmax: int = 10_000) -> ErrorReport:
+                        kmax: int = DEFAULT_SERIES_KMAX) -> ErrorReport:
     """Truncated middle bound for symmetrized rules (even alpha), analogous to
     the tent middle term with 1/k_j^alpha inner sums."""
-    alpha = _even_alpha(alpha)
+    alpha = _integer_alpha(alpha, 2)
     return _middle_term(sym_modified_weights(alpha, weights), alpha // 2, rule, kmax)
 
 
@@ -386,7 +363,7 @@ def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
             raise DomainError(f"lambda must lie in (1/2, 1], got {lam}")
         factor = 2.0 ** (1.0 - lam) * C_PRIME ** (lam / 2.0) * riemann_zeta(2.0 * lam) / pi ** (2.0 * lam)
     elif kind == "sym":
-        alpha = _even_alpha(alpha)
+        alpha = _integer_alpha(alpha, 2)
         if not 1.0 / alpha < lam <= 1.0:
             raise DomainError(f"lambda must lie in (1/{alpha}, 1], got {lam}")
         factor = (

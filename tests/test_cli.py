@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from latticeqmc.cbc import CbcCriterion, cbc_plain
 from latticeqmc.cli import main
 from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize, tent_transform
 from latticeqmc.weights import WeightScheme
@@ -70,16 +71,18 @@ def test_bound_stdout(capsys):
 
 
 def test_cbc_fast_and_plain(tmp_path):
+    """The command picks the sweep from N: the FFT for prime N, the plain
+    sweep for composite N, with no flag either way."""
+    gamma = [1.0, 0.5, 0.25]
     wfile = tmp_path / "w.json"
-    wfile.write_text(json.dumps({"form": "product", "gamma": [1.0, 1.0]}))
+    wfile.write_text(json.dumps({"form": "product", "gamma": gamma}))
     out = tmp_path / "cbc.json"
-    assert main(["cbc", "--n", "5", "--dims", "2", "--criterion", "tent",
-                 "--weights", str(wfile), "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert data["z"] == [1, 2] and data["prime"] is True
-    assert main(["cbc", "--n", "5", "--dims", "2", "--criterion", "tent",
-                 "--weights", str(wfile), "--plain", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["z"] == [1, 2]
+    for n, prime in ((101, True), (100, False)):
+        assert main(["cbc", "--n", str(n), "--dims", "3", "--criterion", "tent",
+                     "--weights", str(wfile), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        plain = cbc_plain(n, 3, CbcCriterion("tent", WeightScheme.product(gamma)))
+        assert data["z"] == list(plain.z) and data["prime"] is prime
     assert main(["cbc", "--n", "7", "--dims", "2", "--criterion", "sym", "--alpha", "2",
                  "--weights", str(wfile), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["n"] == 7

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latticeqmc.errors import DomainError
+from latticeqmc.fourier import c_sym
 from latticeqmc.kernels import (
     FAMILIES,
     KernelSpec,
@@ -16,7 +17,16 @@ from latticeqmc.kernels import (
     korobov_series_1d,
     series_tail_bound,
 )
+from latticeqmc.lattice import LatticeRule
 from latticeqmc.weights import WeightScheme
+from latticeqmc.worst_case_error import (
+    CbcCriterion,
+    corollary_bound,
+    sym_modified_weights,
+    wce_sq_korobov_lattice,
+    wce_sym_exact,
+    wce_sym_middle_term,
+)
 
 
 def spec_for(family, alpha, s=1, gamma=1.0, kmax=2000):
@@ -155,7 +165,7 @@ def test_kernel_mean_identity():
     assert kernel_mean_identity_check(z, np.array([0.5])) == 1.0
 
 
-def test_spec_validation_and_serialization():
+def test_spec_validation():
     w = WeightScheme.product([1.0])
     with pytest.raises(DomainError):
         KernelSpec(family="cosine", alpha=0.5, weights=w)
@@ -165,7 +175,44 @@ def test_spec_validation_and_serialization():
         KernelSpec(family="sobolev", alpha=9, weights=w)
     with pytest.raises(DomainError):
         kernel_mean_identity_check(KernelSpec(family="cosine", alpha=1.0, weights=w), np.array([0.5]))
-    spec = KernelSpec(family="kor_plus_cos", alpha=1.5, weights=WeightScheme.product([0.1, 0.2]),
-                      series_kmax=321)
-    again = KernelSpec.from_json(spec.to_json())
-    assert again == spec
+
+
+_W1, _W3 = WeightScheme.product([1.0]), WeightScheme.product([1.0, 0.5, 0.25])
+_RULE = LatticeRule(N=13, z=(1, 5, 3))
+
+# Every public entry point that takes a smoothness alpha: (call, which alpha
+# it takes, whether it returns the alpha it stored).  "real" is any finite
+# alpha > 1/2, "int" an integer >= 1, "even" an even integer >= 2.
+ALPHA_ENTRY_POINTS = {
+    "KernelSpec/sobolev": (lambda a: KernelSpec("sobolev", a, _W1).alpha, "int", True),
+    "KernelSpec/korobov": (lambda a: KernelSpec("korobov", a, _W1).alpha, "real", False),
+    "KernelSpec/cosine": (lambda a: KernelSpec("cosine", a, _W1).alpha, "real", False),
+    "kernel_1d/sob_odd": (lambda a: kernel_1d("sob_odd", a, 0.2, 0.3), "int", False),
+    "kernel_1d/kor_plus_cos": (lambda a: kernel_1d("kor_plus_cos", a, 0.2, 0.3, 50), "real",
+                               False),
+    "korobov_series_1d": (lambda a: korobov_series_1d(a, 0.2, 0.3, 50), "real", False),
+    "series_tail_bound": (lambda a: series_tail_bound(a, 50), "real", False),
+    "CbcCriterion/plain_korobov": (lambda a: CbcCriterion("plain_korobov", _W3, a).alpha, "int",
+                                   True),
+    "CbcCriterion/sym": (lambda a: CbcCriterion("sym", _W3, a).alpha, "even", True),
+    "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "int", False),
+    "wce_sym_exact": (lambda a: wce_sym_exact(a, _W3, _RULE), "even", False),
+    "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE, kmax=50), "even", False),
+    "sym_modified_weights": (lambda a: sym_modified_weights(a, _W3).gamma, "even", False),
+    "corollary_bound/sym": (lambda a: corollary_bound("sym", _W3, 13, 0.9, alpha=a), "even",
+                            False),
+    "c_sym": (lambda a: c_sym(2, 3, a), "even", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHA_ENTRY_POINTS))
+def test_every_alpha_entry_point_applies_the_one_smoothness_rule(name):
+    call, takes, stores = ALPHA_ENTRY_POINTS[name]
+    bad = [math.nan, math.inf, -math.inf, None, 0.5]
+    bad += {"real": [], "int": [2.5], "even": [2.5, 3]}[takes]
+    for alpha in bad:
+        with pytest.raises(DomainError):
+            call(alpha)
+    assert call(4.0) == call(4)
+    if stores:
+        assert type(call(4.0)) is int

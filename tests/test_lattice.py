@@ -8,6 +8,7 @@ import pytest
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import (
     LatticeRule,
+    PointSet,
     character_sum,
     distinct_count,
     dual_projected,
@@ -201,3 +202,13 @@ def test_export_round_trips(tmp_path):
     data = json.loads(ps.to_json())
     assert data["n"] == 5 and data["s"] == 2 and data["kind"] == "plain"
     np.testing.assert_array_equal(np.array(data["points"]), ps.points)
+
+
+@pytest.mark.parametrize("numerators,denominator", [
+    (np.array([[0]]), 0),                          # no denominator: coordinates 0/0
+    (np.zeros((0, 1), dtype=np.int64), 5),         # no points: the mean over them is 0/0
+    (np.array([[0.5]]), 1),                        # a coordinate that is not a ratio
+])
+def test_point_set_rejects_what_is_no_rational_point_set(numerators, denominator):
+    with pytest.raises(DomainError):
+        PointSet(s=1, kind="plain", numerators=numerators, denominator=denominator)

@@ -90,6 +90,12 @@ def test_zeta_classic_values():
         riemann_zeta(1.0)
 
 
+def test_zeta_rejects_nan_and_inf():
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            riemann_zeta(sigma)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_zeta_even_closed_form(k):
     """zeta(2k) = (2 pi)^(2k) |B_2k(0)| / (2 (2k)!)."""
