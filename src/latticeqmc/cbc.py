@@ -31,6 +31,7 @@ from .errors import DomainError, GuardError
 from .kernels import _block_rows
 from .lattice import LatticeRule
 from .numtheory import is_prime, primitive_root
+from .weights import _Running
 from .worst_case_error import CbcCriterion, korobov_residue_table
 
 TIE_TOL = 1e-10
@@ -64,54 +65,6 @@ def _select(scores: np.ndarray) -> int:
         raise GuardError(f"CBC score minimum is {m}: the weights overflow double precision")
     thresh = m + TIE_TOL * (1.0 + abs(m))
     return int(np.argmax(scores <= thresh)) + 1
-
-
-class _ProductState:
-    """Per-point running products prod_j (1 + g_j omega(n z_j)) for product weights."""
-
-    def __init__(self, n: int, gamma: tuple[float, ...]):
-        self.p = np.ones(n)
-        self.gamma = gamma
-
-    def weight_vector(self, d: int) -> np.ndarray:
-        return self.gamma[d - 1] * self.p
-
-    def update(self, d: int, omega_at_z: np.ndarray) -> None:
-        self.p *= 1.0 + self.gamma[d - 1] * omega_at_z
-
-    def criterion(self) -> float:
-        return float(np.mean(self.p)) - 1.0
-
-
-class _PodState:
-    """Order-indexed elementary-symmetric state for POD weights."""
-
-    def __init__(self, n: int, gamma: tuple[float, ...], order_weights: tuple[float, ...]):
-        self.elem = np.zeros((len(gamma) + 1, n))
-        self.elem[0] = 1.0
-        self.gamma = gamma
-        self.Gamma = order_weights
-
-    def weight_vector(self, d: int) -> np.ndarray:
-        return self.gamma[d - 1] * sum(
-            self.Gamma[o - 1] * self.elem[o - 1] for o in range(1, d + 1)
-        )
-
-    def update(self, d: int, omega_at_z: np.ndarray) -> None:
-        v = self.gamma[d - 1] * omega_at_z
-        for o in range(min(d, len(self.gamma)), 0, -1):
-            self.elem[o] += v * self.elem[o - 1]
-
-    def criterion(self) -> float:
-        d = len(self.gamma)
-        return float(np.mean(sum(self.Gamma[o - 1] * self.elem[o] for o in range(1, d + 1))))
-
-
-def _make_state(n: int, s: int, crit: CbcCriterion):
-    eff = crit.leading_weights(s)
-    if eff.form == "product":
-        return _ProductState(n, eff.gamma)
-    return _PodState(n, eff.gamma, eff.Gamma)
 
 
 def _plain_scorer(N: int, omega: np.ndarray):
@@ -201,19 +154,16 @@ def _sweep(N: int, s: int, crit: CbcCriterion, make_scorer) -> CbcResult:
         raise DomainError(f"need s >= 1, got {s}")
     start = time.perf_counter()
     omega = korobov_residue_table(crit.korobov_order, N)
-    state = _make_state(N, s, crit)
+    state = _Running(crit.leading_weights(s), (N,))
     score = make_scorer(N, omega)
     n_idx = np.arange(N, dtype=np.int64)
     z: list[int] = []
     errs: list[float] = []
-    for d in range(1, s + 1):
-        if d == 1:
-            best = 1
-        else:
-            best = _select(errs[-1] + score(state.weight_vector(d)) / N)
-        state.update(d, omega[n_idx * best % N])
+    for _ in range(s):
+        best = _select(errs[-1] + score(state.weight_vector()) / N) if errs else 1
+        state.add(omega[n_idx * best % N])
         z.append(best)
-        errs.append(state.criterion())
+        errs.append(state.mean())
     return CbcResult(z=tuple(z), per_dimension_error=tuple(errs),
                      elapsed=time.perf_counter() - start, n=N, prime=is_prime(N))
 

@@ -19,7 +19,7 @@ from .cbc import CbcCriterion, cbc_fast, cbc_plain
 from .errors import DomainError, GuardError
 from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_experiment
 from .fourier import run_appendix_checks
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _tent_alpha
 from .lattice import LatticeRule, rank1_points, symmetrize, tent_transform
 from .numtheory import is_prime
 from .weights import WeightScheme
@@ -34,8 +34,8 @@ from .worst_case_error import (
 def _load_weights(arg: str) -> WeightScheme:
     if os.path.exists(arg):
         with open(arg) as fh:
-            return WeightScheme.from_dict(json.load(fh))
-    return WeightScheme.from_json(arg)
+            arg = fh.read()
+    return WeightScheme.from_dict(json.loads(arg))
 
 
 def _parse_z(text: str) -> tuple[int, ...]:
@@ -46,11 +46,12 @@ def _parse_z(text: str) -> tuple[int, ...]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    text = text if text.endswith("\n") else text + "\n"
+    if out in (None, "-"):
+        sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _cmd_points(args) -> int:
@@ -63,10 +64,7 @@ def _cmd_points(args) -> int:
     if args.format == "json":
         _emit(ps.to_json(), args.out)
     else:
-        if args.out is None or args.out == "-":
-            np.savetxt(sys.stdout, ps.points, delimiter=",", fmt="%.17g")
-        else:
-            ps.to_csv(args.out)
+        ps.to_csv(sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
@@ -78,8 +76,7 @@ def _cmd_wce(args) -> int:
     if args.space == "korobov":
         report = wce_sq_korobov_lattice(args.alpha if args.alpha is not None else 1, weights, rule)
     elif args.space == "sob2-tent":
-        if args.alpha not in (None, 2):
-            raise DomainError("the tent error is computed in the smoothness-2 space")
+        _tent_alpha(args.alpha)
         spec = KernelSpec(family="sobolev", alpha=2, weights=weights)
         report = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule)))
     elif args.space == "sym":
@@ -105,8 +102,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_cbc(args) -> int:
     weights = _load_weights(args.weights)
-    crit = CbcCriterion(kind=args.criterion, base_weights=weights,
-                        alpha=args.alpha if args.criterion == "sym" else None)
+    crit = CbcCriterion(kind=args.criterion, base_weights=weights, alpha=args.alpha)
     runner = cbc_fast if is_prime(args.n) else cbc_plain
     result = runner(args.n, args.dims, crit)
     _emit(json.dumps(result.to_dict()), args.out)

@@ -57,9 +57,7 @@ def integrand_eval(name: str, x, omega=(), c1: float = 1.3, c2: float = 1.0):
 
 def exact_integral(name: str, omega=(), c1: float = 1.3, c2: float = 1.0) -> float:
     """Closed-form integrals of the test integrands over the unit cube."""
-    if name == "bivar":
-        return 1.0
-    if name == "f1":
+    if name in ("bivar", "f1"):
         return 1.0
     if name == "f2":
         w = np.asarray(omega, dtype=float)

@@ -112,8 +112,6 @@ def tent_kernel_reference(x: float, y: float) -> float:
 _WEIGHTS = {
     "cos2pi": lambda k, t: np.cos(2 * pi * k * t),
     "sin2pi": lambda k, t: np.sin(2 * pi * k * t),
-    "cospi": lambda k, t: np.cos(pi * k * t),
-    "sinpi": lambda k, t: np.sin(pi * k * t),
 }
 
 

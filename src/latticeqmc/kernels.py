@@ -52,18 +52,30 @@ def _closed_form(family: str, alpha) -> bool:
 def _smoothness(family: str, alpha):
     """The one smoothness rule: alpha as the family takes it.  Every family
     needs a finite alpha > 1/2; a closed form also needs an integer alpha
-    with 2 alpha <= MAX_DEGREE, returned as an int.  A series kernel keeps
-    alpha as given; the helpers of every series kernel check it as "cosine"."""
+    within the Bernoulli tables (`_table_order`), returned as an int.  A
+    series kernel keeps alpha as given; the helpers of every series kernel
+    check it as "cosine"."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
     if alpha is None or not 0.5 < alpha < inf:
         raise DomainError(f"{family} requires a finite alpha > 1/2, got {alpha}")
     if not _closed_form(family, alpha):
         return alpha
-    alpha = _integer_alpha(alpha)
-    if 2 * alpha > MAX_DEGREE:
-        raise DomainError(f"alpha <= {MAX_DEGREE // 2} supported, got {alpha}")
-    return alpha
+    return _table_order(_integer_alpha(alpha), alpha)
+
+
+def _table_order(order: int, alpha) -> int:
+    """order, if the Bernoulli tables reach degree 2 order; alpha, the
+    smoothness the caller passed, is named in the refusal."""
+    if 2 * order > MAX_DEGREE:
+        raise DomainError(f"alpha = {alpha} needs Bernoulli degree {2 * order} > {MAX_DEGREE}")
+    return order
+
+
+def _tent_alpha(alpha) -> None:
+    """The tent results hold in the smoothness-2 space only: alpha is None or 2."""
+    if alpha is not None and alpha != 2:
+        raise DomainError(f"the tent results hold at alpha = 2 only, got {alpha}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -95,9 +95,7 @@ def bernoulli_periodic(tau: int, x):
     if tau < 2:
         raise DomainError("periodic extension requires tau >= 2")
     x = np.asarray(x, dtype=float)
-    frac = x - np.floor(x)
-    out = bernoulli_poly(tau, frac)
-    return out
+    return bernoulli_poly(tau, x - np.floor(x))
 
 
 _ZETA_CUTOFF = 100_000

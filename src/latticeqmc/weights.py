@@ -9,13 +9,14 @@ The central operation is `combine`, the weighted sum
     sum_{nonempty u} gamma_u prod_{j in u} eta_j
 
 for per-coordinate values eta_j, evaluated without subset enumeration for
-product weights (a plain product) and POD weights (a dynamic program over
-the subset order), and by explicit iteration for general weights.
+product weights (a running product) and POD weights (a dynamic program over
+the subset order), and by explicit iteration for general weights.  The
+product and POD recurrence is `_Running`, which the CBC sweep also keeps one
+coordinate at a time.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,10 +25,6 @@ import numpy as np
 from .errors import DomainError, GuardError
 
 GENERAL_DIM_GUARD = 20
-
-
-def _subset_key(u: frozenset[int]) -> str:
-    return ",".join(str(j) for j in sorted(u))
 
 
 def _check_weights(values) -> None:
@@ -98,17 +95,12 @@ class WeightScheme:
             return 1.0
         if not all(1 <= j <= self.s for j in u):
             raise DomainError(f"subset {sorted(u)} out of range for s={self.s}")
-        if self.form == "product":
-            out = 1.0
-            for j in u:
-                out *= self.gamma[j - 1]
-            return out
-        if self.form == "pod":
-            out = self.Gamma[len(u) - 1]
-            for j in u:
-                out *= self.gamma[j - 1]
-            return out
-        return self.subsets.get(u, 0.0)
+        if self.form == "general":
+            return self.subsets.get(u, 0.0)
+        out = self.Gamma[len(u) - 1] if self.form == "pod" else 1.0
+        for j in u:
+            out *= self.gamma[j - 1]
+        return out
 
     def nonempty_subsets(self):
         """Iterate (u, gamma_u) over subsets with nonzero stored weight."""
@@ -159,42 +151,20 @@ class WeightScheme:
         eta = np.asarray(eta, dtype=float)
         if eta.shape[-1] != self.s:
             raise DomainError(f"eta last axis {eta.shape[-1]} != s={self.s}")
-        if self.form == "product":
-            g = np.asarray(self.gamma)
-            return np.prod(1.0 + g * eta, axis=-1) - 1.0
-        if self.form == "pod":
-            base = eta.shape[:-1]
-            elem = np.zeros((self.s + 1,) + base)
-            elem[0] = 1.0
-            for j in range(self.s):
-                v = self.gamma[j] * eta[..., j]
-                top = min(j + 1, self.s)
-                for order in range(top, 0, -1):
-                    elem[order] = elem[order] + v * elem[order - 1]
-            out = np.zeros(base)
-            for order in range(1, self.s + 1):
-                out = out + self.Gamma[order - 1] * elem[order]
-            return out
-        out = np.zeros(eta.shape[:-1])
-        for u, g in self.nonempty_subsets():
-            term = np.ones(eta.shape[:-1])
-            for j in u:
-                term = term * eta[..., j - 1]
-            out = out + g * term
-        return out
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {"form": self.form}
-        if self.form in ("product", "pod"):
-            out["gamma"] = list(self.gamma)
-        if self.form == "pod":
-            out["Gamma"] = list(self.Gamma)
         if self.form == "general":
-            out["s"] = self.s
-            out["subsets"] = {_subset_key(u): g for u, g in self.subsets.items()}
-        return out
+            out = np.zeros(eta.shape[:-1])
+            for u, g in self.nonempty_subsets():
+                term = np.ones(eta.shape[:-1])
+                for j in u:
+                    term = term * eta[..., j - 1]
+                out = out + g * term
+            return out
+        run = _Running(self, eta.shape[:-1])
+        for j in range(self.s):
+            run.add(eta[..., j])
+        return run.value()
+
+    # -- parsing -----------------------------------------------------------
 
     @staticmethod
     def from_dict(data: dict) -> "WeightScheme":
@@ -212,9 +182,46 @@ class WeightScheme:
             return WeightScheme.general(s, subsets)
         raise DomainError(f"unknown weight form {form!r}")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
-    @staticmethod
-    def from_json(text: str) -> "WeightScheme":
-        return WeightScheme.from_dict(json.loads(text))
+class _Running:
+    """The weighted sum over the coordinates added so far, one coordinate
+    eta_d (an array of the given shape) at a time: for product weights
+    p = prod_j (1 + gamma_j eta_j), the sum being p - 1; for POD weights the
+    elementary symmetric sums e_k of the gamma_j eta_j, the sum being
+    sum_k Gamma_k e_k.  Adding eta_d adds weight_vector() * eta_d."""
+
+    def __init__(self, weights: WeightScheme, shape):
+        self.w, self.d = weights, 0
+        if weights.form == "product":
+            self.p = np.ones(shape)
+        else:
+            self.e = np.zeros((weights.s + 1,) + shape)
+            self.e[0] = 1.0
+
+    def add(self, eta_d: np.ndarray) -> None:
+        v = self.w.gamma[self.d] * eta_d
+        self.d += 1
+        if self.w.form == "product":
+            self.p *= 1.0 + v
+        else:
+            for k in range(self.d, 0, -1):
+                self.e[k] += v * self.e[k - 1]
+
+    def weight_vector(self) -> np.ndarray:
+        """The factor of eta_d in the sum once the next coordinate d is added."""
+        g = self.w.gamma[self.d]
+        if self.w.form == "product":
+            return g * self.p
+        return g * sum(self.w.Gamma[k] * self.e[k] for k in range(self.d + 1))
+
+    def value(self) -> np.ndarray:
+        if self.w.form == "product":
+            return self.p - 1.0
+        return sum(self.w.Gamma[k - 1] * self.e[k] for k in range(1, self.w.s + 1))
+
+    def mean(self) -> float:
+        """The mean over the points: mean(p) - 1 for product weights, which
+        rounds otherwise than mean(p - 1)."""
+        if self.w.form == "product":
+            return float(np.mean(self.p)) - 1.0
+        return float(np.mean(self.value()))

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import (DEFAULT_SERIES_KMAX, KernelSpec, _block_rows, _closed_form,
-                      _integer_alpha, _korobov_closed_form, _lattice_tables, korobov_series_1d)
+                      _integer_alpha, _korobov_closed_form, _lattice_tables, _table_order,
+                      _tent_alpha, korobov_series_1d)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime
 from .special_functions import riemann_zeta
@@ -159,7 +160,7 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
     The N x s residues are made and summed in row blocks of one block
     budget, so memory is O(N), not O(N s)."""
-    alpha = _integer_alpha(alpha)
+    alpha = _table_order(_integer_alpha(alpha), alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     N = rule.N
@@ -191,7 +192,7 @@ def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
 class CbcCriterion:
     """A construction criterion: which transform the rule is destined for.
 
-    tent:          order-1 Korobov error with weights gamma'^(1/2)
+    tent:          order-1 Korobov error with weights gamma'^(1/2), alpha None or 2
     sym:           order-(alpha/2) Korobov error with weights gamma''^(1/2), even alpha
     plain_korobov: order-alpha Korobov error with the weights as given
     """
@@ -203,10 +204,13 @@ class CbcCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise DomainError(f"unknown criterion kind {self.kind!r}")
+        if self.kind == "tent":
+            _tent_alpha(self.alpha)
         if self.kind == "sym":
             object.__setattr__(self, "alpha", _integer_alpha(self.alpha, 2))
         if self.kind == "plain_korobov":
             object.__setattr__(self, "alpha", _integer_alpha(self.alpha))
+        _table_order(self.korobov_order, self.alpha)
 
     @property
     def korobov_order(self) -> int:
@@ -359,6 +363,7 @@ def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
     if not is_prime(N):
         raise DomainError(f"the construction bound requires prime N, got {N}")
     if kind == "tent":
+        _tent_alpha(alpha)
         if not 0.5 < lam <= 1.0:
             raise DomainError(f"lambda must lie in (1/2, 1], got {lam}")
         factor = 2.0 ** (1.0 - lam) * C_PRIME ** (lam / 2.0) * riemann_zeta(2.0 * lam) / pi ** (2.0 * lam)

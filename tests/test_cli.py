@@ -128,6 +128,24 @@ def test_exit_code_precondition():
     assert main(["points", "--n", "5", "--z", "0", "--out", "-"]) == 2
 
 
+def test_tent_commands_refuse_alpha_other_than_2():
+    weights = json.dumps({"form": "product", "gamma": [1.0]})
+    assert main(["bound", "--kind", "tent", "--alpha", "3", "--n", "5", "--lambda", "1.0",
+                 "--weights", weights]) == 2
+    assert main(["bound", "--kind", "tent", "--alpha", "2", "--n", "5", "--lambda", "1.0",
+                 "--weights", weights]) == 0
+    assert main(["wce", "--space", "sob2-tent", "--alpha", "3", "--n", "5", "--z", "1",
+                 "--weights", weights]) == 2
+
+
+def test_points_csv_on_stdout_matches_the_file(tmp_path, capsys):
+    out = tmp_path / "pts.csv"
+    args = ["points", "--n", "7", "--z", "1,3", "--transform", "tent"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert main(args) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_exit_code_guard():
     # symmetrizing a 21-dimensional rule trips the 2^s multiset guard
     z = ",".join(["1"] * 21)

@@ -216,3 +216,28 @@ def test_every_alpha_entry_point_applies_the_one_smoothness_rule(name):
     assert call(4.0) == call(4)
     if stores:
         assert type(call(4.0)) is int
+
+
+def test_bernoulli_table_limit_fails_at_entry_and_names_alpha():
+    for call, alpha in ((lambda: CbcCriterion("sym", _W3, 18), "18"),
+                        (lambda: CbcCriterion("plain_korobov", _W3, 9), "9"),
+                        (lambda: wce_sq_korobov_lattice(9, _W3, _RULE), "9"),
+                        (lambda: KernelSpec("sobolev", 9, _W1), "9")):
+        with pytest.raises(DomainError, match=f"alpha = {alpha} "):
+            call()
+    assert CbcCriterion("sym", _W3, 16).korobov_order == 8
+    # closed forms that read no Bernoulli table take no table limit
+    assert c_sym(2, 3, 18) != 0.0
+    assert sym_modified_weights(18, _W3).s == 3
+    assert corollary_bound("sym", _W3, 13, 0.9, alpha=18).value > 0.0
+
+
+def test_tent_results_take_alpha_2_only():
+    for alpha in (7.5, 3, 1, math.nan):
+        with pytest.raises(DomainError):
+            CbcCriterion("tent", _W3, alpha)
+        with pytest.raises(DomainError):
+            corollary_bound("tent", _W3, 13, 0.9, alpha=alpha)
+    for alpha in (None, 2, 2.0):
+        assert CbcCriterion("tent", _W3, alpha).korobov_order == 1
+        assert corollary_bound("tent", _W3, 13, 0.9, alpha=alpha).value > 0.0

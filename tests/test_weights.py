@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from latticeqmc.errors import DomainError, GuardError
-from latticeqmc.weights import WeightScheme
+from latticeqmc.weights import WeightScheme, _Running
 
 
 def brute_force_combine(w: WeightScheme, eta: np.ndarray) -> float:
@@ -82,17 +82,43 @@ def test_scaled_and_powered_schemes():
     assert g.powered(0.5).weight_of([1, 2]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
 
 
-def test_json_round_trip():
-    for w in (
-        WeightScheme.product([1.0, 0.5]),
-        WeightScheme.pod([1.0, 0.25], [0.3, 0.3]),
-        WeightScheme.general(3, {frozenset({1, 3}): 0.5}),
-    ):
-        again = WeightScheme.from_json(w.to_json())
-        assert again == w
-    # wire format spot check
-    data = json.loads(WeightScheme.general(3, {frozenset({1, 3}): 0.5}).to_json())
-    assert data["subsets"] == {"1,3": 0.5}
+def test_from_dict_parses_the_json_wire_format():
+    text = """[{"form": "product", "gamma": [1.0, 0.5]},
+               {"form": "pod", "Gamma": [1.0, 0.25], "gamma": [0.3, 0.3]},
+               {"form": "general", "s": 3, "subsets": {"1,3": 0.5}},
+               {"form": "general", "subsets": {"2": 0.7, "1,3": 0.5}}]"""
+    product, pod, general, inferred = (WeightScheme.from_dict(d) for d in json.loads(text))
+    assert product == WeightScheme.product([1.0, 0.5])
+    assert pod == WeightScheme.pod([1.0, 0.25], [0.3, 0.3])
+    assert general == WeightScheme.general(3, {frozenset({1, 3}): 0.5})
+    assert inferred == WeightScheme.general(3, {frozenset({2}): 0.7, frozenset({1, 3}): 0.5})
+    with pytest.raises(DomainError):
+        WeightScheme.from_dict({"form": "nope"})
+
+
+@pytest.mark.parametrize("form", ["product", "pod"])
+@pytest.mark.parametrize("layout", ["contiguous", "moveaxis"])
+def test_running_sum_adds_one_coordinate_at_a_time(form, layout):
+    rng = np.random.default_rng(7)
+    s = 6
+    gamma, Gamma = rng.random(s), rng.random(s)
+    w = WeightScheme.product(gamma) if form == "product" else WeightScheme.pod(Gamma, gamma)
+    eta = rng.standard_normal((7, 5, s))
+    if layout == "moveaxis":  # the layout the quadratic-form engine passes
+        eta = np.moveaxis(np.ascontiguousarray(np.moveaxis(eta, -1, 0)), 0, -1)
+        assert not eta.flags.c_contiguous
+    run = _Running(w, eta.shape[:-1])
+    before = np.zeros(eta.shape[:-1])
+    for d in range(1, s + 1):
+        step = run.weight_vector() * eta[..., d - 1]
+        run.add(eta[..., d - 1])
+        head = (WeightScheme.product(gamma[:d]) if form == "product"
+                else WeightScheme.pod(Gamma[:d], gamma[:d]))
+        np.testing.assert_array_equal(run.value(), head.combine(eta[..., :d]))
+        np.testing.assert_allclose(before + step, run.value(), rtol=1e-13, atol=0)
+        before = run.value()
+    assert run.mean() == pytest.approx(float(np.mean(w.combine(eta))), rel=1e-13)
+    np.testing.assert_array_equal(w.combine(eta), w.combine(np.ascontiguousarray(eta)))
 
 
 def test_validation():
