@@ -32,10 +32,26 @@ from .worst_case_error import (
 
 
 def _load_weights(arg: str) -> WeightScheme:
-    if os.path.exists(arg):
+    """The weights in the JSON file named arg, or in arg itself as JSON text."""
+    source = f"{arg!r}, which names no file,"
+    if os.path.isfile(arg):
+        source = f"file {arg!r}"
         with open(arg) as fh:
             arg = fh.read()
-    return WeightScheme.from_dict(json.loads(arg))
+    try:
+        data = json.loads(arg)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"--weights {source} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DomainError(f"--weights {source} is not a JSON object")
+    try:
+        return WeightScheme.from_dict(data)
+    except KeyError as exc:
+        raise DomainError(f"--weights of form {data.get('form')!r} needs the key {exc}") from exc
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
 
 
 def _parse_z(text: str) -> tuple[int, ...]:

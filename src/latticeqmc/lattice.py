@@ -146,9 +146,16 @@ def symmetrize(ps: PointSet) -> PointSet:
 
 
 def distinct_count(ps: PointSet) -> int:
-    """Number of distinct points in a symmetrized multiset (exact comparison)."""
+    """Number of distinct points in a symmetrized multiset (exact comparison).
+
+    Numerators lie in 0..D, so while (D + 1)^s < 2^63 each point is one int64
+    key in radix D + 1; larger sets compare rows as tuples."""
     if ps.kind != "symmetrized":
         raise DomainError("distinct_count is defined for symmetrized point sets")
+    radix = int(ps.denominator) + 1
+    if radix**ps.s < 2**63:
+        place = radix ** np.arange(ps.s, dtype=np.int64)
+        return len(np.unique(ps.numerators.astype(np.int64, copy=False) @ place))
     return len({tuple(row) for row in ps.numerators.tolist()})
 
 

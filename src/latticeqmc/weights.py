@@ -219,9 +219,10 @@ class _Running:
             return self.p - 1.0
         return sum(self.w.Gamma[k - 1] * self.e[k] for k in range(1, self.w.s + 1))
 
-    def mean(self) -> float:
-        """The mean over the points: mean(p) - 1 for product weights, which
-        rounds otherwise than mean(p - 1)."""
+    def mean(self, mult: np.ndarray) -> float:
+        """The mean over the points, entry i counted mult[i] times:
+        mean(p) - 1 for product weights, which rounds otherwise than
+        mean(p - 1)."""
         if self.w.form == "product":
-            return float(np.mean(self.p)) - 1.0
-        return float(np.mean(self.value()))
+            return float(np.vdot(mult, self.p)) / float(np.sum(mult)) - 1.0
+        return float(np.vdot(mult, self.value())) / float(np.sum(mult))

@@ -151,26 +151,40 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
 
 
 def korobov_residue_table(alpha: int, N: int) -> np.ndarray:
-    """w(r) = (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N) for r = 0..N-1."""
-    return _korobov_closed_form(alpha, np.arange(N, dtype=float) / N)
+    """w(r) = (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N) for r = 0..N-1.
+
+    w(N - r) = w(r), and the table holds it bit for bit: r <= N/2 is
+    evaluated and mirrored, so sums over the half points n <= N/2 and over
+    another order of the points (the CBC sweep's) read the same values."""
+    half = _korobov_closed_form(alpha, np.arange(N // 2 + 1, dtype=float) / N)
+    return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
+
+
+def _half_multiplicity(n: np.ndarray, N: int) -> np.ndarray:
+    """How many of the points n and N - n in 0..N-1 the half point n stands
+    for: 1 for n = 0 and n = N/2, else 2."""
+    return np.where((n == 0) | (2 * n == N), 1.0, 2.0)
 
 
 def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of a rank-1 lattice rule in the weighted
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
-    The N x s residues are made and summed in row blocks of one block
-    budget, so memory is O(N), not O(N s)."""
+    The summand of n equals that of N - n (w(r) = w(N - r)), so the sum runs
+    over n = 0..N//2 with multiplicities.  The residues are made as (s, rows)
+    blocks of one block budget, so memory is O(N), not O(N s)."""
     alpha = _table_order(_integer_alpha(alpha), alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     N = rule.N
     table = korobov_residue_table(alpha, N)
-    z = np.array(rule.z, dtype=np.int64)
+    z = np.array(rule.z, dtype=np.int64)[:, None]
     step = _block_rows(rule.s)
     total = 0.0
-    for lo in range(0, N, step):
-        n = np.arange(lo, min(lo + step, N))
-        total += float(np.sum(weights.combine(table[np.outer(n, z) % N])))
+    for lo in range(0, N // 2 + 1, step):
+        n = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
+        # one expression, so that no block outlives its iteration
+        total += float(_half_multiplicity(n, N)
+                       @ weights.combine(np.moveaxis(table[z * n % N], 0, -1)))
     return _clamped(total / N, "closed_form_lattice")
 
 

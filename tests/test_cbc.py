@@ -15,6 +15,7 @@ from latticeqmc.special_functions import bernoulli_scaled
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     C_PRIME,
+    _half_multiplicity,
     corollary_bound,
     korobov_residue_table,
     wce_sq_korobov_lattice,
@@ -116,6 +117,16 @@ def test_per_dimension_errors_recheck():
         assert abs(v - res.per_dimension_error[d - 1]) <= 1e-13 * (1.0 + abs(v))
 
 
+def _plain_equals_fast(N, s, crit):
+    """Run both constructions, check that they agree, and return the fast one."""
+    a = cbc_plain(N, s, crit)
+    b = cbc_fast(N, s, crit)
+    assert a.z == b.z
+    for va, vb in zip(a.per_dimension_error, b.per_dimension_error):
+        assert abs(va - vb) <= 1e-12 * (1.0 + abs(va))
+    return b
+
+
 @pytest.mark.parametrize("kind,alpha", [("tent", None), ("sym", 2)])
 def test_plain_fast_equivalence(kind, alpha):
     rng = np.random.default_rng(7)
@@ -123,11 +134,7 @@ def test_plain_fast_equivalence(kind, alpha):
         s = int(rng.integers(1, 6))
         gam = tuple(float(g) for g in rng.random(s))
         crit = CbcCriterion(kind=kind, base_weights=WeightScheme.product(gam), alpha=alpha)
-        a = cbc_plain(p, s, crit)
-        b = cbc_fast(p, s, crit)
-        assert a.z == b.z
-        for va, vb in zip(a.per_dimension_error, b.per_dimension_error):
-            assert abs(va - vb) <= 1e-12 * (1.0 + abs(va))
+        _plain_equals_fast(p, s, crit)
 
 
 def test_plain_fast_equivalence_pod_weights():
@@ -136,29 +143,34 @@ def test_plain_fast_equivalence_pod_weights():
         s = 4
         w = WeightScheme.pod(rng.random(s), rng.random(s))
         crit = CbcCriterion(kind="sym", base_weights=w, alpha=2)
-        a = cbc_plain(p, s, crit)
-        b = cbc_fast(p, s, crit)
-        assert a.z == b.z
-        for va, vb in zip(a.per_dimension_error, b.per_dimension_error):
-            assert abs(va - vb) <= 1e-12 * (1.0 + abs(va))
+        res = _plain_equals_fast(p, s, crit)
         # the cached criterion is the real criterion of the constructed rule
-        v = crit.value(LatticeRule(N=p, z=a.z))
-        assert abs(v - a.per_dimension_error[-1]) <= 1e-12 * (1.0 + abs(v))
+        v = crit.value(LatticeRule(N=p, z=res.z))
+        assert abs(v - res.per_dimension_error[-1]) <= 1e-12 * (1.0 + abs(v))
 
 
 @pytest.mark.parametrize("kind,alpha", [("tent", None), ("sym", 2), ("plain_korobov", 2)])
 def test_plain_fast_equivalence_n4099(kind, alpha):
-    """N = 4099 splits the plain scorer's 2049 candidates into three blocks,
-    the last one partial, and pads the FFT scorer's correlation (h = 2049 =
-    3 * 683 is not 5-smooth)."""
+    """N = 4099 splits the plain scorer's 2049 candidates into blocks, the
+    last one partial, and pads the FFT scorer's correlation (h = 2049 =
+    3 * 683 is not 5-smooth).  Every per-dimension criterion is the closed
+    form of its prefix rule."""
     s = 20
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     crit = CbcCriterion(kind=kind, base_weights=WeightScheme.product(gam), alpha=alpha)
-    a = cbc_plain(4099, s, crit)
-    b = cbc_fast(4099, s, crit)
-    assert a.z == b.z
-    for va, vb in zip(a.per_dimension_error, b.per_dimension_error):
-        assert abs(va - vb) <= 1e-12 * (1.0 + abs(va))
+    res = _plain_equals_fast(4099, s, crit)
+    for d in range(2, s + 1):
+        v = crit.value(LatticeRule(N=4099, z=res.z[:d]))
+        assert abs(v - res.per_dimension_error[d - 1]) <= 1e-12 * (1.0 + abs(v))
+
+
+@pytest.mark.parametrize("N,s,kind,alpha,form", [
+    (4099, 8, "tent", None, "pod"), (4099, 8, "sym", 4, "pod"), (8191, 6, "tent", None, "product")])
+def test_plain_fast_equivalence_larger_n(N, s, kind, alpha, form):
+    gam = [1.0 / j**2 for j in range(1, s + 1)]
+    w = (WeightScheme.product(gam) if form == "product"
+         else WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gam))
+    _plain_equals_fast(N, s, CbcCriterion(kind=kind, base_weights=w, alpha=alpha))
 
 
 def _brute_force_scores(N, omega, w):
@@ -168,18 +180,32 @@ def _brute_force_scores(N, omega, w):
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 4079, 4099])
-@pytest.mark.parametrize("make_scorer", [cbc._plain_scorer, cbc._fft_scorer])
-def test_scorers_match_brute_force(N, make_scorer):
-    """h = (N-1)/2 is 5-smooth for 257 and 641 (direct length), prime for
-    4079 and 3 * 683 for 4099 (zero-padded), and 0..2 for the tiny N."""
+@pytest.mark.parametrize("scorer_class", [cbc._PlainScorer, cbc._FftScorer],
+                         ids=["_plain_scorer", "_fft_scorer"])
+def test_scorers_match_brute_force(N, scorer_class):
+    """Each scorer keeps the state on half points of its own order, each
+    standing for n and N - n, so it is fed a symmetric W(n) = W(N - n), the
+    only kind the sweep makes.  h = (N-1)/2 is 5-smooth for 257 and 641
+    (direct length), prime for 4079 and 3 * 683 for 4099 (zero-padded), and
+    0..2 for the tiny N."""
     rng = np.random.default_rng(N)
+    n = np.arange(N)
     for order in (1, 2):
         omega = korobov_residue_table(order, N)
         w = rng.random(N)
+        w = w + w[-n % N]
         brute = _brute_force_scores(N, omega, w)
-        t = make_scorer(N, omega)(w)
+        scorer = scorer_class(N, omega)
+        mult = _half_multiplicity(scorer.points, N)
+        assert np.sum(mult) == N and scorer.cand[0] == 1
+        assert sorted(scorer.cand.tolist()) == list(range(1, N // 2 + 1))
+        assert sorted(np.minimum(scorer.points, N - scorer.points).tolist()) == \
+            list(range(N // 2 + 1))
+        t = scorer.score(mult * w[scorer.points])
         assert t.shape == (N // 2,)
-        assert np.max(np.abs(t - brute)) <= 1e-12 * np.max(np.abs(brute))
+        assert np.max(np.abs(t - brute[scorer.cand - 1])) <= 1e-12 * np.max(np.abs(brute))
+        for i in {0, 1 % len(t), len(t) // 2, len(t) - 1}:
+            assert np.array_equal(scorer.row(i), omega[scorer.points * scorer.cand[i] % N])
 
 
 @pytest.mark.parametrize("N", [3, 5, 257, 641, 4079, 4099])

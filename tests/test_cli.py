@@ -128,6 +128,20 @@ def test_exit_code_precondition():
     assert main(["points", "--n", "5", "--z", "0", "--out", "-"]) == 2
 
 
+@pytest.mark.parametrize("weights,message", [
+    ("{bad", "is not valid JSON"),
+    ('{"form":"product"}', "needs the key 'gamma'"),
+    ("no_such_weights.json", "which names no file, is not valid JSON"),
+    ("[1.0]", "is not a JSON object"),
+    ('{"form":"product","gamma":3}', "malformed value"),
+])
+def test_malformed_weights_are_a_precondition_violation(weights, message, capsys):
+    assert main(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9",
+                 "--weights", weights]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --weights") and message in err
+
+
 def test_tent_commands_refuse_alpha_other_than_2():
     weights = json.dumps({"form": "product", "gamma": [1.0]})
     assert main(["bound", "--kind", "tent", "--alpha", "3", "--n", "5", "--lambda", "1.0",

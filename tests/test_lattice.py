@@ -120,6 +120,20 @@ def test_distinct_count_closed_forms():
         assert distinct_count(ps) == expected
 
 
+@pytest.mark.parametrize("D,s", [(12, 3), (2**21 - 2, 3), (2**21 - 1, 3), (2**31, 2), (2**31, 3)])
+def test_distinct_count_matches_tuple_set(D, s):
+    """The int64 key in radix D + 1 holds while (D + 1)^s < 2^63 (the first,
+    second and fourth sets, the second just below the limit); the others
+    take the tuple fallback.  Rows mix 0, 1, D - 1 and D, which a key of too
+    small a radix would confuse, with repeats."""
+    rng = np.random.default_rng(D + s)
+    pool = np.concatenate([[0, 1, D - 1, D], rng.integers(0, D + 1, 3)])
+    nums = rng.choice(pool, size=(400, s))
+    ps = PointSet(s=s, kind="symmetrized", numerators=nums, denominator=D)
+    assert ((D + 1) ** s < 2**63) == (D < 2**21 - 1 or s == 2)
+    assert distinct_count(ps) == len({tuple(row) for row in nums.tolist()}) < len(nums)
+
+
 def test_distinct_count_needs_unit_generators():
     """With gcd(z, N) > 1 the coordinate projection collapses and the closed
     form overcounts; the formula applies to unit generators only."""

@@ -70,6 +70,29 @@ def test_closed_form_row_blocks_match_unblocked_sum(form):
         assert wce_sq_korobov_lattice(alpha, w, rule).value == pytest.approx(unblocked, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 101, 256])
+def test_closed_form_half_sum_matches_full_subset_sum(N):
+    """The closed form sums n = 0..N//2, n standing for n and N - n; the
+    oracle sums gamma_u mean_n prod_{j in u} w(n z_j) over every n and
+    every subset u, for odd and even N."""
+    rng = np.random.default_rng(N)
+    s = 4
+    rule = random_rule(rng, N, s)
+    nums = rank1_points(rule).numerators
+    gam, Gamma = rng.random(s), rng.random(s)
+    general = {frozenset(u): float(g) for u, g in
+               zip(([1], [2, 3], [1, 2, 4], [1, 2, 3, 4], [4]), rng.random(5))}
+    for w in (WeightScheme.product(gam), WeightScheme.pod(Gamma, gam),
+              WeightScheme.general(s, general)):
+        for alpha in (1, 2, 3):
+            table = korobov_residue_table(alpha, N)
+            assert np.array_equal(table, table[-np.arange(N) % N])  # w(r) = w(N - r) exactly
+            table = table[nums]
+            want = sum(g * float(np.mean(np.prod(table[:, sorted(j - 1 for j in u)], axis=1)))
+                       for u, g in w.nonempty_subsets())
+            assert wce_sq_korobov_lattice(alpha, w, rule).value == pytest.approx(want, rel=1e-13)
+
+
 def test_zero_weights_give_zero_everywhere():
     rule = LatticeRule(N=5, z=(1, 2))
     w0 = WeightScheme.product([0.0, 0.0])
