@@ -1,10 +1,11 @@
 """The series identities that make the tent and reflection bounds work.
 
 The tent-composed second-order Sobolev kernel expands into a double cosine
-series whose coefficients c_phi(k, l) have a five-case closed form, all
-bounded by c' / (k^2 l^2) with c' = 58/3 -- that single constant drives the
-modified weights of the tent bound.  The reflection-averaged kernel expands
-with coefficients c_sym(k, l, alpha) bounded by 6 / (k l)^alpha.
+series whose coefficients c_phi(k, l) are a separable term plus 2/k^4 on the
+diagonal, all bounded by c' / (k^2 l^2) with c' = 58/3 -- that single
+constant drives the modified weights of the tent bound.  The
+reflection-averaged kernel expands with coefficients c_sym(k, l, alpha) =
+4 / (k l)^alpha plus 2/k^(2 alpha) on the diagonal, bounded by 6 / (k l)^alpha.
 """
 
 from latticeqmc import (

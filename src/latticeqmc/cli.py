@@ -54,11 +54,11 @@ def _load_weights(arg: str) -> WeightScheme:
         raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
 
 
-def _parse_z(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
-        raise DomainError(f"cannot parse generating vector {text!r}") from exc
+        raise DomainError(f"cannot parse {flag} {text!r} as comma-separated integers") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -71,7 +71,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_points(args) -> int:
-    rule = LatticeRule(N=args.n, z=_parse_z(args.z))
+    rule = LatticeRule(N=args.n, z=_parse_ints(args.z, "--z"))
     ps = rank1_points(rule)
     if args.transform == "tent":
         ps = tent_transform(ps)
@@ -85,7 +85,7 @@ def _cmd_points(args) -> int:
 
 
 def _cmd_wce(args) -> int:
-    rule = LatticeRule(N=args.n, z=_parse_z(args.z))
+    rule = LatticeRule(N=args.n, z=_parse_ints(args.z, "--z"))
     weights = _load_weights(args.weights)
     if weights.s != rule.s:
         raise DomainError(f"weights cover {weights.s} coordinates, rule has {rule.s}")
@@ -128,10 +128,14 @@ def _cmd_cbc(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = experiment_config(args.name)
     if args.n_list:
-        cfg = replace(cfg, N_list=tuple(int(t) for t in args.n_list.split(",")))
+        cfg = replace(cfg, N_list=_parse_ints(args.n_list, "--n-list"))
     external = None
     if args.external_points:
-        external = np.loadtxt(args.external_points, delimiter=",", ndmin=2)
+        try:
+            external = np.loadtxt(args.external_points, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read --external-points {args.external_points!r}: "
+                              f"{exc}") from exc
     result = run_experiment(cfg, external_points=external)
     _emit(result.to_csv_text(), args.out)
     for rule_name, slope in fitted_slopes(result).items():

@@ -4,18 +4,17 @@ kernels, and the quadrature oracles that verify them.
 `c_phi(k, l)` is the coefficient (up to 1/pi^4) of cos(2 pi k x) cos(2 pi l y)
 in the expansion of K_sob2(tent(x), tent(y)) - 1; `c_sym(k, l, alpha)` plays
 the same role (up to (2 pi)^(-2 alpha)) for the reflection-averaged kernel of
-the odd+alpha Sobolev subspace.
+the odd+alpha Sobolev subspace.  Each is one separable term plus 2/k^(2 alpha)
+on the diagonal k = l (alpha = 2 for c_phi):
 
-Reconstruction of the double series in `tent_kernel_partial_sum` exploits that
-the off-diagonal part of c_phi is, per parity class, a short sum of separable
-products:
+    c_phi: [odd k, l: 52/3 - (16/pi^2)(1/k^2 + 1/l^2); even k, l: 4;
+            mixed parity: 0] / (k^2 l^2)
+    c_sym: 4 / (k^alpha l^alpha)
 
-    odd  k != l: (52/3) / (k^2 l^2) - (16/pi^2) [1/(k^4 l^2) + 1/(k^2 l^4)]
-    even k != l: 4 / (k^2 l^2)
-
-so the double sum collapses to products of four one-dimensional partial sums,
-plus a diagonal correction of exactly 2/k^4 (both parities), making kmax = 1e4
-reconstruction an O(kmax) computation instead of O(kmax^2).
+With v(k) = (odd/k^2, odd/k^4, even/k^2) the separable term of c_phi is
+v(k)' M v(l) for the 3 x 3 matrix `_SEPARABLE`, so `tent_kernel_partial_sum`
+collapses the double series to two (3, kmax) weight sums and the diagonal:
+O(kmax) instead of O(kmax^2).
 """
 
 from __future__ import annotations
@@ -30,42 +29,40 @@ from .lattice import tent
 from .quadrature import composite_gauss_legendre
 
 C_PRIME = 58.0 / 3.0  # uniform bound constant: 0 <= c_phi(k,l) <= C_PRIME/(k^2 l^2)
+_SEPARABLE = np.array([[52.0 / 3.0, -16.0 / pi**2, 0.0],
+                       [-16.0 / pi**2, 0.0, 0.0],
+                       [0.0, 0.0, 4.0]])
+
+
+def _indices(k, l):
+    k, l = np.asarray(k, dtype=float), np.asarray(l, dtype=float)
+    if np.any(k < 1) or np.any(l < 1):
+        raise DomainError("indices must be positive")
+    return k, l
+
+
+def _plus_diagonal(off, k, l, alpha: int):
+    """off + 2/k^(2 alpha) where k == l; a float for scalar indices."""
+    out = off + np.where(k == l, 2.0 / k ** (2 * alpha), 0.0)
+    return out if out.ndim else float(out)
 
 
 def c_phi(k, l):
-    """Tent-kernel cosine coefficient; five-case closed form (vectorized)."""
-    k = np.asarray(k, dtype=float)
-    l = np.asarray(l, dtype=float)
-    if np.any(k < 1) or np.any(l < 1):
-        raise DomainError("indices must be positive")
-    k_odd = np.asarray(k % 2 == 1)
-    l_odd = np.asarray(l % 2 == 1)
-    eq = np.asarray(k == l)
-    out = np.zeros(np.broadcast(k, l).shape)
-    oo = k_odd & l_odd
-    ee = ~k_odd & ~l_odd
-    out = np.where(oo & eq, (58.0 / 3.0 - 32.0 / (pi**2 * k**2)) / k**4, out)
+    """Tent-kernel cosine coefficient (vectorized, bit-symmetric in k and l)."""
+    k, l = _indices(k, l)
+    k2, l2 = k**2, l**2
+    odd, even = (k % 2 == 1) & (l % 2 == 1), (k % 2 == 0) & (l % 2 == 0)
     # grouped so the expression is bit-identical under swapping k and l
-    out = np.where(
-        oo & ~eq,
-        (52.0 / 3.0 - (16.0 / pi**2) * (1.0 / k**2 + 1.0 / l**2)) / (k**2 * l**2),
-        out,
-    )
-    out = np.where(ee & eq, 6.0 / k**4, out)
-    out = np.where(ee & ~eq, 4.0 / (k**2 * l**2), out)
-    return out if out.ndim else float(out)
+    top = np.where(odd, 52.0 / 3.0 - (16.0 / pi**2) * (1.0 / k2 + 1.0 / l2), 4.0 * even)
+    return _plus_diagonal(top / (k2 * l2), k, l, 2)
 
 
 def c_sym(k, l, alpha: int):
-    """Reflection-averaged kernel coefficient: 6/k^(2a) on the diagonal,
-    4/(k^a l^a) off it."""
+    """Reflection-averaged kernel coefficient: 4/(k^a l^a) + 2/k^(2a) on the
+    diagonal."""
     alpha = _integer_alpha(alpha, 2)
-    k = np.asarray(k, dtype=float)
-    l = np.asarray(l, dtype=float)
-    if np.any(k < 1) or np.any(l < 1):
-        raise DomainError("indices must be positive")
-    out = np.where(k == l, 6.0 / k ** (2 * alpha), 4.0 / (k**alpha * l**alpha))
-    return out if out.ndim else float(out)
+    k, l = _indices(k, l)
+    return _plus_diagonal(4.0 / (k**alpha * l**alpha), k, l, alpha)
 
 
 def sin_tent_coeff(k: int, l: int) -> float:
@@ -80,28 +77,14 @@ def sin_tent_coeff(k: int, l: int) -> float:
 
 def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
     """(1/pi^4) sum_{k,l<=kmax} c_phi(k,l) cos(2 pi k x) cos(2 pi l y),
-    evaluated in O(kmax) through the separable decomposition (module doc)."""
+    evaluated in O(kmax) through the separable form (module doc)."""
     if kmax < 1:
         raise DomainError("kmax must be positive")
     k = np.arange(1, kmax + 1, dtype=float)
-    cx = np.cos(2 * pi * k * x)
-    cy = np.cos(2 * pi * k * y)
-    odd = k % 2 == 1
-    even = ~odd
-    s1x = float(np.sum(cx[odd] / k[odd] ** 2))
-    s1y = float(np.sum(cy[odd] / k[odd] ** 2))
-    s2x = float(np.sum(cx[odd] / k[odd] ** 4))
-    s2y = float(np.sum(cy[odd] / k[odd] ** 4))
-    e1x = float(np.sum(cx[even] / k[even] ** 2))
-    e1y = float(np.sum(cy[even] / k[even] ** 2))
-    diag = float(np.sum(cx * cy / k**4))
-    total = (
-        52.0 / 3.0 * s1x * s1y
-        - 16.0 / pi**2 * (s2x * s1y + s1x * s2y)
-        + 4.0 * e1x * e1y
-        + 2.0 * diag
-    )
-    return total / pi**4
+    odd = k % 2
+    v = np.array([odd / k**2, odd / k**4, (1.0 - odd) / k**2])
+    cx, cy = np.cos(2 * pi * k * x), np.cos(2 * pi * k * y)
+    return float((v @ cx) @ _SEPARABLE @ (v @ cy) + 2.0 * (cx * cy) @ k**-4.0) / pi**4
 
 
 def tent_kernel_reference(x: float, y: float) -> float:
@@ -157,54 +140,45 @@ def run_appendix_checks(rng_seed: int = 201808) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(rng_seed)
     rows: list[tuple[str, bool, str]] = []
 
-    worst = 0.0
-    for x, y in rng.random((20, 2)):
-        err = abs(tent_kernel_partial_sum(x, y, 10_000) - tent_kernel_reference(x, y))
-        worst = max(worst, err)
-    rows.append(("tent kernel series, kmax=1e4 (tol 5e-4)", worst <= 5e-4, f"max err {worst:.3e}"))
+    for kmax, tol, name in ((10_000, 5e-4, "tent kernel series, kmax=1e4 (tol 5e-4)"),
+                            (1_000, 5e-3, "tent kernel series, kmax=1e3 (tol 5e-3)")):
+        worst = max(abs(tent_kernel_partial_sum(x, y, kmax) - tent_kernel_reference(x, y))
+                    for x, y in rng.random((20, 2)))
+        rows.append((name, worst <= tol, f"max err {worst:.3e}"))
 
-    worst = 0.0
-    for x, y in rng.random((20, 2)):
-        err = abs(tent_kernel_partial_sum(x, y, 1_000) - tent_kernel_reference(x, y))
-        worst = max(worst, err)
-    rows.append(("tent kernel series, kmax=1e3 (tol 5e-3)", worst <= 5e-3, f"max err {worst:.3e}"))
-
-    kk, ll = np.meshgrid(np.arange(1, 1001), np.arange(1, 1001), indexing="ij")
-    vals = c_phi(kk, ll)
-    bound = C_PRIME / (kk.astype(float) ** 2 * ll.astype(float) ** 2)
+    # k down, l across: c(l, k) is the transpose, read for the symmetry row
+    k = np.arange(1.0, 1001.0)[:, None]
+    l = k.T
+    vals = c_phi(k, l)
+    symmetric = np.array_equal(vals, vals.T)
+    bound = C_PRIME / (k**2 * l**2)
     ok = bool(np.all(vals >= 0.0) and np.all(vals <= bound + 1e-15))
     rows.append(("0 <= c_phi(k,l) <= c'/(k^2 l^2), k,l <= 1e3", ok,
                  f"max ratio {float(np.max(vals / bound)):.6f}"))
-
     ok = True
     worst = 0.0
     for alpha in (2, 4):
-        vals = c_sym(kk, ll, alpha)
-        bound = 6.0 / (kk.astype(float) ** alpha * ll.astype(float) ** alpha)
+        vals = c_sym(k, l, alpha)
+        bound = 6.0 / (k**alpha * l**alpha)
         worst = max(worst, float(np.max(vals / bound)))
         ok = ok and bool(np.all(vals <= bound + 1e-15))
+        symmetric = symmetric and np.array_equal(vals, vals.T)
     rows.append(("c_sym(k,l,a) <= 6/(k^a l^a), k,l <= 1e3, a in {2,4}", ok,
                  f"max ratio {worst:.6f}"))
 
-    worst = 0.0
+    worst_cos = worst_sin = 0.0
     for k in range(1, 9):
+        def sin_of_tent(t, k=k):
+            return np.sin(2 * pi * k * tent(t))
         for l in range(1, 9):
-            integral = cosine_coeff_quadrature(
-                lambda t, k=k: np.sin(2 * pi * k * tent(t)), l, panels=64, weight="cos2pi"
-            )
-            worst = max(worst, abs(integral - 0.5 * sin_tent_coeff(k, l)))
-    rows.append(("sine-of-tent cosine coefficients, k,l <= 8 (tol 1e-9)", worst <= 1e-9,
-                 f"max err {worst:.3e}"))
-
-    worst = 0.0
-    for k in range(1, 9):
-        for l in range(1, 9):
-            integral = cosine_coeff_quadrature(
-                lambda t, k=k: np.sin(2 * pi * k * tent(t)), l, panels=64, weight="sin2pi"
-            )
-            worst = max(worst, abs(integral))
-    rows.append(("sine-of-tent sine coefficients vanish (tol 1e-10)", worst <= 1e-10,
-                 f"max err {worst:.3e}"))
+            cos_l = cosine_coeff_quadrature(sin_of_tent, l, panels=64, weight="cos2pi")
+            sin_l = cosine_coeff_quadrature(sin_of_tent, l, panels=64, weight="sin2pi")
+            worst_cos = max(worst_cos, abs(cos_l - 0.5 * sin_tent_coeff(k, l)))
+            worst_sin = max(worst_sin, abs(sin_l))
+    rows.append(("sine-of-tent cosine coefficients, k,l <= 8 (tol 1e-9)", worst_cos <= 1e-9,
+                 f"max err {worst_cos:.3e}"))
+    rows.append(("sine-of-tent sine coefficients vanish (tol 1e-10)", worst_sin <= 1e-10,
+                 f"max err {worst_sin:.3e}"))
 
     ok = True
     detail = []
@@ -217,13 +191,5 @@ def run_appendix_checks(rng_seed: int = 201808) -> list[tuple[str, bool, str]]:
         detail.append(f"l={l}: {closed - partial:.2e}/{closed2 - partial2:.2e}")
     rows.append(("inner-sum identities at kmax=1e6 within tail bounds", ok, "; ".join(detail)))
 
-    sym_ok = True
-    for k in range(1, 30):
-        for l in range(1, 30):
-            if c_phi(k, l) != c_phi(l, k):
-                sym_ok = False
-            if c_sym(k, l, 2) != c_sym(l, k, 2):
-                sym_ok = False
-    rows.append(("coefficient symmetry in (k, l)", sym_ok, ""))
-
+    rows.append(("coefficient symmetry in (k, l)", bool(symmetric), ""))
     return rows

@@ -133,16 +133,10 @@ def symmetrize(ps: PointSet) -> PointSet:
         raise DomainError(f"symmetrization expects a plain point set, got {ps.kind!r}")
     if ps.s > SYMMETRIZE_DIM_GUARD:
         raise GuardError(f"symmetrization limited to s <= {SYMMETRIZE_DIM_GUARD}")
-    blocks = []
-    for mask in range(1 << ps.s):
-        nums = ps.numerators.copy()
-        for j in range(ps.s):
-            if mask >> j & 1:
-                nums[:, j] = ps.denominator - nums[:, j]
-        blocks.append(nums)
-    return PointSet(
-        s=ps.s, kind="symmetrized", numerators=np.vstack(blocks), denominator=ps.denominator
-    )
+    nums, D = ps.numerators, ps.denominator
+    flip = (np.arange(1 << ps.s)[:, None, None] >> np.arange(ps.s)) & 1
+    return PointSet(s=ps.s, kind="symmetrized", denominator=D,
+                    numerators=np.where(flip, D - nums, nums).reshape(-1, ps.s))
 
 
 def distinct_count(ps: PointSet) -> int:

@@ -27,7 +27,7 @@ of `kernels`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -58,7 +58,9 @@ REPORT_KINDS = (
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """A squared worst-case error (or bound on one) with its provenance."""
+    """A squared worst-case error (or bound on one) with its provenance.
+    A value or tail that is not finite (weights that overflow double
+    precision) is refused with GuardError, never reported."""
 
     value: float
     kind: str
@@ -70,6 +72,9 @@ class ErrorReport:
     def __post_init__(self):
         if self.kind not in REPORT_KINDS:
             raise DomainError(f"unknown report kind {self.kind!r}")
+        if not (isfinite(self.value) and isfinite(self.tail_estimate or 0.0)):
+            raise GuardError(f"{self.kind} value {self.value}, tail {self.tail_estimate}: the "
+                             "weights overflow double precision")
         if self.value < 0:
             raise DomainError("reported value must be nonnegative")
         if (self.tail_estimate is not None) != (self.kind == "dual_series_truncated"):
@@ -88,6 +93,14 @@ class ErrorReport:
             "lambda": self.lam,
             "negative_clamp": self.negative_clamp,
         }
+
+
+def _power(x: float, p: float) -> float:
+    """x ** p, or inf where Python's float power overflows (ErrorReport refuses it)."""
+    try:
+        return x**p
+    except OverflowError:
+        return inf
 
 
 def _clamped(raw: float, kind: str, **kwargs) -> ErrorReport:
@@ -264,7 +277,7 @@ def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
     """The criterion of the rule, squared.  It is computed at the rule's full
     dimension, so weights of another dimension are refused, not truncated."""
     value = wce_sq_korobov_lattice(crit.korobov_order, crit.effective_weights(), rule).value
-    return ErrorReport(value=value**2, kind="theorem_bound")
+    return ErrorReport(value=_power(value, 2), kind="theorem_bound")
 
 
 # -- tent-transform bounds ---------------------------------------------------
@@ -393,5 +406,5 @@ def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
         raise DomainError(f"kind must be 'tent' or 'sym', got {kind!r}")
     powered = weights.powered(lam / 2.0)
     subset_sum = float(powered.combine(np.full((1, weights.s), factor))[0])
-    value = (subset_sum / (N - 1)) ** (1.0 / lam)
+    value = _power(subset_sum / (N - 1), 1.0 / lam)
     return ErrorReport(value=value, kind="corollary_bound", lam=lam)

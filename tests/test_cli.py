@@ -1,6 +1,7 @@
 """Command-line surface: flags, outputs, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -164,3 +165,30 @@ def test_exit_code_guard():
     # symmetrizing a 21-dimensional rule trips the 2^s multiset guard
     z = ",".join(["1"] * 21)
     assert main(["points", "--n", "3", "--z", z, "--transform", "sym", "--out", "-"]) == 3
+
+
+def test_overflowing_weights_exit_with_the_guard_code(capsys):
+    weights = json.dumps({"form": "product", "gamma": [1e300, 1e300]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["wce", "--space", "korobov", "--n", "13", "--z", "1,5",
+                     "--weights", weights]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("guard:")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["figure1", "--n-list", "13,x"], "--n-list '13,x'"),
+    (["f1_s20", "--n-list", "67", "--external-points", "no_such_points.csv"],
+     "cannot read --external-points 'no_such_points.csv'"),
+    (["f1_s20", "--n-list", "67", "--external-points", "MALFORMED"],
+     "cannot read --external-points"),
+])
+def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp_path,
+                                                               capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.1,0.2\nfoo,bar\n")
+    args = [str(bad) if a == "MALFORMED" else a for a in args]
+    assert main(["experiment", "--name"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -92,6 +92,20 @@ def test_tent_transform_keeps_duplicates():
         tent_transform(ps52)
 
 
+def test_symmetrize_lists_blocks_in_reflection_order():
+    """Block b reflects coordinate j + 1 exactly when bit j of b is set and
+    lists the points in the order of the base rule."""
+    base = rank1_points(LatticeRule(N=13, z=(1, 5, 3))).numerators
+    got = symmetrize(rank1_points(LatticeRule(N=13, z=(1, 5, 3)))).numerators
+    assert got.shape == (8 * 13, 3) and got.dtype == base.dtype
+    for b in range(8):
+        for j in range(3):
+            want = 13 - base[:, j] if b >> j & 1 else base[:, j]
+            np.testing.assert_array_equal(got[13 * b:13 * (b + 1), j], want)
+    # block 5 reflects the first and third coordinates of the point n = 1
+    assert got[13 * 5 + 1].tolist() == [12, 5, 10]
+
+
 def test_symmetrize_multiset():
     ps = symmetrize(rank1_points(LatticeRule(N=2, z=(1,))))
     assert len(ps) == 4

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latticeqmc import kernels, worst_case_error
-from latticeqmc.cbc import cbc_plain
+from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.kernels import KernelSpec, kernel_1d
 from latticeqmc.lattice import (LatticeRule, PointSet, dual_projected, rank1_points, symmetrize,
@@ -250,6 +250,26 @@ def test_sym_error_bound_chain():
             middle = mid.value + mid.tail_estimate
             assert exact <= middle * (1 + 1e-11) + 1e-14
             assert middle <= bound * (1 + 1e-11) + 1e-14
+
+
+@pytest.mark.parametrize("kind,alpha,N", [("tent", None, 1021), ("tent", None, 4099),
+                                           ("sym", 2, 1021)])
+def test_error_bound_chain_on_cbc_rules(kind, alpha, N):
+    """exact <= middle <= bound on CBC rules at s = 6, gamma_j = j^-2."""
+    w = WeightScheme.product([1.0 / j**2 for j in range(1, 7)])
+    rule = cbc_fast(N, 6, CbcCriterion(kind, w, alpha)).rule()
+    if kind == "tent":
+        spec = KernelSpec(family="sobolev", alpha=2, weights=w)
+        exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule))).value
+        mid = wce_tent_middle_term(w, rule)
+        bound = wce_tent_bound(w, rule).value
+    else:
+        exact = wce_sym_exact(alpha, w, rule).value
+        mid = wce_sym_middle_term(alpha, w, rule)
+        bound = wce_sym_bound(alpha, w, rule).value
+    middle = mid.value + mid.tail_estimate
+    assert 0.0 < exact <= middle * (1 + 1e-11)
+    assert middle <= bound * (1 + 1e-11)
 
 
 def test_sym_exact_equals_quadratic_form_on_multiset():
@@ -510,6 +530,33 @@ def test_error_report_validation_and_json():
     rule = LatticeRule(N=3, z=(1,))
     rep = wce_tent_middle_term(WeightScheme.product([1.0]), rule, kmax=50)
     assert rep.to_dict()["tail_estimate"] is not None
+
+
+def test_overflowing_weights_raise_guard_error():
+    """Finite weights whose errors overflow double precision are refused,
+    not reported as NaN or inf."""
+    w = WeightScheme.product([1e300, 1e300])
+    rule = LatticeRule(N=13, z=(1, 5))
+    with pytest.raises(GuardError, match="overflow"):
+        ErrorReport(value=math.nan, kind="closed_form_lattice")
+    with pytest.raises(GuardError, match="overflow"):
+        ErrorReport(value=1.0, kind="dual_series_truncated", tail_estimate=math.inf)
+    routines = [
+        lambda: wce_sq_korobov_lattice(1, w, rule),
+        lambda: wce_sym_exact(2, w, rule),
+        lambda: wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w),
+                                      tent_transform(rank1_points(rule))),
+        lambda: wce_tent_middle_term(w, rule, kmax=50),
+        lambda: wce_sym_middle_term(2, w, rule, kmax=50),
+        lambda: wce_tent_bound(w, rule),
+        lambda: wce_sym_bound(2, w, rule),
+        lambda: corollary_bound("tent", WeightScheme.product([1e300] * 3), 13, 0.51),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for routine in routines:
+            with pytest.raises(GuardError, match="overflow"):
+                routine()
 
 
 def test_quadratic_form_guard(monkeypatch):
