@@ -16,8 +16,9 @@ that for prime N the candidate scores form a circular correlation once
 candidates and points are reindexed by powers of a primitive root g (Rader
 reordering); it keeps n = 0 and g^i, i < h = (N-1)/2.  Because g^h = -1,
 the omega side of that correlation is real, even and of period h, so it
-folds to one real correlation of length h (`np.fft.rfft`), zero-padded to a
-5-smooth length when h itself is not; O(N log N) per dimension.  The state
+folds to one real correlation of length h (`np.fft.rfft`), taken at length
+h when no prime factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a
+5-smooth length >= 2h - 1 otherwise; O(N log N) per dimension.  The state
 row of a chosen z = g^j is then a shift of that omega side by j.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
@@ -35,11 +36,16 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .kernels import _block_rows
 from .lattice import LatticeRule
-from .numtheory import is_prime, primitive_root
+from .numtheory import is_prime, prime_factors, primitive_root
 from .weights import _Running
 from .worst_case_error import CbcCriterion, _half_multiplicity, korobov_residue_table
 
 TIE_TOL = 1e-10
+# The largest prime factor of h = (N-1)/2 up to which one rfft/irfft pair of
+# length h beat the pair at the padded 5-smooth length >= 2h - 1 in every
+# timing taken (numpy 2.4, h from 3e4 to 5e5); above it the direct length
+# lost at some sizes, by 5x and more for prime h.
+FFT_DIRECT_MAX_PRIME = 97
 
 
 @dataclass(frozen=True)
@@ -136,9 +142,10 @@ class _FftScorer:
     T(g^j) = omega(0) w(0) + c[j] with c[j] = sum_i a[(i + j) mod h] w(g^i),
     the point g^i standing for g^i and N - g^i, and T(N - g^j) = T(g^j).
     The row of z = g^j at g^i is omega(g^(i+j)) = a[(i + j) mod h], a shift
-    of a.  a and its rfft are shared by all dimensions.  When h is not
-    5-smooth, c is the head of the linear correlation of [a, a[:h-1]] with
-    w, zero-padded to the smallest 5-smooth length >= 2h - 1.
+    of a.  a and its rfft are shared by all dimensions.  When h has a prime
+    factor above FFT_DIRECT_MAX_PRIME, c is the head of the linear
+    correlation of [a, a[:h-1]] with w, zero-padded to the smallest 5-smooth
+    length >= 2h - 1.
     """
 
     def __init__(self, N: int, omega: np.ndarray):
@@ -147,7 +154,8 @@ class _FftScorer:
         self.points = np.concatenate(([0], perm))
         self.cand = np.minimum(perm, N - perm)
         a = self.a = omega[perm]
-        self.L = h if _smooth_length(h) == h else _smooth_length(2 * h - 1)
+        direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
+        self.L = h if direct else _smooth_length(2 * h - 1)
         self.f_a = np.fft.rfft(a if self.L == h else np.concatenate([a, a[: h - 1]]), self.L)
         self.buf = np.empty(h + 1)
         self.buf[0] = omega[0]
@@ -184,8 +192,12 @@ def _sweep(N: int, s: int, crit: CbcCriterion, scorer_class) -> CbcResult:
     z: list[int] = []
     errs: list[float] = []
     for _ in range(s):
-        i = _select(errs[-1] + scorer.score(mult * state.weight_vector()) / N,
-                    scorer.cand) if errs else 0
+        i = 0
+        if errs:
+            # weights that overflow make the minimum non-finite, which _select refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores = errs[-1] + scorer.score(mult * state.weight_vector()) / N
+            i = _select(scores, scorer.cand)
         state.add(scorer.row(i))
         z.append(int(scorer.cand[i]))
         errs.append(state.mean(mult))

@@ -35,7 +35,7 @@ from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import (DEFAULT_SERIES_KMAX, KernelSpec, _block_rows, _closed_form,
                       _integer_alpha, _korobov_closed_form, _lattice_tables, _table_order,
-                      _tent_alpha, korobov_series_1d)
+                      _tent_alpha)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime
 from .special_functions import riemann_zeta
@@ -132,17 +132,19 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     rows, mu = np.ascontiguousarray(rows.T), mu.astype(float)
     r, step = len(mu), _block_rows(rows.size)
     total = 0.0
-    for lo in range(0, r, step):
-        hi = min(lo + step, r)
-        a, b = rows[:, lo:hi, None], rows[:, None, lo:]
-        eta = g[np.abs(a - b)]
-        if g_sum is not None:
-            eta += g_sum[a + b]
-        for t in beta.values():
-            eta += t[a] * t[b]
-        cols = 2.0 * mu[lo:]
-        cols[:hi - lo] = mu[lo:hi]
-        total += float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
+    # weights that overflow make the total non-finite, which ErrorReport refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, r, step):
+            hi = min(lo + step, r)
+            a, b = rows[:, lo:hi, None], rows[:, None, lo:]
+            eta = g[np.abs(a - b)]
+            if g_sum is not None:
+                eta += g_sum[a + b]
+            for t in beta.values():
+                eta += t[a] * t[b]
+            cols = 2.0 * mu[lo:]
+            cols[:hi - lo] = mu[lo:hi]
+            total += float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
     return _clamped(total / (m * m), "exact_quadratic_form")
 
 
@@ -193,11 +195,13 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
     z = np.array(rule.z, dtype=np.int64)[:, None]
     step = _block_rows(rule.s)
     total = 0.0
-    for lo in range(0, N // 2 + 1, step):
-        n = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
-        # one expression, so that no block outlives its iteration
-        total += float(_half_multiplicity(n, N)
-                       @ weights.combine(np.moveaxis(table[z * n % N], 0, -1)))
+    # weights that overflow make the total non-finite, which ErrorReport refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, N // 2 + 1, step):
+            n = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
+            # one expression, so that no block outlives its iteration
+            total += float(_half_multiplicity(n, N)
+                           @ weights.combine(np.moveaxis(table[z * n % N], 0, -1)))
     return _clamped(total / N, "closed_form_lattice")
 
 
@@ -290,22 +294,37 @@ def wce_tent_bound(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     return _squared_criterion(CbcCriterion("tent", weights), rule)
 
 
+def _truncated_residue_table(order: int, N: int, kmax: int) -> np.ndarray:
+    """g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order) for r = 0..N-1.
+
+    cos(2 pi k r/N) depends only on k mod N, so g is the real part of the
+    length-N DFT of the aliased sums A_c = sum_{k<=kmax, k = c mod N}
+    k^(-2 order): O(kmax + N log N), not N kmax cosines.  The k run in
+    blocks of the one block budget, so memory is O(N) whatever kmax."""
+    aliased = np.zeros(N)
+    step = _block_rows(1)
+    for lo in range(1, kmax + 1, step):
+        k = np.arange(lo, min(lo + step, kmax + 1))
+        aliased += np.bincount(k % N, weights=k.astype(float) ** (-2 * order), minlength=N)
+    return 2.0 * np.fft.fft(aliased).real
+
+
 def _middle_term(modified: WeightScheme, order: int, rule: LatticeRule,
                  kmax: int) -> ErrorReport:
     """sum_u gamma_u (sum_{k_u in dual_u} prod 1/k_j^(2 order))^2, truncated at kmax,
     with the exact truncation remainder as tail_estimate.
 
     Both inner sums factor through characters of the lattice group: the
-    box-truncated one uses g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order),
-    the full one the Bernoulli closed form of the same series.
+    box-truncated one uses g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order)
+    (`_truncated_residue_table`), the full one the Bernoulli closed form of
+    the same series.
     """
     if kmax < 1:
         raise DomainError("kmax must be positive")
     if rule.s > SUBSET_DIM_GUARD:
         raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
     nums = rank1_points(rule).numerators
-    r = np.arange(rule.N, dtype=float) / rule.N
-    m_trunc = (korobov_series_1d(order, r, 0.0, kmax) - 1.0)[nums]
+    m_trunc = _truncated_residue_table(order, rule.N, kmax)[nums]
     m_full = korobov_residue_table(order, rule.N)[nums]
     value = tail = 0.0
     for u, g in sorted(modified.nonempty_subsets(), key=lambda t: (len(t[0]), sorted(t[0]))):

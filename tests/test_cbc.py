@@ -1,7 +1,10 @@
 """CBC construction: plain vs fast equivalence, criteria, primitive roots."""
 
+import importlib.util
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,8 +156,8 @@ def test_plain_fast_equivalence_pod_weights():
 def test_plain_fast_equivalence_n4099(kind, alpha):
     """N = 4099 splits the plain scorer's 2049 candidates into blocks, the
     last one partial, and pads the FFT scorer's correlation (h = 2049 =
-    3 * 683 is not 5-smooth).  Every per-dimension criterion is the closed
-    form of its prefix rule."""
+    3 * 683 has a prime factor above FFT_DIRECT_MAX_PRIME).  Every
+    per-dimension criterion is the closed form of its prefix rule."""
     s = 20
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     crit = CbcCriterion(kind=kind, base_weights=WeightScheme.product(gam), alpha=alpha)
@@ -179,15 +182,17 @@ def _brute_force_scores(N, omega, w):
     return np.array([omega[n * z % N] @ w for z in range(1, N // 2 + 1)])
 
 
-@pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 4079, 4099])
+@pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 1009, 1021, 4079, 4099])
 @pytest.mark.parametrize("scorer_class", [cbc._PlainScorer, cbc._FftScorer],
                          ids=["_plain_scorer", "_fft_scorer"])
 def test_scorers_match_brute_force(N, scorer_class):
     """Each scorer keeps the state on half points of its own order, each
     standing for n and N - n, so it is fed a symmetric W(n) = W(N - n), the
-    only kind the sweep makes.  h = (N-1)/2 is 5-smooth for 257 and 641
-    (direct length), prime for 4079 and 3 * 683 for 4099 (zero-padded), and
-    0..2 for the tiny N."""
+    only kind the sweep makes.  The FFT scorer takes the direct length
+    h = (N-1)/2 when h is 5-smooth (257, 641) or has no prime factor above
+    FFT_DIRECT_MAX_PRIME without being 5-smooth (1009: 2^3 3^2 7, 1021:
+    2 3 5 17), and zero-pads when h is prime (4079) or 3 * 683 (4099); h is
+    1..2 for the tiny N."""
     rng = np.random.default_rng(N)
     n = np.arange(N)
     for order in (1, 2):
@@ -222,9 +227,25 @@ def test_smooth_length_is_minimal():
                     if 2**a * 3**b * 5**c <= 10_000)
     for n in range(1, 5001):
         assert cbc._smooth_length(n) == next(m for m in smooth if m >= n)
-    # h = (N-1)/2 takes the direct length for N = 257, 641 and the padded one for 4079, 4099
+    # 5-smooth h are fixed points (N = 257 and 641 take length h directly); h = 2039
+    # (prime) and 2049 = 3 * 683 are not (N = 4079 and 4099 pad to the 5-smooth L >= 2h - 1)
     assert all(cbc._smooth_length(h) == h for h in (128, 320))
     assert not any(cbc._smooth_length(h) == h for h in (2039, 2049))
+
+
+@pytest.mark.parametrize("N,L", [
+    (2, 1), (3, 1),          # h = 1
+    (257, 128),              # h = 2^7, 5-smooth
+    (1021, 510),             # h = 2 3 5 17
+    (131101, 65550),         # h = 2 3 5^2 19 23
+    (389, 194),              # h = 2 97, at the limit
+    (607, 625),              # h = 3 101, just above it
+    (4099, 4320),            # h = 3 683
+    (4079, 4096),            # h = 2039, prime
+])
+def test_fft_length_depends_only_on_the_largest_prime_factor_of_h(N, L):
+    assert cbc.FFT_DIRECT_MAX_PRIME == 97
+    assert cbc._FftScorer(N, korobov_residue_table(1, N)).L == L
 
 
 def _full_range_greedy(N, s, crit):
@@ -302,6 +323,36 @@ def test_corollary_guarantee_for_constructed_vectors():
         crit_val = res.per_dimension_error[-1]
         for lam in np.linspace(0.55, 1.0, 10):
             assert crit_val <= corollary_bound("sym", w, N, float(lam), alpha=2).value
+
+
+def _load_grid_recorder():
+    path = Path(__file__).parent / "data" / "record_cbc_grid.py"
+    spec = importlib.util.spec_from_file_location("record_cbc_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Criteria may move by summation order between two correct trees: the largest
+# such move seen so far was 2.7e-12 relative (s = 100), and mean(p) - 1 near
+# zero carries an absolute rounding floor of a few eps * log2(N).
+GRID_RTOL = 3e-12
+GRID_ATOL = 64 * np.finfo(float).eps
+
+
+def test_cbc_grid_fixture():
+    """Every run of tests/data/cbc_grid.json (recorded by the script beside
+    it) gives the recorded generating vector exactly and the recorded
+    per-dimension criteria to rounding."""
+    recorder = _load_grid_recorder()
+    rows = json.loads(recorder.OUT.read_text())
+    assert [{k: r[k] for k in r if k not in ("z", "criteria")} for r in rows] == \
+        list(recorder.cases())
+    for r in rows:
+        res = recorder.run(r)
+        assert list(res.z) == r["z"], r
+        for got, want in zip(res.per_dimension_error, r["criteria"], strict=True):
+            assert abs(got - want) <= GRID_RTOL * abs(want) + GRID_ATOL, r
 
 
 def test_result_serialization():

@@ -1,7 +1,11 @@
 """Command-line surface: flags, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +179,26 @@ def test_overflowing_weights_exit_with_the_guard_code(capsys):
                      "--weights", weights]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("guard:")
+
+
+@pytest.mark.parametrize("args,gamma", [
+    (["wce", "--space", "korobov", "--n", "13", "--z", "1,5"], [1e300, 1e300]),
+    (["wce", "--space", "sob2-tent", "--n", "13", "--z", "1,5"], [1e300, 1e300]),
+    (["cbc", "--n", "13", "--dims", "4", "--criterion", "tent"], [1.0] + [1e308] * 3),
+], ids=["wce_korobov", "wce_sob2_tent", "cbc"])
+def test_overflowing_weights_print_only_the_guard_line(args, gamma):
+    """Run as a user runs it, with Python's default warning filters: numpy's
+    overflow warnings must not reach stderr ahead of the guard line."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    weights = json.dumps({"form": "product", "gamma": gamma})
+    proc = subprocess.run([sys.executable, "-m", "latticeqmc.cli", *args, "--weights", weights],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("guard: "), proc.stderr
 
 
 @pytest.mark.parametrize("args,message", [

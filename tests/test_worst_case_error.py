@@ -199,6 +199,22 @@ def test_middle_term_closed_form_case():
     assert mid.kind == "dual_series_truncated" and mid.truncation_kmax == 10_000
 
 
+@pytest.mark.parametrize("N,kmax,order", [(2, 40, 1), (13, 1000, 1), (13, 7, 2), (61, 150, 1),
+                                           (61, 150, 2)])
+def test_truncated_residue_table_matches_mpmath(N, kmax, order):
+    """The aliased-DFT table of the middle terms against the cosine series
+    summed term by term at 30 digits, for kmax below and above N."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        oracle = np.array([float(2 * mpmath.fsum(mpmath.cospi(mpmath.mpf(2 * k * r) / N)
+                                                 / mpmath.mpf(k) ** (2 * order)
+                                                 for k in range(1, kmax + 1)))
+                           for r in range(N)])
+    table = worst_case_error._truncated_residue_table(order, N, kmax)
+    assert table.shape == (N,)
+    assert np.max(np.abs(table - oracle)) <= 16 * np.finfo(float).eps * np.max(np.abs(oracle))
+
+
 def test_middle_term_matches_brute_force_dual_enumeration():
     """Character-sum evaluation == explicit truncated dual scan (small kmax)."""
     rng = np.random.default_rng(33)
@@ -327,9 +343,10 @@ def test_float_even_alpha_is_the_integer_alpha():
 @pytest.mark.parametrize("budget", [1, 37])
 def test_results_do_not_depend_on_the_block_budget(budget, monkeypatch):
     """Budget 1 puts one row in every block; at 37 most loops below end in a
-    partial block (Korobov rows of 3 entries, k-rows of 5, and the 5
-    distinct rows of the N = 9 quadratic forms, 15 entries each, in blocks of
-    2, 2 and 1 row); at the default budget each is a single block."""
+    partial block (Korobov rows of 3 entries, k-rows of 5, the 5 distinct
+    rows of the N = 9 quadratic forms, 15 entries each, in blocks of 2, 2 and
+    1 row, and the middle term's k = 1..300 in blocks of 37); at the default
+    budget each is a single block."""
     rng = np.random.default_rng(12)
     small, rule = random_rule(rng, 5, 3), random_rule(rng, 23, 3)
     folded = LatticeRule(N=9, z=(1, 2, 4))
