@@ -38,7 +38,8 @@ from .kernels import _block_rows
 from .lattice import LatticeRule
 from .numtheory import is_prime, prime_factors, primitive_root
 from .weights import _Running
-from .worst_case_error import CbcCriterion, _half_multiplicity, korobov_residue_table
+from .worst_case_error import (CbcCriterion, _half_multiplicity, _rader_half,
+                               korobov_residue_table)
 
 TIE_TOL = 1e-10
 # The largest prime factor of h = (N-1)/2 up to which one rfft/irfft pair of
@@ -119,18 +120,6 @@ def _smooth_length(n: int) -> int:
             p *= 3
         p5 *= 5
     return best
-
-
-def _rader_half(N: int, g: int, h: int) -> np.ndarray:
-    """perm[i] = g^i mod N for i < h, filled by doubling the known prefix."""
-    perm = np.empty(h, dtype=np.int64)
-    perm[0] = 1
-    k = 1
-    while k < h:
-        m = min(k, h - k)
-        perm[k : k + m] = perm[:m] * pow(g, k, N) % N
-        k += m
-    return perm
 
 
 class _FftScorer:

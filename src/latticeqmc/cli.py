@@ -30,6 +30,8 @@ from .worst_case_error import (
     wce_sym_exact,
 )
 
+WEIGHTS_HELP = "weights as JSON text, or the name of a JSON file"
+
 
 def _load_weights(arg: str) -> WeightScheme:
     """The weights in the JSON file named arg, or in arg itself as JSON text."""
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=str, required=True)
-    p.add_argument("--weights", type=str, required=True, help="JSON text or file")
+    p.add_argument("--weights", type=str, required=True, help=WEIGHTS_HELP)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_wce)
 
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--weights", type=str, required=True)
+    p.add_argument("--weights", type=str, required=True, help=WEIGHTS_HELP)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("cbc", help="component-by-component construction "
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--criterion", choices=["tent", "sym"], required=True)
     p.add_argument("--alpha", type=int, default=None, help="even smoothness for --criterion sym")
-    p.add_argument("--weights", type=str, required=True, help="JSON file with the base weights")
+    p.add_argument("--weights", type=str, required=True, help=WEIGHTS_HELP)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_cbc)
 

@@ -188,13 +188,16 @@ class _Running:
     eta_d (an array of the given shape) at a time: for product weights
     p = prod_j (1 + gamma_j eta_j), the sum being p - 1; for POD weights the
     elementary symmetric sums e_k of the gamma_j eta_j, the sum being
-    sum_k Gamma_k e_k.  Adding eta_d adds weight_vector() * eta_d."""
+    sum_k Gamma_k e_k.  Adding eta_d adds weight_vector() * eta_d.  With d
+    coordinates added, e_k = 0 for k > d, so both POD sums are one
+    contraction of Gamma with e_0..e_d."""
 
     def __init__(self, weights: WeightScheme, shape):
         self.w, self.d = weights, 0
         if weights.form == "product":
             self.p = np.ones(shape)
         else:
+            self.Gamma = np.array(weights.Gamma)
             self.e = np.zeros((weights.s + 1,) + shape)
             self.e[0] = 1.0
 
@@ -212,12 +215,12 @@ class _Running:
         g = self.w.gamma[self.d]
         if self.w.form == "product":
             return g * self.p
-        return g * sum(self.w.Gamma[k] * self.e[k] for k in range(self.d + 1))
+        return g * np.tensordot(self.Gamma[: self.d + 1], self.e[: self.d + 1], axes=1)
 
     def value(self) -> np.ndarray:
         if self.w.form == "product":
             return self.p - 1.0
-        return sum(self.w.Gamma[k - 1] * self.e[k] for k in range(1, self.w.s + 1))
+        return np.tensordot(self.Gamma[: self.d], self.e[1 : self.d + 1], axes=1)
 
     def mean(self, mult: np.ndarray) -> float:
         """The mean over the points, entry i counted mult[i] times:

@@ -37,7 +37,7 @@ from .kernels import (DEFAULT_SERIES_KMAX, KernelSpec, _block_rows, _closed_form
                       _integer_alpha, _korobov_closed_form, _lattice_tables, _table_order,
                       _tent_alpha)
 from .lattice import LatticeRule, PointSet, rank1_points
-from .numtheory import is_prime
+from .numtheory import is_prime, primitive_root
 from .special_functions import riemann_zeta
 from .weights import WeightScheme
 
@@ -181,27 +181,75 @@ def _half_multiplicity(n: np.ndarray, N: int) -> np.ndarray:
     return np.where((n == 0) | (2 * n == N), 1.0, 2.0)
 
 
+def _rader_half(N: int, g: int, h: int) -> np.ndarray:
+    """perm[i] = g^i mod N for i < h, filled by doubling the known prefix.
+    For prime N with primitive root g and h = (N-1)/2, g^h = -1, so these
+    and n = 0 are the half points in Rader order, g^i standing for g^i and
+    N - g^i."""
+    perm = np.empty(h, dtype=np.int64)
+    perm[0] = 1
+    k = 1
+    while k < h:
+        m = min(k, h - k)
+        perm[k : k + m] = perm[:m] * pow(g, k, N) % N
+        k += m
+    return perm
+
+
+def _rader_sum(weights: WeightScheme, table: np.ndarray, z: np.ndarray, step: int) -> float:
+    """sum_n weights.combine(w(n z)) over n = 0..N-1 for odd prime N, on the
+    half points n = 0 and g^i, i < h = (N-1)/2, each g^i counted twice.
+    With a[i] = w(g^i), of period h since g^h = -1 and w(r) = w(N - r),
+    w(g^i z_j) = a[(i + k_j) mod h] where z_j = +-g^(k_j): over a block of
+    the i, coordinate j's residues are one contiguous slice of [a, a]."""
+    N = len(table)
+    h = N // 2
+    cand = _rader_half(N, primitive_root(N), h)
+    np.minimum(cand, N - cand, out=cand)
+    log = np.empty(h + 1, dtype=np.int64)
+    log[cand] = np.arange(h)
+    shift = log[np.minimum(z, N - z)].tolist()
+    del log  # freed before [a, a] is made, so that memory peaks at about three tables
+    a = np.empty(2 * h)
+    np.take(table, cand, out=a[:h])
+    a[h:] = a[:h]
+    del cand
+    total = float(weights.combine(np.full((1, len(z)), table[0]))[0])
+    eta = np.empty((len(z), min(step, h)))
+    for lo in range(0, h, step):
+        m = min(step, h - lo)
+        for j, k in enumerate(shift):
+            eta[j, :m] = a[lo + k : lo + k + m]
+        total += 2.0 * float(np.sum(weights.combine(eta[:, :m].T)))
+    return total
+
+
 def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of a rank-1 lattice rule in the weighted
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
     The summand of n equals that of N - n (w(r) = w(N - r)), so the sum runs
-    over n = 0..N//2 with multiplicities.  The residues are made as (s, rows)
-    blocks of one block budget, so memory is O(N), not O(N s)."""
+    over half the points with multiplicities: for odd prime N in the Rader
+    order of the CBC sweep, where each coordinate's residues are a shift of
+    one table (`_rader_sum`), otherwise n = 0..N//2.  The residues are made
+    as (s, rows) blocks of one block budget, so memory is O(N), not O(N s)."""
     alpha = _table_order(_integer_alpha(alpha), alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     N = rule.N
     table = korobov_residue_table(alpha, N)
-    z = np.array(rule.z, dtype=np.int64)[:, None]
+    z = np.array(rule.z, dtype=np.int64)
     step = _block_rows(rule.s)
     total = 0.0
     # weights that overflow make the total non-finite, which ErrorReport refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, N // 2 + 1, step):
-            n = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
-            # one expression, so that no block outlives its iteration
-            total += float(_half_multiplicity(n, N)
-                           @ weights.combine(np.moveaxis(table[z * n % N], 0, -1)))
+        if N > 2 and is_prime(N):
+            total = _rader_sum(weights, table, z, step)
+        else:
+            for lo in range(0, N // 2 + 1, step):
+                n = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
+                # one expression, so that no block outlives its iteration
+                total += float(_half_multiplicity(n, N)
+                               @ weights.combine(np.moveaxis(table[z[:, None] * n % N], 0, -1)))
     return _clamped(total / N, "closed_form_lattice")
 
 

@@ -19,6 +19,7 @@ from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     C_PRIME,
     _half_multiplicity,
+    _rader_half,
     corollary_bound,
     korobov_residue_table,
     wce_sq_korobov_lattice,
@@ -217,7 +218,7 @@ def test_scorers_match_brute_force(N, scorer_class):
 def test_folded_rader_order_covers_half_range(N):
     g = primitive_root(N)
     h = (N - 1) // 2
-    perm = cbc._rader_half(N, g, h)
+    perm = _rader_half(N, g, h)
     assert perm.tolist() == [pow(g, i, N) for i in range(h)]
     assert sorted(np.minimum(perm, N - perm).tolist()) == list(range(1, h + 1))
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from latticeqmc.cbc import CbcCriterion, cbc_plain
-from latticeqmc.cli import main
+from latticeqmc.cli import WEIGHTS_HELP, main
 from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize, tent_transform
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import corollary_bound, wce_sq_korobov_lattice
@@ -91,6 +91,23 @@ def test_cbc_fast_and_plain(tmp_path):
     assert main(["cbc", "--n", "7", "--dims", "2", "--criterion", "sym", "--alpha", "2",
                  "--weights", str(wfile), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["n"] == 7
+
+
+@pytest.mark.parametrize("cmd", ["wce", "bound", "cbc"])
+def test_every_weights_option_takes_json_text_or_a_file(cmd, tmp_path, capsys):
+    """One help string for --weights, and cbc reads inline JSON as wce does."""
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    assert WEIGHTS_HELP in " ".join(capsys.readouterr().out.split())
+    if cmd == "cbc":
+        text = json.dumps({"form": "product", "gamma": [1.0, 0.5]})
+        wfile = tmp_path / "w.json"
+        wfile.write_text(text)
+        outs = [tmp_path / "inline.json", tmp_path / "file.json"]
+        for weights, out in zip((text, str(wfile)), outs):
+            assert main(["cbc", "--n", "13", "--dims", "2", "--criterion", "tent",
+                         "--weights", weights, "--out", str(out)]) == 0
+        assert json.loads(outs[0].read_text()) == json.loads(outs[1].read_text())
 
 
 def test_experiment_run(tmp_path):

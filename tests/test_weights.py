@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,45 @@ def test_running_sum_adds_one_coordinate_at_a_time(form, layout):
     assert run.mean(mult) == pytest.approx(
         float(np.sum(mult * w.combine(eta)) / np.sum(mult)), rel=1e-13)
     np.testing.assert_array_equal(w.combine(eta), w.combine(np.ascontiguousarray(eta)))
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 5)])
+def test_pod_sums_match_python_sums_over_the_orders(shape):
+    """weight_vector() and value() contract Gamma with e_0..e_d; the oracle
+    adds Gamma_k e_k one order at a time over all s orders, with
+    Gamma_k = k! spanning 32 decades at s = 30."""
+    rng = np.random.default_rng(3)
+    s = 30
+    Gamma = [float(math.factorial(k)) for k in range(1, s + 1)]
+    w = WeightScheme.pod(Gamma, 1.0 / np.arange(1, s + 1) ** 2)
+    run = _Running(w, shape)
+    for d in range(s):
+        want = w.gamma[d] * sum(Gamma[k] * run.e[k] for k in range(s))
+        np.testing.assert_allclose(run.weight_vector(), want, rtol=1e-13, atol=0)
+        run.add(rng.standard_normal(shape))
+        want = sum(Gamma[k - 1] * run.e[k] for k in range(1, s + 1))
+        np.testing.assert_allclose(run.value(), want, rtol=1e-13, atol=0)
+
+
+def test_pod_cbc_is_the_same_with_one_or_two_blas_threads():
+    """The POD sums go through BLAS; their result must not depend on its
+    thread count."""
+    code = ("import json, math; from latticeqmc import CbcCriterion, WeightScheme, cbc_fast; "
+            "w = WeightScheme.pod([float(math.factorial(k)) for k in range(1, 21)], "
+            "[j ** -2.0 for j in range(1, 21)]); "
+            "r = [cbc_fast(4099, 20, CbcCriterion(k, w, a)) for k, a in (('tent', None), ('sym', 4))]; "
+            "print(json.dumps([[x.z, [float.hex(e) for e in x.per_dimension_error]] for x in r]))")
+    root = Path(__file__).resolve().parent.parent
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
 
 
 def test_validation():

@@ -59,22 +59,27 @@ def test_golden_value_both_paths():
 
 @pytest.mark.parametrize("form", ["product", "pod"])
 def test_closed_form_row_blocks_match_unblocked_sum(form):
-    """N = 20011, s = 40 takes several row blocks, the last one partial."""
-    N, s = 20011, 40
-    rule = random_rule(np.random.default_rng(11), N, s)
+    """At s = 40 both N take several row blocks, the last one partial: the
+    Rader order of the prime N = 20011 and the natural order of N = 20000."""
+    s = 40
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     w = WeightScheme.product(gam) if form == "product" else WeightScheme.pod([1.0] * s, gam)
-    for alpha in (1, 2):
-        table = korobov_residue_table(alpha, N)
-        unblocked = float(np.mean(w.combine(table[rank1_points(rule).numerators])))
-        assert wce_sq_korobov_lattice(alpha, w, rule).value == pytest.approx(unblocked, rel=1e-12)
+    for N in (20011, 20000):
+        rule = random_rule(np.random.default_rng(11), N, s)
+        for alpha in (1, 2):
+            table = korobov_residue_table(alpha, N)
+            unblocked = float(np.mean(w.combine(table[rank1_points(rule).numerators])))
+            assert wce_sq_korobov_lattice(alpha, w, rule).value == \
+                pytest.approx(unblocked, rel=1e-12)
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5, 12, 101, 256])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 12, 13, 101, 256, 1009])
 def test_closed_form_half_sum_matches_full_subset_sum(N):
-    """The closed form sums n = 0..N//2, n standing for n and N - n; the
-    oracle sums gamma_u mean_n prod_{j in u} w(n z_j) over every n and
-    every subset u, for odd and even N."""
+    """The closed form sums half the points, n standing for n and N - n (in
+    Rader order for odd prime N, whose primitive roots 3, 2, 11 at N = 7,
+    13, 1009 make it differ from the natural order); the oracle sums
+    gamma_u mean_n prod_{j in u} w(n z_j) over every n and every subset u,
+    for odd and even N."""
     rng = np.random.default_rng(N)
     s = 4
     rule = random_rule(rng, N, s)
