@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, pi
+from math import comb, factorial, inf, pi
 
 import numpy as np
 
@@ -72,17 +72,9 @@ def bernoulli_poly(tau: int, x):
     return acc if acc.ndim else float(acc)
 
 
-@lru_cache(maxsize=None)
-def _factorial(tau: int) -> float:
-    out = 1.0
-    for i in range(2, tau + 1):
-        out *= i
-    return out
-
-
 def bernoulli_scaled(tau: int, x):
     """b_tau(x) = B_tau(x) / tau!."""
-    return bernoulli_poly(tau, x) / _factorial(tau)
+    return bernoulli_poly(tau, x) / factorial(tau)
 
 
 def bernoulli_periodic(tau: int, x):

@@ -175,17 +175,8 @@ def korobov_residue_table(alpha: int, N: int) -> np.ndarray:
     return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
 
 
-def _half_multiplicity(n: np.ndarray, N: int) -> np.ndarray:
-    """How many of the points n and N - n in 0..N-1 the half point n stands
-    for: 1 for n = 0 and n = N/2, else 2."""
-    return np.where((n == 0) | (2 * n == N), 1.0, 2.0)
-
-
 def _rader_half(N: int, g: int, h: int) -> np.ndarray:
-    """perm[i] = g^i mod N for i < h, filled by doubling the known prefix.
-    For prime N with primitive root g and h = (N-1)/2, g^h = -1, so these
-    and n = 0 are the half points in Rader order, g^i standing for g^i and
-    N - g^i."""
+    """perm[i] = g^i mod N for i < h, filled by doubling the known prefix."""
     perm = np.empty(h, dtype=np.int64)
     perm[0] = 1
     k = 1
@@ -196,61 +187,82 @@ def _rader_half(N: int, g: int, h: int) -> np.ndarray:
     return perm
 
 
-def _rader_sum(weights: WeightScheme, table: np.ndarray, z: np.ndarray, step: int) -> float:
-    """sum_n weights.combine(w(n z)) over n = 0..N-1 for odd prime N, on the
-    half points n = 0 and g^i, i < h = (N-1)/2, each g^i counted twice.
-    With a[i] = w(g^i), of period h since g^h = -1 and w(r) = w(N - r),
-    w(g^i z_j) = a[(i + k_j) mod h] where z_j = +-g^(k_j): over a block of
-    the i, coordinate j's residues are one contiguous slice of [a, a]."""
-    N = len(table)
-    h = N // 2
-    cand = _rader_half(N, primitive_root(N), h)
-    np.minimum(cand, N - cand, out=cand)
-    log = np.empty(h + 1, dtype=np.int64)
-    log[cand] = np.arange(h)
-    shift = log[np.minimum(z, N - z)].tolist()
-    del log  # freed before [a, a] is made, so that memory peaks at about three tables
-    a = np.empty(2 * h)
-    np.take(table, cand, out=a[:h])
-    a[h:] = a[:h]
-    del cand
-    total = float(weights.combine(np.full((1, len(z)), table[0]))[0])
-    eta = np.empty((len(z), min(step, h)))
-    for lo in range(0, h, step):
-        m = min(step, h - lo)
-        for j, k in enumerate(shift):
-            eta[j, :m] = a[lo + k : lo + k + m]
-        total += 2.0 * float(np.sum(weights.combine(eta[:, :m].T)))
-    return total
+class _HalfOrder:
+    """The half points of Z_N and the residue table w(r) = table[r], in the
+    one order that both the CBC sweep and the closed form walk.
+
+    The summand of a point n depends on n only through w(n z_j mod N), and
+    w(r) = w(N - r), so the point n stands for n and N - n.  The half points
+    are n = 0 (index 0) then cand[i] (index i + 1), counted mult times; the
+    candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
+    primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
+    g^h = -1 makes a[i] = w(cand[i]) of period h, so the residue of the
+    point cand[k] under z = cand[j] is a[(k + j) mod h], a wrap-around slice
+    of a.  Other N have no such order (non-units), so cand = 1..N//2 and a
+    residue is a gather from the table."""
+
+    def __init__(self, N: int, table: np.ndarray):
+        h = N // 2
+        self.N, self.table, self.a = N, table, None
+        if is_prime(N):
+            perm = _rader_half(N, primitive_root(N), h)
+            self.cand = np.minimum(perm, N - perm, out=perm)
+            self.a = table[self.cand]
+        else:
+            self.cand = np.arange(1, h + 1, dtype=np.int64)
+        self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
+
+    def index(self, z: np.ndarray) -> np.ndarray:
+        """The i with cand[i] = min(z, N - z), for each entry of z in 1..N-1."""
+        pos = np.empty(len(self.cand) + 1, dtype=np.int64)
+        pos[self.cand] = np.arange(len(self.cand))
+        return pos[np.minimum(z, self.N - z)]
+
+    def residues(self, j, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """w(n cand[j] mod N) at the half points of index lo..hi-1, written
+        to and returned as out[..., :hi - lo]; j is one index, or an array
+        of them with one row of out each."""
+        out = out[..., : hi - lo]
+        if self.a is None:
+            r = np.multiply.outer(self.cand[j], np.arange(lo, hi))
+            np.remainder(r, self.N, out=r)
+            # every index is already reduced mod N; "clip" keeps numpy from buffering out
+            return np.take(self.table, r, out=out, mode="clip")
+        rows, a = out.reshape(-1, hi - lo), self.a  # one row per index
+        if lo == 0:
+            rows[:, 0], rows, lo = self.table[0], rows[:, 1:], 1
+        h, n = len(a), rows.shape[1]
+        for k, row in zip(np.ravel(j).tolist(), rows):
+            start = (lo - 1 + k) % h
+            row[: h - start] = a[start : start + n]
+            if start + n > h:  # wraps around the end of a
+                row[h - start :] = a[: start + n - h]
+        return out
 
 
 def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of a rank-1 lattice rule in the weighted
     Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
     The summand of n equals that of N - n (w(r) = w(N - r)), so the sum runs
-    over half the points with multiplicities: for odd prime N in the Rader
-    order of the CBC sweep, where each coordinate's residues are a shift of
-    one table (`_rader_sum`), otherwise n = 0..N//2.  The residues are made
-    as (s, rows) blocks of one block budget, so memory is O(N), not O(N s)."""
+    over the half points of `_HalfOrder` with their multiplicities, in the
+    order of the CBC sweep: for prime N each coordinate's residues are a
+    shift of one table.  The residues are made as (s, rows) blocks of one
+    block budget, so memory is O(N), not O(N s)."""
     alpha = _table_order(_integer_alpha(alpha), alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
-    N = rule.N
-    table = korobov_residue_table(alpha, N)
-    z = np.array(rule.z, dtype=np.int64)
+    order = _HalfOrder(rule.N, korobov_residue_table(alpha, rule.N))
+    idx = order.index(np.array(rule.z, dtype=np.int64))
+    mult = order.mult
     step = _block_rows(rule.s)
+    eta = np.empty((rule.s, min(step, len(mult))))
     total = 0.0
     # weights that overflow make the total non-finite, which ErrorReport refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        if N > 2 and is_prime(N):
-            total = _rader_sum(weights, table, z, step)
-        else:
-            for lo in range(0, N // 2 + 1, step):
-                n = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
-                # one expression, so that no block outlives its iteration
-                total += float(_half_multiplicity(n, N)
-                               @ weights.combine(np.moveaxis(table[z[:, None] * n % N], 0, -1)))
-    return _clamped(total / N, "closed_form_lattice")
+        for lo in range(0, len(mult), step):
+            hi = min(lo + step, len(mult))
+            total += float(mult[lo:hi] @ weights.combine(order.residues(idx, lo, hi, eta).T))
+    return _clamped(total / rule.N, "closed_form_lattice")
 
 
 # -- modified weights and the construction criterion ------------------------

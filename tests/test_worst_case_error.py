@@ -76,7 +76,7 @@ def test_closed_form_row_blocks_match_unblocked_sum(form):
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 12, 13, 101, 256, 1009])
 def test_closed_form_half_sum_matches_full_subset_sum(N):
     """The closed form sums half the points, n standing for n and N - n (in
-    Rader order for odd prime N, whose primitive roots 3, 2, 11 at N = 7,
+    Rader order for prime N, whose primitive roots 3, 2, 11 at N = 7,
     13, 1009 make it differ from the natural order); the oracle sums
     gamma_u mean_n prod_{j in u} w(n z_j) over every n and every subset u,
     for odd and even N."""
