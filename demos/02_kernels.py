@@ -2,7 +2,8 @@
 
 Six univariate families: Korobov (periodic), half-period cosine, their sum,
 the non-periodic Sobolev kernel, and the odd / odd+alpha Sobolev subspace
-kernels.  Integer-smoothness kernels have Bernoulli closed forms; the others
+kernels.  Integer-smoothness kernels have Bernoulli closed forms (the cosine
+families through kappa(t) = 2 sum_k cos(2 pi k t) / k^(2 alpha)); the others
 are series with a rigorous truncation bound.
 """
 
@@ -25,6 +26,17 @@ print("\nseries kernels carry a uniform tail bound:")
 for kmax in (100, 1_000, 10_000):
     val = kernel_1d("cosine", 1.5, 0.2, 0.7, kmax=kmax)
     print(f"  cosine alpha=1.5, kmax={kmax:6d}: {val:.12f}  +/- {series_tail_bound(1.5, kmax):.2e}")
+
+# At alpha = 1 the cosine kernel has a closed form; its defining series
+# 1 + 2 sum_k cos(pi k x) cos(pi k y) / k^2 must sit within the tail bound.
+closed = kernel_1d("cosine", 1, 0.2, 0.7)
+print(f"\ncosine alpha=1 in closed form: {closed:.12f}")
+for kmax in (100, 1_000, 10_000):
+    k = np.arange(1, kmax + 1, dtype=float)
+    series = 1.0 + 2.0 * float(np.sum(np.cos(np.pi * k * 0.2) * np.cos(np.pi * k * 0.7) / k**2))
+    gap, bound = abs(series - closed), series_tail_bound(1, kmax)
+    verdict = "ok" if gap <= bound + 1e-14 else "VIOLATED"
+    print(f"  series to kmax={kmax:6d}: {series:.12f}  gap {gap:.2e} <= {bound:.2e}  {verdict}")
 
 # At alpha = 2 the odd+alpha subspace kernel IS the full Sobolev kernel;
 # at alpha = 1 all Sobolev-family kernels coincide.

@@ -27,6 +27,7 @@ from .errors import DomainError
 from .kernels import _integer_alpha, sobolev_family_1d
 from .lattice import tent
 from .quadrature import composite_gauss_legendre
+from .special_functions import _kmax
 
 C_PRIME = 58.0 / 3.0  # uniform bound constant: 0 <= c_phi(k,l) <= C_PRIME/(k^2 l^2)
 _SEPARABLE = np.array([[52.0 / 3.0, -16.0 / pi**2, 0.0],
@@ -78,9 +79,7 @@ def sin_tent_coeff(k: int, l: int) -> float:
 def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
     """(1/pi^4) sum_{k,l<=kmax} c_phi(k,l) cos(2 pi k x) cos(2 pi l y),
     evaluated in O(kmax) through the separable form (module doc)."""
-    if kmax < 1:
-        raise DomainError("kmax must be positive")
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
     odd = k % 2
     v = np.array([odd / k**2, odd / k**4, (1.0 - odd) / k**2])
     cx, cy = np.cos(2 * pi * k * x), np.cos(2 * pi * k * y)
@@ -125,7 +124,7 @@ def appendix_inner_sum(l: int, which: str, kmax: int) -> tuple[float, float]:
         raise DomainError(f"l must be a positive odd integer, got {l}")
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
     den = 4.0 * k**2 - float(l) ** 2
     if which == "first":
         return float(np.sum(1.0 / den)), 1.0 / (2.0 * l**2)

@@ -1,11 +1,11 @@
 """Reproducing kernels: Korobov, half-period cosine, their sum, and the
 non-periodic Sobolev family with its odd-order subspaces.
 
-Univariate closed forms (integer smoothness) are Bernoulli-polynomial
-expressions; the cosine and Korobov+cosine kernels and the non-integer
-Korobov kernel are truncated series with a rigorous uniform tail bound
-available from `series_tail_bound`.  Multivariate kernels combine the
-univariate ones through a weight scheme:
+The Korobov, cosine and Korobov+cosine kernels are 1 plus a combination of
+kappa(t) = 2 sum_{k>=1} cos(2 pi k t) / k^(2 alpha) (`_KAPPA_COEFFS`): Bernoulli
+polynomials at an integer alpha within the tables, as the Sobolev families
+are, else one truncated series, bounded by `series_tail_bound`.  Multivariate
+kernels combine the univariate ones through a weight scheme:
 
     K(x, y) = 1 + sum_{nonempty u} gamma_u prod_{j in u} [K_1(x_j, y_j) - 1].
 """
@@ -13,13 +13,13 @@ univariate ones through a weight scheme:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, pi
+from math import inf, isqrt, pi
 
 import numpy as np
 
 from .errors import DomainError
 from .quadrature import composite_gauss_legendre
-from .special_functions import MAX_DEGREE, bernoulli_scaled, riemann_zeta
+from .special_functions import MAX_DEGREE, _kmax, _zeta_tail, bernoulli_scaled
 from .weights import WeightScheme
 
 FAMILIES = ("korobov", "cosine", "kor_plus_cos", "sobolev", "sob_odd", "sob_odd_alpha")
@@ -43,10 +43,10 @@ def _integer_alpha(alpha, step: int = 1) -> int:
 
 
 def _closed_form(family: str, alpha) -> bool:
-    """Whether kernel_1d evaluates the family at alpha by Bernoulli
-    polynomials (the Sobolev families, and Korobov at integer alpha) rather
-    than by a truncated series."""
-    return family in SOBOLEV_FAMILIES or (family == "korobov" and alpha % 1 == 0)
+    """The one rule for a Bernoulli closed form, which kernel_1d evaluates and the
+    exact engine takes: the Sobolev families always, the families on kappa at an
+    integer alpha with 2 alpha <= MAX_DEGREE.  Every other kernel sums kappa's series."""
+    return family in SOBOLEV_FAMILIES or (alpha % 1 == 0 and 2 * alpha <= MAX_DEGREE)
 
 
 def _smoothness(family: str, alpha):
@@ -54,7 +54,7 @@ def _smoothness(family: str, alpha):
     needs a finite alpha > 1/2; a closed form also needs an integer alpha
     within the Bernoulli tables (`_table_order`), returned as an int.  A
     series kernel keeps alpha as given; the helpers of every series kernel
-    check it as "cosine"."""
+    check it as "cosine", which takes every alpha > 1/2."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
     if alpha is None or not 0.5 < alpha < inf:
@@ -89,8 +89,7 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _smoothness(self.family, self.alpha))
-        if self.series_kmax < 1:
-            raise DomainError("series_kmax must be positive")
+        object.__setattr__(self, "series_kmax", _kmax(self.series_kmax))
 
     @property
     def s(self) -> int:
@@ -100,37 +99,39 @@ class KernelSpec:
 # -- univariate kernels (unit weight) --------------------------------------
 
 
-def _series_1d(alpha: float, x, y, kmax: int, term):
-    """1 + sum_{k<=kmax} term(x, y, k) / k^(2 alpha), summed in blocks of k
-    whose row is the broadcast of x and y."""
-    x = np.asarray(x, dtype=float)[..., None]
-    y = np.asarray(y, dtype=float)[..., None]
-    out = np.ones(np.broadcast(x, y).shape[:-1])
-    rows = _block_rows(out.size)
-    for lo in range(1, kmax + 1, rows):
-        k = np.arange(lo, min(lo + rows, kmax + 1), dtype=float)
-        out = out + np.sum(term(x, y, k) / k ** (2 * alpha), axis=-1)
-    return out if out.ndim else float(out)
-
-
-_SERIES_TERMS = {
-    "korobov": lambda x, y, k: 2.0 * np.cos(2 * pi * (x - y) * k),
-    "cosine": lambda x, y, k: 2.0 * np.cos(pi * x * k) * np.cos(pi * y * k),
-    "kor_plus_cos": lambda x, y, k: (np.cos(2 * pi * (x - y) * k)
-                                     + np.cos(pi * x * k) * np.cos(pi * y * k)),
-}
+# kernel_1d - 1 on kappa(|x - y|), kappa(|x - y| / 2), kappa((x + y) / 2), by 2 cos(pi k x)
+# cos(pi k y) = cos(pi k (x - y)) + cos(pi k (x + y)); each row sums to 1 (`series_tail_bound`).
+_KAPPA_COEFFS = {"korobov": (1.0, 0.0, 0.0), "cosine": (0.0, 0.5, 0.5),
+                 "kor_plus_cos": (0.5, 0.25, 0.25)}
 
 
 def _korobov_closed_form(alpha: int, t):
-    """(-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(t): the Korobov kernel of
-    integer alpha, minus 1, at t = |x - y|."""
+    """kappa at integer alpha and t in [0, 1]: (-1)^(alpha+1) (2 pi)^(2 alpha)
+    b_(2 alpha)(t), the Korobov kernel minus 1 at t = |x - y|."""
     return (-1.0) ** (alpha + 1) * (2 * pi) ** (2 * alpha) * bernoulli_scaled(2 * alpha, t)
 
 
+def _kappa_series(alpha, t, kmax: int) -> np.ndarray:
+    """The one truncated series kappa(t) = 2 sum_{k<=kmax} cos(2 pi k t) / k^(2 alpha) in blocks
+    k = lo + j, j < r <= sqrt(kmax) + 1, by cos(A + B) = cos A cos B - sin A sin B: the tables of
+    2 pi j t (within the block budget) serve every block, so each t takes O(sqrt(kmax)) cosines."""
+    phase = 2 * pi * t.ravel()
+    r = min(_block_rows(len(phase)), isqrt(kmax) + 1)
+    cos_j, sin_j = np.cos(np.outer(phase, np.arange(r))), np.sin(np.outer(phase, np.arange(r)))
+    out = np.zeros(len(phase))
+    for lo in range(1, kmax + 1, r):
+        k = np.arange(lo, lo + r, dtype=float)
+        w = 2.0 * k ** (-2 * alpha) * (k <= kmax)
+        out += np.cos(phase * lo) * (cos_j @ w) - np.sin(phase * lo) * (sin_j @ w)
+    return out.reshape(t.shape)
+
+
 def korobov_series_1d(alpha: float, x, y, kmax: int):
-    """1 + 2 sum_{k<=kmax} cos(2 pi k (x-y)) / k^(2 alpha), term-by-term, for
-    any alpha a series kernel takes."""
-    return _series_1d(_smoothness("cosine", alpha), x, y, kmax, _SERIES_TERMS["korobov"])
+    """1 + kappa(|x - y|) by the truncated series at kmax, for any alpha a series
+    kernel takes (an integer one too)."""
+    t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    out = 1.0 + _kappa_series(_smoothness("cosine", alpha), t, _kmax(kmax))
+    return out if out.ndim else float(out)
 
 
 def _sobolev_taus(family: str, alpha: int) -> list[int]:
@@ -156,35 +157,40 @@ def sobolev_family_1d(family: str, alpha: int, x, y):
 
 
 def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
-    """Univariate kernel K_(alpha,1,1) of the requested family at (x, y)."""
-    alpha = _smoothness(family, alpha)
+    """Univariate kernel K_(alpha,1,1) of the family at (x, y): the Sobolev families by
+    Bernoulli polynomials, the others 1 plus `_KAPPA_COEFFS` on kappa (`_closed_form`)."""
+    alpha, kmax = _smoothness(family, alpha), _kmax(kmax)
     if family in SOBOLEV_FAMILIES:
         return sobolev_family_1d(family, alpha, x, y)
-    if not _closed_form(family, alpha):
-        return _series_1d(alpha, x, y, kmax, _SERIES_TERMS[family])
-    t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    out = 1.0 + _korobov_closed_form(alpha, t)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d = np.abs(x - y)
+    coeffs, args = zip(*[(c, t) for c, t in zip(_KAPPA_COEFFS[family], (d, d / 2, (x + y) / 2))
+                         if c])
+    args = np.stack(np.broadcast_arrays(*args))
+    kappa = (_korobov_closed_form(alpha, args) if _closed_form(family, alpha)
+             else _kappa_series(alpha, args, kmax))
+    out = 1.0 + sum(c * k for c, k in zip(coeffs, kappa))
     return out if np.ndim(out) else float(out)
 
 
 def _lattice_tables(family: str, alpha: int, D: int):
-    """g and beta[tau] at a = 0..D with kernel_1d(family, alpha, a/D, b/D) - 1 =
-    g[|a - b|] + sum_tau beta[tau][a] beta[tau][b]: g is the Korobov closed form,
-    over (2 pi)^(2 alpha) for the Sobolev families, whose beta[tau] is b_tau."""
-    t = np.arange(D + 1) / D
-    g = kernel_1d("korobov", alpha, t, 0.0) - 1.0
-    if family == "korobov":
-        return g, {}
-    return g / (2 * pi) ** (2 * alpha), {tau: bernoulli_scaled(tau, t)
-                                         for tau in _sobolev_taus(family, alpha)}
+    """g, beta[tau], g_sum (2D + 1 entries, or None) with kernel_1d(family, alpha, a/D, b/D) - 1
+    = g[|a - b|] + sum_tau beta[tau][a] beta[tau][b] + g_sum[a + b], all from one Korobov kernel_1d
+    table kappa(c / 2D), c = 0..2D: kappa(|a - b| / D) at 2|a - b| (over (2 pi)^(2 alpha), beside
+    beta[tau] = b_tau, for the Sobolev families), the half-period terms at |a - b| and a + b."""
+    t = np.arange(2 * D + 1) / (2 * D)
+    kappa = kernel_1d("korobov", _table_order(alpha, alpha), t, 0.0) - 1.0
+    if family in SOBOLEV_FAMILIES:
+        return kappa[::2] / (2 * pi) ** (2 * alpha), {
+            tau: bernoulli_scaled(tau, t[::2]) for tau in _sobolev_taus(family, alpha)}, None
+    c_diff, c_half, c_sum = _KAPPA_COEFFS[family]
+    return c_diff * kappa[::2] + c_half * kappa[:D + 1], {}, (c_sum * kappa if c_sum else None)
 
 
 def series_tail_bound(alpha: float, kmax: int) -> float:
-    """Uniform bound on the truncation error of every series kernel above:
-    each dropped term is at most 2 / k^(2 alpha) in absolute value."""
-    alpha = _smoothness("cosine", alpha)
-    k = np.arange(1, kmax + 1, dtype=float)
-    return 2.0 * (riemann_zeta(2 * alpha) - float(np.sum(k ** (-2 * alpha))))
+    """Uniform bound on the truncation error of every series kernel above: kappa drops at
+    most 2 sum_{k>kmax} k^(-2 alpha) (`_zeta_tail`), and each `_KAPPA_COEFFS` row sums to 1."""
+    return 2.0 * _zeta_tail(2 * _smoothness("cosine", alpha), _kmax(kmax) + 1)
 
 
 # -- multivariate kernel ----------------------------------------------------

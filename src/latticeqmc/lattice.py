@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .numtheory import fibonacci
+from .special_functions import _kmax
 
 MAX_N = 2**31  # keeps n*z products inside int64
 SYMMETRIZE_DIM_GUARD = 20
@@ -171,8 +172,7 @@ def dual_projected(rule: LatticeRule, u, kmax: int) -> list[tuple[int, ...]]:
     u = sorted(set(int(j) for j in u))
     if not u or u[0] < 1 or u[-1] > rule.s:
         raise DomainError(f"u must be a nonempty subset of 1..{rule.s}")
-    if kmax < 1:
-        raise DomainError("kmax must be positive")
+    kmax = _kmax(kmax)
     if (2 * kmax) ** len(u) > DUAL_SCAN_GUARD:
         raise GuardError(f"dual scan of size (2*{kmax})^{len(u)} exceeds the guard")
     values = [k for k in range(-kmax, kmax + 1) if k != 0]

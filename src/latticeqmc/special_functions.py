@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf, pi
+from math import comb, factorial, fsum, inf, pi
 
 import numpy as np
 
@@ -90,32 +90,45 @@ def bernoulli_periodic(tau: int, x):
     return bernoulli_poly(tau, x - np.floor(x))
 
 
-_ZETA_CUTOFF = 100_000
+def _kmax(kmax) -> int:
+    """kmax as an int: every series truncation is an integer >= 1 (not a bool)."""
+    if isinstance(kmax, bool) or not isinstance(kmax, (int, np.integer)) or kmax < 1:
+        raise DomainError(f"kmax must be an integer >= 1, got {kmax!r}")
+    return int(kmax)
+
+
+_EM_COEFFS = tuple(float(bernoulli_numbers()[2 * j] / factorial(2 * j)) for j in range(1, 8))
+# Rounded up by 4 eps, the tail is a bound.  Euler-Maclaurin errs upward (the
+# first dropped term, with B_16 < 0, is negative); fsum rounds once; the terms
+# that carry the sum are one pow (exact exponent, within an ulp) and at most one
+# division: about 2.5 eps in all.  Against mpmath the unrounded sum stayed
+# within 1.2 eps for sigma in [1.0001, 32], m <= 10^6 + 1.
+_ROUND_UP = 1.0 + 4 * np.finfo(float).eps
+
+
+def _zeta_tail(sigma: float, m: int) -> float:
+    """An upper bound, within 7 eps relative, on sum_{k >= m} k^-sigma for
+    finite sigma > 1 and integer m >= 1: the terms k = m..m+15 directly, the
+    rest by Euler-Maclaurin at M = m + 16, the integral, the half term and
+    seven corrections B_2j/(2j)! sigma (sigma+1) ... (sigma+2j-2) M^(1-sigma-2j)."""
+    if not 1.0 < sigma < inf:
+        raise DomainError(f"zeta requires a finite sigma > 1, got {sigma}")
+    M = float(m + 16)
+    terms = [float(k) ** -sigma for k in range(m, m + 16)]
+    terms += [M ** (1.0 - sigma) / (sigma - 1.0), 0.5 * M ** -sigma]
+    rising, power = sigma, M ** (-sigma - 1.0)
+    for j, c in enumerate(_EM_COEFFS):
+        if power == 0.0:  # sigma so large that the rest underflows
+            break
+        terms.append(c * rising * power)
+        rising *= (sigma + 2 * j + 1) * (sigma + 2 * j + 2)
+        power /= M * M
+    return fsum(terms) * _ROUND_UP
 
 
 def riemann_zeta(sigma: float) -> float:
-    """zeta(sigma) for finite sigma > 1: direct sum plus Euler-Maclaurin tail.
-
-    Direct summation to 10^5 terms, then the integral term, the half-term
-    correction, and four Euler-Maclaurin corrections.  Absolute error is
-    below 1e-13 for all sigma >= 1.1 and stays far smaller for sigma >= 2.
-    """
-    if not 1.0 < sigma < inf:
-        raise DomainError(f"zeta requires a finite sigma > 1, got {sigma}")
-    m = _ZETA_CUTOFF
-    k = np.arange(1, m + 1, dtype=float)
-    head = float(np.sum(k ** (-sigma)))
-    # Tail sum_{k>m} k^-sigma via Euler-Maclaurin around m.
-    tail = m ** (1.0 - sigma) / (sigma - 1.0) - 0.5 * m ** (-sigma)
-    # B_{2j}/(2j)! * sigma (sigma+1) ... (sigma+2j-2) * m^(-sigma-2j+1), j=1..4.
-    b2j_over_fact = (1.0 / 12, -1.0 / 720, 1.0 / 30240, -1.0 / 1209600)
-    rising = sigma
-    power = m ** (-sigma - 1.0)
-    for j, c in enumerate(b2j_over_fact):
-        tail += c * rising * power
-        rising *= (sigma + 2 * j + 1) * (sigma + 2 * j + 2)
-        power /= float(m) * m
-    return head + tail
+    """zeta(sigma) = `_zeta_tail`(sigma, 1): at most 7 eps above, never below."""
+    return _zeta_tail(sigma, 1)
 
 
 def bernoulli_fourier_partial_sum(tau: int, x: float, kmax: int) -> float:
@@ -127,9 +140,7 @@ def bernoulli_fourier_partial_sum(tau: int, x: float, kmax: int) -> float:
     """
     if tau < 2:
         raise DomainError("partial sums require tau >= 2")
-    if kmax < 1:
-        raise DomainError("kmax must be positive")
-    k = np.arange(1, kmax + 1, dtype=float)
+    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
     if tau % 2 == 0:
         m = tau // 2
         sign = -1.0 if m % 2 == 0 else 1.0
@@ -140,9 +151,6 @@ def bernoulli_fourier_partial_sum(tau: int, x: float, kmax: int) -> float:
 
 
 def fourier_tail_bound(tau: int, kmax: int) -> float:
-    """Rigorous bound on |b_tau(x) - partial sum|, uniform in x.
-
-    The dropped terms are bounded by 2 (2 pi)^-tau sum_{k>kmax} k^-tau.
-    """
-    tail = riemann_zeta(float(tau)) - float(np.sum(np.arange(1, kmax + 1, dtype=float) ** (-float(tau))))
-    return 2.0 / (2 * pi) ** tau * tail
+    """Rigorous bound on |b_tau(x) - partial sum|, uniform in x: 2 (2 pi)^-tau sum_{k>kmax}
+    k^-tau (`_zeta_tail`), rounded up once more for the three roundings of the factor."""
+    return 2.0 / (2 * pi) ** tau * _zeta_tail(float(tau), _kmax(kmax) + 1) * _ROUND_UP

@@ -3,7 +3,7 @@
 Squared worst-case errors come from three routes that cross-check each other:
 
 * the kernel quadratic form -1 + |P|^-2 sum_{x,y in P} K(x,y), valid for the
-  unit-mean kernel families (closed-form Korobov and the Sobolev family).
+  unit-mean kernels, every family in closed form (`kernels._closed_form`).
   One engine, `_quadratic_form`, serves both exact errors: the plain kernel
   on any point set (tent points among them), and for symmetrized rules the
   reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N base-lattice
@@ -38,7 +38,7 @@ from .kernels import (DEFAULT_SERIES_KMAX, KernelSpec, _block_rows, _closed_form
                       _tent_alpha)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime, primitive_root
-from .special_functions import riemann_zeta
+from .special_functions import _kmax, riemann_zeta
 from .weights import WeightScheme
 
 TENT_WEIGHT_FACTOR = C_PRIME / (4.0 * pi**4)
@@ -149,17 +149,13 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
 
 
 def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
-    """-1 + |P|^-2 sum_{x,y in P} K(x, y) for unit-mean kernel families.
-
-    Families whose kernel does not integrate to 1 over the cube are refused:
-    they would need the full three-term error formula.
-    """
+    """-1 + |P|^-2 sum_{x,y in P} K(x, y) for a unit-mean kernel in closed form
+    (`_closed_form`); a series kernel is refused, as its truncation is not exact."""
     if not _closed_form(spec.family, spec.alpha):
-        raise DomainError(
-            f"quadratic-form shortcut needs a unit-mean closed-form kernel, not {spec.family!r}"
-        )
+        raise DomainError(f"quadratic-form shortcut needs a closed-form kernel, not "
+                          f"{spec.family!r} at alpha = {spec.alpha}")
     return _quadratic_form(spec.weights, len(ps), ps.denominator, lambda: (
-        ps.numerators, *_lattice_tables(spec.family, spec.alpha, ps.denominator), None))
+        ps.numerators, *_lattice_tables(spec.family, spec.alpha, ps.denominator)))
 
 
 # -- Bernoulli closed form for lattice rules in Korobov spaces ---------------
@@ -379,8 +375,7 @@ def _middle_term(modified: WeightScheme, order: int, rule: LatticeRule,
     (`_truncated_residue_table`), the full one the Bernoulli closed form of
     the same series.
     """
-    if kmax < 1:
-        raise DomainError("kmax must be positive")
+    kmax = _kmax(kmax)
     if rule.s > SUBSET_DIM_GUARD:
         raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
     nums = rank1_points(rule).numerators
@@ -431,7 +426,7 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     N = rule.N
 
     def build():
-        g, beta = _lattice_tables("sob_odd_alpha", alpha, N)
+        g, beta, _ = _lattice_tables("sob_odd_alpha", alpha, N)
         nums = rank1_points(rule).numerators
         return np.minimum(nums, N - nums), 0.5 * g, {alpha: beta[alpha]}, 0.5 * g
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latticeqmc.errors import DomainError
-from latticeqmc.fourier import c_sym
+from latticeqmc.fourier import appendix_inner_sum, c_sym, tent_kernel_partial_sum
 from latticeqmc.kernels import (
     FAMILIES,
     KernelSpec,
@@ -17,15 +17,19 @@ from latticeqmc.kernels import (
     korobov_series_1d,
     series_tail_bound,
 )
-from latticeqmc.lattice import LatticeRule
+from latticeqmc.lattice import LatticeRule, dual_projected, rank1_points
+from latticeqmc.special_functions import (MAX_DEGREE, bernoulli_fourier_partial_sum,
+                                          fourier_tail_bound)
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     CbcCriterion,
     corollary_bound,
     sym_modified_weights,
     wce_sq_korobov_lattice,
+    wce_sq_quadratic_form,
     wce_sym_exact,
     wce_sym_middle_term,
+    wce_tent_middle_term,
 )
 
 
@@ -74,14 +78,52 @@ def test_korobov_series_path_matches_bernoulli_form():
         assert abs(series - closed) <= bound
 
 
+def _definition_series(family, alpha, x, y, kmax):
+    """The cosine families from their definitions, 1 + sum_k r_k(x, y) / k^(2 alpha)
+    with r_k = 2 cos(pi k x) cos(pi k y) (cosine), or that halved plus cos(2 pi k (x - y))."""
+    k = np.arange(1, kmax + 1, dtype=float)
+    cos_term = 2.0 * np.cos(np.pi * k * x) * np.cos(np.pi * k * y)
+    if family == "kor_plus_cos":
+        cos_term = 0.5 * cos_term + np.cos(2 * np.pi * k * (x - y))
+    return 1.0 + float(np.sum(cos_term / k ** (2 * alpha)))
+
+
 def test_series_families_tail_bound_is_honest():
     rng = np.random.default_rng(3)
     for family in ("cosine", "kor_plus_cos"):
-        for alpha in (0.75, 1.0, 2.5):
+        for alpha in (0.75, 2.5):
             coarse = kernel_1d(family, alpha, 0.3, 0.9, kmax=200)
             fine = kernel_1d(family, alpha, 0.3, 0.9, kmax=20_000)
             assert abs(coarse - fine) <= series_tail_bound(alpha, 200)
+        # at alpha = 1 the kernel is in closed form, and the kmax = 20000 series of
+        # its definition sits within the tail bound of it
+        gap = kernel_1d(family, 1.0, 0.3, 0.9) - _definition_series(family, 1.0, 0.3, 0.9, 20_000)
+        assert abs(gap) <= series_tail_bound(1.0, 20_000)
     del rng
+
+
+def _kappa_oracle(alpha, t):
+    """kappa(t) = 2 sum_k cos(2 pi k t) / k^(2 alpha) = 2 Re Li_(2 alpha)(e^(2 pi i t)),
+    at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return 2 * mpmath.re(mpmath.polylog(2 * alpha, mpmath.expjpi(2 * mpmath.mpf(t))))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_cosine_families_closed_form_match_polylog(alpha):
+    """The closed-form cosine families against kappa from mpmath's polylog, at
+    random points and on the lines x = y and x + y = 1."""
+    rng = np.random.default_rng(40 + alpha)
+    x, y = rng.random((2, 12))
+    x = np.concatenate([x, [0.0, 0.3, 1.0, 0.2, 0.75, 0.0]])
+    y = np.concatenate([y, [0.0, 0.3, 1.0, 0.8, 0.25, 1.0]])
+    for family, (c_diff, c_half) in (("cosine", (0, 0.5)), ("kor_plus_cos", (0.5, 0.25))):
+        got = kernel_1d(family, alpha, x, y)
+        for xi, yi, g in zip(x, y, got):
+            want = 1 + c_diff * _kappa_oracle(alpha, abs(xi - yi)) + c_half * (
+                _kappa_oracle(alpha, abs(xi - yi) / 2) + _kappa_oracle(alpha, (xi + yi) / 2))
+            assert g == pytest.approx(float(want), rel=4e-15, abs=4e-15)
 
 
 def test_series_memory_follows_the_block_budget():
@@ -116,10 +158,12 @@ def test_gram_matrix_positive_semidefinite(family):
     alpha = 2 if family != "kor_plus_cos" else 1.0
     pts = rng.random((8, 2))
     w = WeightScheme.product([0.8, 0.6])
-    spec = KernelSpec(family=family, alpha=alpha, weights=w, series_kmax=500)
-    gram = kernel(spec, pts[:, None, :], pts[None, :, :])
-    eigs = np.linalg.eigvalsh(gram)
-    assert eigs.min() >= -1e-9
+    # alpha = 1.5 keeps the cosine families on the series
+    for a in (alpha, 1.5) if family in ("cosine", "kor_plus_cos") else (alpha,):
+        spec = KernelSpec(family=family, alpha=a, weights=w, series_kmax=500)
+        gram = kernel(spec, pts[:, None, :], pts[None, :, :])
+        eigs = np.linalg.eigvalsh(gram)
+        assert eigs.min() >= -1e-9
 
 
 def test_multivariate_zero_weights_and_single_coordinate():
@@ -165,6 +209,15 @@ def test_kernel_mean_identity():
     assert kernel_mean_identity_check(z, np.array([0.5])) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_cosine_families_mean_identity(alpha):
+    rng = np.random.default_rng(9)
+    for family in ("cosine", "kor_plus_cos"):
+        spec = KernelSpec(family=family, alpha=alpha, weights=WeightScheme.product([0.5, 2.0]))
+        for x in (rng.random(2), np.array([0.0, 1.0]), np.array([0.5, 0.25])):
+            assert kernel_mean_identity_check(spec, x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_spec_validation():
     w = WeightScheme.product([1.0])
     with pytest.raises(DomainError):
@@ -174,7 +227,7 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         KernelSpec(family="sobolev", alpha=9, weights=w)
     with pytest.raises(DomainError):
-        kernel_mean_identity_check(KernelSpec(family="cosine", alpha=1.0, weights=w), np.array([0.5]))
+        kernel_mean_identity_check(KernelSpec(family="cosine", alpha=1.5, weights=w), np.array([0.5]))
 
 
 _W1, _W3 = WeightScheme.product([1.0]), WeightScheme.product([1.0, 0.5, 0.25])
@@ -241,3 +294,63 @@ def test_tent_results_take_alpha_2_only():
     for alpha in (None, 2, 2.0):
         assert CbcCriterion("tent", _W3, alpha).korobov_order == 1
         assert corollary_bound("tent", _W3, 13, 0.9, alpha=alpha).value > 0.0
+
+
+def _accepted_at_parent(family, alpha):
+    """The smoothness rule before kappa: the Sobolev families at an integer alpha
+    within the Bernoulli tables, Korobov at any non-integer alpha > 1/2 or such an
+    integer one, the cosine families at any alpha > 1/2."""
+    in_tables = alpha % 1 == 0 and 2 * alpha <= MAX_DEGREE
+    if family in ("sobolev", "sob_odd", "sob_odd_alpha"):
+        return in_tables
+    return family != "korobov" or alpha % 1 != 0 or in_tables
+
+
+def test_every_alpha_accepted_before_is_still_accepted():
+    """No alpha that was accepted is refused; Korobov at integer alpha > 8 moves
+    to the series, and the exact routes still take every closed form they took
+    and refuse what the Bernoulli tables do not reach."""
+    rule = LatticeRule(N=7, z=(1, 3))
+    w = WeightScheme.product([1.0, 0.5])
+    for family in FAMILIES:
+        for alpha in (0.75, 1, 1.5, 2, 2.5, 3, 4, 4.5, 7, 8, 8.5, 9, 9.5, 10, 17):
+            if not _accepted_at_parent(family, alpha):
+                continue
+            spec = KernelSpec(family, alpha, w, series_kmax=50)
+            assert np.isfinite(kernel(spec, np.array([0.2, 0.7]), np.array([0.4, 0.1])))
+            assert np.isfinite(kernel_1d(family, alpha, 0.2, 0.4, kmax=50))
+            if family in ("sobolev", "sob_odd", "sob_odd_alpha") or (
+                    family == "korobov" and alpha in range(1, 9)):
+                assert wce_sq_quadratic_form(spec, rank1_points(rule)).value >= 0.0
+                assert kernel_mean_identity_check(spec, np.array([0.3, 0.6])) == pytest.approx(
+                    1.0, abs=1e-8)
+    assert kernel_1d("korobov", 9, 0.2, 0.4, kmax=50) == korobov_series_1d(9, 0.2, 0.4, 50)
+    # the exact symmetrized error still refuses beyond the tables, before any series
+    with pytest.raises(DomainError, match="alpha = 10 "):
+        wce_sym_exact(10, w, rule)
+
+
+# Every public entry point that takes a series truncation kmax, called with it.
+KMAX_ENTRY_POINTS = {
+    "KernelSpec": lambda k: KernelSpec("cosine", 1.5, _W1, series_kmax=k).series_kmax,
+    "kernel_1d/cosine": lambda k: kernel_1d("cosine", 1.5, 0.2, 0.7, kmax=k),
+    "kernel_1d/korobov": lambda k: kernel_1d("korobov", 1, 0.2, 0.7, kmax=k),
+    "korobov_series_1d": lambda k: korobov_series_1d(1.5, 0.2, 0.7, k),
+    "series_tail_bound": lambda k: series_tail_bound(1.5, k),
+    "bernoulli_fourier_partial_sum": lambda k: bernoulli_fourier_partial_sum(2, 0.3, k),
+    "fourier_tail_bound": lambda k: fourier_tail_bound(2, k),
+    "tent_kernel_partial_sum": lambda k: tent_kernel_partial_sum(0.2, 0.7, k),
+    "appendix_inner_sum": lambda k: appendix_inner_sum(3, "first", k),
+    "dual_projected": lambda k: dual_projected(_RULE, [1, 2], k),
+    "wce_tent_middle_term": lambda k: wce_tent_middle_term(_W3, _RULE, kmax=k).value,
+    "wce_sym_middle_term": lambda k: wce_sym_middle_term(2, _W3, _RULE, kmax=k).value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KMAX_ENTRY_POINTS))
+def test_every_kmax_entry_point_applies_the_one_kmax_rule(name):
+    call = KMAX_ENTRY_POINTS[name]
+    for kmax in (0, -5, 2.5, 3.0, np.float64(3.0), True, None, "3", math.nan):
+        with pytest.raises(DomainError):
+            call(kmax)
+    assert call(np.int64(3)) == call(3) == call(np.int32(3))

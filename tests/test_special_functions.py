@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latticeqmc.errors import DomainError
+from latticeqmc.kernels import series_tail_bound
 from latticeqmc.special_functions import (
     MAX_DEGREE,
     bernoulli_coefficients,
@@ -152,3 +153,43 @@ def test_quadrature_of_bernoulli_is_zero():
         val = composite_gauss_legendre(lambda t, tau=tau: bernoulli_poly(tau, t),
                                        0.0, 1.0, panels=16, nodes=12)
         assert abs(val) <= 1e-12
+
+
+def _tail_oracle(sigma, kmax, fourier=False):
+    """2 sum_{k>kmax} k^-sigma = 2 zeta(sigma, kmax + 1), times (2 pi)^-sigma for the
+    Fourier tail, at 40 digits (at 30, mpmath's own zeta(16, 101) is off by 2.4e-9)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        factor = 2 / (2 * mpmath.pi) ** sigma if fourier else 2
+        return factor * mpmath.zeta(mpmath.mpf(sigma), kmax + 1)
+
+
+def _assert_bounds(got, want):
+    """got is at or above want and within 1e-14 of it, relative."""
+    assert got >= want and got - want <= 1e-14 * want
+
+
+def test_tail_bounds_are_bounds_and_tight():
+    """Both tail bounds against mpmath: never below the true tail, within 1e-14
+    relative.  Subtracting a partial sum from zeta could do neither: it gave
+    2.66e-15 below the true 2.76e-15 at (4, 100), and 0.0 at kmax = 1e4."""
+    _assert_bounds(series_tail_bound(4, 100), _tail_oracle(8, 100))
+    _assert_bounds(series_tail_bound(4, 10_000), _tail_oracle(8, 10_000))
+    _assert_bounds(fourier_tail_bound(8, 10_000), _tail_oracle(8, 10_000, fourier=True))
+    # mpmath's Hurwitz zeta at 40 digits is itself off from sigma = 11 on, at
+    # kmax + 1 near 1e2..1e4, so there the grid takes small kmax only
+    grid = [(a, k) for a in (0.50005, 0.505, 0.75, 1.0, 1.5, 2.0, 2.75, 4.0, 5.0)
+            for k in (1, 15, 100, 999, 10_000, 1_000_000)]
+    grid += [(a, k) for a in (6.0, 8.0, 16.0) for k in (1, 2, 15)]
+    for alpha, kmax in grid:
+        _assert_bounds(series_tail_bound(alpha, kmax), _tail_oracle(2 * alpha, kmax))
+    for tau in range(2, MAX_DEGREE + 1):
+        for kmax in (1, 15) if tau > 10 else (1, 15, 100, 10_000):
+            _assert_bounds(fourier_tail_bound(tau, kmax), _tail_oracle(tau, kmax, fourier=True))
+
+
+def test_zeta_is_never_below_the_true_value():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for sigma in (1.0001, 1.1, 1.5, 2.0, 3.3, 8.0, 16.0, 32.0):
+            _assert_bounds(riemann_zeta(sigma), mpmath.zeta(sigma))

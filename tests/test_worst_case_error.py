@@ -10,7 +10,7 @@ import pytest
 from latticeqmc import kernels, worst_case_error
 from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
-from latticeqmc.kernels import KernelSpec, kernel_1d
+from latticeqmc.kernels import KernelSpec, kernel, kernel_1d
 from latticeqmc.lattice import (LatticeRule, PointSet, dual_projected, rank1_points, symmetrize,
                                 tent_transform)
 from latticeqmc.special_functions import bernoulli_coefficients
@@ -127,7 +127,7 @@ def test_korobov_vs_quadratic_form_sweep():
 def test_quadratic_form_refuses_series_kernels_and_large_sets():
     w = WeightScheme.product([1.0])
     with pytest.raises(DomainError):
-        wce_sq_quadratic_form(KernelSpec(family="cosine", alpha=1.0, weights=w),
+        wce_sq_quadratic_form(KernelSpec(family="cosine", alpha=1.5, weights=w),
                               rank1_points(LatticeRule(N=4, z=(1,))))
     with pytest.raises(DomainError):
         wce_sq_quadratic_form(KernelSpec(family="korobov", alpha=1.5, weights=w),
@@ -493,6 +493,54 @@ def test_engine_equals_direct_double_sum_on_edge_cases(w):
             want = _direct_form("sob_odd_alpha", alpha, w, multiset)
             assert wce_sym_exact(alpha, w, rule).value == pytest.approx(want, rel=1e-12,
                                                                         abs=ROUNDING_FLOOR)
+
+
+def _subset_oracle(alpha, gamma, rule):
+    """The cosine error of the tent points of a rule of odd N, from kappa(r / N) =
+    2 Re Li_(2 alpha)(e^(2 pi i r / N)) at 30 digits.  cos(pi k tent(t)) = cos(2 pi k t),
+    so K_cos - 1 = 1/2 [kappa(t - t') + kappa(t + t')] on the lattice, and (n - n',
+    n + n') runs over Z_N^2 once: e^2 = sum_u gamma_u 2^-|u| sum_(v in u) S_v S_(u-v),
+    S_v = (1/N) sum_n prod_(j in v) kappa(n z_j / N), S_() = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    N, s = rule.N, rule.s
+    with mpmath.workdps(30):
+        kappa = [2 * mpmath.re(mpmath.polylog(2 * alpha, mpmath.expjpi(mpmath.mpf(2 * r) / N)))
+                 for r in range(N)]
+        subsets = [frozenset(j for j in range(s) if mask >> j & 1) for mask in range(1 << s)]
+        S = {v: mpmath.fsum(mpmath.fprod(kappa[n * rule.z[j] % N] for j in v)
+                            for n in range(N)) / N for v in subsets}
+        total = mpmath.fsum(mpmath.fprod(gamma[j] for j in u) / 2 ** len(u)
+                            * mpmath.fsum(S[v] * S[u - v] for v in subsets if v <= u)
+                            for u in subsets if u)
+        return float(total)
+
+
+@pytest.mark.parametrize("N,alpha,rel", [(101, 1, 1e-12), (101, 2, 1e-11), (509, 2, 1e-9)])
+def test_cosine_error_on_tent_points_matches_subset_oracle(N, alpha, rel):
+    """The closed-form cosine kernel through the quadratic form engine, to a relative
+    tolerance that grows as the value shrinks beside the O(1) terms of the double sum
+    that cancel to it: 5e-14 off at N = 101, alpha = 1 (value 7.6e-3), 2.7e-11 off at
+    N = 509, alpha = 2 (value 2.0e-6)."""
+    gamma = [1.0 / j**2 for j in range(1, 5)]
+    w = WeightScheme.product(gamma)
+    rule = cbc_fast(N, 4, CbcCriterion("tent", w)).rule()
+    got = wce_sq_quadratic_form(KernelSpec("cosine", alpha, w), tent_transform(rank1_points(rule)))
+    assert got.value == pytest.approx(_subset_oracle(alpha, gamma, rule), rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("family", ["cosine", "kor_plus_cos"])
+def test_cosine_families_quadratic_form_matches_brute_force(family):
+    """On plain lattice points the engine equals -1 plus the mean of kernel() over
+    all pairs."""
+    rng = np.random.default_rng(17)
+    for alpha, N in ((1, 31), (2, 31), (3, 16)):
+        w = WeightScheme.product([1.0, 0.6, 0.3])
+        ps = rank1_points(random_rule(rng, N, 3))
+        x = ps.points
+        want = float(np.mean(kernel(KernelSpec(family, alpha, w), x[:, None, :],
+                                    x[None, :, :]))) - 1.0
+        got = wce_sq_quadratic_form(KernelSpec(family, alpha, w), ps).value
+        assert got == pytest.approx(want, rel=1e-11, abs=ROUNDING_FLOOR)
 
 
 def test_corollary_bound_values_and_domains():
