@@ -157,12 +157,15 @@ def sobolev_family_1d(family: str, alpha: int, x, y):
 
 
 def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
-    """Univariate kernel K_(alpha,1,1) of the family at (x, y): the Sobolev families by
-    Bernoulli polynomials, the others 1 plus `_KAPPA_COEFFS` on kappa (`_closed_form`)."""
+    """Univariate kernel K_(alpha,1,1) of the family at (x, y) in [0, 1]: the Sobolev families
+    by Bernoulli polynomials, the others 1 plus `_KAPPA_COEFFS` on kappa (`_closed_form`).
+    Outside [0, 1] the closed forms are not the kernel, so such points (and NaN) are refused."""
     alpha, kmax = _smoothness(family, alpha), _kmax(kmax)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all((x >= 0.0) & (x <= 1.0)) and np.all((y >= 0.0) & (y <= 1.0))):
+        raise DomainError("kernel_1d takes x and y in [0, 1]")
     if family in SOBOLEV_FAMILIES:
         return sobolev_family_1d(family, alpha, x, y)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     d = np.abs(x - y)
     coeffs, args = zip(*[(c, t) for c, t in zip(_KAPPA_COEFFS[family], (d, d / 2, (x + y) / 2))
                          if c])

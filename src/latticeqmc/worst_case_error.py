@@ -11,17 +11,18 @@ Squared worst-case errors come from three routes that cross-check each other:
   numerators over the denominator D: equal rows (n and N - n fold together
   on tent points and under the reflection average) are summed once with
   their multiplicity, kernel symmetry leaves one triangle of the pairs, and
-  the kernel is read from tables of D + 1 entries;
+  the kernel is read from tables of D + 1 entries (2D + 1 for the half-period
+  sum table of the cosine families);
 * the group-collapsed Bernoulli closed form for rank-1 lattice rules in
-  Korobov spaces, exact in O(N s) for product weights;
-* truncated dual-lattice series with an exact tail (the truncated and full
-  projected dual sums are both evaluated through the character-sum
-  factorization, so the reported tail is the actual truncation remainder).
+  Korobov spaces, exact in O(N s) for product weights.
 
-On top sit the tent and reflection bounds (squared criterion values with the
-modified weights) and the prime-N construction bounds parameterized by
-lambda.  Every blocked sum here sizes its blocks from the one block budget
-of `kernels`.
+The tent and reflection chains share one shape: exact error <= middle term
+sum_u gamma_u f^|u| (sum_{k_u in dual_u} prod 1/|k_j|^(2 o))^2 <= squared
+criterion (the Korobov error of order o with weights (gamma_u f^|u|)^(1/2)),
+with one (order o, weight factor f) pair per transform (`_transform`).  The
+middle terms read the dual sums exactly from the residue table of the closed
+form; the prime-N construction bounds are parameterized by lambda.  Every
+blocked sum here sizes its blocks from the one block budget of `kernels`.
 """
 
 from __future__ import annotations
@@ -33,15 +34,13 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
-from .kernels import (DEFAULT_SERIES_KMAX, KernelSpec, _block_rows, _closed_form,
-                      _integer_alpha, _korobov_closed_form, _lattice_tables, _table_order,
-                      _tent_alpha)
+from .kernels import (KernelSpec, _block_rows, _closed_form, _integer_alpha,
+                      _korobov_closed_form, _lattice_tables, _table_order, _tent_alpha)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime, primitive_root
-from .special_functions import _kmax, riemann_zeta
+from .special_functions import riemann_zeta
 from .weights import WeightScheme
 
-TENT_WEIGHT_FACTOR = C_PRIME / (4.0 * pi**4)
 QUADRATIC_FORM_GUARD = 20_000
 SUBSET_DIM_GUARD = 12
 
@@ -50,7 +49,7 @@ CRITERION_KINDS = ("tent", "sym", "plain_korobov")
 REPORT_KINDS = (
     "exact_quadratic_form",
     "closed_form_lattice",
-    "dual_series_truncated",
+    "middle_term",
     "theorem_bound",
     "corollary_bound",
 )
@@ -59,26 +58,22 @@ REPORT_KINDS = (
 @dataclass(frozen=True)
 class ErrorReport:
     """A squared worst-case error (or bound on one) with its provenance.
-    A value or tail that is not finite (weights that overflow double
-    precision) is refused with GuardError, never reported."""
+    A value that is not finite (weights that overflow double precision) is
+    refused with GuardError, never reported."""
 
     value: float
     kind: str
-    truncation_kmax: int | None = None
-    tail_estimate: float | None = None
     lam: float | None = None
     negative_clamp: float = 0.0
 
     def __post_init__(self):
         if self.kind not in REPORT_KINDS:
             raise DomainError(f"unknown report kind {self.kind!r}")
-        if not (isfinite(self.value) and isfinite(self.tail_estimate or 0.0)):
-            raise GuardError(f"{self.kind} value {self.value}, tail {self.tail_estimate}: the "
-                             "weights overflow double precision")
+        if not isfinite(self.value):
+            raise GuardError(f"{self.kind} value {self.value}: the weights overflow double "
+                             "precision")
         if self.value < 0:
             raise DomainError("reported value must be nonnegative")
-        if (self.tail_estimate is not None) != (self.kind == "dual_series_truncated"):
-            raise DomainError("tail_estimate accompanies exactly the truncated-series kind")
 
     @property
     def root(self) -> float:
@@ -88,8 +83,6 @@ class ErrorReport:
         return {
             "value": self.value,
             "kind": self.kind,
-            "truncation_kmax": self.truncation_kmax,
-            "tail_estimate": self.tail_estimate,
             "lambda": self.lam,
             "negative_clamp": self.negative_clamp,
         }
@@ -103,9 +96,8 @@ def _power(x: float, p: float) -> float:
         return inf
 
 
-def _clamped(raw: float, kind: str, **kwargs) -> ErrorReport:
-    return ErrorReport(value=max(raw, 0.0), kind=kind,
-                       negative_clamp=max(-raw, 0.0), **kwargs)
+def _clamped(raw: float, kind: str) -> ErrorReport:
+    return ErrorReport(value=max(raw, 0.0), kind=kind, negative_clamp=max(-raw, 0.0))
 
 
 # -- quadratic form ----------------------------------------------------------
@@ -115,13 +107,15 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     """|P|^-2 sum_{x,y in P} weights.combine(eta(x, y)) for eta = K_1 - 1 of a
     unit-mean kernel (its constant 1 cancels against the -1), clamped at 0.
 
-    build() gives the (m, s) numerators over D and tables of D + 1 entries,
-    eta(a, b) = g[|a - b|] + sum_tau beta[tau][a] beta[tau][b] (+ g_sum[a + b]
-    if given); it runs once m and D have passed the guard.  Each distinct row
-    counts with its multiplicity mu; eta is symmetric, so the row block
-    [lo, hi) of the r rows meets only the columns [lo, r): its own square
-    once, the rest twice.  eta is made on (s, rows, columns) arrays, so that
-    its passes run along the long axis."""
+    build() gives the (m, s) numerators over D, tables g and beta[tau] of
+    D + 1 entries, and g_sum or None, with eta(a, b) = g[|a - b|] +
+    sum_tau beta[tau][a] beta[tau][b] (+ g_sum[a + b]): g_sum has 2D + 1
+    entries for the cosine families, D + 1 where the numerators are folded
+    to a + b <= D (`wce_sym_exact`).  It runs once m and D have passed the
+    guard.  Each distinct row counts with its multiplicity mu; eta is
+    symmetric, so the row block [lo, hi) of the r rows meets only the
+    columns [lo, r): its own square once, the rest twice.  eta is made on
+    (s, rows, columns) arrays, so that its passes run along the long axis."""
     if max(m, D) > QUADRATIC_FORM_GUARD:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
@@ -264,23 +258,39 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
 # -- modified weights and the construction criterion ------------------------
 
 
+def _transform(kind: str, alpha) -> tuple[int, float]:
+    """(o, f), the Korobov order and the per-coordinate weight factor of the
+    transform's bound chain; the one place that knows them and their alpha:
+
+        tent (alpha None or 2): o = 1,         f = c'/(4 pi^4), c' = 58/3
+        sym (even alpha):       o = alpha / 2, f = 3 / (2^(2 alpha + 1) pi^(2 alpha))
+    """
+    if kind == "tent":
+        _tent_alpha(alpha)
+        return 1, C_PRIME / (4.0 * pi**4)
+    if kind == "sym":
+        alpha = _integer_alpha(alpha, 2)
+        return alpha // 2, 3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha))
+    raise DomainError(f"kind must be 'tent' or 'sym', got {kind!r}")
+
+
 def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
-    """gamma'_u = gamma_u (c'/(4 pi^4))^|u| with c' = 58/3."""
-    return weights.scaled_per_coordinate(TENT_WEIGHT_FACTOR)
+    """gamma'_u = gamma_u f^|u| with the tent factor f of `_transform`."""
+    return weights.scaled_per_coordinate(_transform("tent", None)[1])
 
 
 def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
-    """gamma''_u = gamma_u (3 / (2^(2 alpha + 1) pi^(2 alpha)))^|u|, even alpha."""
-    alpha = _integer_alpha(alpha, 2)
-    return weights.scaled_per_coordinate(3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha)))
+    """gamma''_u = gamma_u f^|u| with the sym factor f of `_transform`, even alpha."""
+    return weights.scaled_per_coordinate(_transform("sym", alpha)[1])
 
 
 @dataclass(frozen=True)
 class CbcCriterion:
     """A construction criterion: which transform the rule is destined for.
 
-    tent:          order-1 Korobov error with weights gamma'^(1/2), alpha None or 2
-    sym:           order-(alpha/2) Korobov error with weights gamma''^(1/2), even alpha
+    tent, sym:     the Korobov error of the transform's order o with weights
+                   (gamma_u f^|u|)^(1/2), (o, f) from `_transform`; tent takes
+                   alpha None or 2, sym an even alpha
     plain_korobov: order-alpha Korobov error with the weights as given
     """
 
@@ -291,28 +301,21 @@ class CbcCriterion:
     def __post_init__(self):
         if self.kind not in CRITERION_KINDS:
             raise DomainError(f"unknown criterion kind {self.kind!r}")
-        if self.kind == "tent":
-            _tent_alpha(self.alpha)
-        if self.kind == "sym":
-            object.__setattr__(self, "alpha", _integer_alpha(self.alpha, 2))
-        if self.kind == "plain_korobov":
-            object.__setattr__(self, "alpha", _integer_alpha(self.alpha))
+        if self.kind != "tent":
+            object.__setattr__(self, "alpha",
+                               _integer_alpha(self.alpha, 2 if self.kind == "sym" else 1))
         _table_order(self.korobov_order, self.alpha)
 
     @property
     def korobov_order(self) -> int:
-        if self.kind == "tent":
-            return 1
-        if self.kind == "sym":
-            return self.alpha // 2
-        return self.alpha
+        if self.kind == "plain_korobov":
+            return self.alpha
+        return _transform(self.kind, self.alpha)[0]
 
     def effective_weights(self) -> WeightScheme:
-        if self.kind == "tent":
-            return tent_modified_weights(self.base_weights).sqrt()
-        if self.kind == "sym":
-            return sym_modified_weights(self.alpha, self.base_weights).sqrt()
-        return self.base_weights
+        if self.kind == "plain_korobov":
+            return self.base_weights
+        return self.base_weights.scaled_per_coordinate(_transform(self.kind, self.alpha)[1]).sqrt()
 
     def leading_weights(self, s: int) -> WeightScheme:
         """The effective product or POD weights of the first s coordinates."""
@@ -340,68 +343,41 @@ def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
     return ErrorReport(value=_power(value, 2), kind="theorem_bound")
 
 
+def _middle_term(kind: str, weights: WeightScheme, rule: LatticeRule, alpha=None) -> ErrorReport:
+    """The middle term sum_u gamma_u f^|u| S_u^2 of the transform's bound
+    chain, (o, f) from `_transform`, exactly.
+
+    S_u = sum_{k_u in dual_u} prod_{j in u} 1/|k_j|^(2 o), over the dual
+    lattice projected on u with every k_j nonzero, is the character sum
+    mean_n prod_{j in u} w(n z_j mod N) of the residue table w
+    (`korobov_residue_table`), which holds the whole series in closed form.
+    """
+    order, factor = _transform(kind, alpha)
+    if rule.s > SUBSET_DIM_GUARD:
+        raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
+    table = korobov_residue_table(_table_order(order, alpha), rule.N)
+    table = table[rank1_points(rule).numerators]
+    value = 0.0
+    for u, g in sorted(weights.scaled_per_coordinate(factor).nonempty_subsets(),
+                       key=lambda t: (len(t[0]), sorted(t[0]))):
+        value += g * float(np.mean(np.prod(table[:, [j - 1 for j in sorted(u)]], axis=1))) ** 2
+    return ErrorReport(value=value, kind="middle_term")
+
+
 # -- tent-transform bounds ---------------------------------------------------
 
 
 def wce_tent_bound(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
-    """Square of the tent criterion (order-1 Korobov error with weights
-    gamma'^(1/2)): an upper bound for the squared error of the
-    tent-transformed rule in the second-order Sobolev space."""
+    """Square of the tent criterion (`CbcCriterion`): an upper bound for the
+    squared error of the tent-transformed rule in the second-order Sobolev
+    space."""
     return _squared_criterion(CbcCriterion("tent", weights), rule)
 
 
-def _truncated_residue_table(order: int, N: int, kmax: int) -> np.ndarray:
-    """g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order) for r = 0..N-1.
-
-    cos(2 pi k r/N) depends only on k mod N, so g is the real part of the
-    length-N DFT of the aliased sums A_c = sum_{k<=kmax, k = c mod N}
-    k^(-2 order): O(kmax + N log N), not N kmax cosines.  The k run in
-    blocks of the one block budget, so memory is O(N) whatever kmax."""
-    aliased = np.zeros(N)
-    step = _block_rows(1)
-    for lo in range(1, kmax + 1, step):
-        k = np.arange(lo, min(lo + step, kmax + 1))
-        aliased += np.bincount(k % N, weights=k.astype(float) ** (-2 * order), minlength=N)
-    return 2.0 * np.fft.fft(aliased).real
-
-
-def _middle_term(modified: WeightScheme, order: int, rule: LatticeRule,
-                 kmax: int) -> ErrorReport:
-    """sum_u gamma_u (sum_{k_u in dual_u} prod 1/k_j^(2 order))^2, truncated at kmax,
-    with the exact truncation remainder as tail_estimate.
-
-    Both inner sums factor through characters of the lattice group: the
-    box-truncated one uses g(r) = 2 sum_{k<=kmax} cos(2 pi k r/N) / k^(2 order)
-    (`_truncated_residue_table`), the full one the Bernoulli closed form of
-    the same series.
-    """
-    kmax = _kmax(kmax)
-    if rule.s > SUBSET_DIM_GUARD:
-        raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
-    nums = rank1_points(rule).numerators
-    m_trunc = _truncated_residue_table(order, rule.N, kmax)[nums]
-    m_full = korobov_residue_table(order, rule.N)[nums]
-    value = tail = 0.0
-    for u, g in sorted(modified.nonempty_subsets(), key=lambda t: (len(t[0]), sorted(t[0]))):
-        cols = [j - 1 for j in sorted(u)]
-        s_trunc = float(np.mean(np.prod(m_trunc[:, cols], axis=1)))
-        s_full = float(np.mean(np.prod(m_full[:, cols], axis=1)))
-        value += g * s_trunc**2
-        tail += g * max(s_full**2 - s_trunc**2, 0.0)
-    return ErrorReport(value=value, kind="dual_series_truncated",
-                       truncation_kmax=kmax, tail_estimate=tail)
-
-
-def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule,
-                         kmax: int = DEFAULT_SERIES_KMAX) -> ErrorReport:
-    """Truncated middle bound sum_u gamma'_u (sum_{k_u in dual_u} prod 1/k_j^2)^2.
-
-    tail_estimate is the exact truncation remainder: the full inner sums have
-    a Bernoulli closed form, so value + tail_estimate is the untruncated
-    middle term (which sits between the exact tent error and the squared
-    criterion bound).
-    """
-    return _middle_term(tent_modified_weights(weights), 1, rule, kmax)
+def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
+    """The middle term of the tent chain (`_middle_term`): it lies between the
+    exact squared error of the tent-transformed rule and `wce_tent_bound`."""
+    return _middle_term("tent", weights, rule)
 
 
 # -- symmetrized-rule errors and bounds --------------------------------------
@@ -434,17 +410,15 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
 
 
 def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
-    """Square of the sym criterion (order-(alpha/2) Korobov error with
-    weights gamma''^(1/2))."""
+    """Square of the sym criterion (`CbcCriterion`), even alpha: an upper
+    bound for the squared error of the symmetrized rule."""
     return _squared_criterion(CbcCriterion("sym", weights, alpha), rule)
 
 
-def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule,
-                        kmax: int = DEFAULT_SERIES_KMAX) -> ErrorReport:
-    """Truncated middle bound for symmetrized rules (even alpha), analogous to
-    the tent middle term with 1/k_j^alpha inner sums."""
-    alpha = _integer_alpha(alpha, 2)
-    return _middle_term(sym_modified_weights(alpha, weights), alpha // 2, rule, kmax)
+def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
+    """The middle term of the reflection chain, even alpha (`_middle_term`): it
+    lies between `wce_sym_exact` and `wce_sym_bound`."""
+    return _middle_term("sym", weights, rule, alpha)
 
 
 # -- prime-N construction bounds ---------------------------------------------
@@ -453,31 +427,18 @@ def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule,
 def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
                     alpha: int | None = None) -> ErrorReport:
     """The lambda-parameterized bound on the squared construction criterion
-    for prime N:
+    for prime N (Kuo, J. Complexity 19, 2003), with (o, f) from `_transform`:
 
-        (1/(N-1))^(1/lambda) (sum_u gamma_u^(lambda/2) factor^|u|)^(1/lambda)
+        ((1/(N-1)) sum_u gamma_u^(lambda/2) (2 zeta(2 o lambda) f^(lambda/2))^|u|)^(1/lambda)
 
-    with the tent factor 2^(1-l) c'^(l/2) zeta(2l) / pi^(2l) for l in (1/2, 1],
-    or the reflection factor 3^(l/2) zeta(a l) / (2^((2a+1)l/2 - 1) pi^(a l))
-    for even alpha and l in (1/alpha, 1].
+    for lambda in (1/(2 o), 1].
     """
     if not is_prime(N):
         raise DomainError(f"the construction bound requires prime N, got {N}")
-    if kind == "tent":
-        _tent_alpha(alpha)
-        if not 0.5 < lam <= 1.0:
-            raise DomainError(f"lambda must lie in (1/2, 1], got {lam}")
-        factor = 2.0 ** (1.0 - lam) * C_PRIME ** (lam / 2.0) * riemann_zeta(2.0 * lam) / pi ** (2.0 * lam)
-    elif kind == "sym":
-        alpha = _integer_alpha(alpha, 2)
-        if not 1.0 / alpha < lam <= 1.0:
-            raise DomainError(f"lambda must lie in (1/{alpha}, 1], got {lam}")
-        factor = (
-            3.0 ** (lam / 2.0) * riemann_zeta(alpha * lam)
-            / (2.0 ** ((2 * alpha + 1) * lam / 2.0 - 1.0) * pi ** (alpha * lam))
-        )
-    else:
-        raise DomainError(f"kind must be 'tent' or 'sym', got {kind!r}")
+    order, f = _transform(kind, alpha)
+    if not 1.0 / (2 * order) < lam <= 1.0:
+        raise DomainError(f"lambda must lie in (1/{2 * order}, 1], got {lam}")
+    factor = 2.0 * riemann_zeta(2.0 * order * lam) * f ** (lam / 2.0)
     powered = weights.powered(lam / 2.0)
     subset_sum = float(powered.combine(np.full((1, weights.s), factor))[0])
     value = _power(subset_sum / (N - 1), 1.0 / lam)

@@ -51,6 +51,8 @@ def test_wce_korobov(tmp_path):
     assert data["value"] == pytest.approx(np.pi**2 / 12.0, abs=1e-13)
     assert data["kind"] == "closed_form_lattice"
     assert data["root"] == pytest.approx(np.sqrt(np.pi**2 / 12.0))
+    # the exact key set: no report carries a truncation or a tail
+    assert set(data) == {"value", "kind", "lambda", "negative_clamp", "space", "n", "z", "root"}
 
 
 def test_wce_tent_and_sym_spaces(tmp_path):
@@ -73,6 +75,7 @@ def test_bound_stdout(capsys):
     assert data["value"] == pytest.approx(
         corollary_bound("tent", WeightScheme.product([1.0]), 5, 1.0).value
     )
+    assert set(data) == {"value", "kind", "lambda", "negative_clamp", "bound_kind", "n", "root"}
 
 
 def test_cbc_fast_and_plain(tmp_path):

@@ -29,7 +29,6 @@ from latticeqmc.worst_case_error import (
     wce_sq_quadratic_form,
     wce_sym_exact,
     wce_sym_middle_term,
-    wce_tent_middle_term,
 )
 
 
@@ -152,6 +151,22 @@ def test_kernel_symmetry(family):
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
+def test_points_outside_the_unit_interval_are_refused():
+    """Outside [0, 1] the closed forms are not the kernel: Korobov at (1.3, 0.1)
+    read 9.027 where the periodic kernel is 1.1316, and cosine at x = -0.4
+    read 4.142 where it is 1.181 at x = 0.4.  So kernel_1d, and kernel()
+    through it, refuse such points and NaN; the ends 0 and 1 are in."""
+    for family, alpha, x, y in (("korobov", 1, 1.3, 0.1), ("korobov", 1, 0.1, 1.3),
+                                ("cosine", 1, -0.4, 0.1),
+                                ("sobolev", 2, 0.2, math.nan), ("cosine", 1.5, 0.2, -1e-12),
+                                ("sob_odd", 3, np.array([0.2, 1.5]), 0.3)):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            kernel_1d(family, alpha, x, y, kmax=50)
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        kernel(spec_for("korobov", 1, s=2), np.array([0.2, 1.3]), np.array([0.1, 0.1]))
+    assert kernel_1d("korobov", 1, 1.0, 0.0) == kernel_1d("korobov", 1, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_gram_matrix_positive_semidefinite(family):
     rng = np.random.default_rng(5)
@@ -250,7 +265,7 @@ ALPHA_ENTRY_POINTS = {
     "CbcCriterion/sym": (lambda a: CbcCriterion("sym", _W3, a).alpha, "even", True),
     "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "int", False),
     "wce_sym_exact": (lambda a: wce_sym_exact(a, _W3, _RULE), "even", False),
-    "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE, kmax=50), "even", False),
+    "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE), "even", False),
     "sym_modified_weights": (lambda a: sym_modified_weights(a, _W3).gamma, "even", False),
     "corollary_bound/sym": (lambda a: corollary_bound("sym", _W3, 13, 0.9, alpha=a), "even",
                             False),
@@ -342,8 +357,6 @@ KMAX_ENTRY_POINTS = {
     "tent_kernel_partial_sum": lambda k: tent_kernel_partial_sum(0.2, 0.7, k),
     "appendix_inner_sum": lambda k: appendix_inner_sum(3, "first", k),
     "dual_projected": lambda k: dual_projected(_RULE, [1, 2], k),
-    "wce_tent_middle_term": lambda k: wce_tent_middle_term(_W3, _RULE, kmax=k).value,
-    "wce_sym_middle_term": lambda k: wce_sym_middle_term(2, _W3, _RULE, kmax=k).value,
 }
 
 

@@ -105,8 +105,7 @@ def test_zero_weights_give_zero_everywhere():
     assert wce_tent_bound(w0, rule).value == 0.0
     assert wce_sym_bound(2, w0, rule).value == 0.0
     assert wce_sym_exact(2, w0, rule).value == 0.0
-    mid = wce_tent_middle_term(w0, rule, kmax=100)
-    assert mid.value == 0.0 and mid.tail_estimate == 0.0
+    assert wce_tent_middle_term(w0, rule).value == 0.0
     assert corollary_bound("tent", w0, 5, 1.0).value == 0.0
 
 
@@ -182,63 +181,49 @@ def test_bounds_refuse_weights_of_another_dimension():
                                   rank1_points(rule))
 
 
-def test_middle_terms_need_positive_kmax():
-    rule = LatticeRule(N=5, z=(1, 2))
-    w = WeightScheme.product([1.0, 1.0])
-    with pytest.raises(DomainError):
-        wce_tent_middle_term(w, rule, kmax=0)
-    with pytest.raises(DomainError):
-        wce_sym_middle_term(2, w, rule, kmax=0)
-
-
 def test_middle_term_closed_form_case():
-    """s=1, N=2: the inner dual sum is zeta(2)/2 and the term gamma' (zeta(2)/2)^2."""
+    """s = 1, N = 2: the dual lattice is the even k != 0, so the inner sum is
+    2 zeta(2 o) / 2^(2 o): pi^2/12 for tent (o = 1), pi^4/720 for sym alpha = 4
+    (o = 2)."""
     rule = LatticeRule(N=2, z=(1,))
     w = WeightScheme.product([1.0])
-    mid = wce_tent_middle_term(w, rule, kmax=10_000)
+    mid = wce_tent_middle_term(w, rule)
     gamma_p = 58.0 / (12.0 * math.pi**4)
-    exact_inner = math.pi**2 / 12.0
-    assert mid.value + mid.tail_estimate == pytest.approx(gamma_p * exact_inner**2, rel=1e-12)
-    assert mid.value == pytest.approx(gamma_p * exact_inner**2, rel=1e-3)
-    assert mid.value <= gamma_p * exact_inner**2
-    assert mid.kind == "dual_series_truncated" and mid.truncation_kmax == 10_000
-
-
-@pytest.mark.parametrize("N,kmax,order", [(2, 40, 1), (13, 1000, 1), (13, 7, 2), (61, 150, 1),
-                                           (61, 150, 2)])
-def test_truncated_residue_table_matches_mpmath(N, kmax, order):
-    """The aliased-DFT table of the middle terms against the cosine series
-    summed term by term at 30 digits, for kmax below and above N."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        oracle = np.array([float(2 * mpmath.fsum(mpmath.cospi(mpmath.mpf(2 * k * r) / N)
-                                                 / mpmath.mpf(k) ** (2 * order)
-                                                 for k in range(1, kmax + 1)))
-                           for r in range(N)])
-    table = worst_case_error._truncated_residue_table(order, N, kmax)
-    assert table.shape == (N,)
-    assert np.max(np.abs(table - oracle)) <= 16 * np.finfo(float).eps * np.max(np.abs(oracle))
+    assert mid.value == pytest.approx(gamma_p * (math.pi**2 / 12.0) ** 2, rel=1e-14)
+    assert mid.kind == "middle_term"
+    gamma_pp = 3.0 / (2.0**9 * math.pi**8)
+    assert wce_sym_middle_term(4, w, rule).value == pytest.approx(
+        gamma_pp * (math.pi**4 / 720.0) ** 2, rel=1e-14)
 
 
 def test_middle_term_matches_brute_force_dual_enumeration():
-    """Character-sum evaluation == explicit truncated dual scan (small kmax)."""
+    """Per subset u, the scan of the dual box |k_j| <= kmax gives S_box <= S_u,
+    and every nonzero k outside the box adds at most
+    T_u = (2 zeta(2 o))^|u| - (2 sum_{k<=kmax} k^(-2 o))^|u|; so the exact
+    middle term lies between sum_u gamma_u S_box^2 and
+    sum_u gamma_u (S_box + T_u)^2."""
+    zeta = {1: math.pi**2 / 6.0, 2: math.pi**4 / 90.0}
+    kmax = 24
     rng = np.random.default_rng(33)
     for _ in range(5):
         s = int(rng.integers(1, 3))
         N = int(rng.integers(2, 12))
         rule = random_rule(rng, N, s)
         w = WeightScheme.product(rng.random(s))
-        kmax = 24
-        mid = wce_tent_middle_term(w, rule, kmax=kmax)
-        gamma_p = tent_modified_weights(w)
-        total = 0.0
-        for mask in range(1, 1 << s):
-            u = [j + 1 for j in range(s) if mask >> j & 1]
-            inner = sum(
-                np.prod([1.0 / kj**2 for kj in k]) for k in dual_projected(rule, u, kmax)
-            )
-            total += gamma_p.weight_of(u) * inner**2
-        assert mid.value == pytest.approx(total, rel=1e-10, abs=1e-15)
+        for middle, modified, order in (
+                (wce_tent_middle_term(w, rule), tent_modified_weights(w), 1),
+                (wce_sym_middle_term(2, w, rule), sym_modified_weights(2, w), 1),
+                (wce_sym_middle_term(4, w, rule), sym_modified_weights(4, w), 2)):
+            box_sum = 2.0 * sum(k ** (-2.0 * order) for k in range(1, kmax + 1))
+            lower = upper = 0.0
+            for mask in range(1, 1 << s):
+                u = [j + 1 for j in range(s) if mask >> j & 1]
+                inner = sum(np.prod([abs(kj) ** (-2.0 * order) for kj in k])
+                            for k in dual_projected(rule, u, kmax))
+                tail = (2.0 * zeta[order]) ** len(u) - box_sum ** len(u)
+                lower += modified.weight_of(u) * inner**2
+                upper += modified.weight_of(u) * (inner + tail) ** 2
+            assert lower * (1 - 1e-12) <= middle.value <= upper * (1 + 1e-12)
 
 
 def test_tent_error_bound_chain():
@@ -250,9 +235,8 @@ def test_tent_error_bound_chain():
         w = WeightScheme.product(rng.random(s))
         spec = KernelSpec(family="sobolev", alpha=2, weights=w)
         exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule))).value
-        mid = wce_tent_middle_term(w, rule, kmax=2_000)
+        middle = wce_tent_middle_term(w, rule).value
         bound = wce_tent_bound(w, rule).value
-        middle = mid.value + mid.tail_estimate
         assert exact <= middle * (1 + 1e-11) + 1e-14
         assert middle <= bound * (1 + 1e-11) + 1e-14
 
@@ -266,9 +250,8 @@ def test_sym_error_bound_chain():
         w = WeightScheme.product(rng.random(s))
         for alpha in (2, 4):
             exact = wce_sym_exact(alpha, w, rule).value
-            mid = wce_sym_middle_term(alpha, w, rule, kmax=2_000)
+            middle = wce_sym_middle_term(alpha, w, rule).value
             bound = wce_sym_bound(alpha, w, rule).value
-            middle = mid.value + mid.tail_estimate
             assert exact <= middle * (1 + 1e-11) + 1e-14
             assert middle <= bound * (1 + 1e-11) + 1e-14
 
@@ -282,13 +265,12 @@ def test_error_bound_chain_on_cbc_rules(kind, alpha, N):
     if kind == "tent":
         spec = KernelSpec(family="sobolev", alpha=2, weights=w)
         exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule))).value
-        mid = wce_tent_middle_term(w, rule)
+        middle = wce_tent_middle_term(w, rule).value
         bound = wce_tent_bound(w, rule).value
     else:
         exact = wce_sym_exact(alpha, w, rule).value
-        mid = wce_sym_middle_term(alpha, w, rule)
+        middle = wce_sym_middle_term(alpha, w, rule).value
         bound = wce_sym_bound(alpha, w, rule).value
-    middle = mid.value + mid.tail_estimate
     assert 0.0 < exact <= middle * (1 + 1e-11)
     assert middle <= bound * (1 + 1e-11)
 
@@ -332,14 +314,14 @@ def test_float_even_alpha_is_the_integer_alpha():
     assert sym_modified_weights(4.0, w).gamma == sym_modified_weights(4, w).gamma
     assert CbcCriterion("sym", w, 4.0).value(rule) == CbcCriterion("sym", w, 4).value(rule)
     assert wce_sym_exact(4.0, w, rule) == wce_sym_exact(4, w, rule)
-    assert wce_sym_middle_term(4.0, w, rule, kmax=50) == wce_sym_middle_term(4, w, rule, kmax=50)
+    assert wce_sym_middle_term(4.0, w, rule) == wce_sym_middle_term(4, w, rule)
     assert corollary_bound("sym", w, 13, 0.5, alpha=4.0) == corollary_bound("sym", w, 13, 0.5,
                                                                              alpha=4)
     for bad in (2.5, 3, 3.0, 0):
         for call in (lambda: sym_modified_weights(bad, w),
                      lambda: CbcCriterion("sym", w, bad),
                      lambda: wce_sym_exact(bad, w, rule),
-                     lambda: wce_sym_middle_term(bad, w, rule, kmax=50),
+                     lambda: wce_sym_middle_term(bad, w, rule),
                      lambda: corollary_bound("sym", w, 13, 0.9, alpha=bad)):
             with pytest.raises(DomainError):
                 call()
@@ -350,8 +332,7 @@ def test_results_do_not_depend_on_the_block_budget(budget, monkeypatch):
     """Budget 1 puts one row in every block; at 37 most loops below end in a
     partial block (Korobov rows of 3 entries, k-rows of 5, the 5 distinct
     rows of the N = 9 quadratic forms, 15 entries each, in blocks of 2, 2 and
-    1 row, and the middle term's k = 1..300 in blocks of 37); at the default
-    budget each is a single block."""
+    1 row); at the default budget each is a single block."""
     rng = np.random.default_rng(12)
     small, rule = random_rule(rng, 5, 3), random_rule(rng, 23, 3)
     folded = LatticeRule(N=9, z=(1, 2, 4))
@@ -364,12 +345,10 @@ def test_results_do_not_depend_on_the_block_budget(budget, monkeypatch):
         tent = [wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
                                       tent_transform(rank1_points(r))).value
                 for w, r in ((prod_w, small), (pod_w, folded))]
-        mid = wce_tent_middle_term(pod_w, small, kmax=300)
         return [*tent, wce_sym_exact(2, pod_w, small).value,
                 wce_sym_exact(2, prod_w, folded).value,
                 wce_sq_korobov_lattice(2, prod_w, rule).value,
                 wce_sq_korobov_lattice(2, pod_w, rule).value,
-                mid.value, mid.value + mid.tail_estimate,
                 *kernel_1d("cosine", 1.5, x, y, kmax=300)]
 
     default, z = results(), cbc_plain(11, 3, crit).z
@@ -553,12 +532,33 @@ def test_corollary_bound_values_and_domains():
     assert bs.value == pytest.approx(factor / 4.0, rel=1e-13)
     with pytest.raises(DomainError):
         corollary_bound("tent", w, 6, 1.0)  # composite N
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^lambda must lie in \(1/2, 1\], got 0.5$"):
         corollary_bound("tent", w, 5, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^lambda must lie in \(1/2, 1\], got 0.4$"):
         corollary_bound("sym", w, 5, 0.4, alpha=2)
+    with pytest.raises(DomainError, match=r"^lambda must lie in \(1/4, 1\], got 0.25$"):
+        corollary_bound("sym", w, 5, 0.25, alpha=4)
     with pytest.raises(DomainError):
         corollary_bound("sym", w, 5, 1.0, alpha=3)
+
+
+@pytest.mark.parametrize("kind,alpha,order", [("tent", None, 1), ("sym", 2, 1), ("sym", 4, 2)])
+def test_corollary_bound_is_one_formula_on_the_criterion_weights(kind, alpha, order):
+    """corollary_bound = ((1/(N-1)) sum_u w_u^lambda (2 zeta(2 o lambda))^|u|)^(1/lambda)
+    with w the criterion's effective weights, summed subset by subset on
+    general weights, with zeta from mpmath, over a lambda grid in (1/(2 o), 1]."""
+    mpmath = pytest.importorskip("mpmath")
+    w = WeightScheme.general(3, {frozenset({1}): 0.7, frozenset({2}): 0.4,
+                                 frozenset({1, 3}): 0.3, frozenset({2, 3}): 0.05,
+                                 frozenset({1, 2, 3}): 0.2})
+    eff = CbcCriterion(kind, w, alpha).effective_weights()
+    N = 1009
+    for lam in np.linspace(1.0 / (2 * order), 1.0, 9)[1:].tolist():
+        two_zeta = 2.0 * float(mpmath.zeta(2 * order * lam))
+        want = (sum(g**lam * two_zeta ** len(u) for u, g in eff.nonempty_subsets())
+                / (N - 1)) ** (1.0 / lam)
+        got = corollary_bound(kind, w, N, lam, alpha=alpha).value
+        assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_monotonicity_in_weights():
@@ -593,13 +593,14 @@ def test_error_report_validation_and_json():
     with pytest.raises(DomainError):
         ErrorReport(value=-1.0, kind="theorem_bound")
     with pytest.raises(DomainError):
-        ErrorReport(value=1.0, kind="theorem_bound", tail_estimate=0.1)
+        ErrorReport(value=1.0, kind="dual_series_truncated")
     rep = ErrorReport(value=0.25, kind="corollary_bound", lam=0.75)
     data = rep.to_dict()
     assert data["lambda"] == 0.75 and rep.root == 0.5
     rule = LatticeRule(N=3, z=(1,))
-    rep = wce_tent_middle_term(WeightScheme.product([1.0]), rule, kmax=50)
-    assert rep.to_dict()["tail_estimate"] is not None
+    rep = wce_tent_middle_term(WeightScheme.product([1.0]), rule)
+    assert rep.to_dict() == {"value": rep.value, "kind": "middle_term", "lambda": None,
+                             "negative_clamp": 0.0}
 
 
 def test_overflowing_weights_raise_guard_error():
@@ -610,14 +611,14 @@ def test_overflowing_weights_raise_guard_error():
     with pytest.raises(GuardError, match="overflow"):
         ErrorReport(value=math.nan, kind="closed_form_lattice")
     with pytest.raises(GuardError, match="overflow"):
-        ErrorReport(value=1.0, kind="dual_series_truncated", tail_estimate=math.inf)
+        ErrorReport(value=math.inf, kind="middle_term")
     routines = [
         lambda: wce_sq_korobov_lattice(1, w, rule),
         lambda: wce_sym_exact(2, w, rule),
         lambda: wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w),
                                       tent_transform(rank1_points(rule))),
-        lambda: wce_tent_middle_term(w, rule, kmax=50),
-        lambda: wce_sym_middle_term(2, w, rule, kmax=50),
+        lambda: wce_tent_middle_term(w, rule),
+        lambda: wce_sym_middle_term(2, w, rule),
         lambda: wce_tent_bound(w, rule),
         lambda: wce_sym_bound(2, w, rule),
         lambda: corollary_bound("tent", WeightScheme.product([1e300] * 3), 13, 0.51),
