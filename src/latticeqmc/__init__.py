@@ -41,7 +41,6 @@ from .lattice import (
 from .numtheory import fibonacci, is_prime, nearest_prime, primitive_root
 from .special_functions import (
     bernoulli_fourier_partial_sum,
-    bernoulli_periodic,
     bernoulli_poly,
     bernoulli_scaled,
     riemann_zeta,

@@ -1,4 +1,4 @@
-"""Bernoulli polynomials, their periodic extensions, zeta values, and series oracles.
+"""Bernoulli polynomials, zeta values, and series oracles.
 
 The polynomial coefficients are generated once as exact rationals through
 degree ``MAX_DEGREE`` and cached; evaluation then happens in floating point
@@ -25,7 +25,6 @@ __all__ = [
     "bernoulli_coefficients",
     "bernoulli_poly",
     "bernoulli_scaled",
-    "bernoulli_periodic",
     "riemann_zeta",
     "bernoulli_fourier_partial_sum",
     "fourier_tail_bound",
@@ -75,19 +74,6 @@ def bernoulli_poly(tau: int, x):
 def bernoulli_scaled(tau: int, x):
     """b_tau(x) = B_tau(x) / tau!."""
     return bernoulli_poly(tau, x) / factorial(tau)
-
-
-def bernoulli_periodic(tau: int, x):
-    """Periodic extension: B_tau(x - floor(x)).
-
-    Rejected for tau = 1: the extension is discontinuous at the integers and
-    no consumer in this package needs it (the kernels evaluate the degree-2a
-    polynomial at |x - y| in [0, 1] directly).
-    """
-    if tau < 2:
-        raise DomainError("periodic extension requires tau >= 2")
-    x = np.asarray(x, dtype=float)
-    return bernoulli_poly(tau, x - np.floor(x))
 
 
 def _kmax(kmax) -> int:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
-from .kernels import (KernelSpec, _block_rows, _closed_form, _integer_alpha,
+from .kernels import (KernelSpec, _block_map, _block_rows, _closed_form, _integer_alpha,
                       _korobov_closed_form, _lattice_tables, _table_order, _tent_alpha)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime, primitive_root
@@ -115,7 +115,10 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     guard.  Each distinct row counts with its multiplicity mu; eta is
     symmetric, so the row block [lo, hi) of the r rows meets only the
     columns [lo, r): its own square once, the rest twice.  eta is made on
-    (s, rows, columns) arrays, so that its passes run along the long axis."""
+    (s, rows, columns) arrays, so that its passes run along the long axis.
+    The blocks run on the thread pool of `kernels._block_map`, and their
+    totals are added in block order, so the value has the same bits on one
+    CPU or many."""
     if max(m, D) > QUADRATIC_FORM_GUARD:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
@@ -125,10 +128,10 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     rows, mu = np.unique(nums, axis=0, return_counts=True)
     rows, mu = np.ascontiguousarray(rows.T), mu.astype(float)
     r, step = len(mu), _block_rows(rows.size)
-    total = 0.0
-    # weights that overflow make the total non-finite, which ErrorReport refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, r, step):
+
+    def block(lo: int) -> float:
+        # weights that overflow make the total non-finite, which ErrorReport refuses
+        with np.errstate(over="ignore", invalid="ignore"):
             hi = min(lo + step, r)
             a, b = rows[:, lo:hi, None], rows[:, None, lo:]
             eta = g[np.abs(a - b)]
@@ -138,7 +141,11 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
                 eta += t[a] * t[b]
             cols = 2.0 * mu[lo:]
             cols[:hi - lo] = mu[lo:hi]
-            total += float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
+            return float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
+
+    total = 0.0  # not sum(): from Python 3.12 it compensates, which moves the bits
+    for part in _block_map(block, range(0, r, step)):
+        total += part
     return _clamped(total / (m * m), "exact_quadratic_form")
 
 

@@ -13,12 +13,12 @@ from latticeqmc.special_functions import (
     bernoulli_coefficients,
     bernoulli_fourier_partial_sum,
     bernoulli_numbers,
-    bernoulli_periodic,
     bernoulli_poly,
     bernoulli_scaled,
     fourier_tail_bound,
     riemann_zeta,
 )
+from oracles import bernoulli_periodic
 
 
 def test_bernoulli_poly_classic_values():

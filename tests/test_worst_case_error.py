@@ -1,8 +1,13 @@
 """Error formulas, their oracle agreement, and the bound chains."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -628,6 +633,69 @@ def test_overflowing_weights_raise_guard_error():
         for routine in routines:
             with pytest.raises(GuardError, match="overflow"):
                 routine()
+
+
+def test_overflow_on_the_block_pool_raises_guard_error(monkeypatch):
+    """The quadratic form's blocks run on worker threads, which do not inherit
+    the caller's np.errstate: each block scopes its own, so an overflow still
+    reaches ErrorReport as a non-finite total, not a RuntimeWarning.  Two CPUs
+    are faked so that the pool runs on any machine; N = 509, s = 20 folds to
+    255 rows of 20 entries, 5 blocks of 51 rows."""
+    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    w = WeightScheme.product([1e300] * 20)
+    rule = cbc_fast(509, 20, CbcCriterion("tent", WeightScheme.product([1.0] * 20))).rule()
+    assert kernels._block_rows(255 * 20) < 255
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GuardError, match="overflow"):
+            wce_sym_exact(2, w, rule)
+        with pytest.raises(GuardError, match="overflow"):
+            wce_sq_quadratic_form(KernelSpec("sobolev", 2, w), tent_transform(rank1_points(rule)))
+
+
+_POOL_CHILD = """
+import json, math, os, sys, threading
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from latticeqmc import (CbcCriterion, KernelSpec, WeightScheme, cbc_fast, rank1_points,
+                        tent_transform, wce_sq_quadratic_form, wce_sym_exact)
+s = 20
+gamma = [j ** -2.0 for j in range(1, s + 1)]
+weights = {"product": WeightScheme.product(gamma),
+           "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
+out = {}
+for N in (509, 1021):
+    tent = cbc_fast(N, s, CbcCriterion("tent", weights["product"])).rule()
+    sym = {a: cbc_fast(N, s, CbcCriterion("sym", weights["product"], a)).rule() for a in (2, 4)}
+    for name, w in weights.items():
+        reports = {"sob2-tent": wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
+                                                      tent_transform(rank1_points(tent)))}
+        reports.update({f"sym{a}": wce_sym_exact(a, w, rule) for a, rule in sym.items()})
+        for key, rep in reports.items():
+            out[f"{key}/{name}/N{N}"] = [rep.value.hex(), rep.negative_clamp.hex()]
+print(json.dumps({"values": out, "threads": threading.active_count()}))
+"""
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="needs at least 2 usable CPUs")
+def test_one_worker_and_the_pool_give_the_same_bits():
+    """The exact errors on CBC rules, with product and POD weights, have the
+    same float.hex from a child pinned to one CPU (the sequential path) and
+    from a child on every usable CPU (the pool).  Each child exits within its
+    timeout, so the pool's idle threads do not keep the interpreter alive."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    outs = {}
+    for mode in ("one", "all"):
+        proc = subprocess.run([sys.executable, "-c", _POOL_CHILD, mode], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs[mode] = json.loads(proc.stdout)
+    assert len(outs["one"]["values"]) == 12
+    assert outs["one"]["values"] == outs["all"]["values"]
+    assert outs["one"]["threads"] == 1 < outs["all"]["threads"]
 
 
 def test_quadratic_form_guard(monkeypatch):
