@@ -24,7 +24,7 @@ from .fourier import (
     sin_tent_coeff,
     tent_kernel_partial_sum,
 )
-from .kernels import KernelSpec, kernel, kernel_1d, kernel_mean_identity_check, series_tail_bound
+from .kernels import KernelSpec, kernel, kernel_1d, kernel_mean_identity_check
 from .lattice import (
     LatticeRule,
     PointSet,
@@ -40,7 +40,6 @@ from .lattice import (
 )
 from .numtheory import fibonacci, is_prime, nearest_prime, primitive_root
 from .special_functions import (
-    bernoulli_fourier_partial_sum,
     bernoulli_poly,
     bernoulli_scaled,
     riemann_zeta,

@@ -177,3 +177,8 @@ def cbc_fast(N: int, s: int, crit: CbcCriterion) -> CbcResult:
     if not is_prime(N):
         raise DomainError(f"fast construction requires prime N, got {N}")
     return _sweep(N, s, crit, _FftScorer)
+
+
+def cbc_construct(N: int, s: int, crit: CbcCriterion) -> CbcResult:
+    """The construction at any N >= 2: `cbc_fast` at prime N, `cbc_plain` otherwise."""
+    return (cbc_fast if is_prime(N) else cbc_plain)(N, s, crit)

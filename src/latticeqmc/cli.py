@@ -15,13 +15,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cbc import CbcCriterion, cbc_fast, cbc_plain
+from .cbc import CbcCriterion, cbc_construct
 from .errors import DomainError, GuardError
 from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_experiment
 from .fourier import run_appendix_checks
 from .kernels import KernelSpec, _tent_alpha
 from .lattice import LatticeRule, rank1_points, symmetrize, tent_transform
-from .numtheory import is_prime
 from .weights import WeightScheme
 from .worst_case_error import (
     corollary_bound,
@@ -121,8 +120,7 @@ def _cmd_bound(args) -> int:
 def _cmd_cbc(args) -> int:
     weights = _load_weights(args.weights)
     crit = CbcCriterion(kind=args.criterion, base_weights=weights, alpha=args.alpha)
-    runner = cbc_fast if is_prime(args.n) else cbc_plain
-    result = runner(args.n, args.dims, crit)
+    result = cbc_construct(args.n, args.dims, crit)
     _emit(json.dumps(result.to_dict()), args.out)
     return 0
 

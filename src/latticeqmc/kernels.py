@@ -4,8 +4,9 @@ non-periodic Sobolev family with its odd-order subspaces.
 The Korobov, cosine and Korobov+cosine kernels are 1 plus a combination of
 kappa(t) = 2 sum_{k>=1} cos(2 pi k t) / k^(2 alpha) (`_KAPPA_COEFFS`): Bernoulli
 polynomials at an integer alpha within the tables, as the Sobolev families
-are, else one truncated series, bounded by `series_tail_bound`.  Multivariate
-kernels combine the univariate ones through a weight scheme:
+are, else the polylog expansion of kappa in closed form (`_kappa`), at every
+alpha > 1/2 and every t.  Multivariate kernels combine the univariate ones
+through a weight scheme:
 
     K(x, y) = 1 + sum_{nonempty u} gamma_u prod_{j in u} [K_1(x_j, y_j) - 1].
 """
@@ -15,18 +16,17 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from math import inf, isqrt, pi
+from math import cos, factorial, fsum, gamma, inf, log1p, pi
 
 import numpy as np
 
 from .errors import DomainError
 from .quadrature import composite_gauss_legendre
-from .special_functions import MAX_DEGREE, _kmax, _zeta_tail, bernoulli_scaled
+from .special_functions import MAX_DEGREE, _zeta, _zeta_regular, bernoulli_scaled
 from .weights import WeightScheme
 
 FAMILIES = ("korobov", "cosine", "kor_plus_cos", "sobolev", "sob_odd", "sob_odd_alpha")
 SOBOLEV_FAMILIES = ("sobolev", "sob_odd", "sob_odd_alpha")
-DEFAULT_SERIES_KMAX = 10_000
 _BLOCK_BUDGET = 1 << 18  # 2 MB per float64 block array; larger blocks ran no faster
 
 
@@ -66,9 +66,10 @@ def _integer_alpha(alpha, step: int = 1) -> int:
 
 
 def _closed_form(family: str, alpha) -> bool:
-    """The one rule for a Bernoulli closed form, which kernel_1d evaluates and the
-    exact engine takes: the Sobolev families always, the families on kappa at an
-    integer alpha with 2 alpha <= MAX_DEGREE.  Every other kernel sums kappa's series."""
+    """The one rule for a Bernoulli closed form, which kernel_1d and `_kappa` evaluate
+    and the mean-identity check takes: the Sobolev families always, the families on
+    kappa at an integer alpha with 2 alpha <= MAX_DEGREE.  Off it `_kappa` takes the
+    polylog expansion."""
     return family in SOBOLEV_FAMILIES or (alpha % 1 == 0 and 2 * alpha <= MAX_DEGREE)
 
 
@@ -76,8 +77,7 @@ def _smoothness(family: str, alpha):
     """The one smoothness rule: alpha as the family takes it.  Every family
     needs a finite alpha > 1/2; a closed form also needs an integer alpha
     within the Bernoulli tables (`_table_order`), returned as an int.  A
-    series kernel keeps alpha as given; the helpers of every series kernel
-    check it as "cosine", which takes every alpha > 1/2."""
+    kernel on `_kappa` keeps alpha as given."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
     if alpha is None or not 0.5 < alpha < inf:
@@ -103,16 +103,14 @@ def _tent_alpha(alpha) -> None:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel: family, alpha (as `_smoothness` gives it), weights, series truncation."""
+    """Which kernel: family, alpha (as `_smoothness` gives it), weights."""
 
     family: str
     alpha: float
     weights: WeightScheme
-    series_kmax: int = DEFAULT_SERIES_KMAX
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _smoothness(self.family, self.alpha))
-        object.__setattr__(self, "series_kmax", _kmax(self.series_kmax))
 
     @property
     def s(self) -> int:
@@ -123,38 +121,65 @@ class KernelSpec:
 
 
 # kernel_1d - 1 on kappa(|x - y|), kappa(|x - y| / 2), kappa((x + y) / 2), by 2 cos(pi k x)
-# cos(pi k y) = cos(pi k (x - y)) + cos(pi k (x + y)); each row sums to 1 (`series_tail_bound`).
+# cos(pi k y) = cos(pi k (x - y)) + cos(pi k (x + y)).
 _KAPPA_COEFFS = {"korobov": (1.0, 0.0, 0.0), "cosine": (0.0, 0.5, 0.5),
                  "kor_plus_cos": (0.5, 0.25, 0.25)}
 
 
-def _korobov_closed_form(alpha: int, t):
-    """kappa at integer alpha and t in [0, 1]: (-1)^(alpha+1) (2 pi)^(2 alpha)
-    b_(2 alpha)(t), the Korobov kernel minus 1 at t = |x - y|."""
-    return (-1.0) ** (alpha + 1) * (2 * pi) ** (2 * alpha) * bernoulli_scaled(2 * alpha, t)
+_KAPPA_TERMS = 30  # theta^(2m) / (2m)! zeta(s - 2m) shrinks like 4^-m at theta = pi
 
 
-def _kappa_series(alpha, t, kmax: int) -> np.ndarray:
-    """The one truncated series kappa(t) = 2 sum_{k<=kmax} cos(2 pi k t) / k^(2 alpha) in blocks
-    k = lo + j, j < r <= sqrt(kmax) + 1, by cos(A + B) = cos A cos B - sin A sin B: the tables of
-    2 pi j t (within the block budget) serve every block, so each t takes O(sqrt(kmax)) cosines."""
-    phase = 2 * pi * t.ravel()
-    r = min(_block_rows(len(phase)), isqrt(kmax) + 1)
-    cos_j, sin_j = np.cos(np.outer(phase, np.arange(r))), np.sin(np.outer(phase, np.arange(r)))
-    out = np.zeros(len(phase))
-    for lo in range(1, kmax + 1, r):
-        k = np.arange(lo, lo + r, dtype=float)
-        w = 2.0 * k ** (-2 * alpha) * (k <= kmax)
-        out += np.cos(phase * lo) * (cos_j @ w) - np.sin(phase * lo) * (sin_j @ w)
-    return out.reshape(t.shape)
+@cache
+def _kappa_terms(alpha):
+    """kappa off the Bernoulli tables as (a, singular), made once per alpha: with s = 2 alpha,
+    theta = 2 pi min(t, 1 - t), kappa = sum_(m < 30) a_m theta^(2m) + singular(theta), the
+    polylog expansion of 2 Re Li_s(e^(i theta)): a_m = 2 (-1)^m zeta(s - 2m) / (2m)! and
+    singular = pi theta^(s-1) / (Gamma(s) cos(pi s / 2)).  Within |eps| <= 1/2 of an odd
+    s = 2 m0 + 1 (eps = s - 2 m0 - 1) the poles of that term and of a_m0 cancel, so the two
+    are one: b theta^(2 m0) [(zeta(1 + eps) - 1/eps) - expm1(eps c) / eps], b = 2 (-1)^m0 /
+    (2 m0)!, c = log theta + sum_k zeta(2k) eps^(2k-1) / (k 4^k) - lgamma(1 + eps) / eps
+    - sum_(j <= 2 m0) log1p(eps / j) / eps; at eps = 0 the bracket is Euler's gamma - c."""
+    s = 2.0 * alpha
+    m0 = round((s - 1.0) / 2)
+    eps = s - 2 * m0 - 1
+    pair = abs(eps) <= 0.5 and m0 < _KAPPA_TERMS
+    a = [0.0 if pair and m == m0 else 2.0 * (-1) ** m * _zeta(s - 2 * m) / factorial(2 * m)
+         for m in range(_KAPPA_TERMS)]
+    if s >= 171:  # Gamma(s) overflows, and theta^(s-1) / Gamma(s) < 1e-220
+        return a, lambda theta: 0.0
+    if not pair:
+        A = pi / (gamma(s) * cos(pi * s / 2))
+        return a, lambda theta: A * theta ** (s - 1.0)
+    # lgamma(1 + eps) / eps = -(Euler's gamma) + sum_(k >= 2) (-1)^k zeta(k) eps^(k-1) / k
+    lgamma_ratio = -0.5772156649015329 + fsum((-1) ** k * _zeta(k) * eps ** (k - 1) / k
+                                              for k in range(2, 66))
+    c0 = (fsum(_zeta(2 * k) * eps ** (2 * k - 1) / (k * 4 ** k) for k in range(1, 30))
+          - lgamma_ratio - fsum(log1p(eps / j) / eps if eps else 1.0 / j
+                                for j in range(1, 2 * m0 + 1)))
+    b, z = 2.0 * (-1) ** m0 / factorial(2 * m0), _zeta_regular(1.0 + eps)
+
+    def pole_pair(theta):
+        c = np.log(theta) + c0
+        return b * theta ** (2 * m0) * (z - (np.expm1(eps * c) / eps if eps else c))
+
+    return a, pole_pair
 
 
-def korobov_series_1d(alpha: float, x, y, kmax: int):
-    """1 + kappa(|x - y|) by the truncated series at kmax, for any alpha a series
-    kernel takes (an integer one too)."""
-    t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    out = 1.0 + _kappa_series(_smoothness("cosine", alpha), t, _kmax(kmax))
-    return out if out.ndim else float(out)
+def _kappa(alpha, t):
+    """kappa(t) = 2 sum_(k >= 1) cos(2 pi k t) / k^(2 alpha) at t in [0, 1], in closed form at
+    every alpha > 1/2: (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(t) where `_closed_form`
+    holds, else one polynomial in theta^2 and one power, log or expm1 (`_kappa_terms`)."""
+    if _closed_form("korobov", alpha):
+        return (-1.0) ** (alpha + 1) * (2 * pi) ** (2 * alpha) * bernoulli_scaled(2 * alpha, t)
+    a, singular = _kappa_terms(alpha)
+    theta = 2 * pi * np.minimum(t, 1.0 - t)
+    u, out = theta * theta, np.full(theta.shape, a[-1])
+    for c in a[-2::-1]:
+        out = out * u + c
+    # theta = 0 (t = 0 or 1) meets log 0 and 0 * inf; kappa is 2 zeta(2 alpha) there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out += singular(theta)
+    return np.where(theta > 0, out, 2.0 * _zeta(2.0 * alpha))
 
 
 def _sobolev_taus(family: str, alpha: int) -> list[int]:
@@ -179,11 +204,11 @@ def sobolev_family_1d(family: str, alpha: int, x, y):
     return out if np.ndim(out) else float(out)
 
 
-def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
+def kernel_1d(family: str, alpha: float, x, y):
     """Univariate kernel K_(alpha,1,1) of the family at (x, y) in [0, 1]: the Sobolev families
-    by Bernoulli polynomials, the others 1 plus `_KAPPA_COEFFS` on kappa (`_closed_form`).
-    Outside [0, 1] the closed forms are not the kernel, so such points (and NaN) are refused."""
-    alpha, kmax = _smoothness(family, alpha), _kmax(kmax)
+    by Bernoulli polynomials, the others 1 plus `_KAPPA_COEFFS` on `_kappa`.  Outside [0, 1]
+    the closed forms are not the kernel, so such points (and NaN) are refused."""
+    alpha = _smoothness(family, alpha)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all((x >= 0.0) & (x <= 1.0)) and np.all((y >= 0.0) & (y <= 1.0))):
         raise DomainError("kernel_1d takes x and y in [0, 1]")
@@ -193,30 +218,23 @@ def kernel_1d(family: str, alpha: float, x, y, kmax: int = DEFAULT_SERIES_KMAX):
     coeffs, args = zip(*[(c, t) for c, t in zip(_KAPPA_COEFFS[family], (d, d / 2, (x + y) / 2))
                          if c])
     args = np.stack(np.broadcast_arrays(*args))
-    kappa = (_korobov_closed_form(alpha, args) if _closed_form(family, alpha)
-             else _kappa_series(alpha, args, kmax))
-    out = 1.0 + sum(c * k for c, k in zip(coeffs, kappa))
+    out = 1.0 + sum(c * k for c, k in zip(coeffs, _kappa(alpha, args)))
     return out if np.ndim(out) else float(out)
 
 
-def _lattice_tables(family: str, alpha: int, D: int):
+def _lattice_tables(family: str, alpha, D: int):
     """g, beta[tau], g_sum (2D + 1 entries, or None) with kernel_1d(family, alpha, a/D, b/D) - 1
     = g[|a - b|] + sum_tau beta[tau][a] beta[tau][b] + g_sum[a + b], all from one Korobov kernel_1d
     table kappa(c / 2D), c = 0..2D: kappa(|a - b| / D) at 2|a - b| (over (2 pi)^(2 alpha), beside
-    beta[tau] = b_tau, for the Sobolev families), the half-period terms at |a - b| and a + b."""
+    beta[tau] = b_tau, for the Sobolev families), the half-period terms at |a - b| and a + b;
+    at every alpha that KernelSpec takes for the family."""
     t = np.arange(2 * D + 1) / (2 * D)
-    kappa = kernel_1d("korobov", _table_order(alpha, alpha), t, 0.0) - 1.0
+    kappa = kernel_1d("korobov", alpha, t, 0.0) - 1.0
     if family in SOBOLEV_FAMILIES:
         return kappa[::2] / (2 * pi) ** (2 * alpha), {
             tau: bernoulli_scaled(tau, t[::2]) for tau in _sobolev_taus(family, alpha)}, None
     c_diff, c_half, c_sum = _KAPPA_COEFFS[family]
     return c_diff * kappa[::2] + c_half * kappa[:D + 1], {}, (c_sum * kappa if c_sum else None)
-
-
-def series_tail_bound(alpha: float, kmax: int) -> float:
-    """Uniform bound on the truncation error of every series kernel above: kappa drops at
-    most 2 sum_{k>kmax} k^(-2 alpha) (`_zeta_tail`), and each `_KAPPA_COEFFS` row sums to 1."""
-    return 2.0 * _zeta_tail(2 * _smoothness("cosine", alpha), _kmax(kmax) + 1)
 
 
 # -- multivariate kernel ----------------------------------------------------
@@ -228,7 +246,7 @@ def kernel(spec: KernelSpec, x, y):
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != spec.s or y.shape[-1] != spec.s:
         raise DomainError(f"points must have last axis {spec.s}")
-    eta = kernel_1d(spec.family, spec.alpha, x, y, spec.series_kmax) - 1.0
+    eta = kernel_1d(spec.family, spec.alpha, x, y) - 1.0
     out = 1.0 + spec.weights.combine(eta)
     return out if np.ndim(out) else float(out)
 

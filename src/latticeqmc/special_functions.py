@@ -1,17 +1,19 @@
-"""Bernoulli polynomials, zeta values, and series oracles.
+"""Bernoulli polynomials and zeta values.
 
 The polynomial coefficients are generated once as exact rationals through
 degree ``MAX_DEGREE`` and cached; evaluation then happens in floating point
 via Horner's scheme.  Every kernel and worst-case-error formula in this
-package ultimately reduces to these evaluations, which is why the table is
-exact rather than recursively computed in floats.
+package at integer smoothness reduces to these evaluations, which is why the
+table is exact rather than recursively computed in floats; at other
+smoothness the kernels read zeta at real arguments from one Euler-Maclaurin
+body.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, fsum, inf, pi
+from math import comb, expm1, factorial, fsum, gamma, inf, log, pi, sin
 
 import numpy as np
 
@@ -26,8 +28,6 @@ __all__ = [
     "bernoulli_poly",
     "bernoulli_scaled",
     "riemann_zeta",
-    "bernoulli_fourier_partial_sum",
-    "fourier_tail_bound",
 ]
 
 
@@ -92,16 +92,13 @@ _EM_COEFFS = tuple(float(bernoulli_numbers()[2 * j] / factorial(2 * j)) for j in
 _ROUND_UP = 1.0 + 4 * np.finfo(float).eps
 
 
-def _zeta_tail(sigma: float, m: int) -> float:
-    """An upper bound, within 7 eps relative, on sum_{k >= m} k^-sigma for
-    finite sigma > 1 and integer m >= 1: the terms k = m..m+15 directly, the
-    rest by Euler-Maclaurin at M = m + 16, the integral, the half term and
-    seven corrections B_2j/(2j)! sigma (sigma+1) ... (sigma+2j-2) M^(1-sigma-2j)."""
-    if not 1.0 < sigma < inf:
-        raise DomainError(f"zeta requires a finite sigma > 1, got {sigma}")
+def _em_terms(sigma: float, m: int, integral: float) -> list[float]:
+    """The Euler-Maclaurin terms of sum_{k >= m} k^-sigma: k = m..m+15 directly,
+    then at M = m + 16 the given integral term, the half term and seven
+    corrections B_2j/(2j)! sigma (sigma+1) ... (sigma+2j-2) M^(1-sigma-2j)."""
     M = float(m + 16)
     terms = [float(k) ** -sigma for k in range(m, m + 16)]
-    terms += [M ** (1.0 - sigma) / (sigma - 1.0), 0.5 * M ** -sigma]
+    terms += [integral, 0.5 * M ** -sigma]
     rising, power = sigma, M ** (-sigma - 1.0)
     for j, c in enumerate(_EM_COEFFS):
         if power == 0.0:  # sigma so large that the rest underflows
@@ -109,7 +106,17 @@ def _zeta_tail(sigma: float, m: int) -> float:
         terms.append(c * rising * power)
         rising *= (sigma + 2 * j + 1) * (sigma + 2 * j + 2)
         power /= M * M
-    return fsum(terms) * _ROUND_UP
+    return terms
+
+
+def _zeta_tail(sigma: float, m: int) -> float:
+    """An upper bound, within 7 eps relative, on sum_{k >= m} k^-sigma for
+    finite sigma > 1 and integer m >= 1: `_em_terms` with the integral
+    M^(1-sigma) / (sigma - 1), rounded up."""
+    if not 1.0 < sigma < inf:
+        raise DomainError(f"zeta requires a finite sigma > 1, got {sigma}")
+    M = float(m + 16)
+    return fsum(_em_terms(sigma, m, M ** (1.0 - sigma) / (sigma - 1.0))) * _ROUND_UP
 
 
 def riemann_zeta(sigma: float) -> float:
@@ -117,26 +124,21 @@ def riemann_zeta(sigma: float) -> float:
     return _zeta_tail(sigma, 1)
 
 
-def bernoulli_fourier_partial_sum(tau: int, x: float, kmax: int) -> float:
-    """Truncated Fourier series of b_tau = B_tau / tau! (tau >= 2 only).
-
-    Sums -(2 pi i)^-tau sum_{0<|k|<=kmax} e^{2 pi i k x} / k^tau in its real
-    trigonometric form.  Serves as an oracle against the polynomial table;
-    the conditionally convergent tau = 1 series is intentionally unsupported.
-    """
-    if tau < 2:
-        raise DomainError("partial sums require tau >= 2")
-    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
-    if tau % 2 == 0:
-        m = tau // 2
-        sign = -1.0 if m % 2 == 0 else 1.0
-        return sign * 2.0 / (2 * pi) ** tau * float(np.sum(np.cos(2 * pi * k * x) / k**tau))
-    m = (tau - 1) // 2
-    sign = -1.0 if m % 2 == 0 else 1.0
-    return sign * 2.0 / (2 * pi) ** tau * float(np.sum(np.sin(2 * pi * k * x) / k**tau))
+def _zeta_regular(sigma: float) -> float:
+    """zeta(sigma) - 1/(sigma - 1) for sigma >= 1/2, Euler's constant at sigma = 1:
+    `_em_terms` at m = 1 with the pole taken out of the integral term,
+    (M^(1-sigma) - 1) / (sigma - 1) = -log M expm1(x) / x, x = (1 - sigma) log M."""
+    x = (1.0 - sigma) * log(17.0)
+    return fsum(_em_terms(sigma, 1, -log(17.0) * (expm1(x) / x if x else 1.0)))
 
 
-def fourier_tail_bound(tau: int, kmax: int) -> float:
-    """Rigorous bound on |b_tau(x) - partial sum|, uniform in x: 2 (2 pi)^-tau sum_{k>kmax}
-    k^-tau (`_zeta_tail`), rounded up once more for the three roundings of the factor."""
-    return 2.0 / (2 * pi) ** tau * _zeta_tail(float(tau), _kmax(kmax) + 1) * _ROUND_UP
+def _zeta(sigma: float) -> float:
+    """zeta(sigma) at every real sigma != 1, unrounded: `_zeta_regular` from 1/2 up,
+    the functional equation onto 1 - sigma below it (near its trivial zeros good to
+    about 1e-16 absolute, not relative)."""
+    if sigma >= 0.5:
+        return _zeta_regular(sigma) + 1.0 / (sigma - 1.0)
+    if sigma == 0:
+        return -0.5
+    return (2.0 ** sigma * pi ** (sigma - 1.0) * sin(pi * sigma / 2) * gamma(1.0 - sigma)
+            * _zeta(1.0 - sigma))

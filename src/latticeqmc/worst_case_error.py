@@ -3,7 +3,8 @@
 Squared worst-case errors come from three routes that cross-check each other:
 
 * the kernel quadratic form -1 + |P|^-2 sum_{x,y in P} K(x,y), valid for the
-  unit-mean kernels, every family in closed form (`kernels._closed_form`).
+  unit-mean kernels: all six families at every alpha they take, the Korobov
+  and cosine families off the Bernoulli tables through kappa in closed form.
   One engine, `_quadratic_form`, serves both exact errors: the plain kernel
   on any point set (tent points among them), and for symmetrized rules the
   reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N base-lattice
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
-from .kernels import (KernelSpec, _block_map, _block_rows, _closed_form, _integer_alpha,
-                      _korobov_closed_form, _lattice_tables, _table_order, _tent_alpha)
+from .kernels import (KernelSpec, _block_map, _block_rows, _integer_alpha, _kappa, _lattice_tables,
+                      _table_order, _tent_alpha)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime, primitive_root
 from .special_functions import riemann_zeta
@@ -150,11 +151,9 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
 
 
 def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
-    """-1 + |P|^-2 sum_{x,y in P} K(x, y) for a unit-mean kernel in closed form
-    (`_closed_form`); a series kernel is refused, as its truncation is not exact."""
-    if not _closed_form(spec.family, spec.alpha):
-        raise DomainError(f"quadratic-form shortcut needs a closed-form kernel, not "
-                          f"{spec.family!r} at alpha = {spec.alpha}")
+    """-1 + |P|^-2 sum_{x,y in P} K(x, y) for every kernel of KernelSpec, all unit-mean:
+    the tables of `_lattice_tables` hold each one in closed form, kappa off the
+    Bernoulli tables included."""
     return _quadratic_form(spec.weights, len(ps), ps.denominator, lambda: (
         ps.numerators, *_lattice_tables(spec.family, spec.alpha, ps.denominator)))
 
@@ -168,7 +167,7 @@ def korobov_residue_table(alpha: int, N: int) -> np.ndarray:
     w(N - r) = w(r), and the table holds it bit for bit: r <= N/2 is
     evaluated and mirrored, so sums over the half points n <= N/2 and over
     another order of the points (the CBC sweep's) read the same values."""
-    half = _korobov_closed_form(alpha, np.arange(N // 2 + 1, dtype=float) / N)
+    half = _kappa(alpha, np.arange(N // 2 + 1, dtype=float) / N)
     return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
 
 
@@ -405,7 +404,7 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     n.  Then a + b <= N, and G(|x + y - 1|) = G(x + y) is read at a + b in
     the table of N + 1 entries.
     """
-    alpha = _integer_alpha(alpha, 2)
+    alpha = _table_order(_integer_alpha(alpha, 2), alpha)
     N = rule.N
 
     def build():

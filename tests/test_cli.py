@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latticeqmc import cli
 from latticeqmc.cbc import CbcCriterion, cbc_plain
 from latticeqmc.cli import WEIGHTS_HELP, main
+from latticeqmc.experiments import experiment_config, run_experiment
 from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize, tent_transform
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import corollary_bound, wce_sq_korobov_lattice
@@ -133,6 +135,42 @@ def test_experiment_with_external_points(tmp_path):
                  "--external-points", str(ext), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].endswith(",err_external")
+
+
+def test_experiment_takes_composite_n_as_cbc_does(tmp_path, monkeypatch):
+    """A composite --n-list runs the plain sweep, as `cbc` does: exit 0, and the
+    experiment's rules are cbc_plain's (it refused N = 64 with "fast construction
+    requires prime N" before)."""
+    results = []
+
+    def recorded(cfg, external_points=None):
+        results.append(run_experiment(cfg, external_points))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", recorded)
+    out = tmp_path / "exp.csv"
+    # plain CBC picks z sharing a factor with N here, which LatticeRule warns about
+    with pytest.warns(UserWarning, match="share a factor"):
+        assert main(["experiment", "--name", "f1_s20", "--n-list", "64,128",
+                     "--out", str(out)]) == 0
+    cfg = experiment_config("f1_s20")
+    crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product(cfg.cbc_gamma))
+    assert results[0].vectors == {N: cbc_plain(N, cfg.dims, crit).z for N in (64, 128)}
+    assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_runtime_imports_only_numpy():
+    """The package and its CLI load neither the test oracles' scipy and mpmath
+    nor concurrent.futures, which the quadratic form's pool imports on first use."""
+    code = ("import sys, latticeqmc, latticeqmc.cli; "
+            "print([m for m in ('scipy', 'mpmath', 'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent
+                                                          / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_appendix_passes(capsys):

@@ -1,7 +1,7 @@
-"""Kernel evaluations: closed forms, series paths, symmetry, PSD, unit mean."""
+"""Kernel evaluations: closed forms, kappa against its series, symmetry, PSD, unit mean."""
 
 import math
-import tracemalloc
+from functools import cache
 
 import numpy as np
 import pytest
@@ -14,12 +14,9 @@ from latticeqmc.kernels import (
     kernel,
     kernel_1d,
     kernel_mean_identity_check,
-    korobov_series_1d,
-    series_tail_bound,
 )
 from latticeqmc.lattice import LatticeRule, dual_projected, rank1_points
-from latticeqmc.special_functions import (MAX_DEGREE, bernoulli_fourier_partial_sum,
-                                          fourier_tail_bound)
+from latticeqmc.special_functions import MAX_DEGREE
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     CbcCriterion,
@@ -30,11 +27,12 @@ from latticeqmc.worst_case_error import (
     wce_sym_exact,
     wce_sym_middle_term,
 )
+from oracles import (bernoulli_fourier_partial_sum, fourier_tail_bound, korobov_series_1d,
+                     series_tail_bound)
 
 
-def spec_for(family, alpha, s=1, gamma=1.0, kmax=2000):
-    return KernelSpec(family=family, alpha=alpha,
-                      weights=WeightScheme.product([gamma] * s), series_kmax=kmax)
+def spec_for(family, alpha, s=1, gamma=1.0):
+    return KernelSpec(family=family, alpha=alpha, weights=WeightScheme.product([gamma] * s))
 
 
 def test_korobov_diagonal_closed_form():
@@ -66,7 +64,7 @@ def test_odd_alpha_families_coincide_where_required():
 
 
 def test_korobov_series_path_matches_bernoulli_form():
-    """Force the series on an integer alpha; the difference sits inside the tail."""
+    """The series oracle at an integer alpha sits within its tail of the Bernoulli form."""
     rng = np.random.default_rng(2)
     kmax = 100_000
     bound = series_tail_bound(1.0, kmax)
@@ -88,57 +86,60 @@ def _definition_series(family, alpha, x, y, kmax):
 
 
 def test_series_families_tail_bound_is_honest():
-    rng = np.random.default_rng(3)
+    """The series of each family's definition, truncated at kmax, sits within the
+    tail bound of the kernel, whether kappa is in Bernoulli form (alpha = 1) or not."""
     for family in ("cosine", "kor_plus_cos"):
-        for alpha in (0.75, 2.5):
-            coarse = kernel_1d(family, alpha, 0.3, 0.9, kmax=200)
-            fine = kernel_1d(family, alpha, 0.3, 0.9, kmax=20_000)
-            assert abs(coarse - fine) <= series_tail_bound(alpha, 200)
-        # at alpha = 1 the kernel is in closed form, and the kmax = 20000 series of
-        # its definition sits within the tail bound of it
-        gap = kernel_1d(family, 1.0, 0.3, 0.9) - _definition_series(family, 1.0, 0.3, 0.9, 20_000)
-        assert abs(gap) <= series_tail_bound(1.0, 20_000)
-    del rng
+        for alpha, kmax in ((0.75, 20_000), (1.0, 20_000), (2.5, 200)):
+            gap = kernel_1d(family, alpha, 0.3, 0.9) - _definition_series(family, alpha, 0.3,
+                                                                           0.9, kmax)
+            assert abs(gap) <= series_tail_bound(alpha, kmax)
 
 
+@cache
 def _kappa_oracle(alpha, t):
     """kappa(t) = 2 sum_k cos(2 pi k t) / k^(2 alpha) = 2 Re Li_(2 alpha)(e^(2 pi i t)),
-    at 30 digits."""
+    2 zeta(2 alpha) at t = 0 and 1, at 20 digits."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        return 2 * mpmath.re(mpmath.polylog(2 * alpha, mpmath.expjpi(2 * mpmath.mpf(t))))
+    with mpmath.workdps(20):
+        s = 2 * mpmath.mpf(alpha)
+        if t in (0.0, 1.0):
+            return 2 * mpmath.zeta(s)
+        return 2 * mpmath.re(mpmath.polylog(s, mpmath.expjpi(2 * mpmath.mpf(t))))
 
 
-@pytest.mark.parametrize("alpha", [1, 2, 3])
+_POLYLOG_ALPHAS = [1, 2, 3, 0.51, 0.75, 1.25, 1.5, 1.5 - 1e-4, 1.5 + 1e-4, 1.5 - 1e-8,
+                   1.5 + 1e-8, 1.626, 2 + 1e-9, 2.5, 2.501, 3.3, 4.5, 7.9, 9, 9.5, 200]
+
+
+@pytest.mark.parametrize("alpha", _POLYLOG_ALPHAS)
 def test_cosine_families_closed_form_match_polylog(alpha):
-    """The closed-form cosine families against kappa from mpmath's polylog, at
-    random points and on the lines x = y and x + y = 1."""
-    rng = np.random.default_rng(40 + alpha)
-    x, y = rng.random((2, 12))
-    x = np.concatenate([x, [0.0, 0.3, 1.0, 0.2, 0.75, 0.0]])
-    y = np.concatenate([y, [0.0, 0.3, 1.0, 0.8, 0.25, 1.0]])
-    for family, (c_diff, c_half) in (("cosine", (0, 0.5)), ("kor_plus_cos", (0.5, 0.25))):
+    """The Korobov, cosine and Korobov+cosine kernels against kappa from mpmath's
+    polylog, at random points, on the lines x = y and x + y = 1, at t = 0, 1/2
+    and 1 and next to 0 and 1, to 2e-14: by `kernels._kappa` at every alpha off
+    the Bernoulli tables (among them odd 2 alpha and its neighbours 1e-4 and 1e-8
+    away; 1.626, where 2 alpha is 0.252 above 3 and which erred by 3.4e-14 when
+    only 1/4 around odd 2 alpha took the pole pair; 2 + 1e-9, where zeta(2 alpha
+    - 4) at 2e-9 meets the pole of zeta(1 - sigma); and 200, where Gamma(2 alpha)
+    overflows),
+    and in Bernoulli form at integer alpha <= 8.  There the cosine families keep
+    4e-15 on the 18 points they had before; next to t = 0 and 1 the Bernoulli
+    form errs by up to 7.1e-15 (alpha = 3).  A polylog at non-integer order takes
+    mpmath about 20 ms, so those alphas take 4 random points, not 12."""
+    strict = 18 if alpha in (1, 2, 3) else 0
+    rng = np.random.default_rng(40 + alpha if strict else 40)
+    x, y = rng.random((2, 12 if strict else 4))
+    x = np.concatenate([x, [0.0, 0.3, 1.0, 0.2, 0.75, 0.0, 1e-9, 1.0, 0.5, 1e-12]])
+    y = np.concatenate([y, [0.0, 0.3, 1.0, 0.8, 0.25, 1.0, 0.0, 1e-9, 0.0, 1.0]])
+    for family, (c_diff, c_half) in (("korobov", (1, 0)), ("cosine", (0, 0.5)),
+                                     ("kor_plus_cos", (0.5, 0.25))):
         got = kernel_1d(family, alpha, x, y)
-        for xi, yi, g in zip(x, y, got):
-            want = 1 + c_diff * _kappa_oracle(alpha, abs(xi - yi)) + c_half * (
-                _kappa_oracle(alpha, abs(xi - yi) / 2) + _kappa_oracle(alpha, (xi + yi) / 2))
-            assert g == pytest.approx(float(want), rel=4e-15, abs=4e-15)
-
-
-def test_series_memory_follows_the_block_budget():
-    """The k-blocks shrink as the arrays grow: a (32, 32, 4) array at
-    kmax = 4096 holds a few MB of blocks, not 4096 k-values per entry."""
-    rng = np.random.default_rng(4)
-    x, y = rng.random((2, 32, 32, 4))
-    tracemalloc.start()
-    try:
-        out = kernel_1d("cosine", 1.5, x, y, kmax=4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
-    for i in zip(*(rng.integers(0, n, size=40) for n in x.shape)):
-        assert out[i] == pytest.approx(kernel_1d("cosine", 1.5, x[i], y[i], kmax=4096), rel=1e-13)
+        for i, (xi, yi, g) in enumerate(zip(x, y, got)):
+            want = 1 + c_diff * _kappa_oracle(alpha, abs(xi - yi))
+            if c_half:
+                want += c_half * (_kappa_oracle(alpha, abs(xi - yi) / 2)
+                                  + _kappa_oracle(alpha, (xi + yi) / 2))
+            tol = 4e-15 if i < strict and family != "korobov" else 2e-14
+            assert g == pytest.approx(float(want), rel=tol, abs=tol)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -146,8 +147,8 @@ def test_kernel_symmetry(family):
     rng = np.random.default_rng(4)
     alpha = 2 if family != "cosine" else 1.5
     x, y = rng.random((2, 50))
-    a = kernel_1d(family, alpha, x, y, kmax=500)
-    b = kernel_1d(family, alpha, y, x, kmax=500)
+    a = kernel_1d(family, alpha, x, y)
+    b = kernel_1d(family, alpha, y, x)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
@@ -161,7 +162,7 @@ def test_points_outside_the_unit_interval_are_refused():
                                 ("sobolev", 2, 0.2, math.nan), ("cosine", 1.5, 0.2, -1e-12),
                                 ("sob_odd", 3, np.array([0.2, 1.5]), 0.3)):
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
-            kernel_1d(family, alpha, x, y, kmax=50)
+            kernel_1d(family, alpha, x, y)
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
         kernel(spec_for("korobov", 1, s=2), np.array([0.2, 1.3]), np.array([0.1, 0.1]))
     assert kernel_1d("korobov", 1, 1.0, 0.0) == kernel_1d("korobov", 1, 0.0, 0.0)
@@ -173,9 +174,9 @@ def test_gram_matrix_positive_semidefinite(family):
     alpha = 2 if family != "kor_plus_cos" else 1.0
     pts = rng.random((8, 2))
     w = WeightScheme.product([0.8, 0.6])
-    # alpha = 1.5 keeps the cosine families on the series
+    # alpha = 1.5 puts the cosine families on kappa's polylog form
     for a in (alpha, 1.5) if family in ("cosine", "kor_plus_cos") else (alpha,):
-        spec = KernelSpec(family=family, alpha=a, weights=w, series_kmax=500)
+        spec = KernelSpec(family=family, alpha=a, weights=w)
         gram = kernel(spec, pts[:, None, :], pts[None, :, :])
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-9
@@ -248,16 +249,15 @@ def test_spec_validation():
 _W1, _W3 = WeightScheme.product([1.0]), WeightScheme.product([1.0, 0.5, 0.25])
 _RULE = LatticeRule(N=13, z=(1, 5, 3))
 
-# Every public entry point that takes a smoothness alpha: (call, which alpha
-# it takes, whether it returns the alpha it stored).  "real" is any finite
+# Every public entry point that takes a smoothness alpha, and the series oracles on
+# kappa: (call, which alpha it takes, whether it returns the alpha it stored).  "real" is any finite
 # alpha > 1/2, "int" an integer >= 1, "even" an even integer >= 2.
 ALPHA_ENTRY_POINTS = {
     "KernelSpec/sobolev": (lambda a: KernelSpec("sobolev", a, _W1).alpha, "int", True),
     "KernelSpec/korobov": (lambda a: KernelSpec("korobov", a, _W1).alpha, "real", False),
     "KernelSpec/cosine": (lambda a: KernelSpec("cosine", a, _W1).alpha, "real", False),
     "kernel_1d/sob_odd": (lambda a: kernel_1d("sob_odd", a, 0.2, 0.3), "int", False),
-    "kernel_1d/kor_plus_cos": (lambda a: kernel_1d("kor_plus_cos", a, 0.2, 0.3, 50), "real",
-                               False),
+    "kernel_1d/kor_plus_cos": (lambda a: kernel_1d("kor_plus_cos", a, 0.2, 0.3), "real", False),
     "korobov_series_1d": (lambda a: korobov_series_1d(a, 0.2, 0.3, 50), "real", False),
     "series_tail_bound": (lambda a: series_tail_bound(a, 50), "real", False),
     "CbcCriterion/plain_korobov": (lambda a: CbcCriterion("plain_korobov", _W3, a).alpha, "int",
@@ -323,33 +323,33 @@ def _accepted_at_parent(family, alpha):
 
 def test_every_alpha_accepted_before_is_still_accepted():
     """No alpha that was accepted is refused; Korobov at integer alpha > 8 moves
-    to the series, and the exact routes still take every closed form they took
-    and refuse what the Bernoulli tables do not reach."""
+    to kappa's polylog form.  The exact engine takes every kernel, and the
+    mean-identity check every Bernoulli closed form it took; the symmetrized
+    error refuses what the Bernoulli tables do not reach."""
     rule = LatticeRule(N=7, z=(1, 3))
     w = WeightScheme.product([1.0, 0.5])
     for family in FAMILIES:
         for alpha in (0.75, 1, 1.5, 2, 2.5, 3, 4, 4.5, 7, 8, 8.5, 9, 9.5, 10, 17):
             if not _accepted_at_parent(family, alpha):
                 continue
-            spec = KernelSpec(family, alpha, w, series_kmax=50)
+            spec = KernelSpec(family, alpha, w)
             assert np.isfinite(kernel(spec, np.array([0.2, 0.7]), np.array([0.4, 0.1])))
-            assert np.isfinite(kernel_1d(family, alpha, 0.2, 0.4, kmax=50))
-            if family in ("sobolev", "sob_odd", "sob_odd_alpha") or (
-                    family == "korobov" and alpha in range(1, 9)):
-                assert wce_sq_quadratic_form(spec, rank1_points(rule)).value >= 0.0
+            assert np.isfinite(kernel_1d(family, alpha, 0.2, 0.4))
+            assert wce_sq_quadratic_form(spec, rank1_points(rule)).value >= 0.0
+            if family in ("sobolev", "sob_odd", "sob_odd_alpha") or alpha in range(1, 9):
                 assert kernel_mean_identity_check(spec, np.array([0.3, 0.6])) == pytest.approx(
                     1.0, abs=1e-8)
-    assert kernel_1d("korobov", 9, 0.2, 0.4, kmax=50) == korobov_series_1d(9, 0.2, 0.4, 50)
-    # the exact symmetrized error still refuses beyond the tables, before any series
+    # the series tail past k = 50 is 1.3e-30, so the two differ by rounding only
+    assert kernel_1d("korobov", 9, 0.2, 0.4) == pytest.approx(korobov_series_1d(9, 0.2, 0.4, 50),
+                                                              rel=1e-15)
+    # the exact symmetrized error still refuses beyond the tables
     with pytest.raises(DomainError, match="alpha = 10 "):
         wce_sym_exact(10, w, rule)
 
 
-# Every public entry point that takes a series truncation kmax, called with it.
+# Every public entry point that takes a series truncation kmax, and the series
+# oracles of the tests, called with it.
 KMAX_ENTRY_POINTS = {
-    "KernelSpec": lambda k: KernelSpec("cosine", 1.5, _W1, series_kmax=k).series_kmax,
-    "kernel_1d/cosine": lambda k: kernel_1d("cosine", 1.5, 0.2, 0.7, kmax=k),
-    "kernel_1d/korobov": lambda k: kernel_1d("korobov", 1, 0.2, 0.7, kmax=k),
     "korobov_series_1d": lambda k: korobov_series_1d(1.5, 0.2, 0.7, k),
     "series_tail_bound": lambda k: series_tail_bound(1.5, k),
     "bernoulli_fourier_partial_sum": lambda k: bernoulli_fourier_partial_sum(2, 0.3, k),

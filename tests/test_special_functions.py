@@ -7,18 +7,16 @@ import numpy as np
 import pytest
 
 from latticeqmc.errors import DomainError
-from latticeqmc.kernels import series_tail_bound
 from latticeqmc.special_functions import (
     MAX_DEGREE,
     bernoulli_coefficients,
-    bernoulli_fourier_partial_sum,
     bernoulli_numbers,
     bernoulli_poly,
     bernoulli_scaled,
-    fourier_tail_bound,
     riemann_zeta,
 )
-from oracles import bernoulli_periodic
+from oracles import (bernoulli_fourier_partial_sum, bernoulli_periodic, fourier_tail_bound,
+                     series_tail_bound)
 
 
 def test_bernoulli_poly_classic_values():
