@@ -124,11 +124,16 @@ def appendix_inner_sum(l: int, which: str, kmax: int) -> tuple[float, float]:
         raise DomainError(f"l must be a positive odd integer, got {l}")
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
-    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
-    den = 4.0 * k**2 - float(l) ** 2
+    den = np.arange(1, _kmax(kmax) + 1, dtype=float)  # k, then each term, in place
+    den *= den
+    den *= 4.0
+    den -= float(l) ** 2
+    if which == "second":
+        den *= den
+    np.reciprocal(den, out=den)
     if which == "first":
-        return float(np.sum(1.0 / den)), 1.0 / (2.0 * l**2)
-    return float(np.sum(1.0 / den**2)), (pi**2 / 4.0 - 2.0 / l**2) / (4.0 * l**2)
+        return float(np.sum(den)), 1.0 / (2.0 * l**2)
+    return float(np.sum(den)), (pi**2 / 4.0 - 2.0 / l**2) / (4.0 * l**2)
 
 
 # -- the verification suite behind the `verify-appendix` command ------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from math import gcd
@@ -18,12 +19,14 @@ from math import gcd
 import numpy as np
 
 from .errors import DomainError, GuardError
+from .kernels import _block_rows
 from .numtheory import fibonacci
 from .special_functions import _kmax
 
 MAX_N = 2**31  # keeps n*z products inside int64
 SYMMETRIZE_DIM_GUARD = 20
 DUAL_SCAN_GUARD = 20_000_000
+_COMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,26 @@ class PointSet:
         return self.numerators / float(self.denominator)
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, self.points, delimiter=",", fmt="%.17g")
+        """Write the float view as "%.17g" rows joined by ",", the bytes of
+        np.savetxt, to a path or an open text handle.  A path ending in .gz,
+        .bz2, .xz or .lzma is compressed, as savetxt does.
+
+        Each block of rows formats each distinct numerator once: i / float(D)
+        is the quotient that .points holds.  Memory is O(block), not O(D)."""
+        if not hasattr(path, "write"):
+            path = os.fspath(path)
+            codec = _COMPRESSORS.get(os.path.splitext(path)[1])
+            with (__import__(codec).open(path, "wt") if codec else open(path, "w")) as fh:
+                self.to_csv(fh)
+            return
+        D = float(self.denominator)
+        step = _block_rows(self.s)
+        end = (np.arange(self.s) == self.s - 1).astype(np.intp)  # picks the cell's "\n" over ","
+        for start in range(0, len(self), step):
+            values, index = np.unique(self.numerators[start:start + step], return_inverse=True)
+            text = (f"{i / D:.17g}" for i in values.tolist())
+            cells = np.array([(f"{t},", f"{t}\n") for t in text], dtype=object)
+            path.write("".join(cells[index.reshape(-1, self.s), end].ravel().tolist()))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -144,13 +166,15 @@ def distinct_count(ps: PointSet) -> int:
     """Number of distinct points in a symmetrized multiset (exact comparison).
 
     Numerators lie in 0..D, so while (D + 1)^s < 2^63 each point is one int64
-    key in radix D + 1; larger sets compare rows as tuples."""
+    key in radix D + 1, counted by one sort; larger sets compare rows as tuples."""
     if ps.kind != "symmetrized":
         raise DomainError("distinct_count is defined for symmetrized point sets")
     radix = int(ps.denominator) + 1
     if radix**ps.s < 2**63:
         place = radix ** np.arange(ps.s, dtype=np.int64)
-        return len(np.unique(ps.numerators.astype(np.int64, copy=False) @ place))
+        keys = ps.numerators.astype(np.int64, copy=False) @ place
+        keys.sort()  # in place: the product is a fresh array, the numerators stay as they are
+        return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     return len({tuple(row) for row in ps.numerators.tolist()})
 
 

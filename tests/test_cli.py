@@ -27,6 +27,18 @@ def test_points_csv(tmp_path):
     np.testing.assert_array_equal(pts, rank1_points(LatticeRule(N=5, z=(1, 2))).points)
 
 
+@pytest.mark.parametrize("suffix,module", [(".gz", "gzip"), (".bz2", "bz2"), (".xz", "lzma"),
+                                           (".lzma", "lzma")])
+def test_points_csv_compresses_by_suffix_as_savetxt_does(tmp_path, suffix, module):
+    import importlib
+
+    args = ["points", "--n", "7", "--z", "1,3", "--transform", "sym", "--out"]
+    assert main(args + [str(tmp_path / "p.csv")]) == 0
+    assert main(args + [str(tmp_path / f"p.csv{suffix}")]) == 0
+    with importlib.import_module(module).open(tmp_path / f"p.csv{suffix}", "rt") as fh:
+        assert fh.read() == (tmp_path / "p.csv").read_text()
+
+
 def test_points_tent_and_sym_json(tmp_path):
     out = tmp_path / "pts.json"
     assert main(["points", "--n", "5", "--z", "1,2", "--transform", "tent",

@@ -1,10 +1,12 @@
 """Point-set generation, transforms, dual-lattice checks, character sums."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from latticeqmc import kernels
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import (
     LatticeRule,
@@ -140,12 +142,30 @@ def test_distinct_count_matches_tuple_set(D, s):
     second and fourth sets, the second just below the limit); the others
     take the tuple fallback.  Rows mix 0, 1, D - 1 and D, which a key of too
     small a radix would confuse, with repeats."""
-    rng = np.random.default_rng(D + s)
-    pool = np.concatenate([[0, 1, D - 1, D], rng.integers(0, D + 1, 3)])
-    nums = rng.choice(pool, size=(400, s))
-    ps = PointSet(s=s, kind="symmetrized", numerators=nums, denominator=D)
+    ps = edge_heavy_set(D, s)
+    nums = ps.numerators.copy()
     assert ((D + 1) ** s < 2**63) == (D < 2**21 - 1 or s == 2)
     assert distinct_count(ps) == len({tuple(row) for row in nums.tolist()}) < len(nums)
+    np.testing.assert_array_equal(ps.numerators, nums)  # the keys are sorted, not the input
+
+
+def edge_heavy_set(D, s) -> PointSet:
+    """400 symmetrized rows drawn from 0, 1, D - 1, D and three random
+    numerators, so rows repeat and sit at both ends of [0, 1]."""
+    rng = np.random.default_rng(D + s)
+    pool = np.concatenate([[0, 1, D - 1, D], rng.integers(0, D + 1, 3)])
+    return PointSet(s=s, kind="symmetrized", numerators=rng.choice(pool, size=(400, s)),
+                    denominator=D)
+
+
+def test_distinct_count_of_one_point_and_of_fibonacci_rules():
+    one = PointSet(s=3, kind="symmetrized", numerators=np.array([[0, 2, 5]]), denominator=5)
+    assert distinct_count(one) == 1
+    for m in range(7, 13):
+        ps = symmetrize(rank1_points(fibonacci_rule(m)))
+        nums = ps.numerators.copy()
+        assert distinct_count(ps) == len({tuple(row) for row in nums.tolist()})
+        np.testing.assert_array_equal(ps.numerators, nums)
 
 
 def test_distinct_count_needs_unit_generators():
@@ -230,6 +250,66 @@ def test_export_round_trips(tmp_path):
     data = json.loads(ps.to_json())
     assert data["n"] == 5 and data["s"] == 2 and data["kind"] == "plain"
     np.testing.assert_array_equal(np.array(data["points"]), ps.points)
+
+
+def savetxt_text(ps: PointSet) -> str:
+    buf = io.StringIO()
+    np.savetxt(buf, ps.points, delimiter=",", fmt="%.17g")
+    return buf.getvalue()
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else the first row where they part.  Asserting
+    on this, not on the texts, spares a line diff of thousands of rows."""
+    if got == want:
+        return None
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    row = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return row, got[row:row + 1], want[row:row + 1]
+
+
+@pytest.mark.parametrize("budget", [None, 7])  # 7 entries: every block holds 1 to 7 rows
+@pytest.mark.parametrize("D,s", [(1, 2), (2, 1), (2, 3), (1021, 3)])
+def test_csv_export_is_the_bytes_of_savetxt(D, s, budget, monkeypatch):
+    """Each block formats each distinct numerator once; the rows must still
+    be savetxt's, for plain, tent and symmetrized sets and across blocks."""
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_BUDGET", budget)
+    rng = np.random.default_rng(D + s)
+    if D == 1:  # no rule has D = 1, so the sets are listed directly
+        nums = rng.integers(0, 2, size=(9, s))
+        sets = [PointSet(s=s, kind=k, numerators=nums, denominator=1)
+                for k in ("plain", "tent", "symmetrized")]
+    else:
+        plain = rank1_points(random_rule(rng, D, s))
+        sets = [plain, tent_transform(plain), symmetrize(plain)]
+    for ps in sets:
+        buf = RowCountingText()
+        ps.to_csv(buf)
+        assert first_difference(buf.getvalue(), savetxt_text(ps)) is None
+        assert max(buf.rows_per_write) <= kernels._block_rows(s)  # O(block) memory
+
+
+class RowCountingText(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.rows_per_write = []
+
+    def write(self, text):
+        self.rows_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+def test_csv_export_to_a_path_a_str_and_a_handle_at_max_n(tmp_path):
+    """D = 2^31 = MAX_N: no table of D entries may be built."""
+    ps = edge_heavy_set(2**31, 3)
+    expected = savetxt_text(ps)
+    ps.to_csv(tmp_path / "a.csv")
+    ps.to_csv(str(tmp_path / "b.csv"))
+    with open(tmp_path / "c.csv", "w") as fh:
+        ps.to_csv(fh)
+    for name in ("a.csv", "b.csv", "c.csv"):
+        assert first_difference((tmp_path / name).read_bytes().decode(), expected) is None
 
 
 @pytest.mark.parametrize("numerators,denominator", [
