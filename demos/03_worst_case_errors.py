@@ -1,8 +1,9 @@
 """Worst-case errors three ways, and the error-bound chains.
 
 The squared worst-case error of a lattice rule in a Korobov space has an
-exact O(N s) Bernoulli form; the kernel quadratic form reproduces it to
-machine precision.  For transformed rules the library evaluates the exact
+exact O(N s) closed form at every alpha > 1/2 (Bernoulli polynomials at an
+integer alpha <= 8, kappa's polylog form elsewhere); the kernel quadratic
+form reproduces it to machine precision.  For transformed rules the library evaluates the exact
 error, the middle term (its projected dual sums read exactly from the
 residue table of the Bernoulli closed form, with no truncation), and the
 squared-criterion upper bound: each dominates the previous one, and a line
@@ -44,6 +45,15 @@ print("squared error, quad form   :",
       wce_sq_quadratic_form(KernelSpec(family="korobov", alpha=1, weights=w1),
                             rank1_points(rule)).value)
 print("pi^2 / 12                  :", math.pi**2 / 12)
+
+# Off the Bernoulli tables (here alpha = 1.5) the residue table of the closed
+# form and the Korobov kernel of the quadratic form both read kappa's polylog form.
+rule5 = LatticeRule(N=101, z=(1, 27, 38))
+w5 = WeightScheme.product([1.0, 0.5, 0.25])
+print("\nalpha = 1.5, N=101:")
+print(f"  closed form {wce_sq_korobov_lattice(1.5, w5, rule5).value:.15e}")
+print(f"  quad form   "
+      f"{wce_sq_quadratic_form(KernelSpec('korobov', 1.5, w5), rank1_points(rule5)).value:.15e}")
 
 # A 3-d rule with decaying weights: the tent chain.
 rule3 = LatticeRule(N=53, z=(1, 23, 14))

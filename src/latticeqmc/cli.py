@@ -19,7 +19,7 @@ from .cbc import CbcCriterion, cbc_construct
 from .errors import DomainError, GuardError
 from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_experiment
 from .fourier import run_appendix_checks
-from .kernels import KernelSpec, _tent_alpha
+from .kernels import KernelSpec
 from .lattice import LatticeRule, rank1_points, symmetrize, tent_transform
 from .weights import WeightScheme
 from .worst_case_error import (
@@ -93,7 +93,7 @@ def _cmd_wce(args) -> int:
     if args.space == "korobov":
         report = wce_sq_korobov_lattice(args.alpha if args.alpha is not None else 1, weights, rule)
     elif args.space == "sob2-tent":
-        _tent_alpha(args.alpha)
+        CbcCriterion("tent", weights, args.alpha)  # the tent results hold at alpha = 2 only
         spec = KernelSpec(family="sobolev", alpha=2, weights=weights)
         report = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule)))
     elif args.space == "sym":
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wce", help="squared worst-case error of a rule")
     p.add_argument("--space", choices=["korobov", "sob2-tent", "sym"], required=True)
-    p.add_argument("--alpha", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", type=str, required=True)
     p.add_argument("--weights", type=str, required=True, help=WEIGHTS_HELP)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="prime-N construction bound at a given lambda")
     p.add_argument("--kind", choices=["tent", "sym"], required=True)
-    p.add_argument("--alpha", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--weights", type=str, required=True, help=WEIGHTS_HELP)
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--criterion", choices=["tent", "sym"], required=True)
-    p.add_argument("--alpha", type=int, default=None, help="even smoothness for --criterion sym")
+    p.add_argument("--alpha", type=float, default=None, help="even smoothness for --criterion sym")
     p.add_argument("--weights", type=str, required=True, help=WEIGHTS_HELP)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_cbc)

@@ -75,30 +75,19 @@ def _closed_form(family: str, alpha) -> bool:
 
 def _smoothness(family: str, alpha):
     """The one smoothness rule: alpha as the family takes it.  Every family
-    needs a finite alpha > 1/2; a closed form also needs an integer alpha
-    within the Bernoulli tables (`_table_order`), returned as an int.  A
-    kernel on `_kappa` keeps alpha as given."""
+    needs a finite alpha > 1/2; a Bernoulli closed form (`_closed_form`) also
+    needs an integer alpha whose degree 2 alpha the tables reach, returned as
+    an int.  A kernel on `_kappa` keeps alpha as given."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
     if alpha is None or not 0.5 < alpha < inf:
         raise DomainError(f"{family} requires a finite alpha > 1/2, got {alpha}")
     if not _closed_form(family, alpha):
         return alpha
-    return _table_order(_integer_alpha(alpha), alpha)
-
-
-def _table_order(order: int, alpha) -> int:
-    """order, if the Bernoulli tables reach degree 2 order; alpha, the
-    smoothness the caller passed, is named in the refusal."""
+    order = _integer_alpha(alpha)
     if 2 * order > MAX_DEGREE:
         raise DomainError(f"alpha = {alpha} needs Bernoulli degree {2 * order} > {MAX_DEGREE}")
     return order
-
-
-def _tent_alpha(alpha) -> None:
-    """The tent results hold in the smoothness-2 space only: alpha is None or 2."""
-    if alpha is not None and alpha != 2:
-        raise DomainError(f"the tent results hold at alpha = 2 only, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -251,24 +240,23 @@ def kernel(spec: KernelSpec, x, y):
     return out if np.ndim(out) else float(out)
 
 
-def kernel_mean_identity_check(spec: KernelSpec, x, quad_points: int = 64) -> float:
+def kernel_mean_identity_check(spec: KernelSpec, x) -> float:
     """Numerically integrate y -> K(x, y) over the cube; the unit-mean kernels
     used by the worst-case-error shortcut must return 1 here.
 
     The integral factorizes coordinate-wise; each 1-d factor is integrated by
-    composite Gauss-Legendre split at x_j (the |x - y| kink).
+    composite Gauss-Legendre (8 panels) split at x_j (the |x - y| kink).
     """
     if not _closed_form(spec.family, spec.alpha):
         raise DomainError("mean-identity check applies to the closed-form kernel families")
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.s,):
         raise DomainError(f"x must be a point of dimension {spec.s}")
-    panels = max(2, quad_points // 8)
     means = np.empty(spec.s)
     for j in range(spec.s):
         xj = float(x[j])
         means[j] = composite_gauss_legendre(
             lambda t: kernel_1d(spec.family, spec.alpha, xj, t) - 1.0,
-            0.0, 1.0, panels=panels, breakpoints=(xj,),
+            0.0, 1.0, panels=8, breakpoints=(xj,),
         )
     return float(1.0 + spec.weights.combine(means[None, :])[0])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -103,17 +104,16 @@ class WeightScheme:
         return out
 
     def nonempty_subsets(self):
-        """Iterate (u, gamma_u) over subsets with nonzero stored weight."""
+        """Iterate (u, gamma_u) over subsets with nonzero stored weight, in
+        (size, sorted) order for every form."""
         if self.form == "general":
-            for u, g in sorted(self.subsets.items(), key=lambda t: (len(t[0]), sorted(t[0]))):
-                if g != 0.0:
-                    yield u, g
-            return
-        if self.s > GENERAL_DIM_GUARD:
+            items = sorted(self.subsets.items(), key=lambda t: (len(t[0]), sorted(t[0])))
+        elif self.s > GENERAL_DIM_GUARD:
             raise GuardError(f"subset iteration limited to s <= {GENERAL_DIM_GUARD}")
-        for mask in range(1, 1 << self.s):
-            u = frozenset(j + 1 for j in range(self.s) if mask >> j & 1)
-            g = self.weight_of(u)
+        else:
+            items = ((u, self.weight_of(u)) for k in range(1, self.s + 1)
+                     for u in map(frozenset, combinations(range(1, self.s + 1), k)))
+        for u, g in items:
             if g != 0.0:
                 yield u, g
 

@@ -14,13 +14,15 @@ Squared worst-case errors come from three routes that cross-check each other:
   their multiplicity, kernel symmetry leaves one triangle of the pairs, and
   the kernel is read from tables of D + 1 entries (2D + 1 for the half-period
   sum table of the cosine families);
-* the group-collapsed Bernoulli closed form for rank-1 lattice rules in
-  Korobov spaces, exact in O(N s) for product weights.
+* the group-collapsed closed form for rank-1 lattice rules in Korobov
+  spaces, exact in O(N s) for product weights at every alpha > 1/2 (the
+  residue table is kappa: Bernoulli polynomials within the tables, else its
+  polylog expansion).
 
 The tent and reflection chains share one shape: exact error <= middle term
 sum_u gamma_u f^|u| (sum_{k_u in dual_u} prod 1/|k_j|^(2 o))^2 <= squared
 criterion (the Korobov error of order o with weights (gamma_u f^|u|)^(1/2)),
-with one (order o, weight factor f) pair per transform (`_transform`).  The
+with one (order o, weight factor f) pair per transform (`CbcCriterion`).  The
 middle terms read the dual sums exactly from the residue table of the closed
 form; the prime-N construction bounds are parameterized by lambda.  Every
 blocked sum here sizes its blocks from the one block budget of `kernels`.
@@ -28,7 +30,7 @@ blocked sum here sizes its blocks from the one block budget of `kernels`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, isfinite, pi, sqrt
 
 import numpy as np
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import (KernelSpec, _block_map, _block_rows, _integer_alpha, _kappa, _lattice_tables,
-                      _table_order, _tent_alpha)
+                      _smoothness)
 from .lattice import LatticeRule, PointSet, rank1_points
 from .numtheory import is_prime, primitive_root
 from .special_functions import riemann_zeta
@@ -44,8 +46,6 @@ from .weights import WeightScheme
 
 QUADRATIC_FORM_GUARD = 20_000
 SUBSET_DIM_GUARD = 12
-
-CRITERION_KINDS = ("tent", "sym", "plain_korobov")
 
 REPORT_KINDS = (
     "exact_quadratic_form",
@@ -158,11 +158,13 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
         ps.numerators, *_lattice_tables(spec.family, spec.alpha, ps.denominator)))
 
 
-# -- Bernoulli closed form for lattice rules in Korobov spaces ---------------
+# -- closed form for lattice rules in Korobov spaces -------------------------
 
 
-def korobov_residue_table(alpha: int, N: int) -> np.ndarray:
-    """w(r) = (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N) for r = 0..N-1.
+def korobov_residue_table(alpha: float, N: int) -> np.ndarray:
+    """w(r) = kappa(r / N) = 2 sum_(k >= 1) cos(2 pi k r / N) / k^(2 alpha) for
+    r = 0..N-1, from `_kappa` at every alpha > 1/2 (at an integer alpha within
+    the Bernoulli tables, (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N)).
 
     w(N - r) = w(r), and the table holds it bit for bit: r <= N/2 is
     evaluated and mirrored, so sums over the half points n <= N/2 and over
@@ -236,15 +238,16 @@ class _HalfOrder:
         return out
 
 
-def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
+def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of a rank-1 lattice rule in the weighted
-    Korobov space of integer smoothness alpha, via the single-sum Bernoulli form.
+    Korobov space of smoothness alpha (every alpha the Korobov kernel takes),
+    via the single sum over the residue table.
     The summand of n equals that of N - n (w(r) = w(N - r)), so the sum runs
     over the half points of `_HalfOrder` with their multiplicities, in the
     order of the CBC sweep: for prime N each coordinate's residues are a
     shift of one table.  The residues are made as (s, rows) blocks of one
     block budget, so memory is O(N), not O(N s)."""
-    alpha = _table_order(_integer_alpha(alpha), alpha)
+    alpha = _smoothness("korobov", alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     order = _HalfOrder(rule.N, korobov_residue_table(alpha, rule.N))
@@ -264,64 +267,54 @@ def wce_sq_korobov_lattice(alpha: int, weights: WeightScheme, rule: LatticeRule)
 # -- modified weights and the construction criterion ------------------------
 
 
-def _transform(kind: str, alpha) -> tuple[int, float]:
-    """(o, f), the Korobov order and the per-coordinate weight factor of the
-    transform's bound chain; the one place that knows them and their alpha:
+@dataclass(frozen=True)
+class CbcCriterion:
+    """A construction criterion: the Korobov error of order `korobov_order`
+    with the effective weights, for the transform the rule is destined for.
+    The one place that knows each transform's (order o, weight factor f) and
+    the alpha it takes, both computed once, here:
 
         tent (alpha None or 2): o = 1,         f = c'/(4 pi^4), c' = 58/3
         sym (even alpha):       o = alpha / 2, f = 3 / (2^(2 alpha + 1) pi^(2 alpha))
-    """
-    if kind == "tent":
-        _tent_alpha(alpha)
-        return 1, C_PRIME / (4.0 * pi**4)
-    if kind == "sym":
-        alpha = _integer_alpha(alpha, 2)
-        return alpha // 2, 3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha))
-    raise DomainError(f"kind must be 'tent' or 'sym', got {kind!r}")
+        plain_korobov:          o = alpha, as the Korobov kernel takes it; no f
 
-
-def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
-    """gamma'_u = gamma_u f^|u| with the tent factor f of `_transform`."""
-    return weights.scaled_per_coordinate(_transform("tent", None)[1])
-
-
-def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
-    """gamma''_u = gamma_u f^|u| with the sym factor f of `_transform`, even alpha."""
-    return weights.scaled_per_coordinate(_transform("sym", alpha)[1])
-
-
-@dataclass(frozen=True)
-class CbcCriterion:
-    """A construction criterion: which transform the rule is destined for.
-
-    tent, sym:     the Korobov error of the transform's order o with weights
-                   (gamma_u f^|u|)^(1/2), (o, f) from `_transform`; tent takes
-                   alpha None or 2, sym an even alpha
-    plain_korobov: order-alpha Korobov error with the weights as given
+    The effective weights are (gamma_u f^|u|)^(1/2), or for plain_korobov
+    the weights as given.
     """
 
     kind: str
     base_weights: WeightScheme
-    alpha: int | None = None
+    alpha: float | None = None
+    korobov_order: float = field(init=False)
+    factor: float | None = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in CRITERION_KINDS:
+        alpha = self.alpha
+        if self.kind == "tent":
+            if alpha is not None and alpha != 2:
+                raise DomainError(f"the tent results hold at alpha = 2 only, got {alpha}")
+            order, factor = 1, C_PRIME / (4.0 * pi**4)
+        elif self.kind == "sym":
+            alpha = _integer_alpha(alpha, 2)
+            order, factor = alpha // 2, 3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha))
+        elif self.kind == "plain_korobov":
+            alpha = _smoothness("korobov", alpha)
+            order, factor = alpha, None
+        else:
             raise DomainError(f"unknown criterion kind {self.kind!r}")
-        if self.kind != "tent":
-            object.__setattr__(self, "alpha",
-                               _integer_alpha(self.alpha, 2 if self.kind == "sym" else 1))
-        _table_order(self.korobov_order, self.alpha)
+        for name, value in (("alpha", alpha), ("korobov_order", order), ("factor", factor)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def korobov_order(self) -> int:
-        if self.kind == "plain_korobov":
-            return self.alpha
-        return _transform(self.kind, self.alpha)[0]
+    def modified_weights(self) -> WeightScheme:
+        """gamma_u f^|u|, the weights of the transform's middle term (tent, sym)."""
+        if self.factor is None:
+            raise DomainError(f"{self.kind} has no transform weight factor")
+        return self.base_weights.scaled_per_coordinate(self.factor)
 
     def effective_weights(self) -> WeightScheme:
-        if self.kind == "plain_korobov":
+        if self.factor is None:
             return self.base_weights
-        return self.base_weights.scaled_per_coordinate(_transform(self.kind, self.alpha)[1]).sqrt()
+        return self.modified_weights().sqrt()
 
     def leading_weights(self, s: int) -> WeightScheme:
         """The effective product or POD weights of the first s coordinates."""
@@ -342,6 +335,16 @@ class CbcCriterion:
         return wce_sq_korobov_lattice(self.korobov_order, eff, rule).value
 
 
+def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
+    """gamma'_u = gamma_u f^|u| with the tent factor f of `CbcCriterion`."""
+    return CbcCriterion("tent", weights).modified_weights()
+
+
+def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
+    """gamma''_u = gamma_u f^|u| with the sym factor f of `CbcCriterion`, even alpha."""
+    return CbcCriterion("sym", weights, alpha).modified_weights()
+
+
 def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
     """The criterion of the rule, squared.  It is computed at the rule's full
     dimension, so weights of another dimension are refused, not truncated."""
@@ -349,23 +352,20 @@ def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
     return ErrorReport(value=_power(value, 2), kind="theorem_bound")
 
 
-def _middle_term(kind: str, weights: WeightScheme, rule: LatticeRule, alpha=None) -> ErrorReport:
+def _middle_term(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
     """The middle term sum_u gamma_u f^|u| S_u^2 of the transform's bound
-    chain, (o, f) from `_transform`, exactly.
+    chain, (o, f) from the criterion, exactly.
 
     S_u = sum_{k_u in dual_u} prod_{j in u} 1/|k_j|^(2 o), over the dual
     lattice projected on u with every k_j nonzero, is the character sum
     mean_n prod_{j in u} w(n z_j mod N) of the residue table w
     (`korobov_residue_table`), which holds the whole series in closed form.
     """
-    order, factor = _transform(kind, alpha)
     if rule.s > SUBSET_DIM_GUARD:
         raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
-    table = korobov_residue_table(_table_order(order, alpha), rule.N)
-    table = table[rank1_points(rule).numerators]
+    table = korobov_residue_table(crit.korobov_order, rule.N)[rank1_points(rule).numerators]
     value = 0.0
-    for u, g in sorted(weights.scaled_per_coordinate(factor).nonempty_subsets(),
-                       key=lambda t: (len(t[0]), sorted(t[0]))):
+    for u, g in crit.modified_weights().nonempty_subsets():
         value += g * float(np.mean(np.prod(table[:, [j - 1 for j in sorted(u)]], axis=1))) ** 2
     return ErrorReport(value=value, kind="middle_term")
 
@@ -383,7 +383,7 @@ def wce_tent_bound(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
 def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """The middle term of the tent chain (`_middle_term`): it lies between the
     exact squared error of the tent-transformed rule and `wce_tent_bound`."""
-    return _middle_term("tent", weights, rule)
+    return _middle_term(CbcCriterion("tent", weights), rule)
 
 
 # -- symmetrized-rule errors and bounds --------------------------------------
@@ -391,9 +391,10 @@ def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule) -> ErrorRepor
 
 def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of the symmetrized rule in the
-    odd+alpha Sobolev subspace (even alpha): the quadratic form of the
-    reflection-averaged kernel on the base lattice, O(N^2 s) instead of
-    (2^s N)^2 pairs.
+    odd+alpha Sobolev subspace (even alpha; b_tau for tau <= alpha comes from
+    the Bernoulli tables, so `_smoothness` limits alpha): the quadratic form
+    of the reflection-averaged kernel on the base lattice, O(N^2 s) instead
+    of (2^s N)^2 pairs.
 
     b_tau(1 - t) = (-1)^tau b_tau(t) makes K = K_odd+alpha invariant under
     reflecting both arguments, so its average over the four reflections of
@@ -404,7 +405,7 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     n.  Then a + b <= N, and G(|x + y - 1|) = G(x + y) is read at a + b in
     the table of N + 1 entries.
     """
-    alpha = _table_order(_integer_alpha(alpha, 2), alpha)
+    alpha = _smoothness("sob_odd_alpha", _integer_alpha(alpha, 2))
     N = rule.N
 
     def build():
@@ -424,28 +425,29 @@ def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
 def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """The middle term of the reflection chain, even alpha (`_middle_term`): it
     lies between `wce_sym_exact` and `wce_sym_bound`."""
-    return _middle_term("sym", weights, rule, alpha)
+    return _middle_term(CbcCriterion("sym", weights, alpha), rule)
 
 
 # -- prime-N construction bounds ---------------------------------------------
 
 
 def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
-                    alpha: int | None = None) -> ErrorReport:
-    """The lambda-parameterized bound on the squared construction criterion
-    for prime N (Kuo, J. Complexity 19, 2003), with (o, f) from `_transform`:
+                    alpha: float | None = None) -> ErrorReport:
+    """The lambda-parameterized bound on the construction criterion for prime N
+    (Kuo, J. Complexity 19, 2003), one formula for every kind: with the order o
+    and the effective weights w of `CbcCriterion`,
 
-        ((1/(N-1)) sum_u gamma_u^(lambda/2) (2 zeta(2 o lambda) f^(lambda/2))^|u|)^(1/lambda)
+        ((1/(N-1)) sum_u w_u^lambda (2 zeta(2 o lambda))^|u|)^(1/lambda)
 
     for lambda in (1/(2 o), 1].
     """
     if not is_prime(N):
         raise DomainError(f"the construction bound requires prime N, got {N}")
-    order, f = _transform(kind, alpha)
+    crit = CbcCriterion(kind, weights, alpha)
+    order = crit.korobov_order
     if not 1.0 / (2 * order) < lam <= 1.0:
         raise DomainError(f"lambda must lie in (1/{2 * order}, 1], got {lam}")
-    factor = 2.0 * riemann_zeta(2.0 * order * lam) * f ** (lam / 2.0)
-    powered = weights.powered(lam / 2.0)
-    subset_sum = float(powered.combine(np.full((1, weights.s), factor))[0])
-    value = _power(subset_sum / (N - 1), 1.0 / lam)
-    return ErrorReport(value=value, kind="corollary_bound", lam=lam)
+    two_zeta = np.full((1, weights.s), 2.0 * riemann_zeta(2.0 * order * lam))
+    subset_sum = float(crit.effective_weights().powered(lam).combine(two_zeta)[0])
+    return ErrorReport(value=_power(subset_sum / (N - 1), 1.0 / lam), kind="corollary_bound",
+                       lam=lam)

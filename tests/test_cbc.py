@@ -169,6 +169,17 @@ def test_plain_fast_equivalence_n4099(kind, alpha):
         assert abs(v - res.per_dimension_error[d - 1]) <= 1e-12 * (1.0 + abs(v))
 
 
+@pytest.mark.parametrize("alpha", [0.75, 1.5])
+@pytest.mark.parametrize("N", [1009, 4099])
+def test_plain_fast_equivalence_off_the_bernoulli_tables(N, alpha):
+    """The plain Korobov criterion at real alpha reads its residue table from
+    kappa's polylog form; plain and FFT CBC still agree bit for bit."""
+    s = 10
+    gam = [1.0 / j**2 for j in range(1, s + 1)]
+    for w in (WeightScheme.product(gam), WeightScheme.pod([1.0] * s, gam)):
+        _plain_equals_fast(N, s, CbcCriterion(kind="plain_korobov", base_weights=w, alpha=alpha))
+
+
 @pytest.mark.parametrize("N,s,kind,alpha,form", [
     (4099, 8, "tent", None, "pod"), (4099, 8, "sym", 4, "pod"), (8191, 6, "tent", None, "product")])
 def test_plain_fast_equivalence_larger_n(N, s, kind, alpha, form):

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from latticeqmc import cli
-from latticeqmc.cbc import CbcCriterion, cbc_plain
+from latticeqmc.cbc import CbcCriterion, cbc_construct, cbc_plain
 from latticeqmc.cli import WEIGHTS_HELP, main
 from latticeqmc.experiments import experiment_config, run_experiment
 from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize, tent_transform
 from latticeqmc.weights import WeightScheme
-from latticeqmc.worst_case_error import corollary_bound, wce_sq_korobov_lattice
+from latticeqmc.worst_case_error import corollary_bound, wce_sq_korobov_lattice, wce_sym_exact
 
 
 def test_points_csv(tmp_path):
@@ -225,6 +225,56 @@ def test_tent_commands_refuse_alpha_other_than_2():
                  "--weights", weights]) == 0
     assert main(["wce", "--space", "sob2-tent", "--alpha", "3", "--n", "5", "--z", "1",
                  "--weights", weights]) == 2
+
+
+def test_wce_korobov_takes_a_real_alpha(capsys):
+    weights = json.dumps({"form": "product", "gamma": [1.0, 0.5]})
+    assert main(["wce", "--space", "korobov", "--alpha", "1.5", "--n", "13", "--z", "1,5",
+                 "--weights", weights]) == 0
+    data = json.loads(capsys.readouterr().out)
+    want = wce_sq_korobov_lattice(1.5, WeightScheme.product([1.0, 0.5]), LatticeRule(13, (1, 5)))
+    assert data["kind"] == "closed_form_lattice" and data["value"] == want.value
+
+
+def test_integer_alpha_prints_the_bytes_of_the_integer_path(capsys):
+    """--alpha is read as a float; an integer value prints the same bytes as
+    the library called with that int."""
+    gamma = [1.0, 0.5, 0.25]
+    w, rule = WeightScheme.product(gamma), LatticeRule(13, (1, 5, 3))
+    weights = json.dumps({"form": "product", "gamma": gamma})
+
+    def wce_line(report, space):
+        payload = report.to_dict()
+        payload.update({"space": space, "n": 13, "z": [1, 5, 3], "root": report.root})
+        return json.dumps(payload) + "\n"
+
+    bound = corollary_bound("sym", w, 13, 0.9, alpha=4)
+    bound_payload = {**bound.to_dict(), "bound_kind": "sym", "n": 13, "root": bound.root}
+    cases = [
+        (["wce", "--space", "korobov", "--n", "13", "--z", "1,5,3"], "2",
+         wce_line(wce_sq_korobov_lattice(2, w, rule), "korobov")),
+        (["wce", "--space", "sym", "--n", "13", "--z", "1,5,3"], "2",
+         wce_line(wce_sym_exact(2, w, rule), "sym")),
+        (["bound", "--kind", "sym", "--n", "13", "--lambda", "0.9"], "4",
+         json.dumps(bound_payload) + "\n"),
+        (["cbc", "--n", "13", "--dims", "3", "--criterion", "sym"], "4",
+         json.dumps(cbc_construct(13, 3, CbcCriterion("sym", w, 4)).to_dict()) + "\n"),
+    ]
+    for args, alpha, want in cases:
+        for text in (alpha, alpha + ".0"):
+            assert main(args + ["--alpha", text, "--weights", weights]) == 0
+            assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("alpha", ["3", "2.5"])
+def test_sym_commands_refuse_an_alpha_that_is_not_even(alpha, capsys):
+    weights = json.dumps({"form": "product", "gamma": [1.0, 0.5]})
+    for args in (["wce", "--space", "sym", "--n", "13", "--z", "1,5"],
+                 ["bound", "--kind", "sym", "--n", "13", "--lambda", "0.9"],
+                 ["cbc", "--n", "13", "--dims", "2", "--criterion", "sym"]):
+        assert main(args + ["--alpha", alpha, "--weights", weights]) == 2
+        assert capsys.readouterr().err.startswith("error: alpha must be an integer >= 2 "
+                                                  "divisible by 2")
 
 
 def test_points_csv_on_stdout_matches_the_file(tmp_path, capsys):

@@ -260,10 +260,10 @@ ALPHA_ENTRY_POINTS = {
     "kernel_1d/kor_plus_cos": (lambda a: kernel_1d("kor_plus_cos", a, 0.2, 0.3), "real", False),
     "korobov_series_1d": (lambda a: korobov_series_1d(a, 0.2, 0.3, 50), "real", False),
     "series_tail_bound": (lambda a: series_tail_bound(a, 50), "real", False),
-    "CbcCriterion/plain_korobov": (lambda a: CbcCriterion("plain_korobov", _W3, a).alpha, "int",
+    "CbcCriterion/plain_korobov": (lambda a: CbcCriterion("plain_korobov", _W3, a).alpha, "real",
                                    True),
     "CbcCriterion/sym": (lambda a: CbcCriterion("sym", _W3, a).alpha, "even", True),
-    "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "int", False),
+    "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "real", False),
     "wce_sym_exact": (lambda a: wce_sym_exact(a, _W3, _RULE), "even", False),
     "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE), "even", False),
     "sym_modified_weights": (lambda a: sym_modified_weights(a, _W3).gamma, "even", False),
@@ -287,14 +287,15 @@ def test_every_alpha_entry_point_applies_the_one_smoothness_rule(name):
 
 
 def test_bernoulli_table_limit_fails_at_entry_and_names_alpha():
-    for call, alpha in ((lambda: CbcCriterion("sym", _W3, 18), "18"),
-                        (lambda: CbcCriterion("plain_korobov", _W3, 9), "9"),
-                        (lambda: wce_sq_korobov_lattice(9, _W3, _RULE), "9"),
-                        (lambda: KernelSpec("sobolev", 9, _W1), "9")):
+    for call, alpha in ((lambda: KernelSpec("sobolev", 9, _W1), "9"),
+                        (lambda: wce_sym_exact(10, _W3, _RULE), "10")):
         with pytest.raises(DomainError, match=f"alpha = {alpha} "):
             call()
     assert CbcCriterion("sym", _W3, 16).korobov_order == 8
-    # closed forms that read no Bernoulli table take no table limit
+    # closed forms that read no Bernoulli table take no table limit: kappa serves every order
+    assert CbcCriterion("sym", _W3, 18).korobov_order == 9
+    assert CbcCriterion("plain_korobov", _W3, 9).korobov_order == 9
+    assert wce_sq_korobov_lattice(9, _W3, _RULE).value > 0.0
     assert c_sym(2, 3, 18) != 0.0
     assert sym_modified_weights(18, _W3).s == 3
     assert corollary_bound("sym", _W3, 13, 0.9, alpha=18).value > 0.0

@@ -75,6 +75,20 @@ def test_general_equals_expanded_product():
     np.testing.assert_allclose(prod.combine(eta), gen.combine(eta), rtol=1e-14, atol=1e-14)
 
 
+def test_nonempty_subsets_come_in_size_then_sorted_order_for_every_form():
+    """The one subset order that sums over subsets (the middle terms) rely on
+    for their bits: by size, then by the sorted coordinates; zero weights skipped."""
+    gamma = [0.9, 0.0, 0.4, 0.7]
+    every = sorted((frozenset(j + 1 for j in range(4) if m >> j & 1) for m in range(1, 16)),
+                   key=lambda u: (len(u), sorted(u)))
+    schemes = (WeightScheme.product(gamma), WeightScheme.pod([1.0, 0.5, 0.25, 2.0], gamma),
+               WeightScheme.general(4, {u: 1.0 for u in reversed(every) if 2 not in u}))
+    for w in schemes:
+        got = list(w.nonempty_subsets())
+        assert [u for u, _ in got] == [u for u in every if 2 not in u]
+        assert all(g == w.weight_of(u) for u, g in got)
+
+
 def test_scaled_and_powered_schemes():
     w = WeightScheme.product([0.9, 0.4])
     scaled = w.scaled_per_coordinate(0.25)

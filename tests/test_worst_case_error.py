@@ -128,6 +128,41 @@ def test_korobov_vs_quadratic_form_sweep():
                     assert abs(a - b) <= 1e-11 * (1.0 + a)
 
 
+def test_closed_form_equals_quadratic_form_at_every_alpha():
+    """Off the Bernoulli tables (real alpha, integer alpha > 8) the closed form
+    reads kappa's polylog form, as the Korobov kernel of the exact engine does:
+    the two routes agree to rounding on product and POD weights."""
+    rng = np.random.default_rng(12)
+    for N in (2, 7, 64, 101):
+        for s in (1, 2, 4):
+            rule = random_rule(rng, N, s)
+            g = [1.0, 0.6, 0.3, 0.15][:s]
+            for w in (WeightScheme.product(g), WeightScheme.pod([1.0, 0.5, 0.25, 0.125][:s], g)):
+                for alpha in (0.75, 1.5, 2.3, 9, 10):
+                    closed = wce_sq_korobov_lattice(alpha, w, rule).value
+                    spec = KernelSpec("korobov", alpha, w)
+                    quad = wce_sq_quadratic_form(spec, rank1_points(rule)).value
+                    assert abs(closed - quad) <= 1e-13 * quad + 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.5, 9])
+def test_plain_korobov_criterion_at_every_alpha_stays_below_the_kuo_bound(alpha):
+    """CBC with the plain Korobov criterion off the Bernoulli tables: the
+    criterion of the constructed rule is the closed form of that rule, and it
+    lies below the construction bound at every lambda of a grid in (1/(2 alpha), 1]."""
+    w = WeightScheme.product([1.0 / j**2 for j in range(1, 6)])
+    crit = CbcCriterion("plain_korobov", w, alpha)
+    assert crit.korobov_order == alpha and crit.effective_weights() is w
+    with pytest.raises(DomainError, match="no transform weight factor"):
+        crit.modified_weights()
+    for N in (101, 251, 1009):
+        res = cbc_fast(N, 5, crit)
+        value = res.per_dimension_error[-1]
+        assert value == pytest.approx(crit.value(res.rule()), rel=1e-12)
+        for lam in np.linspace(1.0 / (2 * alpha), 1.0, 11)[1:].tolist():
+            assert value <= corollary_bound("plain_korobov", w, N, lam, alpha=alpha).value
+
+
 def test_quadratic_form_at_non_integer_alpha_matches_polylog_double_sum():
     """The engine takes the families on kappa at non-integer alpha: on the plain
     and the tent points of an N = 31, s = 3 rule it equals the double sum over
@@ -330,7 +365,8 @@ def test_float_positive_alpha_is_stored_as_an_int():
     crit = CbcCriterion("plain_korobov", w, 4.0)
     assert crit.alpha == 4 and type(crit.alpha) is int
     assert wce_sq_korobov_lattice(4.0, w, rule) == wce_sq_korobov_lattice(4, w, rule)
-    for bad in (1.5, 0, -1, None):
+    assert CbcCriterion("plain_korobov", w, 1.5).alpha == 1.5  # off the tables, kept as given
+    for bad in (0, -1, None):
         with pytest.raises(DomainError):
             CbcCriterion("plain_korobov", w, bad)
         with pytest.raises(DomainError):
