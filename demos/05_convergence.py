@@ -35,5 +35,5 @@ for name in ("f1_s20", "f2c2_s20"):
     last = res.rows[-1]
     print(f"  {name}: slope {slopes['tent']:+.2f}, error at N={last.N}: {last.err_tent:.2e}")
 
-print("\n(CSV export: run_experiment(...).to_csv(path), or the CLI"
+print("\n(CSV export: run_experiment(...).to_csv_text(), or the CLI"
       " `latticeqmc experiment --name figure1 --out out.csv`)")

@@ -29,7 +29,6 @@ Rader order, so their criteria are equal bit for bit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ FFT_DIRECT_MAX_PRIME = 97
 class CbcResult:
     z: tuple[int, ...]
     per_dimension_error: tuple[float, ...]
-    elapsed: float
     n: int
     prime: bool
 
@@ -143,7 +141,6 @@ def _sweep(N: int, s: int, crit: CbcCriterion, scorer_class) -> CbcResult:
     and the row of the chosen candidate is its residues at the half points."""
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
-    start = time.perf_counter()
     order = _HalfOrder(N, korobov_residue_table(crit.korobov_order, N))
     scorer, mult = scorer_class(order), order.mult
     state = _Running(crit.leading_weights(s), mult.shape)
@@ -160,8 +157,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, scorer_class) -> CbcResult:
         state.add(order.residues(i, 0, len(row), row))
         z.append(int(order.cand[i]))
         errs.append(state.mean(mult))
-    return CbcResult(z=tuple(z), per_dimension_error=tuple(errs),
-                     elapsed=time.perf_counter() - start, n=N, prime=is_prime(N))
+    return CbcResult(z=tuple(z), per_dimension_error=tuple(errs), n=N, prime=is_prime(N))
 
 
 def cbc_plain(N: int, s: int, crit: CbcCriterion) -> CbcResult:

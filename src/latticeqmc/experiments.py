@@ -16,9 +16,11 @@ import numpy as np
 
 from .cbc import CbcCriterion, cbc_construct
 from .errors import DomainError
+from .kernels import _block_rows
 from .lattice import (
     SYMMETRIZE_DIM_GUARD,
     LatticeRule,
+    PointSet,
     distinct_count,
     fibonacci_rule,
     rank1_points,
@@ -30,6 +32,7 @@ from .weights import WeightScheme
 from .worst_case_error import C_PRIME
 
 ERROR_FLOOR = 1e-15
+C1 = 1.3  # the exponent of f1 in every study
 CSV_HEADER = "N,points_used,err_lattice,err_tent,err_sym,parity"
 
 PRESET_NAMES = ("figure1", "f1_s20", "f2c1_s20", "f2c2_s20", "f1_s100", "f2c1_s100", "f2c2_s100")
@@ -38,8 +41,8 @@ PRESET_NAMES = ("figure1", "f1_s20", "f2c1_s20", "f2c2_s20", "f1_s100", "f2c1_s1
 # -- integrands ---------------------------------------------------------------
 
 
-def integrand_eval(name: str, x, omega=(), c1: float = 1.3, c2: float = 1.0):
-    """Evaluate a test integrand at points x of shape (m, s)."""
+def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
+    """Evaluate a test integrand at points x of shape (m, s); f1 takes the exponent C1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if name == "bivar":
         if x.shape[1] != 2:
@@ -49,7 +52,7 @@ def integrand_eval(name: str, x, omega=(), c1: float = 1.3, c2: float = 1.0):
     if x.shape[1] != len(w):
         raise DomainError(f"need {x.shape[1]} coefficients, got {len(w)}")
     if name == "f1":
-        return np.prod(1.0 + w * (x**c1 - 1.0 / (1.0 + c1)), axis=1)
+        return np.prod(1.0 + w * (x**C1 - 1.0 / (1.0 + C1)), axis=1)
     if name == "f2":
         return np.prod(1.0 + w / (1.0 + w * x**c2), axis=1)
     raise DomainError(f"unknown integrand {name!r}")
@@ -57,7 +60,7 @@ def integrand_eval(name: str, x, omega=(), c1: float = 1.3, c2: float = 1.0):
 
 def exact_integral(name: str, omega=(), c2: float = 1.0) -> float:
     """Closed-form integrals of the test integrands over the unit cube (f1 integrates
-    to 1 for every c1)."""
+    to 1 for every exponent)."""
     if name in ("bivar", "f1"):
         return 1.0
     if name == "f2":
@@ -79,10 +82,8 @@ class ExperimentConfig:
     N_list: tuple[int, ...]
     dims: int
     rules: tuple[str, ...]
-    integrand: str
-    rule_source: str  # "fibonacci" | "cbc_tent"
+    integrand: str  # "bivar" on Fibonacci rules, f1 and f2 on fast-CBC tent rules
     omega: tuple[float, ...] = ()
-    c1: float = 1.3
     c2: float = 1.0
     cbc_gamma: tuple[float, ...] = ()
 
@@ -94,26 +95,16 @@ class ExperimentConfig:
             raise DomainError(f"unknown rules {sorted(bad)}")
         if "sym" in self.rules and self.dims > SYMMETRIZE_DIM_GUARD:
             raise DomainError(f"symmetrized rules are refused for s > {SYMMETRIZE_DIM_GUARD}")
-        if self.rule_source not in ("fibonacci", "cbc_tent"):
-            raise DomainError(f"unknown rule source {self.rule_source!r}")
-        if self.rule_source == "fibonacci" and self.dims != 2:
+        if self.integrand == "bivar" and self.dims != 2:
             raise DomainError("Fibonacci rules are two-dimensional")
-
-
-def _fibonacci_n_list(m_lo: int = 7, m_hi: int = 25) -> tuple[int, ...]:
-    return tuple(fibonacci(m) for m in range(m_lo, m_hi + 1))
-
-
-def _prime_n_list(p_lo: int = 6, p_hi: int = 14) -> tuple[int, ...]:
-    return tuple(nearest_prime(2**p) for p in range(p_lo, p_hi + 1))
 
 
 def experiment_config(name: str) -> ExperimentConfig:
     """The named experiment presets (N grids are defaults, override as needed)."""
     if name == "figure1":
         return ExperimentConfig(
-            name=name, N_list=_fibonacci_n_list(), dims=2,
-            rules=("lattice", "tent", "sym"), integrand="bivar", rule_source="fibonacci",
+            name=name, N_list=tuple(fibonacci(m) for m in range(7, 26)), dims=2,
+            rules=("lattice", "tent", "sym"), integrand="bivar",
         )
     presets = {
         "f1_s20": ("f1", 20, 2, 1.0), "f2c1_s20": ("f2", 20, 2, 1.0), "f2c2_s20": ("f2", 20, 2, 2.0),
@@ -124,9 +115,8 @@ def experiment_config(name: str) -> ExperimentConfig:
     integrand, s, decay, c2 = presets[name]
     j = np.arange(1, s + 1, dtype=float)
     return ExperimentConfig(
-        name=name, N_list=_prime_n_list(), dims=s, rules=("lattice", "tent"),
-        integrand=integrand, rule_source="cbc_tent",
-        omega=tuple(1.0 / j**decay), c1=1.3, c2=c2,
+        name=name, N_list=tuple(nearest_prime(2**p) for p in range(6, 15)), dims=s,
+        rules=("lattice", "tent"), integrand=integrand, omega=tuple(1.0 / j**decay), c2=c2,
         cbc_gamma=tuple(1.0 / (4.0 * C_PRIME * j**decay)),
     )
 
@@ -163,10 +153,6 @@ class ExperimentResult:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv_text())
-
 
 def _fibonacci_rule_for(N: int) -> LatticeRule:
     m = 3
@@ -178,7 +164,7 @@ def _fibonacci_rule_for(N: int) -> LatticeRule:
 
 
 def _build_rule(cfg: ExperimentConfig, N: int) -> LatticeRule:
-    if cfg.rule_source == "fibonacci":
+    if cfg.integrand == "bivar":
         return _fibonacci_rule_for(N)
     crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product(cfg.cbc_gamma))
     return cbc_construct(N, cfg.dims, crit).rule()
@@ -189,9 +175,13 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
     point multisets, and tabulate absolute errors against the exact integral."""
     target = exact_integral(cfg.integrand, cfg.omega, cfg.c2)
 
-    def qmc_error(points: np.ndarray) -> float:
-        q = float(np.mean(integrand_eval(cfg.integrand, points, cfg.omega, cfg.c1, cfg.c2)))
-        return abs(q - target)
+    def qmc_error(ps: PointSet) -> float:
+        """|mean - target| from row blocks of i / float(D), the quotient .points
+        holds, so no (N, s) float view of the point set is made."""
+        nums, D, step = ps.numerators, float(ps.denominator), _block_rows(ps.s)
+        values = [integrand_eval(cfg.integrand, nums[lo:lo + step] / D, cfg.omega, cfg.c2)
+                  for lo in range(0, len(nums), step)]
+        return abs(float(np.mean(np.concatenate(values))) - target)
 
     rows = []
     vectors = {}
@@ -199,19 +189,20 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
         rule = _build_rule(cfg, N)
         vectors[N] = rule.z
         plain = rank1_points(rule)
-        err_lattice = qmc_error(plain.points) if "lattice" in cfg.rules else math.nan
-        err_tent = qmc_error(tent_transform(plain).points) if "tent" in cfg.rules else math.nan
+        err_lattice = qmc_error(plain) if "lattice" in cfg.rules else math.nan
+        err_tent = qmc_error(tent_transform(plain)) if "tent" in cfg.rules else math.nan
         err_sym = math.nan
         points_used = N
         if "sym" in cfg.rules:
             sym = symmetrize(plain)
-            err_sym = qmc_error(sym.points)
+            err_sym = qmc_error(sym)
             points_used = distinct_count(sym)
         err_external = math.nan
         if external_points is not None:
             ext = np.atleast_2d(np.asarray(external_points, dtype=float))
             if ext.shape[0] >= N and ext.shape[1] == cfg.dims:
-                err_external = qmc_error(ext[:N])
+                q = float(np.mean(integrand_eval(cfg.integrand, ext[:N], cfg.omega, cfg.c2)))
+                err_external = abs(q - target)
             else:
                 warnings.warn(f"external point file cannot serve N={N}, s={cfg.dims}")
         rows.append(ConvergenceRow(
@@ -252,13 +243,13 @@ def slope_fit(rows, column: str, window: tuple[int, int] | None = None) -> float
     return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
-def fitted_slopes(result: ExperimentResult, window: tuple[int, int] | None = None) -> dict[str, float]:
+def fitted_slopes(result: ExperimentResult) -> dict[str, float]:
     """Slopes for every rule column present in the result."""
     out = {}
     columns = list(result.config.rules) + (["external"] if result.has_external else [])
     for col in columns:
         try:
-            out[col] = slope_fit(result.rows, col, window)
+            out[col] = slope_fit(result.rows, col)
         except DomainError:
             out[col] = math.nan
     return out

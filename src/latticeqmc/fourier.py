@@ -24,7 +24,7 @@ from math import pi
 import numpy as np
 
 from .errors import DomainError
-from .kernels import _integer_alpha, sobolev_family_1d
+from .kernels import _integer_alpha, kernel_1d
 from .lattice import tent
 from .quadrature import composite_gauss_legendre
 from .special_functions import _kmax
@@ -88,7 +88,7 @@ def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
 
 def tent_kernel_reference(x: float, y: float) -> float:
     """The quantity the partial sum converges to: K_sob2(tent(x), tent(y)) - 1."""
-    return float(sobolev_family_1d("sobolev", 2, tent(x), tent(y))) - 1.0
+    return kernel_1d("sobolev", 2, tent(x), tent(y)) - 1.0
 
 
 _WEIGHTS = {
@@ -97,8 +97,8 @@ _WEIGHTS = {
 }
 
 
-def cosine_coeff_quadrature(f, k: int, panels: int = 64, weight: str = "cos2pi") -> float:
-    """integral_0^1 f(t) w_k(t) dt by composite 8-point Gauss-Legendre.
+def cosine_coeff_quadrature(f, k: int, weight: str = "cos2pi") -> float:
+    """integral_0^1 f(t) w_k(t) dt by composite 8-point Gauss-Legendre on 64 panels.
 
     The panel grid always splits at t = 1/2 so tent-composed integrands are
     smooth per panel.  Note the series coefficient of cos(2 pi k t) is twice
@@ -110,7 +110,7 @@ def cosine_coeff_quadrature(f, k: int, panels: int = 64, weight: str = "cos2pi")
         raise DomainError("k must be nonnegative")
     w = _WEIGHTS[weight]
     return composite_gauss_legendre(
-        lambda t: np.asarray(f(t)) * w(k, t), 0.0, 1.0, panels=panels, breakpoints=(0.5,)
+        lambda t: np.asarray(f(t)) * w(k, t), 0.0, 1.0, panels=64, breakpoints=(0.5,)
     )
 
 
@@ -175,8 +175,8 @@ def run_appendix_checks() -> list[tuple[str, bool, str]]:
         def sin_of_tent(t, k=k):
             return np.sin(2 * pi * k * tent(t))
         for l in range(1, 9):
-            cos_l = cosine_coeff_quadrature(sin_of_tent, l, panels=64, weight="cos2pi")
-            sin_l = cosine_coeff_quadrature(sin_of_tent, l, panels=64, weight="sin2pi")
+            cos_l = cosine_coeff_quadrature(sin_of_tent, l, weight="cos2pi")
+            sin_l = cosine_coeff_quadrature(sin_of_tent, l, weight="sin2pi")
             worst_cos = max(worst_cos, abs(cos_l - 0.5 * sin_tent_coeff(k, l)))
             worst_sin = max(worst_sin, abs(sin_l))
     rows.append(("sine-of-tent cosine coefficients, k,l <= 8 (tol 1e-9)", worst_cos <= 1e-9,

@@ -179,31 +179,22 @@ def _sobolev_taus(family: str, alpha: int) -> list[int]:
     return sorted({t for t in range(1, alpha + 1) if t % 2 == 1} | {alpha})
 
 
-def sobolev_family_1d(family: str, alpha: int, x, y):
-    """1 + sum_tau b_tau(x) b_tau(y) + (-1)^(alpha+1) b_{2 alpha}(|x-y|).
-
-    The tau range is all of 1..alpha (sobolev), the odd ones (sob_odd), or
-    the odd ones plus alpha itself (sob_odd_alpha).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = 1.0 + (-1.0) ** (alpha + 1) * bernoulli_scaled(2 * alpha, np.abs(x - y))
-    for tau in _sobolev_taus(family, alpha):
-        out = out + bernoulli_scaled(tau, x) * bernoulli_scaled(tau, y)
-    return out if np.ndim(out) else float(out)
-
-
 def kernel_1d(family: str, alpha: float, x, y):
     """Univariate kernel K_(alpha,1,1) of the family at (x, y) in [0, 1]: the Sobolev families
-    by Bernoulli polynomials, the others 1 plus `_KAPPA_COEFFS` on `_kappa`.  Outside [0, 1]
-    the closed forms are not the kernel, so such points (and NaN) are refused."""
+    are 1 + sum_tau b_tau(x) b_tau(y) + (-1)^(alpha+1) b_(2 alpha)(|x - y|), tau over all of
+    1..alpha (sobolev), the odd ones (sob_odd), or the odd ones and alpha (sob_odd_alpha); the
+    others are 1 plus `_KAPPA_COEFFS` on `_kappa`.  Outside [0, 1] the closed forms are not
+    the kernel, so such points (and NaN) are refused."""
     alpha = _smoothness(family, alpha)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (np.all((x >= 0.0) & (x <= 1.0)) and np.all((y >= 0.0) & (y <= 1.0))):
         raise DomainError("kernel_1d takes x and y in [0, 1]")
-    if family in SOBOLEV_FAMILIES:
-        return sobolev_family_1d(family, alpha, x, y)
     d = np.abs(x - y)
+    if family in SOBOLEV_FAMILIES:
+        out = 1.0 + (-1.0) ** (alpha + 1) * bernoulli_scaled(2 * alpha, d)
+        for tau in _sobolev_taus(family, alpha):
+            out = out + bernoulli_scaled(tau, x) * bernoulli_scaled(tau, y)
+        return out if np.ndim(out) else float(out)
     coeffs, args = zip(*[(c, t) for c, t in zip(_KAPPA_COEFFS[family], (d, d / 2, (x + y) / 2))
                          if c])
     args = np.stack(np.broadcast_arrays(*args))

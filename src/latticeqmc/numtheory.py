@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from .errors import DomainError
 
-# Witnesses proven sufficient for n < 3.3 * 10^24 (covers 64-bit inputs).
+# Witnesses proven sufficient for n < psi_12 = 318665857834031151167461, the least
+# strong pseudoprime to all twelve, so for every 64-bit input.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 2**64."""
+    """Deterministic Miller-Rabin primality test for n < 2**64; larger n are refused."""
     if n < 2:
         return False
+    if n >= 2**64:
+        raise DomainError(f"is_prime is exact for n < 2**64, got {n}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

@@ -32,10 +32,10 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def bernoulli_numbers(max_degree: int = MAX_DEGREE) -> tuple[Fraction, ...]:
-    """Bernoulli numbers B_0..B_max_degree as exact Fractions (B_1 = -1/2)."""
+def bernoulli_numbers() -> tuple[Fraction, ...]:
+    """Bernoulli numbers B_0..B_MAX_DEGREE as exact Fractions (B_1 = -1/2)."""
     b: list[Fraction] = [Fraction(1)]
-    for m in range(1, max_degree + 1):
+    for m in range(1, MAX_DEGREE + 1):
         s = sum(Fraction(comb(m + 1, j)) * b[j] for j in range(m))
         b.append(-s / (m + 1))
     return tuple(b)
@@ -49,7 +49,7 @@ def bernoulli_coefficients(tau: int) -> tuple[Fraction, ...]:
     """
     if tau < 0 or tau > MAX_DEGREE:
         raise DomainError(f"degree must be in 0..{MAX_DEGREE}, got {tau}")
-    numbers = bernoulli_numbers(MAX_DEGREE)
+    numbers = bernoulli_numbers()
     return tuple(Fraction(comb(tau, k)) * numbers[tau - k] for k in range(tau + 1))
 
 

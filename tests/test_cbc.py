@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -404,3 +405,14 @@ def test_result_serialization():
     assert data["z"] == [1, 2] and data["n"] == 5 and data["prime"] is True
     assert len(data["criterion_per_dim"]) == 2
     assert res.rule() == LatticeRule(N=5, z=(1, 2))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    pytest.param(lambda: cbc_plain(13, 0, CbcCriterion("tent", WeightScheme.product([1.0]))),
+                 "need s >= 1, got 0", id="sweep/s"),
+    pytest.param(lambda: cbc_plain(1, 1, CbcCriterion("tent", WeightScheme.product([1.0]))),
+                 "need N >= 2, got 1", id="cbc_plain/N"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        call()

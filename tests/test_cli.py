@@ -336,3 +336,19 @@ def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp
     assert main(["experiment", "--name"] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("args,code,fragment", [
+    pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
+                  '{"form": "product", "gamma": [1.0, -0.5]}'], 2,
+                 "error: weights must be finite and nonnegative", id="wce/negative_gamma"),
+    pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
+                  '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
+                 "error: weights cover 3 coordinates, rule has 2", id="wce/dimension_mismatch"),
+    pytest.param(["experiment", "--name", "figure1", "--n-list", "14"], 2,
+                 "error: 14 is not a Fibonacci number", id="experiment/not_fibonacci"),
+])
+def test_refusals(args, code, fragment, capsys):
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(fragment)

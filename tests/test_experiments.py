@@ -1,6 +1,7 @@
 """Integrands, exact integrals, experiment harness, slope fitting."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,8 @@ from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize
 def test_integrand_values():
     assert integrand_eval("bivar", [[0.0, 0.0]])[0] == 0.0
     assert integrand_eval("bivar", [[1.0, 1.0]])[0] == pytest.approx(math.e / (math.e - 2.0))
-    assert integrand_eval("f1", [[1.0]], omega=[1.0], c1=1.0)[0] == pytest.approx(1.5)
+    # f1 at x = 1 is 1 + omega (1 - 1/(1 + C1)), with C1 = 1.3
+    assert integrand_eval("f1", [[1.0]], omega=[1.0])[0] == pytest.approx(2.0 - 1.0 / 2.3)
     assert integrand_eval("f2", [[0.0]], omega=[1.0], c2=1.0)[0] == pytest.approx(2.0)
     with pytest.raises(DomainError):
         integrand_eval("nope", [[0.5]])
@@ -161,3 +163,51 @@ def test_fitted_slopes_dict():
     slopes = fitted_slopes(res)
     assert set(slopes) == {"lattice", "tent", "sym"}
     assert slopes["sym"] < -1.0
+
+
+@pytest.mark.parametrize("budget", [None, 7])
+def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monkeypatch, budget):
+    """run_experiment never reads PointSet.points: it evaluates row blocks of the
+    numerators, here one block or one to three rows per block, and its errors
+    equal those from the full float view with ==."""
+    from latticeqmc import kernels
+    from latticeqmc.lattice import PointSet, tent_transform
+
+    if budget is not None:
+        monkeypatch.setattr(kernels, "_BLOCK_BUDGET", budget)
+    configs = [replace(experiment_config("figure1"), N_list=(13, 21, 34, 55, 89)),
+               replace(experiment_config("f1_s20"), N_list=(67, 127))]
+    with monkeypatch.context() as patch:
+        def refuse(self):
+            raise AssertionError("the float view was built")
+        patch.setattr(PointSet, "points", property(refuse))
+        results = [run_experiment(cfg) for cfg in configs]
+
+    for cfg, res in zip(configs, results):
+        target = exact_integral(cfg.integrand, cfg.omega, cfg.c2)
+
+        def error(ps):
+            return abs(float(np.mean(integrand_eval(cfg.integrand, ps.points, cfg.omega,
+                                                    cfg.c2))) - target)
+
+        for r in res.rows:
+            plain = rank1_points(LatticeRule(r.N, res.vectors[r.N]))
+            assert r.err_lattice == error(plain)
+            assert r.err_tent == error(tent_transform(plain))
+            if "sym" in cfg.rules:
+                assert r.err_sym == error(symmetrize(plain))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    pytest.param(lambda: integrand_eval("f1", [[0.5, 0.5]], omega=[1.0]),
+                 "need 2 coefficients, got 1", id="integrand_eval/omega"),
+    pytest.param(lambda: integrand_eval("nope", [[0.5]], omega=[1.0]), "unknown integrand 'nope'",
+                 id="integrand_eval/name"),
+    pytest.param(lambda: exact_integral("nope"), "unknown integrand 'nope'",
+                 id="exact_integral/name"),
+    pytest.param(lambda: replace(experiment_config("figure1"), dims=3),
+                 "Fibonacci rules are two-dimensional", id="config/bivar_dims"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        call()

@@ -1,6 +1,7 @@
 """Coefficient closed forms and quadrature verification of the series identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_quadrature_oracle_basics():
         0.5, abs=1e-13
     )
     # Fourier coefficient of the sine-of-tent function: half the series coefficient
-    got = cosine_coeff_quadrature(lambda t: np.sin(2 * math.pi * tent(t)), 1, panels=64)
+    got = cosine_coeff_quadrature(lambda t: np.sin(2 * math.pi * tent(t)), 1)
     assert got == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
 
 
@@ -149,11 +150,11 @@ def test_sine_of_tent_quadrature_sweep():
     for k in range(1, 9):
         for l in range(1, 9):
             cos_coeff = cosine_coeff_quadrature(
-                lambda t, k=k: np.sin(2 * math.pi * k * tent(t)), l, panels=64
+                lambda t, k=k: np.sin(2 * math.pi * k * tent(t)), l
             )
             assert cos_coeff == pytest.approx(0.5 * sin_tent_coeff(k, l), abs=1e-9)
             sin_coeff = cosine_coeff_quadrature(
-                lambda t, k=k: np.sin(2 * math.pi * k * tent(t)), l, panels=64, weight="sin2pi"
+                lambda t, k=k: np.sin(2 * math.pi * k * tent(t)), l, weight="sin2pi"
             )
             assert abs(sin_coeff) <= 1e-10
 
@@ -185,3 +186,17 @@ def test_appendix_suite_all_green():
         "inner-sum identities at kmax=1e6 within tail bounds",
         "coefficient symmetry in (k, l)",
     ]
+
+
+@pytest.mark.parametrize("call,fragment", [
+    pytest.param(lambda: sin_tent_coeff(0, 1), "indices must be positive", id="sin_tent_coeff"),
+    pytest.param(lambda: cosine_coeff_quadrature(np.cos, 1, weight="tan"),
+                 "unknown weight 'tan'", id="cosine_coeff_quadrature/weight"),
+    pytest.param(lambda: cosine_coeff_quadrature(np.cos, -1), "k must be nonnegative",
+                 id="cosine_coeff_quadrature/k"),
+    pytest.param(lambda: appendix_inner_sum(1, "third", 10), "which must be 'first' or 'second'",
+                 id="appendix_inner_sum/which"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        call()

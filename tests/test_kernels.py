@@ -1,6 +1,7 @@
 """Kernel evaluations: closed forms, kappa against its series, symmetry, PSD, unit mean."""
 
 import math
+import re
 from functools import cache
 
 import numpy as np
@@ -368,3 +369,18 @@ def test_every_kmax_entry_point_applies_the_one_kmax_rule(name):
         with pytest.raises(DomainError):
             call(kmax)
     assert call(np.int64(3)) == call(3) == call(np.int32(3))
+
+
+@pytest.mark.parametrize("call,fragment", [
+    pytest.param(lambda: kernel_1d("nope", 1, 0.5, 0.5), "unknown kernel family 'nope'",
+                 id="smoothness/family"),
+    pytest.param(lambda: kernel(KernelSpec("korobov", 1, WeightScheme.product([1.0, 1.0])),
+                                np.zeros((3, 1)), np.zeros((3, 1))),
+                 "points must have last axis 2", id="kernel/shape"),
+    pytest.param(lambda: kernel_mean_identity_check(
+        KernelSpec("korobov", 1, WeightScheme.product([1.0, 1.0])), [0.5]),
+                 "x must be a point of dimension 2", id="kernel_mean_identity_check/shape"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        call()

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -320,3 +321,34 @@ def test_csv_export_to_a_path_a_str_and_a_handle_at_max_n(tmp_path):
 def test_point_set_rejects_what_is_no_rational_point_set(numerators, denominator):
     with pytest.raises(DomainError):
         PointSet(s=1, kind="plain", numerators=numerators, denominator=denominator)
+
+
+def _point_set(kind="plain", nums=((0, 1), (1, 2)), D=2):
+    return PointSet(s=2, kind=kind, numerators=np.array(nums), denominator=D)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    pytest.param(lambda: LatticeRule(N=0, z=(1,)), "N must be in 1..", id="rule/N"),
+    pytest.param(lambda: LatticeRule(N=5, z=()), "generating vector must be nonempty",
+                 id="rule/empty_z"),
+    pytest.param(lambda: _point_set(kind="halton"), "unknown point-set kind 'halton'",
+                 id="point_set/kind"),
+    pytest.param(lambda: PointSet(s=3, kind="plain", numerators=np.zeros((2, 2), dtype=int),
+                                  denominator=2),
+                 "numerators must have shape (n_points, s)", id="point_set/shape"),
+    pytest.param(lambda: _point_set(nums=((0, 3),)), "coordinates must lie in [0, 1]",
+                 id="point_set/range"),
+    pytest.param(lambda: symmetrize(tent_transform(_point_set())),
+                 "symmetrization expects a plain point set, got 'tent'", id="symmetrize/kind"),
+    pytest.param(lambda: distinct_count(_point_set()),
+                 "distinct_count is defined for symmetrized point sets", id="distinct_count/kind"),
+    pytest.param(lambda: is_dual((1, 2, 3), LatticeRule(5, (1, 2))),
+                 "k has length 3, rule dimension is 2", id="is_dual/length"),
+    pytest.param(lambda: dual_projected(LatticeRule(5, (1, 2)), (3,), 2),
+                 "u must be a nonempty subset of 1..2", id="dual_projected/u"),
+    pytest.param(lambda: character_sum(LatticeRule(5, (1, 2)), (1, 1), method="fft"),
+                 "unknown method 'fft'", id="character_sum/method"),
+])
+def test_refusals(call, fragment):
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        call()

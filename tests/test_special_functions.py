@@ -191,3 +191,11 @@ def test_zeta_is_never_below_the_true_value():
     with mpmath.workdps(40):
         for sigma in (1.0001, 1.1, 1.5, 2.0, 3.3, 8.0, 16.0, 32.0):
             _assert_bounds(riemann_zeta(sigma), mpmath.zeta(sigma))
+
+
+def test_quadrature_refuses_empty_panels():
+    from latticeqmc.quadrature import composite_gauss_legendre
+
+    for panels, nodes in ((0, 8), (4, 0)):
+        with pytest.raises(DomainError, match="panels and nodes must be positive"):
+            composite_gauss_legendre(np.cos, 0.0, 1.0, panels=panels, nodes=nodes)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,3 +204,20 @@ def test_non_finite_weights_rejected(bad):
         WeightScheme.pod([1.0, bad], [1.0, 1.0])
     with pytest.raises(DomainError):
         WeightScheme.general(2, {frozenset({1}): 1.0, frozenset({1, 2}): bad})
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    pytest.param(lambda: WeightScheme(s=0), DomainError, "dimension must be >= 1, got 0",
+                 id="s"),
+    pytest.param(lambda: WeightScheme(s=1, form="lattice"), DomainError,
+                 "unknown weight form 'lattice'", id="form"),
+    pytest.param(lambda: WeightScheme(s=2, form="product", gamma=(1.0,)), DomainError,
+                 "need 2 coordinate weights, got 1", id="gamma_length"),
+    pytest.param(lambda: WeightScheme.product([1.0, 0.5]).weight_of({3}), DomainError,
+                 "subset [3] out of range for s=2", id="weight_of/range"),
+    pytest.param(lambda: next(WeightScheme.product([0.5] * 21).nonempty_subsets()), GuardError,
+                 "subset iteration limited to s <= 20", id="nonempty_subsets/guard"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -778,3 +779,15 @@ def test_quadratic_form_guard(monkeypatch):
                     denominator=10**9)
     with pytest.raises(GuardError):
         wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w), huge)
+
+
+@pytest.mark.parametrize("call,error,fragment", [
+    pytest.param(lambda: CbcCriterion("tent", WeightScheme.product([1.0, 0.5])).leading_weights(3),
+                 DomainError, "weights cover 2 coordinates, need 3", id="leading_weights/short"),
+    pytest.param(lambda: wce_tent_middle_term(WeightScheme.product([0.5] * 13),
+                                              LatticeRule(29, (1,) * 13)),
+                 GuardError, "subset enumeration limited to s <= 12", id="middle_term/guard"),
+])
+def test_refusals(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
