@@ -169,7 +169,8 @@ def cbc_plain(N: int, s: int, crit: CbcCriterion) -> CbcResult:
 
 def cbc_fast(N: int, s: int, crit: CbcCriterion) -> CbcResult:
     """Same output as cbc_plain, for prime N, in O(s N log N) (product weights)
-    or O(s N log N + s^2 N) (POD weights)."""
+    or O(s N log N + s^2 N) (POD weights: about s^2/4 row updates of N/2
+    entries in the state and one (s/2 + 1)^2 matrix product, see `_Running`)."""
     if not is_prime(N):
         raise DomainError(f"fast construction requires prime N, got {N}")
     return _sweep(N, s, crit, _FftScorer)

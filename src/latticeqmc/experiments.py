@@ -48,14 +48,14 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
         if x.shape[1] != 2:
             raise DomainError("the bivariate integrand needs s = 2")
         return x[:, 1] * np.exp(x[:, 0] * x[:, 1]) / (math.e - 2.0)
+    if name not in ("f1", "f2"):
+        raise DomainError(f"unknown integrand {name!r}")
     w = np.asarray(omega, dtype=float)
     if x.shape[1] != len(w):
         raise DomainError(f"need {x.shape[1]} coefficients, got {len(w)}")
     if name == "f1":
         return np.prod(1.0 + w * (x**C1 - 1.0 / (1.0 + C1)), axis=1)
-    if name == "f2":
-        return np.prod(1.0 + w / (1.0 + w * x**c2), axis=1)
-    raise DomainError(f"unknown integrand {name!r}")
+    return np.prod(1.0 + w / (1.0 + w * x**c2), axis=1)
 
 
 def exact_integral(name: str, omega=(), c2: float = 1.0) -> float:

@@ -203,6 +203,8 @@ def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monke
                  "need 2 coefficients, got 1", id="integrand_eval/omega"),
     pytest.param(lambda: integrand_eval("nope", [[0.5]], omega=[1.0]), "unknown integrand 'nope'",
                  id="integrand_eval/name"),
+    pytest.param(lambda: integrand_eval("nope", [[0.5]]), "unknown integrand 'nope'",
+                 id="integrand_eval/name_before_omega"),
     pytest.param(lambda: exact_integral("nope"), "unknown integrand 'nope'",
                  id="exact_integral/name"),
     pytest.param(lambda: replace(experiment_config("figure1"), dims=3),

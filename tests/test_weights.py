@@ -133,7 +133,12 @@ def test_running_sum_adds_one_coordinate_at_a_time(form, layout):
         run.add(eta[..., d - 1])
         head = (WeightScheme.product(gamma[:d]) if form == "product"
                 else WeightScheme.pod(Gamma[:d], gamma[:d]))
-        np.testing.assert_array_equal(run.value(), head.combine(eta[..., :d]))
+        if form == "product":
+            np.testing.assert_array_equal(run.value(), head.combine(eta[..., :d]))
+        else:  # the state switches phase after s // 2 coordinates, the head after d // 2
+            subsets = WeightScheme.general(d, dict(head.nonempty_subsets()))
+            np.testing.assert_allclose(run.value(), subsets.combine(eta[..., :d]),
+                                       rtol=1e-13, atol=0)
         np.testing.assert_allclose(before + step, run.value(), rtol=1e-13, atol=0)
         before = run.value()
     mult = rng.integers(1, 3, eta.shape[:-1]).astype(float)  # points counted once or twice
@@ -142,32 +147,79 @@ def test_running_sum_adds_one_coordinate_at_a_time(form, layout):
     np.testing.assert_array_equal(w.combine(eta), w.combine(np.ascontiguousarray(eta)))
 
 
-@pytest.mark.parametrize("shape", [(9,), (4, 5)])
+def pod_subset_sum(Gamma, x, shift: int) -> np.ndarray:
+    """sum over every subset u of the rows of x (the empty one too) of
+    G_{|u|+shift} prod_{j in u} x[j], with G_0 = 0 and G_k = Gamma[k-1]."""
+    G = [0.0, *Gamma]
+    total = np.zeros(np.shape(x)[1:])
+    for mask in range(1 << len(x)):
+        u = [j for j in range(len(x)) if mask >> j & 1]
+        total = total + G[len(u) + shift] * np.prod([x[j] for j in u], axis=0)
+    return total
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 12])
+def test_pod_running_sums_match_explicit_subset_sums(s, shape):
+    """value() and weight_vector() at every d, on both sides of the switch
+    from the forward e_k to the backward F_m after coordinate s // 2, within
+    1e-13 of the sum of the terms' magnitudes: the random eta cancel, down to
+    1e-3 of that sum, in some entries."""
+    rng = np.random.default_rng(s)
+    Gamma, gamma = rng.random(s), rng.random(s)
+    eta = rng.standard_normal((s,) + shape)
+    x = gamma.reshape((s,) + (1,) * len(shape)) * eta
+    run = _Running(WeightScheme.pod(Gamma, gamma), shape)
+    for d in range(s + 1):
+        if d:
+            run.add(eta[d - 1])
+        checks = [(run.value(), 1.0, 0)]
+        if d < s:
+            checks.append((run.weight_vector(), gamma[d], 1))
+        for got, g, shift in checks:
+            want = g * pod_subset_sum(Gamma, x[:d], shift)
+            scale = g * pod_subset_sum(Gamma, np.abs(x[:d]), shift)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("shape", [(9,), (4, 5), ()])
 def test_pod_sums_match_python_sums_over_the_orders(shape):
-    """weight_vector() and value() contract Gamma with e_0..e_d; the oracle
-    adds Gamma_k e_k one order at a time over all s orders, with
-    Gamma_k = k! spanning 32 decades at s = 30."""
+    """The oracle keeps e_0..e_s of the gamma_j eta_j by the forward recurrence
+    and adds Gamma_k e_k one order at a time over all s orders, with
+    Gamma_k = k! spanning 32 decades at s = 30; the state switches to its
+    backward phase after coordinate 15."""
     rng = np.random.default_rng(3)
     s = 30
     Gamma = [float(math.factorial(k)) for k in range(1, s + 1)]
     w = WeightScheme.pod(Gamma, 1.0 / np.arange(1, s + 1) ** 2)
     run = _Running(w, shape)
+    e = [np.ones(shape)] + [np.zeros(shape) for _ in range(s)]
     for d in range(s):
-        want = w.gamma[d] * sum(Gamma[k] * run.e[k] for k in range(s))
+        want = w.gamma[d] * sum(Gamma[k] * e[k] for k in range(s))
         np.testing.assert_allclose(run.weight_vector(), want, rtol=1e-13, atol=0)
-        run.add(rng.standard_normal(shape))
-        want = sum(Gamma[k - 1] * run.e[k] for k in range(1, s + 1))
+        eta = rng.standard_normal(shape)
+        run.add(eta)
+        for k in range(d + 1, 0, -1):
+            e[k] = e[k] + w.gamma[d] * eta * e[k - 1]
+        want = sum(Gamma[k - 1] * e[k] for k in range(1, s + 1))
         np.testing.assert_allclose(run.value(), want, rtol=1e-13, atol=0)
 
 
 def test_pod_cbc_is_the_same_with_one_or_two_blas_threads():
-    """The POD sums go through BLAS; their result must not depend on its
-    thread count."""
-    code = ("import json, math; from latticeqmc import CbcCriterion, WeightScheme, cbc_fast; "
+    """The POD sums go through BLAS (the head's contraction is a matrix
+    product); their result must not depend on its thread count: the CBC
+    sweeps, the closed-form rechecks of their rules, and one combine on an
+    (r, c, s) block."""
+    code = ("import json, math; import numpy as np; "
+            "from latticeqmc import CbcCriterion, WeightScheme, cbc_fast; "
             "w = WeightScheme.pod([float(math.factorial(k)) for k in range(1, 21)], "
             "[j ** -2.0 for j in range(1, 21)]); "
-            "r = [cbc_fast(4099, 20, CbcCriterion(k, w, a)) for k, a in (('tent', None), ('sym', 4))]; "
-            "print(json.dumps([[x.z, [float.hex(e) for e in x.per_dimension_error]] for x in r]))")
+            "c = [CbcCriterion(k, w, a) for k, a in (('tent', None), ('sym', 4))]; "
+            "r = [cbc_fast(4099, 20, x) for x in c]; "
+            "eta = np.random.default_rng(5).standard_normal((60, 70, 20)); "
+            "print(json.dumps([[x.z, [float.hex(e) for e in x.per_dimension_error], "
+            "float.hex(k.value(x.rule()))] for k, x in zip(c, r)] "
+            "+ [[float.hex(float(v)) for v in w.combine(eta).ravel()]]))")
     root = Path(__file__).resolve().parent.parent
     outs = []
     for threads in ("1", "2"):
