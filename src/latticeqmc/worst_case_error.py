@@ -9,11 +9,17 @@ Squared worst-case errors come from three routes that cross-check each other:
   on any point set (tent points among them), and for symmetrized rules the
   reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N base-lattice
   points instead of K on all 2^s N reflections.  It works on the integer
-  numerators over the denominator D: equal rows (n and N - n fold together
-  on tent points and under the reflection average) are summed once with
-  their multiplicity, kernel symmetry leaves one triangle of the pairs, and
-  the kernel is read from tables of D + 1 entries (2D + 1 for the half-period
-  sum table of the cosine families);
+  numerators over the denominator D, and reads the kernel through one
+  formula (`_eta`) from tables of D + 1 entries (2D + 1 for the half-period
+  sum table of the cosine families).  It has two pair layouts.  The row
+  layout takes any point set: equal rows (n and N - n fold together on tent
+  points and under the reflection average) are summed once with their
+  multiplicity, and kernel symmetry leaves one triangle of the pairs.  The
+  shift layout takes the folded points of a rank-1 rule at an odd prime N
+  (its tent points, or the sym error): in the Rader order of `_HalfOrder`
+  every coordinate's numerators are one cyclic shift of a single sequence,
+  so each block of kernel values is made once for all s coordinates.  Both
+  give the same bits on one CPU or many;
 * the group-collapsed closed form for rank-1 lattice rules in Korobov
   spaces, exact in O(N s) for product weights at every alpha > 1/2 (the
   residue table is kappa: Bernoulli polynomials within the tables, else its
@@ -39,7 +45,7 @@ from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import (KernelSpec, _block_map, _block_rows, _integer_alpha, _kappa, _lattice_tables,
                       _smoothness)
-from .lattice import LatticeRule, PointSet, rank1_points
+from .lattice import LatticeRule, PointSet, rank1_points, tent_transform
 from .numtheory import is_prime, primitive_root
 from .special_functions import riemann_zeta
 from .weights import WeightScheme
@@ -104,28 +110,50 @@ def _clamped(raw: float, kind: str) -> ErrorReport:
 # -- quadratic form ----------------------------------------------------------
 
 
+def _eta(g, beta, g_sum, a, b) -> np.ndarray:
+    """eta(a, b) = g[|a - b|] + g_sum[a + b] + sum_tau beta[tau][a] beta[tau][b] at the
+    numerator arrays a and b (broadcast), the one formula that both pair layouts read."""
+    eta = g[np.abs(a - b)]
+    if g_sum is not None:
+        eta += g_sum[a + b]
+    for t in beta.values():
+        eta += t[a] * t[b]
+    return eta
+
+
 def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport:
     """|P|^-2 sum_{x,y in P} weights.combine(eta(x, y)) for eta = K_1 - 1 of a
     unit-mean kernel (its constant 1 cancels against the -1), clamped at 0.
 
-    build() gives the (m, s) numerators over D, tables g and beta[tau] of
-    D + 1 entries, and g_sum or None, with eta(a, b) = g[|a - b|] +
-    sum_tau beta[tau][a] beta[tau][b] (+ g_sum[a + b]): g_sum has 2D + 1
-    entries for the cosine families, D + 1 where the numerators are folded
-    to a + b <= D (`wce_sym_exact`).  It runs once m and D have passed the
-    guard.  Each distinct row counts with its multiplicity mu; eta is
-    symmetric, so the row block [lo, hi) of the r rows meets only the
-    columns [lo, r): its own square once, the rest twice.  eta is made on
-    (s, rows, columns) arrays, so that its passes run along the long axis.
-    The blocks run on the thread pool of `kernels._block_map`, and their
+    build() gives the points, tables g and beta[tau] of D + 1 entries, and
+    g_sum or None, with eta(a, b) = g[|a - b|] + sum_tau beta[tau][a]
+    beta[tau][b] (+ g_sum[a + b]) (`_eta`): g_sum has 2D + 1 entries for the
+    cosine families, D + 1 where the numerators are folded to a + b <= D
+    (`wce_sym_exact`).  The points are the (m, s) numerators over D, summed
+    by `_row_pairs`, or for the folded points of a rank-1 rule at an odd
+    prime N a (`_HalfOrder`, coordinate shifts) pair, summed by
+    `_shift_pairs`.  It runs once m and D have passed the guard.  The blocks
+    of both layouts run on the thread pool of `kernels._block_map`, and their
     totals are added in block order, so the value has the same bits on one
     CPU or many."""
     if max(m, D) > QUADRATIC_FORM_GUARD:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
-    nums, g, beta, g_sum = build()
-    if nums.shape[1] != weights.s:
-        raise DomainError(f"point dimension {nums.shape[1]} != weight dimension {weights.s}")
+    points, *tables = build()
+    shifted = isinstance(points, tuple)
+    s = len(points[1]) if shifted else points.shape[1]
+    if s != weights.s:
+        raise DomainError(f"point dimension {s} != weight dimension {weights.s}")
+    total = (_shift_pairs if shifted else _row_pairs)(weights, points, *tables)
+    return _clamped(total / (m * m), "exact_quadratic_form")
+
+
+def _row_pairs(weights: WeightScheme, nums: np.ndarray, g, beta, g_sum) -> float:
+    """The pair sum over any point set.  Each distinct row counts with its
+    multiplicity mu; eta is symmetric, so the row block [lo, hi) of the r
+    rows meets only the columns [lo, r): its own square once, the rest
+    twice.  eta is made on (s, rows, columns) arrays, so that its passes run
+    along the long axis."""
     rows, mu = np.unique(nums, axis=0, return_counts=True)
     rows, mu = np.ascontiguousarray(rows.T), mu.astype(float)
     r, step = len(mu), _block_rows(rows.size)
@@ -134,12 +162,7 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
         # weights that overflow make the total non-finite, which ErrorReport refuses
         with np.errstate(over="ignore", invalid="ignore"):
             hi = min(lo + step, r)
-            a, b = rows[:, lo:hi, None], rows[:, None, lo:]
-            eta = g[np.abs(a - b)]
-            if g_sum is not None:
-                eta += g_sum[a + b]
-            for t in beta.values():
-                eta += t[a] * t[b]
+            eta = _eta(g, beta, g_sum, rows[:, lo:hi, None], rows[:, None, lo:])
             cols = 2.0 * mu[lo:]
             cols[:hi - lo] = mu[lo:hi]
             return float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
@@ -147,15 +170,88 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     total = 0.0  # not sum(): from Python 3.12 it compensates, which moves the bits
     for part in _block_map(block, range(0, r, step)):
         total += part
-    return _clamped(total / (m * m), "exact_quadratic_form")
+    return total
+
+
+def _shift_pairs(weights: WeightScheme, points, g, beta, g_sum) -> float:
+    """The pair sum over the folded points of a rank-1 rule at an odd prime N.
+
+    points is (order, k): order a `_HalfOrder` whose table maps a residue r
+    to its folded numerator, k[j] = order.index(z_j).  The point n = 0 has
+    numerator table[0] in every coordinate and counts once; the half point p
+    in Z_h (h = (N - 1)/2, standing for +-g^p) counts twice, and its
+    numerator in coordinate j is T[(p + k_j) mod h], T = order.a.  So with
+    q = p + delta, eta_j(p, q) = E[delta, (p + k_j) mod h] for
+    E[delta, a] = eta(T[a], T[a + delta]): one block of E, made once, serves
+    every coordinate as a shifted copy.  delta and -delta give equal sums
+    over p, so delta runs over 0..h//2, counted twice except delta = 0 and,
+    for even h, delta = h/2.  A block of deltas makes one (s, deltas, h)
+    array of one block budget."""
+    order, k = points
+    T, h, s = order.a, len(order.a), len(k)
+    # after[d, a] = T[(a + d) mod h], a view of T twice over
+    after = np.lib.stride_tricks.sliding_window_view(np.concatenate([T, T]), h)
+    delta = np.arange(h // 2 + 1)
+    count = np.where((delta == 0) | (2 * delta == h), 1.0, 2.0)
+    n_delta, step = len(delta), _block_rows(s * h)
+
+    def block(lo: int) -> float:
+        # weights that overflow make the total non-finite, which ErrorReport refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi = min(lo + step, n_delta)
+            E = _eta(g, beta, g_sum, T, after[lo:hi])
+            E = np.concatenate([E, E], axis=1)
+            eta = np.empty((s, hi - lo, h))
+            for j, kj in enumerate(k.tolist()):  # eta[j, d, p] = E[d, (p + k_j) mod h]
+                eta[j] = E[:, kj:kj + h]
+            return float(count[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)).sum(axis=1))
+
+    zero = order.table[:1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = weights.combine(np.broadcast_to(_eta(g, beta, g_sum, zero, zero), (1, s)))
+        cross = weights.combine(_eta(g, beta, g_sum, zero, T)[(np.arange(h)[:, None] + k) % h])
+        total = float(own[0]) + 4.0 * float(cross.sum())
+    for part in _block_map(block, range(0, n_delta, step)):
+        total += 4.0 * part
+    return total
 
 
 def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
     """-1 + |P|^-2 sum_{x,y in P} K(x, y) for every kernel of KernelSpec, all unit-mean:
     the tables of `_lattice_tables` hold each one in closed form, kappa off the
-    Bernoulli tables included."""
-    return _quadratic_form(spec.weights, len(ps), ps.denominator, lambda: (
-        ps.numerators, *_lattice_tables(spec.family, spec.alpha, ps.denominator)))
+    Bernoulli tables included.  A point set that is exactly the tent transform
+    of a rank-1 rule at an odd prime N goes to `_shift_pairs`, any other to
+    `_row_pairs`."""
+    def build():
+        rule, D = _tent_lattice(ps), ps.denominator
+        points = ps.numerators
+        if rule is not None:  # residue r has the tent numerator N - |2r - N|
+            points = _folded(rule, D - np.abs(2 * np.arange(D) - D))
+        return (points, *_lattice_tables(spec.family, spec.alpha, D))
+
+    return _quadratic_form(spec.weights, len(ps), ps.denominator, build)
+
+
+def _tent_lattice(ps: PointSet) -> LatticeRule | None:
+    """The rule whose tent points ps is, row for row, if its N = ps.denominator
+    is an odd prime, else None.  Row n = 1 holds 2 min(z_j, N - z_j), and the
+    folded z of a rule gives the same tent points, so one O(N s) regeneration
+    decides."""
+    N, nums = int(ps.denominator), ps.numerators
+    if ps.kind != "tent" or N < 3 or len(ps) != N or not is_prime(N):
+        return None
+    z = nums[1] // 2
+    if np.any(nums[1] % 2) or not np.all(z >= 1):
+        return None
+    rule = LatticeRule(N, tuple(z.tolist()))
+    return rule if np.array_equal(tent_transform(rank1_points(rule)).numerators, nums) else None
+
+
+def _folded(rule: LatticeRule, table: np.ndarray):
+    """The points of `_shift_pairs`: the half order of the rule's odd prime N
+    over the table of folded numerators, and each coordinate's shift."""
+    order = _HalfOrder(rule.N, table)
+    return order, order.index(np.array(rule.z, dtype=np.int64))
 
 
 # -- closed form for lattice rules in Korobov spaces -------------------------
@@ -296,12 +392,15 @@ class CbcCriterion:
             order, factor = 1, C_PRIME / (4.0 * pi**4)
         elif self.kind == "sym":
             alpha = _integer_alpha(alpha, 2)
-            order, factor = alpha // 2, 3.0 / (2.0 ** (2 * alpha + 1) * pi ** (2 * alpha))
+            order, factor = alpha // 2, 3.0 / (_power(2.0, 2 * alpha + 1) * _power(pi, 2 * alpha))
         elif self.kind == "plain_korobov":
             alpha = _smoothness("korobov", alpha)
             order, factor = alpha, None
         else:
             raise DomainError(f"unknown criterion kind {self.kind!r}")
+        if factor is not None and not 0.0 < factor < inf:
+            raise GuardError(f"{self.kind} alpha = {alpha}: the weight factor {factor} is not a "
+                             "positive finite double")
         for name, value in (("alpha", alpha), ("korobov_order", order), ("factor", factor)):
             object.__setattr__(self, name, value)
 
@@ -403,15 +502,21 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     G(t) = -b_(2 alpha)(t) = G(1 - t).  eta is unchanged by x -> 1 - x, so
     each numerator a becomes min(a, N - a), which folds row N - n onto row
     n.  Then a + b <= N, and G(|x + y - 1|) = G(x + y) is read at a + b in
-    the table of N + 1 entries.
+    the table of N + 1 entries.  At an odd prime N the folded points take the
+    shift layout (`_shift_pairs`), at any other N the row layout.
     """
     alpha = _smoothness("sob_odd_alpha", _integer_alpha(alpha, 2))
     N = rule.N
 
     def build():
         g, beta, _ = _lattice_tables("sob_odd_alpha", alpha, N)
-        nums = rank1_points(rule).numerators
-        return np.minimum(nums, N - nums), 0.5 * g, {alpha: beta[alpha]}, 0.5 * g
+        if N % 2 and is_prime(N):  # residue r folds to min(r, N - r)
+            r = np.arange(N)
+            points = _folded(rule, np.minimum(r, N - r))
+        else:
+            nums = rank1_points(rule).numerators
+            points = np.minimum(nums, N - nums)
+        return points, 0.5 * g, {alpha: beta[alpha]}, 0.5 * g
 
     return _quadratic_form(weights, N, N, build)
 

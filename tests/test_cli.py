@@ -347,6 +347,10 @@ def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp
                  "error: weights cover 3 coordinates, rule has 2", id="wce/dimension_mismatch"),
     pytest.param(["experiment", "--name", "figure1", "--n-list", "14"], 2,
                  "error: 14 is not a Fibonacci number", id="experiment/not_fibonacci"),
+    pytest.param(["cbc", "--n", "101", "--dims", "2", "--criterion", "sym", "--alpha", "310",
+                  "--weights", '{"form": "product", "gamma": [1.0, 0.25]}'], 3,
+                 "guard: sym alpha = 310: the weight factor 0.0 is not a positive finite double",
+                 id="cbc/sym_factor_underflows"),
 ])
 def test_refusals(args, code, fragment, capsys):
     assert main(args) == code

@@ -540,6 +540,118 @@ def test_engine_equals_direct_double_sum_on_edge_cases(w):
                                                                         abs=ROUNDING_FLOOR)
 
 
+# -- the shift layout of prime-N lattice rules -------------------------------
+
+SHIFT_PRIMES = (3, 5, 7, 13, 101, 509)  # h = (N - 1)/2 = 1, 2, 3, 6, 50, 254: both parities
+FAMILY_ALPHAS = (("korobov", 1), ("korobov", 1.5), ("cosine", 2), ("kor_plus_cos", 1),
+                 ("sobolev", 2), ("sob_odd", 3), ("sob_odd_alpha", 4))
+
+
+def _row_copy(ps: PointSet) -> PointSet:
+    """The same multiset with the zero row moved from n = 0 to n = 1, so that
+    it is no longer the tent set of a rule and takes the row engine."""
+    return PointSet(s=ps.s, kind=ps.kind, numerators=np.roll(ps.numerators, 1, axis=0),
+                    denominator=ps.denominator)
+
+
+@pytest.mark.parametrize("N", SHIFT_PRIMES)
+@pytest.mark.parametrize("w", _three_weights(), ids=("product", "pod", "general"))
+def test_shift_layout_equals_row_engine(N, w):
+    """The tent points of a rule at an odd prime N take the shift layout, a
+    row-permuted copy of them the row engine: every family agrees on the two
+    to 1e-12 relative above the rounding floor.  The sym error of the rule
+    takes the shift layout too, and agrees with the row engine on the
+    symmetrized multiset at alpha = 2 and 4."""
+    rule = random_rule(np.random.default_rng(N), N, 3)
+    ps = tent_transform(rank1_points(rule))
+    copy = _row_copy(ps)
+    assert worst_case_error._tent_lattice(ps) is not None
+    assert worst_case_error._tent_lattice(copy) is None
+    for family, alpha in FAMILY_ALPHAS:
+        spec = KernelSpec(family, alpha, w)
+        assert wce_sq_quadratic_form(spec, ps).value == pytest.approx(
+            wce_sq_quadratic_form(spec, copy).value, rel=1e-12, abs=ROUNDING_FLOOR)
+    multiset = symmetrize(rank1_points(rule))
+    for alpha in (2, 4):
+        want = wce_sq_quadratic_form(KernelSpec("sob_odd_alpha", alpha, w), multiset).value
+        assert wce_sym_exact(alpha, w, rule).value == pytest.approx(want, rel=1e-12,
+                                                                    abs=ROUNDING_FLOOR)
+
+
+def _longdouble_form(nums, N, g, beta, g_sum, gamma) -> float:
+    """-1 + N^-2 sum over all pairs of prod_j (1 + gamma_j eta_j), product
+    weights, summed in np.longdouble over the engine's own double tables."""
+    L = np.longdouble
+    rows, mu = np.unique(nums, axis=0, return_counts=True)
+    g, mu, gam = g.astype(L), mu.astype(L), np.array(gamma, dtype=L)
+    total = L(0)
+    for lo in range(0, len(rows), 16):
+        a, b = rows[lo:lo + 16, None, :], rows[None, :, :]
+        eta = g[np.abs(a - b)]
+        if g_sum is not None:
+            eta = eta + g_sum.astype(L)[a + b]
+        for t in beta.values():
+            eta = eta + t.astype(L)[a] * t.astype(L)[b]
+        total += mu[lo:lo + 16] @ (np.prod(1 + gam * eta, axis=-1) - 1) @ mu
+    return float(total / (L(N) * N))
+
+
+def test_shift_layout_is_as_close_to_a_longdouble_oracle_as_the_row_engine():
+    """CBC tent and sym (alpha = 2) rules at N = 509, s = 20, gamma_j = j^-2:
+    the shift layout sits at most twice as far from a np.longdouble pair sum
+    over the same tables as the row engine, plus 1e-12 relative."""
+    N, s = 509, 20
+    gamma = [j**-2.0 for j in range(1, s + 1)]
+    w = WeightScheme.product(gamma)
+    tent = tent_transform(rank1_points(cbc_fast(N, s, CbcCriterion("tent", w)).rule()))
+    g, beta, g_sum = kernels._lattice_tables("sobolev", 2, N)
+    spec = KernelSpec("sobolev", 2, w)
+    cases = [(wce_sq_quadratic_form(spec, tent).value,
+              wce_sq_quadratic_form(spec, _row_copy(tent)).value,
+              _longdouble_form(tent.numerators, N, g, beta, g_sum, gamma))]
+    rule = cbc_fast(N, s, CbcCriterion("sym", w, 2)).rule()
+    g, beta, _ = kernels._lattice_tables("sob_odd_alpha", 2, N)
+    nums = rank1_points(rule).numerators
+    folded, tables = np.minimum(nums, N - nums), (0.5 * g, {2: beta[2]}, 0.5 * g)
+    cases.append((wce_sym_exact(2, w, rule).value,
+                  worst_case_error._quadratic_form(w, N, N, lambda: (folded, *tables)).value,
+                  _longdouble_form(folded, N, *tables, gamma)))
+    for shifted, row, oracle in cases:
+        assert abs(shifted - oracle) <= 2 * abs(row - oracle) + 1e-12 * oracle
+
+
+def _misfires():
+    """Point sets and rules that must keep the row engine."""
+    tent = tent_transform(rank1_points(LatticeRule(13, (1, 5, 3))))
+    changed = tent.numerators.copy()
+    changed[4, 1] = 12 - changed[4, 1]
+    return [
+        ("one row changed", lambda w: wce_sq_quadratic_form(
+            KernelSpec("sobolev", 2, w), PointSet(3, "tent", changed, 13))),
+        ("plain points", lambda w: wce_sq_quadratic_form(
+            KernelSpec("sobolev", 2, w), rank1_points(LatticeRule(13, (1, 5, 3))))),
+        ("composite N", lambda w: wce_sq_quadratic_form(
+            KernelSpec("sobolev", 2, w), tent_transform(rank1_points(_rule(15, (1, 4, 7)))))),
+        ("N = 2", lambda w: wce_sq_quadratic_form(
+            KernelSpec("sobolev", 2, w), tent_transform(rank1_points(_rule(2, (1, 1, 1)))))),
+        ("sym, composite N", lambda w: wce_sym_exact(2, w, _rule(15, (1, 4, 7)))),
+        ("sym, N = 2", lambda w: wce_sym_exact(2, w, _rule(2, (1, 1, 1)))),
+        ("symmetrized multiset", lambda w: wce_sq_quadratic_form(
+            KernelSpec("sob_odd_alpha", 2, w), symmetrize(rank1_points(LatticeRule(13, (1, 5, 3)))))),
+    ]
+
+
+@pytest.mark.parametrize("w", _three_weights(), ids=("product", "pod", "general"))
+def test_the_shift_layout_never_takes_other_point_sets(w, monkeypatch):
+    """Composite N, N = 2, plain or symmetrized sets and a tent set with one
+    row changed never reach the shift layout, so their values are the row
+    engine's, bit for bit."""
+    before = {name: call(w).value.hex() for name, call in _misfires()}
+    monkeypatch.setattr(worst_case_error, "_shift_pairs",
+                        lambda *args: pytest.fail("the shift layout took a non-lattice input"))
+    assert {name: call(w).value.hex() for name, call in _misfires()} == before
+
+
 def _subset_oracle(alpha, gamma, rule):
     """The cosine error of the tent points of a rule of odd N, from kappa(r / N) =
     2 Re Li_(2 alpha)(e^(2 pi i r / N)) at 30 digits.  cos(pi k tent(t)) = cos(2 pi k t),
@@ -700,12 +812,13 @@ def test_overflow_on_the_block_pool_raises_guard_error(monkeypatch):
     """The quadratic form's blocks run on worker threads, which do not inherit
     the caller's np.errstate: each block scopes its own, so an overflow still
     reaches ErrorReport as a non-finite total, not a RuntimeWarning.  Two CPUs
-    are faked so that the pool runs on any machine; N = 509, s = 20 folds to
-    255 rows of 20 entries, 5 blocks of 51 rows."""
+    are faked so that the pool runs on any machine; N = 509, s = 20 takes the
+    shift layout: h = 254 half points of 20 entries, differences 0..127 in 3
+    blocks of at most 51."""
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     w = WeightScheme.product([1e300] * 20)
     rule = cbc_fast(509, 20, CbcCriterion("tent", WeightScheme.product([1.0] * 20))).rule()
-    assert kernels._block_rows(255 * 20) < 255
+    assert kernels._block_rows(254 * 20) < 128
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(GuardError, match="overflow"):
@@ -787,6 +900,12 @@ def test_quadratic_form_guard(monkeypatch):
     pytest.param(lambda: wce_tent_middle_term(WeightScheme.product([0.5] * 13),
                                               LatticeRule(29, (1,) * 13)),
                  GuardError, "subset enumeration limited to s <= 12", id="middle_term/guard"),
+    pytest.param(lambda: CbcCriterion("sym", WeightScheme.product([1.0]), 310), GuardError,
+                 "sym alpha = 310: the weight factor 0.0 is not a positive finite double",
+                 id="sym_factor/alpha310"),
+    pytest.param(lambda: CbcCriterion("sym", WeightScheme.product([1.0]), 312), GuardError,
+                 "sym alpha = 312: the weight factor 0.0 is not a positive finite double",
+                 id="sym_factor/alpha312"),
 ])
 def test_refusals(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
