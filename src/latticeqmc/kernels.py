@@ -49,8 +49,9 @@ def _block_map(fn, starts) -> list:
     one CPU or fewer than two blocks.  The results come back in block order, so
     a caller that adds them in that order gets the sequential bits, as long as
     fn scopes its own np.errstate (worker threads do not inherit the caller's).
-    Threads pay only where fn's numpy calls release the GIL: a Python loop
-    inside each block makes them convoy on it."""
+    Threads pay only where fn's numpy calls release the GIL, as in its one
+    caller, `worst_case_error._row_pairs`: a Python loop or many small numpy
+    calls in each block make them convoy on it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if (cpus or 1) < 2 or len(starts) < 2:
         return [fn(lo) for lo in starts]

@@ -143,27 +143,33 @@ class WeightScheme:
 
     # -- the workhorse -----------------------------------------------------
 
-    def combine(self, eta: np.ndarray) -> np.ndarray:
-        """sum_{nonempty u} gamma_u prod_{j in u} eta[..., j-1].
+    def combine(self, eta) -> np.ndarray:
+        """sum_{nonempty u} gamma_u prod_{j in u} eta_j.
 
-        eta has shape (..., s); the reduction runs over the last axis.
-        Product weights cost O(s), POD O(s^2) (s^2/4 row updates and one
-        small matrix product), general O(2^s) (guarded).
+        eta is an (..., s) array, reduced over its last axis, or a list or
+        tuple of s equal-shape arrays, its columns eta_1..eta_s, read as given
+        and never stacked.  Product weights cost O(s), POD O(s^2) (s^2/4 row
+        updates and one small matrix product), general O(2^s) (guarded).
         """
-        eta = np.asarray(eta, dtype=float)
-        if eta.shape[-1] != self.s:
-            raise DomainError(f"eta last axis {eta.shape[-1]} != s={self.s}")
+        if isinstance(eta, (list, tuple)):
+            cols = [np.asarray(c, dtype=float) for c in eta]
+        else:
+            eta = np.asarray(eta, dtype=float)
+            cols = [eta[..., j] for j in range(eta.shape[-1])]
+        if len(cols) != self.s or len({c.shape for c in cols}) > 1:
+            raise DomainError(f"eta needs {self.s} equal-shape coordinates, got {len(cols)} of "
+                              f"shapes {sorted({c.shape for c in cols})}")
         if self.form == "general":
-            out = np.zeros(eta.shape[:-1])
+            out = np.zeros(cols[0].shape)
             for u, g in self.nonempty_subsets():
-                term = np.ones(eta.shape[:-1])
+                term = np.ones(cols[0].shape)
                 for j in u:
-                    term = term * eta[..., j - 1]
+                    term = term * cols[j - 1]
                 out = out + g * term
             return out
-        run = _Running(self, eta.shape[:-1])
-        for j in range(self.s):
-            run.add(eta[..., j])
+        run = _Running(self, cols[0].shape)
+        for col in cols:
+            run.add(col)
         return run.value()
 
     # -- parsing -----------------------------------------------------------
@@ -225,7 +231,8 @@ class _Running:
         v = self.w.gamma[self.d] * eta_d
         self.d += 1
         if self.w.form == "product":
-            self.p *= 1.0 + v
+            v += 1.0
+            self.p *= v
         elif self.F is None:
             for k in range(self.d, 0, -1):
                 self.e[k] += v * self.e[k - 1]

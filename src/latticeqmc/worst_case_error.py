@@ -18,8 +18,10 @@ Squared worst-case errors come from three routes that cross-check each other:
   shift layout takes the folded points of a rank-1 rule at an odd prime N
   (its tent points, or the sym error): in the Rader order of `_HalfOrder`
   every coordinate's numerators are one cyclic shift of a single sequence,
-  so each block of kernel values is made once for all s coordinates.  Both
-  give the same bits on one CPU or many;
+  so each block of kernel values is made once for all s coordinates.  The
+  row layout's blocks run on the thread pool of `kernels._block_map`, the
+  shift layout's on the calling thread; both give the same bits on one CPU
+  or many;
 * the group-collapsed closed form for rank-1 lattice rules in Korobov
   spaces, exact in O(N s) for product weights at every alpha > 1/2 (the
   residue table is kappa: Bernoulli polynomials within the tables, else its
@@ -132,10 +134,10 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     (`wce_sym_exact`).  The points are the (m, s) numerators over D, summed
     by `_row_pairs`, or for the folded points of a rank-1 rule at an odd
     prime N a (`_HalfOrder`, coordinate shifts) pair, summed by
-    `_shift_pairs`.  It runs once m and D have passed the guard.  The blocks
-    of both layouts run on the thread pool of `kernels._block_map`, and their
-    totals are added in block order, so the value has the same bits on one
-    CPU or many."""
+    `_shift_pairs`.  It runs once m and D have passed the guard.  Both
+    layouts add their block totals in block order: the row layout's blocks
+    run on the thread pool of `kernels._block_map`, the shift layout's on the
+    calling thread, so the value has the same bits on one CPU or many."""
     if max(m, D) > QUADRATIC_FORM_GUARD:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
@@ -185,34 +187,28 @@ def _shift_pairs(weights: WeightScheme, points, g, beta, g_sum) -> float:
     E[delta, a] = eta(T[a], T[a + delta]): one block of E, made once, serves
     every coordinate as a shifted copy.  delta and -delta give equal sums
     over p, so delta runs over 0..h//2, counted twice except delta = 0 and,
-    for even h, delta = h/2.  A block of deltas makes one (s, deltas, h)
-    array of one block budget."""
+    for even h, delta = h/2.  `combine` reads a block of deltas (s * deltas
+    * h <= one block budget) as the s shifted slices of [E, E], uncopied.
+    The blocks run on the calling thread: their small numpy calls ran
+    slower on the pool of `kernels._block_map`, convoying on the GIL."""
     order, k = points
     T, h, s = order.a, len(order.a), len(k)
-    # after[d, a] = T[(a + d) mod h], a view of T twice over
-    after = np.lib.stride_tricks.sliding_window_view(np.concatenate([T, T]), h)
     delta = np.arange(h // 2 + 1)
+    # after[d, a] = T[(a + d) mod h], a view of T twice over
+    after = np.lib.stride_tricks.sliding_window_view(np.concatenate([T, T]), h)[:len(delta)]
     count = np.where((delta == 0) | (2 * delta == h), 1.0, 2.0)
-    n_delta, step = len(delta), _block_rows(s * h)
-
-    def block(lo: int) -> float:
-        # weights that overflow make the total non-finite, which ErrorReport refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            hi = min(lo + step, n_delta)
-            E = _eta(g, beta, g_sum, T, after[lo:hi])
-            E = np.concatenate([E, E], axis=1)
-            eta = np.empty((s, hi - lo, h))
-            for j, kj in enumerate(k.tolist()):  # eta[j, d, p] = E[d, (p + k_j) mod h]
-                eta[j] = E[:, kj:kj + h]
-            return float(count[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)).sum(axis=1))
-
+    step, shifts = _block_rows(s * h), k.tolist()
     zero = order.table[:1]
+    # weights that overflow make the total non-finite, which ErrorReport refuses
     with np.errstate(over="ignore", invalid="ignore"):
         own = weights.combine(np.broadcast_to(_eta(g, beta, g_sum, zero, zero), (1, s)))
         cross = weights.combine(_eta(g, beta, g_sum, zero, T)[(np.arange(h)[:, None] + k) % h])
         total = float(own[0]) + 4.0 * float(cross.sum())
-    for part in _block_map(block, range(0, n_delta, step)):
-        total += 4.0 * part
+        for lo in range(0, len(delta), step):
+            E = _eta(g, beta, g_sum, T, after[lo:lo + step])
+            E = np.concatenate([E, E], axis=1)  # eta_j(p, p + delta) = E[delta, p + k_j]
+            part = weights.combine([E[:, kj:kj + h] for kj in shifts]).sum(axis=1)
+            total += 4.0 * float(count[lo:lo + step] @ part)
     return total
 
 

@@ -233,6 +233,32 @@ def test_pod_cbc_is_the_same_with_one_or_two_blas_threads():
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_combine_on_columns_has_the_bits_of_the_stacked_array(shape):
+    """combine on a list of s column views (strided, like the shift layout's
+    slices) gives the float.hex of combine on the stacked (..., s) array, for
+    every weight form; a list of the wrong length or of unequal shapes is
+    refused."""
+    rng = np.random.default_rng(len(shape))
+    s = 6
+    wide = rng.uniform(-0.5, 1.5, size=shape + (2 * s,))
+    cols = [wide[..., 2 * j] for j in range(s)]
+    stacked = np.stack(cols, axis=-1)
+    gamma = rng.uniform(0.1, 1.0, size=s)
+    schemes = (WeightScheme.product(gamma), WeightScheme.pod(rng.uniform(0.5, 2.0, size=s), gamma),
+               WeightScheme.general(s, {(1,): 0.5, (2, 4): 0.25, (1, 3, 5, 6): 2.0}))
+    for w in schemes:
+        want = [float.hex(float(v)) for v in np.ravel(w.combine(stacked))]
+        for given in (cols, tuple(cols)):
+            got = w.combine(given)
+            assert got.shape == shape
+            assert [float.hex(float(v)) for v in np.ravel(got)] == want
+        with pytest.raises(DomainError):
+            w.combine(cols[:-1])
+        with pytest.raises(DomainError):
+            w.combine(cols[:-1] + [np.zeros(shape + (1,))])
+
+
 def test_validation():
     with pytest.raises(DomainError):
         WeightScheme.product([-0.1])

@@ -809,38 +809,78 @@ def test_overflowing_weights_raise_guard_error():
 
 
 def test_overflow_on_the_block_pool_raises_guard_error(monkeypatch):
-    """The quadratic form's blocks run on worker threads, which do not inherit
+    """The row layout's blocks run on worker threads, which do not inherit
     the caller's np.errstate: each block scopes its own, so an overflow still
     reaches ErrorReport as a non-finite total, not a RuntimeWarning.  Two CPUs
-    are faked so that the pool runs on any machine; N = 509, s = 20 takes the
-    shift layout: h = 254 half points of 20 entries, differences 0..127 in 3
-    blocks of at most 51."""
+    are faked so that the pool runs on any machine; N = 510, s = 20 takes the
+    row layout, whose folded rows fill at least 2 blocks.  The shift layout
+    (N = 509), on the calling thread, refuses the same overflow."""
     monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     w = WeightScheme.product([1e300] * 20)
-    rule = cbc_fast(509, 20, CbcCriterion("tent", WeightScheme.product([1.0] * 20))).rule()
-    assert kernels._block_rows(254 * 20) < 128
+    composite = random_rule(np.random.default_rng(510), 510, 20)
+    prime = cbc_fast(509, 20, CbcCriterion("tent", WeightScheme.product([1.0] * 20))).rule()
+    nums = rank1_points(composite).numerators
+    rows = np.unique(np.minimum(nums, 510 - nums), axis=0)
+    assert len(rows) > kernels._block_rows(rows.size)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(GuardError, match="overflow"):
-            wce_sym_exact(2, w, rule)
-        with pytest.raises(GuardError, match="overflow"):
-            wce_sq_quadratic_form(KernelSpec("sobolev", 2, w), tent_transform(rank1_points(rule)))
+        for rule in (composite, prime):
+            with pytest.raises(GuardError, match="overflow"):
+                wce_sym_exact(2, w, rule)
+            with pytest.raises(GuardError, match="overflow"):
+                wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
+                                      tent_transform(rank1_points(rule)))
+
+
+# the exact errors' float.hex, recorded while the shift layout still ran on the block pool
+SHIFT_LAYOUT_BITS = {
+    "sob2-tent/product/N509": "0x1.2b28c29e0428fp-27",
+    "sob2-tent/product/N1021": "0x1.653b204212f75p-30",
+    "sob2-tent/pod/N509": "0x1.5c3865e351342p-24",
+    "sob2-tent/pod/N1021": "0x1.e3ad190df050ap-27",
+    "sym2/product/N509": "0x1.57120d37075a4p-40",
+    "sym2/product/N1021": "0x1.d62747f5d84a2p-44",
+    "sym2/pod/N509": "0x1.0b30ef6617a13p-38",
+    "sym2/pod/N1021": "0x1.74c887abb53f5p-42",
+}
+
+
+def test_the_shift_layout_runs_on_the_calling_thread(monkeypatch):
+    """At an odd prime N the tent and sym exact errors never reach the block
+    pool, and they keep the bits they had when their blocks ran on it: CBC
+    rules at s = 20, gamma_j = j^-2, product and POD (Gamma_k = k!) weights."""
+    monkeypatch.setattr(worst_case_error, "_block_map",
+                        lambda *args: pytest.fail("the shift layout used the block pool"))
+    s = 20
+    gamma = [j ** -2.0 for j in range(1, s + 1)]
+    weights = {"product": WeightScheme.product(gamma),
+               "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
+    got = {}
+    for N in (509, 1021):
+        rule = cbc_fast(N, s, CbcCriterion("tent", weights["product"])).rule()
+        tent = tent_transform(rank1_points(rule))
+        sym = cbc_fast(N, s, CbcCriterion("sym", weights["product"], 2)).rule()
+        for name, w in weights.items():
+            got[f"sob2-tent/{name}/N{N}"] = wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
+                                                                  tent).value.hex()
+            got[f"sym2/{name}/N{N}"] = wce_sym_exact(2, w, sym).value.hex()
+    assert got == SHIFT_LAYOUT_BITS
 
 
 _POOL_CHILD = """
 import json, math, os, sys, threading
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from latticeqmc import (CbcCriterion, KernelSpec, WeightScheme, cbc_fast, rank1_points,
+from latticeqmc import (CbcCriterion, KernelSpec, WeightScheme, cbc_plain, rank1_points,
                         tent_transform, wce_sq_quadratic_form, wce_sym_exact)
 s = 20
 gamma = [j ** -2.0 for j in range(1, s + 1)]
 weights = {"product": WeightScheme.product(gamma),
            "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
 out = {}
-for N in (509, 1021):
-    tent = cbc_fast(N, s, CbcCriterion("tent", weights["product"])).rule()
-    sym = {a: cbc_fast(N, s, CbcCriterion("sym", weights["product"], a)).rule() for a in (2, 4)}
+for N in (510, 1024):
+    tent = cbc_plain(N, s, CbcCriterion("tent", weights["product"])).rule()
+    sym = {a: cbc_plain(N, s, CbcCriterion("sym", weights["product"], a)).rule() for a in (2, 4)}
     for name, w in weights.items():
         reports = {"sob2-tent": wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
                                                       tent_transform(rank1_points(tent)))}
@@ -854,10 +894,11 @@ print(json.dumps({"values": out, "threads": threading.active_count()}))
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="needs at least 2 usable CPUs")
 def test_one_worker_and_the_pool_give_the_same_bits():
-    """The exact errors on CBC rules, with product and POD weights, have the
-    same float.hex from a child pinned to one CPU (the sequential path) and
-    from a child on every usable CPU (the pool).  Each child exits within its
-    timeout, so the pool's idle threads do not keep the interpreter alive."""
+    """The exact errors on CBC rules at composite N, which take the row
+    layout, with product and POD weights, have the same float.hex from a
+    child pinned to one CPU (the sequential path) and from a child on every
+    usable CPU (the pool).  Each child exits within its timeout, so the
+    pool's idle threads do not keep the interpreter alive."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
