@@ -114,15 +114,15 @@ class _FftScorer:
     omega(0) w(0) + c[j], c[j] = sum_i a[(i + j) mod h] w(cand[i]).  The rfft
     of a is shared by all dimensions.  When h has a prime factor above
     FFT_DIRECT_MAX_PRIME, c is the head of the linear correlation of
-    [a, a[:h-1]] with w, zero-padded to the smallest 5-smooth length
-    >= 2h - 1.
+    a2[:2h - 1] = [a, a[:h-1]] (`_HalfOrder`) with w, zero-padded to the
+    smallest 5-smooth length >= 2h - 1.
     """
 
     def __init__(self, order: _HalfOrder):
-        a, h = order.a, len(order.a)
+        h = len(order.a)
         direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
         self.L = h if direct else _smooth_length(2 * h - 1)
-        self.f_a = np.fft.rfft(a if self.L == h else np.concatenate([a, a[: h - 1]]), self.L)
+        self.f_a = np.fft.rfft(order.a2[: h if direct else 2 * h - 1], self.L)
         self.omega0 = order.table[0]
 
     def score(self, w: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -62,13 +63,20 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise DomainError(f"cannot parse {flag} {text!r} as comma-separated integers") from exc
 
 
+def _write_file(out: str, write) -> None:
+    """write(out); a file that cannot be written is a precondition violation."""
+    try:
+        write(out)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     text = text if text.endswith("\n") else text + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_file(out, lambda path: Path(path).write_text(text))
 
 
 def _cmd_points(args) -> int:
@@ -80,8 +88,10 @@ def _cmd_points(args) -> int:
         ps = symmetrize(ps)
     if args.format == "json":
         _emit(ps.to_json(), args.out)
+    elif args.out in (None, "-"):
+        ps.to_csv(sys.stdout)
     else:
-        ps.to_csv(sys.stdout if args.out in (None, "-") else args.out)
+        _write_file(args.out, ps.to_csv)
     return 0
 
 

@@ -13,7 +13,6 @@ through a weight scheme:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from math import cos, factorial, fsum, gamma, inf, log1p, pi
@@ -34,28 +33,6 @@ def _block_rows(row_elems: int) -> int:
     """Rows per block of every blocked loop, so that a block holds about
     _BLOCK_BUDGET entries (at least one row)."""
     return max(1, _BLOCK_BUDGET // max(1, row_elems))
-
-
-@cache
-def _pool(workers: int):
-    """The thread pool of _block_map, made on first use: importing
-    concurrent.futures costs ~7 ms, which most runs never need."""
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="latticeqmc-block")
-
-
-def _block_map(fn, starts) -> list:
-    """[fn(lo) for lo in starts], on one thread per usable CPU; sequential with
-    one CPU or fewer than two blocks.  The results come back in block order, so
-    a caller that adds them in that order gets the sequential bits, as long as
-    fn scopes its own np.errstate (worker threads do not inherit the caller's).
-    Threads pay only where fn's numpy calls release the GIL, as in its one
-    caller, `worst_case_error._row_pairs`: a Python loop or many small numpy
-    calls in each block make them convoy on it."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if (cpus or 1) < 2 or len(starts) < 2:
-        return [fn(lo) for lo in starts]
-    return list(_pool(cpus).map(fn, starts))
 
 
 def _integer_alpha(alpha, step: int = 1) -> int:

@@ -18,10 +18,7 @@ Squared worst-case errors come from three routes that cross-check each other:
   shift layout takes the folded points of a rank-1 rule at an odd prime N
   (its tent points, or the sym error): in the Rader order of `_HalfOrder`
   every coordinate's numerators are one cyclic shift of a single sequence,
-  so each block of kernel values is made once for all s coordinates.  The
-  row layout's blocks run on the thread pool of `kernels._block_map`, the
-  shift layout's on the calling thread; both give the same bits on one CPU
-  or many;
+  so each block of kernel values is made once for all s coordinates;
 * the group-collapsed closed form for rank-1 lattice rules in Korobov
   spaces, exact in O(N s) for product weights at every alpha > 1/2 (the
   residue table is kappa: Bernoulli polynomials within the tables, else its
@@ -33,7 +30,8 @@ criterion (the Korobov error of order o with weights (gamma_u f^|u|)^(1/2)),
 with one (order o, weight factor f) pair per transform (`CbcCriterion`).  The
 middle terms read the dual sums exactly from the residue table of the closed
 form; the prime-N construction bounds are parameterized by lambda.  Every
-blocked sum here sizes its blocks from the one block budget of `kernels`.
+blocked sum here sizes its blocks from the one block budget of `kernels` and
+runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -45,8 +43,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
-from .kernels import (KernelSpec, _block_map, _block_rows, _integer_alpha, _kappa, _lattice_tables,
-                      _smoothness)
+from .kernels import KernelSpec, _block_rows, _integer_alpha, _kappa, _lattice_tables, _smoothness
 from .lattice import LatticeRule, PointSet, rank1_points, tent_transform
 from .numtheory import is_prime, primitive_root
 from .special_functions import riemann_zeta
@@ -134,10 +131,7 @@ def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport
     (`wce_sym_exact`).  The points are the (m, s) numerators over D, summed
     by `_row_pairs`, or for the folded points of a rank-1 rule at an odd
     prime N a (`_HalfOrder`, coordinate shifts) pair, summed by
-    `_shift_pairs`.  It runs once m and D have passed the guard.  Both
-    layouts add their block totals in block order: the row layout's blocks
-    run on the thread pool of `kernels._block_map`, the shift layout's on the
-    calling thread, so the value has the same bits on one CPU or many."""
+    `_shift_pairs`.  It runs once m and D have passed the guard."""
     if max(m, D) > QUADRATIC_FORM_GUARD:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
@@ -159,19 +153,15 @@ def _row_pairs(weights: WeightScheme, nums: np.ndarray, g, beta, g_sum) -> float
     rows, mu = np.unique(nums, axis=0, return_counts=True)
     rows, mu = np.ascontiguousarray(rows.T), mu.astype(float)
     r, step = len(mu), _block_rows(rows.size)
-
-    def block(lo: int) -> float:
-        # weights that overflow make the total non-finite, which ErrorReport refuses
-        with np.errstate(over="ignore", invalid="ignore"):
+    total = 0.0  # not sum(): from Python 3.12 it compensates, which moves the bits
+    # weights that overflow make the total non-finite, which ErrorReport refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, r, step):
             hi = min(lo + step, r)
             eta = _eta(g, beta, g_sum, rows[:, lo:hi, None], rows[:, None, lo:])
             cols = 2.0 * mu[lo:]
             cols[:hi - lo] = mu[lo:hi]
-            return float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
-
-    total = 0.0  # not sum(): from Python 3.12 it compensates, which moves the bits
-    for part in _block_map(block, range(0, r, step)):
-        total += part
+            total += float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
     return total
 
 
@@ -188,14 +178,12 @@ def _shift_pairs(weights: WeightScheme, points, g, beta, g_sum) -> float:
     every coordinate as a shifted copy.  delta and -delta give equal sums
     over p, so delta runs over 0..h//2, counted twice except delta = 0 and,
     for even h, delta = h/2.  `combine` reads a block of deltas (s * deltas
-    * h <= one block budget) as the s shifted slices of [E, E], uncopied.
-    The blocks run on the calling thread: their small numpy calls ran
-    slower on the pool of `kernels._block_map`, convoying on the GIL."""
+    * h <= one block budget) as the s shifted slices of [E, E], uncopied."""
     order, k = points
     T, h, s = order.a, len(order.a), len(k)
     delta = np.arange(h // 2 + 1)
-    # after[d, a] = T[(a + d) mod h], a view of T twice over
-    after = np.lib.stride_tricks.sliding_window_view(np.concatenate([T, T]), h)[:len(delta)]
+    # after[d, a] = T[(a + d) mod h], a view of order.a2 = [T, T]
+    after = np.lib.stride_tricks.sliding_window_view(order.a2, h)[:len(delta)]
     count = np.where((delta == 0) | (2 * delta == h), 1.0, 2.0)
     step, shifts = _block_rows(s * h), k.tolist()
     zero = order.table[:1]
@@ -286,18 +274,19 @@ class _HalfOrder:
     are n = 0 (index 0) then cand[i] (index i + 1), counted mult times; the
     candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
     primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
-    g^h = -1 makes a[i] = w(cand[i]) of period h, so the residue of the
-    point cand[k] under z = cand[j] is a[(k + j) mod h], a wrap-around slice
-    of a.  Other N have no such order (non-units), so cand = 1..N//2 and a
-    residue is a gather from the table."""
+    g^h = -1 makes a[i] = w(cand[i]) of period h, so the residues of the
+    points cand[k..] under z = cand[j] are the slice of a2 = [a, a] that
+    starts at (k + j) mod h; a is a2[:h].  Other N have no such order
+    (non-units), so cand = 1..N//2 and a residue is a gather from the table."""
 
     def __init__(self, N: int, table: np.ndarray):
         h = N // 2
-        self.N, self.table, self.a = N, table, None
+        self.N, self.table, self.a, self.a2 = N, table, None, None
         if is_prime(N):
             perm = _rader_half(N, primitive_root(N), h)
             self.cand = np.minimum(perm, N - perm, out=perm)
-            self.a = table[self.cand]
+            self.a2 = table[np.concatenate([self.cand, self.cand])]
+            self.a = self.a2[:h]
         else:
             self.cand = np.arange(1, h + 1, dtype=np.int64)
         self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
@@ -318,15 +307,13 @@ class _HalfOrder:
             np.remainder(r, self.N, out=r)
             # every index is already reduced mod N; "clip" keeps numpy from buffering out
             return np.take(self.table, r, out=out, mode="clip")
-        rows, a = out.reshape(-1, hi - lo), self.a  # one row per index
+        rows = out.reshape(-1, hi - lo)  # one row per index
         if lo == 0:
             rows[:, 0], rows, lo = self.table[0], rows[:, 1:], 1
-        h, n = len(a), rows.shape[1]
+        h, n = len(self.a), rows.shape[1]
         for k, row in zip(np.ravel(j).tolist(), rows):
             start = (lo - 1 + k) % h
-            row[: h - start] = a[start : start + n]
-            if start + n > h:  # wraps around the end of a
-                row[h - start :] = a[: start + n - h]
+            row[:] = self.a2[start : start + n]
         return out
 
 

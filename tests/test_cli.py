@@ -351,6 +351,18 @@ def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp
                   "--weights", '{"form": "product", "gamma": [1.0, 0.25]}'], 3,
                  "guard: sym alpha = 310: the weight factor 0.0 is not a positive finite double",
                  id="cbc/sym_factor_underflows"),
+    pytest.param(["points", "--n", "7", "--z", "1,3", "--out", "no_such_dir/pts.csv"], 2,
+                 "error: cannot write --out 'no_such_dir/pts.csv': No such file or directory",
+                 id="points/unwritable_out"),
+    pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
+                  '{"form": "product", "gamma": [1.0, 0.5]}', "--out", "no_such_dir/wce.json"], 2,
+                 "error: cannot write --out 'no_such_dir/wce.json'", id="wce/unwritable_out"),
+    pytest.param(["cbc", "--n", "13", "--dims", "2", "--criterion", "tent", "--weights",
+                  '{"form": "product", "gamma": [1.0, 0.5]}', "--out", "no_such_dir/z.json"], 2,
+                 "error: cannot write --out 'no_such_dir/z.json'", id="cbc/unwritable_out"),
+    pytest.param(["experiment", "--name", "figure1", "--n-list", "13,21", "--out",
+                  "no_such_dir/table.csv"], 2,
+                 "error: cannot write --out 'no_such_dir/table.csv'", id="experiment/unwritable_out"),
 ])
 def test_refusals(args, code, fragment, capsys):
     assert main(args) == code

@@ -1,20 +1,16 @@
 """Error formulas, their oracle agreement, and the bound chains."""
 
-import json
 import math
-import os
 import re
-import subprocess
-import sys
+import threading
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latticeqmc import kernels, worst_case_error
-from latticeqmc.cbc import cbc_fast, cbc_plain
+from latticeqmc.cbc import cbc_construct, cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.kernels import KernelSpec, kernel, kernel_1d
 from latticeqmc.lattice import (LatticeRule, PointSet, dual_projected, rank1_points, symmetrize,
@@ -808,14 +804,10 @@ def test_overflowing_weights_raise_guard_error():
                 routine()
 
 
-def test_overflow_on_the_block_pool_raises_guard_error(monkeypatch):
-    """The row layout's blocks run on worker threads, which do not inherit
-    the caller's np.errstate: each block scopes its own, so an overflow still
-    reaches ErrorReport as a non-finite total, not a RuntimeWarning.  Two CPUs
-    are faked so that the pool runs on any machine; N = 510, s = 20 takes the
-    row layout, whose folded rows fill at least 2 blocks.  The shift layout
-    (N = 509), on the calling thread, refuses the same overflow."""
-    monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_overflow_in_either_pair_layout_raises_guard_error():
+    """Weights that overflow reach ErrorReport as a non-finite total, not a
+    RuntimeWarning, in both pair layouts: the row layout at N = 510, s = 20,
+    whose folded rows fill at least 2 blocks, and the shift layout at N = 509."""
     w = WeightScheme.product([1e300] * 20)
     composite = random_rule(np.random.default_rng(510), 510, 20)
     prime = cbc_fast(509, 20, CbcCriterion("tent", WeightScheme.product([1.0] * 20))).rule()
@@ -844,73 +836,64 @@ SHIFT_LAYOUT_BITS = {
     "sym2/pod/N1021": "0x1.74c887abb53f5p-42",
 }
 
+# the same at composite N (the row layout), recorded while its blocks still ran on the
+# block pool; value - negative_clamp is the signed total before the clamp at 0
+ROW_LAYOUT_BITS = {
+    "sob2-tent/product/N510": "0x1.5e007a3b1a59ap-27",
+    "sob2-tent/product/N1024": "0x1.621bbdcb60000p-30",
+    "sob2-tent/pod/N510": "0x1.4272f47cfd377p-24",
+    "sob2-tent/pod/N1024": "0x1.e9a21d0a64000p-27",
+    "sym2/product/N510": "0x1.87dfd50a3f74bp-40",
+    "sym2/product/N1024": "0x1.02750c8000000p-43",
+    "sym2/pod/N510": "0x1.069115a726a62p-38",
+    "sym2/pod/N1024": "0x1.9cd12f2800000p-42",
+    "sym4/product/N510": "-0x1.a140e0801fbf6p-61",
+    "sym4/product/N1024": "-0x1.cab0000000000p-58",
+    "sym4/pod/N510": "0x1.6a4aea0928476p-64",
+    "sym4/pod/N1024": "0x1.45f6800000000p-64",
+}
 
-def test_the_shift_layout_runs_on_the_calling_thread(monkeypatch):
-    """At an odd prime N the tent and sym exact errors never reach the block
-    pool, and they keep the bits they had when their blocks ran on it: CBC
-    rules at s = 20, gamma_j = j^-2, product and POD (Gamma_k = k!) weights."""
-    monkeypatch.setattr(worst_case_error, "_block_map",
-                        lambda *args: pytest.fail("the shift layout used the block pool"))
+
+def _exact_error_bits(Ns, alphas) -> dict:
+    """float.hex of value - negative_clamp of the tent and sym exact errors
+    of CBC rules (`cbc_construct`) at s = 20, gamma_j = j^-2, built with
+    product weights and measured with product and POD (Gamma_k = k!) weights."""
     s = 20
     gamma = [j ** -2.0 for j in range(1, s + 1)]
     weights = {"product": WeightScheme.product(gamma),
                "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
     got = {}
-    for N in (509, 1021):
-        rule = cbc_fast(N, s, CbcCriterion("tent", weights["product"])).rule()
-        tent = tent_transform(rank1_points(rule))
-        sym = cbc_fast(N, s, CbcCriterion("sym", weights["product"], 2)).rule()
+    for N in Ns:
+        tent = cbc_construct(N, s, CbcCriterion("tent", weights["product"])).rule()
+        tent = tent_transform(rank1_points(tent))
+        sym = {a: cbc_construct(N, s, CbcCriterion("sym", weights["product"], a)).rule()
+               for a in alphas}
         for name, w in weights.items():
-            got[f"sob2-tent/{name}/N{N}"] = wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
-                                                                  tent).value.hex()
-            got[f"sym2/{name}/N{N}"] = wce_sym_exact(2, w, sym).value.hex()
-    assert got == SHIFT_LAYOUT_BITS
+            reports = {"sob2-tent": wce_sq_quadratic_form(KernelSpec("sobolev", 2, w), tent)}
+            reports.update({f"sym{a}": wce_sym_exact(a, w, rule) for a, rule in sym.items()})
+            for key, rep in reports.items():
+                got[f"{key}/{name}/N{N}"] = (rep.value - rep.negative_clamp).hex()
+    return got
 
 
-_POOL_CHILD = """
-import json, math, os, sys, threading
-if sys.argv[1] == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from latticeqmc import (CbcCriterion, KernelSpec, WeightScheme, cbc_plain, rank1_points,
-                        tent_transform, wce_sq_quadratic_form, wce_sym_exact)
-s = 20
-gamma = [j ** -2.0 for j in range(1, s + 1)]
-weights = {"product": WeightScheme.product(gamma),
-           "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
-out = {}
-for N in (510, 1024):
-    tent = cbc_plain(N, s, CbcCriterion("tent", weights["product"])).rule()
-    sym = {a: cbc_plain(N, s, CbcCriterion("sym", weights["product"], a)).rule() for a in (2, 4)}
-    for name, w in weights.items():
-        reports = {"sob2-tent": wce_sq_quadratic_form(KernelSpec("sobolev", 2, w),
-                                                      tent_transform(rank1_points(tent)))}
-        reports.update({f"sym{a}": wce_sym_exact(a, w, rule) for a, rule in sym.items()})
-        for key, rep in reports.items():
-            out[f"{key}/{name}/N{N}"] = [rep.value.hex(), rep.negative_clamp.hex()]
-print(json.dumps({"values": out, "threads": threading.active_count()}))
-"""
+def test_no_exact_error_starts_a_thread(monkeypatch):
+    """Both pair layouts run on the calling thread: no thread starts, and
+    every kernel block is made on the caller's thread.  The shift layout
+    (odd prime N) and the row layout (composite N) keep the bits they had
+    when their blocks could run on a pool of threads."""
+    caller, eta = threading.current_thread(), worst_case_error._eta
 
+    def on_the_caller(*args):
+        assert threading.current_thread() is caller, "a kernel block left the calling thread"
+        return eta(*args)
 
-@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-                    reason="needs at least 2 usable CPUs")
-def test_one_worker_and_the_pool_give_the_same_bits():
-    """The exact errors on CBC rules at composite N, which take the row
-    layout, with product and POD weights, have the same float.hex from a
-    child pinned to one CPU (the sequential path) and from a child on every
-    usable CPU (the pool).  Each child exits within its timeout, so the
-    pool's idle threads do not keep the interpreter alive."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    outs = {}
-    for mode in ("one", "all"):
-        proc = subprocess.run([sys.executable, "-c", _POOL_CHILD, mode], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs[mode] = json.loads(proc.stdout)
-    assert len(outs["one"]["values"]) == 12
-    assert outs["one"]["values"] == outs["all"]["values"]
-    assert outs["one"]["threads"] == 1 < outs["all"]["threads"]
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("an exact error started a thread"))
+    monkeypatch.setattr(worst_case_error, "_eta", on_the_caller)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # composite N: some z_j share a factor
+        assert _exact_error_bits((509, 1021), (2,)) == SHIFT_LAYOUT_BITS
+        assert _exact_error_bits((510, 1024), (2, 4)) == ROW_LAYOUT_BITS
 
 
 def test_quadratic_form_guard(monkeypatch):
