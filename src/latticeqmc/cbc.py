@@ -13,13 +13,15 @@ on half the points, each standing for n and N - n, in the order of
 `worst_case_error._HalfOrder`, which the closed-form recheck walks too: for
 prime N, n = 0 and the powers g^i of a primitive root g, i < h = (N-1)/2
 (Rader order), for other N, n = 0..N//2.  The plain scorer sums directly,
-O(N) per candidate.  The FFT scorer (Nuyens & Cools) exploits that for
-prime N the candidate scores in Rader order form a circular correlation.
-Because g^h = -1, the omega side of that correlation is real, even and of
-period h, so it folds to one real correlation of length h (`np.fft.rfft`),
-taken at length h when no prime factor of h exceeds FFT_DIRECT_MAX_PRIME
-and zero-padded to a 5-smooth length >= 2h - 1 otherwise; O(N log N) per
-dimension.
+O(N) per candidate: at prime N one dot product of a slice of the Rader
+table with the state, at other N a gather of the candidate's residues and
+a matrix product per block of candidates.  The FFT scorer (Nuyens & Cools)
+exploits that for prime N the candidate scores in Rader order form a
+circular correlation.  Because g^h = -1, the omega side of that
+correlation is real, even and of period h, so it folds to one real
+correlation of length h (`np.fft.rfft`), taken at length h when no prime
+factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a 5-smooth
+length >= 2h - 1 otherwise; O(N log N) per dimension.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
@@ -78,20 +80,27 @@ def _select(scores: np.ndarray, cand: np.ndarray) -> int:
 
 
 class _PlainScorer:
-    """T(z) by direct sums over the half points, in blocks of candidates,
-    for any N.  The residue buffer is allocated once and reused in every
-    dimension."""
+    """T(z) by direct sums over the half points, O(N) per candidate, for any
+    N.  At prime N, T(cand[j]) = omega(0) w(0) + c[j] with c[j] = sum_i
+    a2[i + j] w(cand[i]) (`_HalfOrder`), one dot product per candidate over
+    a slice of the doubled Rader table (`np.correlate`), with no residue
+    matrix.  Other N gather the residues in blocks of candidates into a
+    buffer allocated once and reused in every dimension."""
 
     def __init__(self, order: _HalfOrder):
         h = len(order.cand)
-        self.order, self.vals = order, np.empty((min(_block_rows(h + 1), h), h + 1))
+        self.order, self.vals = order, None
+        if order.a2 is None:
+            self.vals = np.empty((min(_block_rows(h + 1), h), h + 1))
 
     def score(self, w: np.ndarray) -> np.ndarray:
-        vals, h = self.vals, len(self.order.cand)
-        t = np.empty(h)
+        order, h = self.order, len(self.order.cand)
+        if order.a2 is not None:
+            return order.table[0] * w[0] + np.correlate(order.a2[: 2 * h - 1], w[1:], "valid")
+        vals, t = self.vals, np.empty(h)
         for lo in range(0, h, len(vals)):
             hi = min(lo + len(vals), h)
-            t[lo:hi] = self.order.residues(np.arange(lo, hi), 0, h + 1, vals[: hi - lo]) @ w
+            t[lo:hi] = order.residues(np.arange(lo, hi), 0, h + 1, vals[: hi - lo]) @ w
         return t
 
 

@@ -16,7 +16,7 @@ from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import LatticeRule, rank1_points
 from latticeqmc.numtheory import is_prime, nearest_prime, primitive_root
 from latticeqmc.special_functions import bernoulli_scaled
-from latticeqmc.weights import WeightScheme
+from latticeqmc.weights import WeightScheme, _Running
 from latticeqmc.worst_case_error import (
     C_PRIME,
     _HalfOrder,
@@ -157,10 +157,10 @@ def test_plain_fast_equivalence_pod_weights():
 
 @pytest.mark.parametrize("kind,alpha", [("tent", None), ("sym", 2), ("plain_korobov", 2)])
 def test_plain_fast_equivalence_n4099(kind, alpha):
-    """N = 4099 splits the plain scorer's 2049 candidates into blocks, the
-    last one partial, and pads the FFT scorer's correlation (h = 2049 =
-    3 * 683 has a prime factor above FFT_DIRECT_MAX_PRIME).  Every
-    per-dimension criterion is the closed form of its prefix rule."""
+    """N = 4099 gives the plain scorer's correlation 2049 candidates and
+    pads the FFT scorer's correlation (h = 2049 = 3 * 683 has a prime
+    factor above FFT_DIRECT_MAX_PRIME).  Every per-dimension criterion is
+    the closed form of its prefix rule."""
     s = 20
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     crit = CbcCriterion(kind=kind, base_weights=WeightScheme.product(gam), alpha=alpha)
@@ -182,8 +182,11 @@ def test_plain_fast_equivalence_off_the_bernoulli_tables(N, alpha):
 
 
 @pytest.mark.parametrize("N,s,kind,alpha,form", [
-    (4099, 8, "tent", None, "pod"), (4099, 8, "sym", 4, "pod"), (8191, 6, "tent", None, "product")])
+    (4099, 8, "tent", None, "pod"), (4099, 8, "sym", 4, "pod"), (8191, 6, "tent", None, "product"),
+    (16381, 10, "tent", None, "product"), (16381, 10, "sym", 2, "product"),
+    (65543, 4, "tent", None, "pod")])
 def test_plain_fast_equivalence_larger_n(N, s, kind, alpha, form):
+    """Up to N = 65543, where h = 32771 is prime and the FFT scorer pads."""
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     w = (WeightScheme.product(gam) if form == "product"
          else WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gam))
@@ -227,12 +230,6 @@ def test_half_order(N):
             assert np.isnan(out[..., hi - lo :]).all()
 
 
-def _brute_force_scores(N, omega, w):
-    """T(z) = sum_n omega(n z mod N) W(n) for z = 1..N//2, one z at a time."""
-    n = np.arange(N)
-    return np.array([omega[n * z % N] @ w for z in range(1, N // 2 + 1)])
-
-
 @pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 1009, 1021, 4079, 4099])
 @pytest.mark.parametrize("scorer_class", [cbc._PlainScorer, cbc._FftScorer],
                          ids=["_plain_scorer", "_fft_scorer"])
@@ -255,6 +252,47 @@ def test_scorers_match_brute_force(N, scorer_class):
         t = scorer_class(half).score(half.mult * w[np.concatenate(([0], half.cand))])
         assert t.shape == (N // 2,)
         assert np.max(np.abs(t - brute[half.cand - 1])) <= 1e-12 * np.max(np.abs(brute))
+
+
+@pytest.mark.parametrize("form", ["product", "pod"])
+@pytest.mark.parametrize("N", [3, 5, 7, 13, 101, 1499, 4099])
+def test_prime_plain_scores_equal_the_residue_matrix_product(N, form):
+    """At prime N the plain scorer correlates the doubled Rader table with
+    the state; the old route, the (h, h + 1) residue matrix times the state,
+    stays here as the oracle.  The states are those of a sweep: the weight
+    vector after adding the rows of a few candidates.  The first is constant,
+    where T cancels to near zero (the residue table sums to about 0), so the
+    error is measured against the sum of the absolute terms."""
+    s = 6
+    gam = [1.0 / j**2 for j in range(1, s + 1)]
+    w = (WeightScheme.product(gam) if form == "product"
+         else WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gam))
+    order = _HalfOrder(N, korobov_residue_table(1, N))
+    h = len(order.cand)
+    scorer, buf = cbc._PlainScorer(order), np.empty((h, h + 1))
+    state = _Running(w, order.mult.shape)
+    for j in (0, h // 2, h - 1, h // 3, 1 % h):
+        v = order.mult * state.weight_vector()
+        rows = order.residues(np.arange(h), 0, h + 1, buf)
+        err = np.abs(scorer.score(v) - rows @ v)
+        assert np.all(err <= 1e-13 * (np.abs(rows) @ np.abs(v)))
+        state.add(order.residues(j, 0, h + 1, np.empty(h + 1)))
+
+
+def test_prime_plain_builds_no_residue_matrix(monkeypatch):
+    """At prime N, cbc_plain reads residues one row at a time (the chosen
+    candidate's), never an array of candidates."""
+    residues = _HalfOrder.residues
+
+    def one_row(self, j, lo, hi, out):
+        assert np.ndim(j) == 0, "residue matrix built at prime N"
+        return residues(self, j, lo, hi, out)
+
+    monkeypatch.setattr(_HalfOrder, "residues", one_row)
+    w = WeightScheme.product([1.0 / j**2 for j in range(1, 7)])
+    for N in (2, 13, 101, 4099):
+        crit = CbcCriterion(kind="tent", base_weights=w)
+        assert cbc_plain(N, 6, crit) == cbc_fast(N, 6, crit)
 
 
 @pytest.mark.parametrize("N", [3, 5, 257, 641, 4079, 4099])
