@@ -128,7 +128,7 @@ class _FftScorer:
     """
 
     def __init__(self, order: _HalfOrder):
-        h = len(order.a)
+        h = len(order.cand)
         direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
         self.L = h if direct else _smooth_length(2 * h - 1)
         self.f_a = np.fft.rfft(order.a2[: h if direct else 2 * h - 1], self.L)

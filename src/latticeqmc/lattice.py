@@ -49,7 +49,7 @@ class LatticeRule:
             warnings.warn(
                 f"generator entries at coordinates {bad} share a factor with N={self.N}; "
                 "the point set projects onto fewer than N distinct values there",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -5,20 +5,19 @@ Squared worst-case errors come from three routes that cross-check each other:
 * the kernel quadratic form -1 + |P|^-2 sum_{x,y in P} K(x,y), valid for the
   unit-mean kernels: all six families at every alpha they take, the Korobov
   and cosine families off the Bernoulli tables through kappa in closed form.
-  One engine, `_quadratic_form`, serves both exact errors: the plain kernel
-  on any point set (tent points among them), and for symmetrized rules the
-  reflection-averaged kernel 1/2 [K(x,y) + K(x,1-y)] on the N base-lattice
-  points instead of K on all 2^s N reflections.  It works on the integer
-  numerators over the denominator D, and reads the kernel through one
-  formula (`_eta`) from tables of D + 1 entries (2D + 1 for the half-period
-  sum table of the cosine families).  It has two pair layouts.  The row
-  layout takes any point set: equal rows (n and N - n fold together on tent
-  points and under the reflection average) are summed once with their
-  multiplicity, and kernel symmetry leaves one triangle of the pairs.  The
-  shift layout takes the folded points of a rank-1 rule at an odd prime N
-  (its tent points, or the sym error): in the Rader order of `_HalfOrder`
-  every coordinate's numerators are one cyclic shift of a single sequence,
-  so each block of kernel values is made once for all s coordinates;
+  Both exact errors sum the pairs of integer numerators over a denominator D
+  through one formula (`_eta`), the plain kernel on any point set (tent
+  points among them), and for symmetrized rules the reflection-averaged
+  kernel 1/2 [K(x,y) + K(x,1-y)] on the N base-lattice points instead of K
+  on all 2^s N reflections.  After one guard (`_guard`) each entry calls one
+  of two pair layouts itself.  `_row_pairs` takes any point set: equal rows
+  (n and N - n fold together on tent points and under the reflection
+  average) are summed once with their multiplicity, and kernel symmetry
+  leaves one triangle of the pairs.  `_shift_pairs` takes a rank-1 rule at
+  an odd prime N and its table of folded numerators (tent points, or the
+  sym error): in the Rader order of `_HalfOrder` every coordinate's
+  numerators are one cyclic shift of a single sequence, so each block of
+  kernel values is made once for all s coordinates;
 * the group-collapsed closed form for rank-1 lattice rules in Korobov
   spaces, exact in O(N s) for product weights at every alpha > 1/2 (the
   residue table is kappa: Bernoulli polynomials within the tables, else its
@@ -110,8 +109,11 @@ def _clamped(raw: float, kind: str) -> ErrorReport:
 
 
 def _eta(g, beta, g_sum, a, b) -> np.ndarray:
-    """eta(a, b) = g[|a - b|] + g_sum[a + b] + sum_tau beta[tau][a] beta[tau][b] at the
-    numerator arrays a and b (broadcast), the one formula that both pair layouts read."""
+    """eta(a, b) = g[|a - b|] + g_sum[a + b] + sum_tau beta[tau][a] beta[tau][b] = K_1 - 1 of
+    a unit-mean kernel at the numerator arrays a and b over D (broadcast), the one formula
+    that both pair layouts read.  g and beta[tau] have D + 1 entries; g_sum has 2D + 1 (the
+    cosine families), D + 1 where the numerators are folded to a + b <= D
+    (`wce_sym_exact`), or is None."""
     eta = g[np.abs(a - b)]
     if g_sum is not None:
         eta += g_sum[a + b]
@@ -120,36 +122,23 @@ def _eta(g, beta, g_sum, a, b) -> np.ndarray:
     return eta
 
 
-def _quadratic_form(weights: WeightScheme, m: int, D: int, build) -> ErrorReport:
-    """|P|^-2 sum_{x,y in P} weights.combine(eta(x, y)) for eta = K_1 - 1 of a
-    unit-mean kernel (its constant 1 cancels against the -1), clamped at 0.
-
-    build() gives the points, tables g and beta[tau] of D + 1 entries, and
-    g_sum or None, with eta(a, b) = g[|a - b|] + sum_tau beta[tau][a]
-    beta[tau][b] (+ g_sum[a + b]) (`_eta`): g_sum has 2D + 1 entries for the
-    cosine families, D + 1 where the numerators are folded to a + b <= D
-    (`wce_sym_exact`).  The points are the (m, s) numerators over D, summed
-    by `_row_pairs`, or for the folded points of a rank-1 rule at an odd
-    prime N a (`_HalfOrder`, coordinate shifts) pair, summed by
-    `_shift_pairs`.  It runs once m and D have passed the guard."""
+def _guard(weights: WeightScheme, m: int, D: int, s: int) -> None:
+    """Refuse a pair sum over m points of dimension s with numerators over D
+    beyond the O(|P|^2) guard, then one whose dimension is not the weights',
+    before any table or point array is built."""
     if max(m, D) > QUADRATIC_FORM_GUARD:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
-    points, *tables = build()
-    shifted = isinstance(points, tuple)
-    s = len(points[1]) if shifted else points.shape[1]
     if s != weights.s:
         raise DomainError(f"point dimension {s} != weight dimension {weights.s}")
-    total = (_shift_pairs if shifted else _row_pairs)(weights, points, *tables)
-    return _clamped(total / (m * m), "exact_quadratic_form")
 
 
 def _row_pairs(weights: WeightScheme, nums: np.ndarray, g, beta, g_sum) -> float:
-    """The pair sum over any point set.  Each distinct row counts with its
-    multiplicity mu; eta is symmetric, so the row block [lo, hi) of the r
-    rows meets only the columns [lo, r): its own square once, the rest
-    twice.  eta is made on (s, rows, columns) arrays, so that its passes run
-    along the long axis."""
+    """sum_{x,y} weights.combine(eta(x, y)) over the (m, s) numerators of any
+    point set.  Each distinct row counts with its multiplicity mu; eta is
+    symmetric, so the row block [lo, hi) of the r rows meets only the
+    columns [lo, r): its own square once, the rest twice.  eta is made on
+    (s, rows, columns) arrays, so that its passes run along the long axis."""
     rows, mu = np.unique(nums, axis=0, return_counts=True)
     rows, mu = np.ascontiguousarray(rows.T), mu.astype(float)
     r, step = len(mu), _block_rows(rows.size)
@@ -165,35 +154,39 @@ def _row_pairs(weights: WeightScheme, nums: np.ndarray, g, beta, g_sum) -> float
     return total
 
 
-def _shift_pairs(weights: WeightScheme, points, g, beta, g_sum) -> float:
-    """The pair sum over the folded points of a rank-1 rule at an odd prime N.
+def _shift_pairs(weights: WeightScheme, rule: LatticeRule, fold: np.ndarray,
+                 g, beta, g_sum) -> float:
+    """The pair sum of `_row_pairs` over the folded points of a rank-1 rule at
+    an odd prime N, where fold[r] is the folded numerator of the residue r.
 
-    points is (order, k): order a `_HalfOrder` whose table maps a residue r
-    to its folded numerator, k[j] = order.index(z_j).  The point n = 0 has
-    numerator table[0] in every coordinate and counts once; the half point p
-    in Z_h (h = (N - 1)/2, standing for +-g^p) counts twice, and its
-    numerator in coordinate j is T[(p + k_j) mod h], T = order.a.  So with
-    q = p + delta, eta_j(p, q) = E[delta, (p + k_j) mod h] for
-    E[delta, a] = eta(T[a], T[a + delta]): one block of E, made once, serves
-    every coordinate as a shifted copy.  delta and -delta give equal sums
-    over p, so delta runs over 0..h//2, counted twice except delta = 0 and,
-    for even h, delta = h/2.  `combine` reads a block of deltas (s * deltas
-    * h <= one block budget) as the s shifted slices of [E, E], uncopied."""
-    order, k = points
-    T, h, s = order.a, len(order.a), len(k)
+    In the `_HalfOrder` of N over fold, with its table a2 = [T, T] of period
+    h = (N - 1)/2 and k_j = order.index(z_j), the point n = 0 has numerator
+    fold[0] in every coordinate and counts once; the half point p in Z_h
+    (standing for +-g^p) counts twice, and its numerator in coordinate j is
+    a2[p + k_j].  So the n = 0 cross terms are the s slices [k_j, k_j + h)
+    of the one row eta(fold[0], a2), and with q = p + delta, eta_j(p, q) =
+    E[delta, (p + k_j) mod h] for E[delta, a] = eta(T[a], T[a + delta]): one
+    block of E, made once, serves every coordinate as a shifted copy.  delta
+    and -delta give equal sums over p, so delta runs over 0..h//2, counted
+    twice except delta = 0 and, for even h, delta = h/2.  `combine` reads a
+    block of deltas (s * deltas * h <= one block budget) as the s shifted
+    slices of [E, E], uncopied."""
+    order = _HalfOrder(rule.N, fold)
+    a2, h, s = order.a2, len(order.cand), rule.s
+    shifts = order.index(np.array(rule.z, dtype=np.int64)).tolist()
     delta = np.arange(h // 2 + 1)
-    # after[d, a] = T[(a + d) mod h], a view of order.a2 = [T, T]
-    after = np.lib.stride_tricks.sliding_window_view(order.a2, h)[:len(delta)]
+    # after[d, a] = T[(a + d) mod h], a view of a2
+    after = np.lib.stride_tricks.sliding_window_view(a2, h)[:len(delta)]
     count = np.where((delta == 0) | (2 * delta == h), 1.0, 2.0)
-    step, shifts = _block_rows(s * h), k.tolist()
-    zero = order.table[:1]
+    step, zero = _block_rows(s * h), fold[:1]
     # weights that overflow make the total non-finite, which ErrorReport refuses
     with np.errstate(over="ignore", invalid="ignore"):
         own = weights.combine(np.broadcast_to(_eta(g, beta, g_sum, zero, zero), (1, s)))
-        cross = weights.combine(_eta(g, beta, g_sum, zero, T)[(np.arange(h)[:, None] + k) % h])
+        row = _eta(g, beta, g_sum, zero, a2)
+        cross = weights.combine([row[kj:kj + h] for kj in shifts])
         total = float(own[0]) + 4.0 * float(cross.sum())
         for lo in range(0, len(delta), step):
-            E = _eta(g, beta, g_sum, T, after[lo:lo + step])
+            E = _eta(g, beta, g_sum, a2[:h], after[lo:lo + step])
             E = np.concatenate([E, E], axis=1)  # eta_j(p, p + delta) = E[delta, p + k_j]
             part = weights.combine([E[:, kj:kj + h] for kj in shifts]).sum(axis=1)
             total += 4.0 * float(count[lo:lo + step] @ part)
@@ -206,14 +199,14 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
     Bernoulli tables included.  A point set that is exactly the tent transform
     of a rank-1 rule at an odd prime N goes to `_shift_pairs`, any other to
     `_row_pairs`."""
-    def build():
-        rule, D = _tent_lattice(ps), ps.denominator
-        points = ps.numerators
-        if rule is not None:  # residue r has the tent numerator N - |2r - N|
-            points = _folded(rule, D - np.abs(2 * np.arange(D) - D))
-        return (points, *_lattice_tables(spec.family, spec.alpha, D))
-
-    return _quadratic_form(spec.weights, len(ps), ps.denominator, build)
+    m, D = len(ps), ps.denominator
+    _guard(spec.weights, m, D, ps.s)
+    rule, tables = _tent_lattice(ps), _lattice_tables(spec.family, spec.alpha, D)
+    if rule is None:
+        total = _row_pairs(spec.weights, ps.numerators, *tables)
+    else:  # residue r has the tent numerator N - |2r - N|
+        total = _shift_pairs(spec.weights, rule, D - np.abs(2 * np.arange(D) - D), *tables)
+    return _clamped(total / (m * m), "exact_quadratic_form")
 
 
 def _tent_lattice(ps: PointSet) -> LatticeRule | None:
@@ -229,13 +222,6 @@ def _tent_lattice(ps: PointSet) -> LatticeRule | None:
         return None
     rule = LatticeRule(N, tuple(z.tolist()))
     return rule if np.array_equal(tent_transform(rank1_points(rule)).numerators, nums) else None
-
-
-def _folded(rule: LatticeRule, table: np.ndarray):
-    """The points of `_shift_pairs`: the half order of the rule's odd prime N
-    over the table of folded numerators, and each coordinate's shift."""
-    order = _HalfOrder(rule.N, table)
-    return order, order.index(np.array(rule.z, dtype=np.int64))
 
 
 # -- closed form for lattice rules in Korobov spaces -------------------------
@@ -274,19 +260,19 @@ class _HalfOrder:
     are n = 0 (index 0) then cand[i] (index i + 1), counted mult times; the
     candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
     primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
-    g^h = -1 makes a[i] = w(cand[i]) of period h, so the residues of the
-    points cand[k..] under z = cand[j] are the slice of a2 = [a, a] that
-    starts at (k + j) mod h; a is a2[:h].  Other N have no such order
-    (non-units), so cand = 1..N//2 and a residue is a gather from the table."""
+    g^h = -1 makes w(cand[i]) of period h in i, and a2 holds it for i < 2h,
+    so the residues of the points cand[k..] under z = cand[j] are the slice
+    of a2 that starts at (k + j) mod h.  Other N have no such order
+    (non-units), so a2 is None, cand = 1..N//2 and a residue is a gather
+    from the table."""
 
     def __init__(self, N: int, table: np.ndarray):
         h = N // 2
-        self.N, self.table, self.a, self.a2 = N, table, None, None
+        self.N, self.table, self.a2 = N, table, None
         if is_prime(N):
             perm = _rader_half(N, primitive_root(N), h)
             self.cand = np.minimum(perm, N - perm, out=perm)
             self.a2 = table[np.concatenate([self.cand, self.cand])]
-            self.a = self.a2[:h]
         else:
             self.cand = np.arange(1, h + 1, dtype=np.int64)
         self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
@@ -302,7 +288,7 @@ class _HalfOrder:
         to and returned as out[..., :hi - lo]; j is one index, or an array
         of them with one row of out each."""
         out = out[..., : hi - lo]
-        if self.a is None:
+        if self.a2 is None:
             r = np.multiply.outer(self.cand[j], np.arange(lo, hi))
             np.remainder(r, self.N, out=r)
             # every index is already reduced mod N; "clip" keeps numpy from buffering out
@@ -310,7 +296,7 @@ class _HalfOrder:
         rows = out.reshape(-1, hi - lo)  # one row per index
         if lo == 0:
             rows[:, 0], rows, lo = self.table[0], rows[:, 1:], 1
-        h, n = len(self.a), rows.shape[1]
+        h, n = len(self.cand), rows.shape[1]
         for k, row in zip(np.ravel(j).tolist(), rows):
             start = (lo - 1 + k) % h
             row[:] = self.a2[start : start + n]
@@ -490,18 +476,16 @@ def wce_sym_exact(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     """
     alpha = _smoothness("sob_odd_alpha", _integer_alpha(alpha, 2))
     N = rule.N
-
-    def build():
-        g, beta, _ = _lattice_tables("sob_odd_alpha", alpha, N)
-        if N % 2 and is_prime(N):  # residue r folds to min(r, N - r)
-            r = np.arange(N)
-            points = _folded(rule, np.minimum(r, N - r))
-        else:
-            nums = rank1_points(rule).numerators
-            points = np.minimum(nums, N - nums)
-        return points, 0.5 * g, {alpha: beta[alpha]}, 0.5 * g
-
-    return _quadratic_form(weights, N, N, build)
+    _guard(weights, N, N, rule.s)
+    g, beta, _ = _lattice_tables("sob_odd_alpha", alpha, N)
+    tables = (0.5 * g, {alpha: beta[alpha]}, 0.5 * g)
+    if N % 2 and is_prime(N):  # residue r folds to min(r, N - r)
+        r = np.arange(N)
+        total = _shift_pairs(weights, rule, np.minimum(r, N - r), *tables)
+    else:
+        nums = rank1_points(rule).numerators
+        total = _row_pairs(weights, np.minimum(nums, N - nums), *tables)
+    return _clamped(total / (N * N), "exact_quadratic_form")
 
 
 def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:

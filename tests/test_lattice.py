@@ -73,6 +73,13 @@ def test_generator_range_validation():
         LatticeRule(N=6, z=(1, 2))  # shared factor: warned, not rejected
 
 
+def test_shared_factor_warning_names_the_line_that_built_the_rule():
+    """Not the __init__ that dataclass generates, whose file is "<string>"."""
+    with pytest.warns(UserWarning, match="share a factor") as record:
+        LatticeRule(N=4, z=(1, 2))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_tent_values():
     assert tent(0.25) == 0.5
     assert tent(0.5) == 1.0

@@ -227,19 +227,27 @@ def test_sym_bound_composition():
     assert bound.value == pytest.approx((math.sqrt(gamma_pp) * GOLDEN) ** 2, rel=1e-13)
 
 
-def test_bounds_refuse_weights_of_another_dimension():
-    """The bounds, and the exact errors through their one quadratic-form check."""
-    rule = LatticeRule(N=5, z=(1, 2))
-    for w in (WeightScheme.product([1.0]), WeightScheme.product([1.0, 1.0, 1.0])):
-        with pytest.raises(DomainError):
-            wce_tent_bound(w, rule)
-        with pytest.raises(DomainError):
-            wce_sym_bound(2, w, rule)
-        with pytest.raises(DomainError):
-            wce_sym_exact(2, w, rule)
-        with pytest.raises(DomainError):
-            wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w),
-                                  rank1_points(rule))
+def test_bounds_refuse_weights_of_another_dimension(monkeypatch):
+    """The bounds, and the exact errors through their one guard, which refuses
+    before any table or point array is built: at prime N = 5 (the shift
+    layout) and at composite N = 6 (the row layout), on plain and tent
+    points."""
+    rules = (LatticeRule(N=5, z=(1, 2)), LatticeRule(N=6, z=(1, 5)))
+    point_sets = [(rule, ps) for rule in rules
+                  for ps in (rank1_points(rule), tent_transform(rank1_points(rule)))]
+    for name in ("_lattice_tables", "rank1_points"):
+        monkeypatch.setattr(worst_case_error, name,
+                            lambda *args, name=name: pytest.fail(f"{name} ran before the check"))
+    for rule, ps in point_sets:
+        for w in (WeightScheme.product([1.0]), WeightScheme.product([1.0, 1.0, 1.0])):
+            with pytest.raises(DomainError):
+                wce_tent_bound(w, rule)
+            with pytest.raises(DomainError):
+                wce_sym_bound(2, w, rule)
+            with pytest.raises(DomainError):
+                wce_sym_exact(2, w, rule)
+            with pytest.raises(DomainError):
+                wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w), ps)
 
 
 def test_middle_term_closed_form_case():
@@ -610,7 +618,7 @@ def test_shift_layout_is_as_close_to_a_longdouble_oracle_as_the_row_engine():
     nums = rank1_points(rule).numerators
     folded, tables = np.minimum(nums, N - nums), (0.5 * g, {2: beta[2]}, 0.5 * g)
     cases.append((wce_sym_exact(2, w, rule).value,
-                  worst_case_error._quadratic_form(w, N, N, lambda: (folded, *tables)).value,
+                  worst_case_error._row_pairs(w, folded, *tables) / (N * N),
                   _longdouble_form(folded, N, *tables, gamma)))
     for shifted, row, oracle in cases:
         assert abs(shifted - oracle) <= 2 * abs(row - oracle) + 1e-12 * oracle
