@@ -21,7 +21,8 @@ circular correlation.  Because g^h = -1, the omega side of that
 correlation is real, even and of period h, so it folds to one real
 correlation of length h (`np.fft.rfft`), taken at length h when no prime
 factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a 5-smooth
-length >= 2h - 1 otherwise; O(N log N) per dimension.
+length >= 2h - 1 otherwise; O(N log N) per dimension.  `cbc_fast` scores
+with it at prime N and with the plain scorer elsewhere.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .kernels import _block_rows
 from .lattice import LatticeRule
-from .numtheory import is_prime, prime_factors
+from .numtheory import prime_factors
 from .weights import _Running
 from .worst_case_error import CbcCriterion, _HalfOrder, korobov_residue_table
 
@@ -131,7 +132,7 @@ class _FftScorer:
         h = len(order.cand)
         direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
         self.L = h if direct else _smooth_length(2 * h - 1)
-        self.f_a = np.fft.rfft(order.a2[: h if direct else 2 * h - 1], self.L)
+        self.f_a = np.fft.rfft(order.a2[: 2 * h - 1], self.L)  # rfft crops to a2[:h] at L = h
         self.omega0 = order.table[0]
 
     def score(self, w: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ class _FftScorer:
         return self.omega0 * w[0] + c[: len(w) - 1]
 
 
-def _sweep(N: int, s: int, crit: CbcCriterion, scorer_class) -> CbcResult:
+def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     """The greedy loop: z_1 = 1, then each z_d minimizes const + T(z) / N over
     z = 1..N//2 (T(z) = T(N - z), and the tie rule keeps the smaller), where
     const is the criterion of dimension d - 1.
@@ -148,10 +149,13 @@ def _sweep(N: int, s: int, crit: CbcCriterion, scorer_class) -> CbcResult:
     maps a score index to its candidate (index 0 is z = 1); the scorer gives
     T over `cand` from the state's weight vector times the multiplicities,
     and the row of the chosen candidate is its residues at the half points."""
+    if N < 2:
+        raise DomainError(f"need N >= 2, got {N}")
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
     order = _HalfOrder(N, korobov_residue_table(crit.korobov_order, N))
-    scorer, mult = scorer_class(order), order.mult
+    mult, prime = order.mult, order.a2 is not None
+    scorer = (_FftScorer if fft and prime else _PlainScorer)(order)
     state = _Running(crit.leading_weights(s), mult.shape)
     row = np.empty(mult.shape)
     z: list[int] = []
@@ -166,25 +170,16 @@ def _sweep(N: int, s: int, crit: CbcCriterion, scorer_class) -> CbcResult:
         state.add(order.residues(i, 0, len(row), row))
         z.append(int(order.cand[i]))
         errs.append(state.mean(mult))
-    return CbcResult(z=tuple(z), per_dimension_error=tuple(errs), n=N, prime=is_prime(N))
+    return CbcResult(z=tuple(z), per_dimension_error=tuple(errs), n=N, prime=prime)
 
 
 def cbc_plain(N: int, s: int, crit: CbcCriterion) -> CbcResult:
     """Greedy construction with the O(N) per-candidate sweep; O(s N^2) total."""
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
-    return _sweep(N, s, crit, _PlainScorer)
+    return _sweep(N, s, crit, fft=False)
 
 
 def cbc_fast(N: int, s: int, crit: CbcCriterion) -> CbcResult:
-    """Same output as cbc_plain, for prime N, in O(s N log N) (product weights)
-    or O(s N log N + s^2 N) (POD weights: about s^2/4 row updates of N/2
-    entries in the state and one (s/2 + 1)^2 matrix product, see `_Running`)."""
-    if not is_prime(N):
-        raise DomainError(f"fast construction requires prime N, got {N}")
-    return _sweep(N, s, crit, _FftScorer)
-
-
-def cbc_construct(N: int, s: int, crit: CbcCriterion) -> CbcResult:
-    """The construction at any N >= 2: `cbc_fast` at prime N, `cbc_plain` otherwise."""
-    return (cbc_fast if is_prime(N) else cbc_plain)(N, s, crit)
+    """Same output as cbc_plain at every N >= 2, at prime N in O(s N log N)
+    (product weights) or O(s N log N + s^2 N) (POD weights: s^2/4 row updates
+    of N/2 entries and one (s/2 + 1)^2 matrix product, see `_Running`)."""
+    return _sweep(N, s, crit, fft=True)

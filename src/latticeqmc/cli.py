@@ -2,7 +2,7 @@
 
 Subcommands: points, wce, bound, cbc, experiment, verify-appendix.
 Exit codes: 0 success, 1 failed verification, 2 precondition violation,
-3 numerical/size guard tripped.
+3 numerical/size guard tripped or an allocation refused (MemoryError).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbc import CbcCriterion, cbc_construct
+from .cbc import CbcCriterion, cbc_fast
 from .errors import DomainError, GuardError
 from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_experiment
 from .fourier import run_appendix_checks
@@ -33,6 +33,13 @@ from .worst_case_error import (
 WEIGHTS_HELP = "weights as JSON text, or the name of a JSON file"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it names twice."""
+    if len({k for k, _ in pairs}) < len(pairs):
+        raise DomainError(f"--weights names a key twice in one object: {[k for k, _ in pairs]}")
+    return dict(pairs)
+
+
 def _load_weights(arg: str) -> WeightScheme:
     """The weights in the JSON file named arg, or in arg itself as JSON text."""
     source = f"{arg!r}, which names no file,"
@@ -41,7 +48,7 @@ def _load_weights(arg: str) -> WeightScheme:
         with open(arg) as fh:
             arg = fh.read()
     try:
-        data = json.loads(arg)
+        data = json.loads(arg, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DomainError(f"--weights {source} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -130,7 +137,7 @@ def _cmd_bound(args) -> int:
 def _cmd_cbc(args) -> int:
     weights = _load_weights(args.weights)
     crit = CbcCriterion(kind=args.criterion, base_weights=weights, alpha=args.alpha)
-    result = cbc_construct(args.n, args.dims, crit)
+    result = cbc_fast(args.n, args.dims, crit)
     _emit(json.dumps(result.to_dict()), args.out)
     return 0
 
@@ -228,8 +235,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except GuardError as exc:
-        print(f"guard: {exc}", file=sys.stderr)
+    except (GuardError, MemoryError) as exc:  # MemoryError: numpy refused an allocation
+        print(f"guard: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return 3
 
 

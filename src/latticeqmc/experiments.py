@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cbc import CbcCriterion, cbc_construct
+from .cbc import CbcCriterion, cbc_fast
 from .errors import DomainError
 from .kernels import _block_rows
 from .lattice import (
@@ -167,7 +167,7 @@ def _build_rule(cfg: ExperimentConfig, N: int) -> LatticeRule:
     if cfg.integrand == "bivar":
         return _fibonacci_rule_for(N)
     crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product(cfg.cbc_gamma))
-    return cbc_construct(N, cfg.dims, crit).rule()
+    return cbc_fast(N, cfg.dims, crit).rule()
 
 
 def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentResult:

@@ -86,6 +86,9 @@ class WeightScheme:
     @staticmethod
     def general(s: int, subsets: dict) -> "WeightScheme":
         clean = {frozenset(u): float(g) for u, g in subsets.items()}
+        if len(clean) < len(subsets) or any(len(frozenset(u)) < len(u) for u in subsets):
+            raise DomainError(f"general weights name a subset twice or repeat a coordinate in "
+                              f"one: {[tuple(u) for u in subsets]}")
         return WeightScheme(s=s, form="general", subsets=clean)
 
     # -- basic queries -----------------------------------------------------
@@ -182,11 +185,11 @@ class WeightScheme:
         if form == "pod":
             return WeightScheme.pod(data["Gamma"], data["gamma"])
         if form == "general":
-            subsets = {
-                frozenset(int(t) for t in key.split(",")): float(g)
-                for key, g in data["subsets"].items()
-            }
-            s = int(data.get("s") or max((max(u) for u in subsets), default=1))
+            subsets = {tuple(int(t) for t in key.split(",")): g
+                       for key, g in data["subsets"].items()}
+            s = data.get("s", max((max(u) for u in subsets), default=1))
+            if type(s) is not int:
+                raise DomainError(f"general weights need an integer s, got {s!r}")
             return WeightScheme.general(s, subsets)
         raise DomainError(f"unknown weight form {form!r}")
 

@@ -59,7 +59,7 @@ def test_criterion_validation():
     with pytest.raises(DomainError):
         CbcCriterion(kind="nope", base_weights=w)
     with pytest.raises(DomainError):
-        cbc_fast(9, 2, CbcCriterion(kind="tent", base_weights=w))  # composite N
+        cbc_fast(1, 2, CbcCriterion(kind="tent", base_weights=w))  # N < 2
     with pytest.raises(DomainError):
         cbc_plain(5, 2, CbcCriterion(kind="tent",
                                      base_weights=WeightScheme.general(2, {frozenset({1}): 1.0})))
@@ -123,9 +123,9 @@ def test_per_dimension_errors_recheck():
 
 
 def _plain_equals_fast(N, s, crit):
-    """Run both constructions at prime N, check that they agree, and return
-    the fast one.  Both keep the state in the same Rader order, so the
-    criteria agree bit for bit."""
+    """Run both constructions, check that they agree, and return the fast
+    one.  At prime N both keep the state in the same Rader order, and at
+    other N both are the plain sweep, so the criteria agree bit for bit."""
     a = cbc_plain(N, s, crit)
     b = cbc_fast(N, s, crit)
     assert a.z == b.z
@@ -344,7 +344,8 @@ def _full_range_greedy(N, s, crit):
 
 @pytest.mark.parametrize("N", [12, 100, 256])
 def test_plain_composite_n_matches_full_range_greedy(N):
-    """Scoring only 1..N//2 loses nothing for composite N either."""
+    """Scoring only 1..N//2 loses nothing for composite N either, and
+    cbc_fast builds the same rules there."""
     s = 4
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     with warnings.catch_warnings():
@@ -352,7 +353,8 @@ def test_plain_composite_n_matches_full_range_greedy(N):
         for crit in (CbcCriterion(kind="tent", base_weights=WeightScheme.product(gam)),
                      CbcCriterion(kind="sym", base_weights=WeightScheme.pod([1.0] * s, gam),
                                   alpha=2)):
-            res = cbc_plain(N, s, crit)
+            res = _plain_equals_fast(N, s, crit)
+            assert res.prime is False
             z, errs = _full_range_greedy(N, s, crit)
             assert res.z == z
             for a, b in zip(res.per_dimension_error, errs):

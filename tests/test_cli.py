@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from latticeqmc import cli
-from latticeqmc.cbc import CbcCriterion, cbc_construct, cbc_plain
+from latticeqmc.cbc import CbcCriterion, cbc_fast, cbc_plain
 from latticeqmc.cli import WEIGHTS_HELP, main
 from latticeqmc.experiments import experiment_config, run_experiment
 from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize, tent_transform
@@ -150,9 +150,8 @@ def test_experiment_with_external_points(tmp_path):
 
 
 def test_experiment_takes_composite_n_as_cbc_does(tmp_path, monkeypatch):
-    """A composite --n-list runs the plain sweep, as `cbc` does: exit 0, and the
-    experiment's rules are cbc_plain's (it refused N = 64 with "fast construction
-    requires prime N" before)."""
+    """A composite --n-list runs `cbc_fast`, which takes the plain sweep there,
+    as `cbc` does: exit 0, and the experiment's rules are cbc_plain's."""
     results = []
 
     def recorded(cfg, external_points=None):
@@ -258,7 +257,7 @@ def test_integer_alpha_prints_the_bytes_of_the_integer_path(capsys):
         (["bound", "--kind", "sym", "--n", "13", "--lambda", "0.9"], "4",
          json.dumps(bound_payload) + "\n"),
         (["cbc", "--n", "13", "--dims", "3", "--criterion", "sym"], "4",
-         json.dumps(cbc_construct(13, 3, CbcCriterion("sym", w, 4)).to_dict()) + "\n"),
+         json.dumps(cbc_fast(13, 3, CbcCriterion("sym", w, 4)).to_dict()) + "\n"),
     ]
     for args, alpha, want in cases:
         for text in (alpha, alpha + ".0"):
@@ -289,6 +288,38 @@ def test_exit_code_guard():
     # symmetrizing a 21-dimensional rule trips the 2^s multiset guard
     z = ",".join(["1"] * 21)
     assert main(["points", "--n", "3", "--z", z, "--transform", "sym", "--out", "-"]) == 3
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 160. GiB for an array", "guard: Unable to allocate 160. GiB for an array"),
+    ("", "guard: allocation refused"),
+])
+def test_a_refused_allocation_exits_with_the_guard_code(message, line, monkeypatch, capsys):
+    """numpy's MemoryError for an array it cannot allocate is a size guard:
+    exit 3 and one guard line, not a traceback and exit 1."""
+    def refuse(ps):
+        raise MemoryError(*([message] if message else []))
+
+    monkeypatch.setattr(cli, "symmetrize", refuse)
+    z = ",".join(str(j) for j in range(1, 21))
+    assert main(["points", "--n", "1021", "--z", z, "--transform", "sym", "--out", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("weights,z", [
+    ('{"form": "general", "subsets": {"1,2": 0.5, "2,1": 0.25}}', "1,5"),
+    ('{"form": "general", "subsets": {"1,2": 0.5, "1,2": 0.25}}', "1,5"),
+    ('{"form": "general", "subsets": {"1,1": 3.0, "2": 1.0}}', "1,5"),
+    ('{"form": "general", "s": 0, "subsets": {"1,2": 1.0}}', "1,5"),
+    ('{"form": "general", "s": 2.7, "subsets": {"1": 1.0}}', "1,5"),
+    ('{"form": "general", "s": true, "subsets": {"1": 1.0}}', "1"),
+])
+def test_general_weights_that_repeat_a_subset_or_give_a_bad_s_exit_2(weights, z, capsys):
+    """Each of these weights once matched the rule's dimension and exited 0."""
+    assert main(["wce", "--space", "korobov", "--n", "13", "--z", z, "--weights", weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_overflowing_weights_exit_with_the_guard_code(capsys):

@@ -115,6 +115,22 @@ def test_from_dict_parses_the_json_wire_format():
         WeightScheme.from_dict({"form": "nope"})
 
 
+@pytest.mark.parametrize("data,fragment", [
+    pytest.param({"subsets": {"1,2": 0.5, "2,1": 0.25}}, "name a subset twice", id="twice"),
+    pytest.param({"subsets": {"1,1": 3.0}}, "repeat a coordinate", id="1,1"),
+    pytest.param({"s": 0, "subsets": {"1": 1.0}}, "dimension must be >= 1, got 0", id="s=0"),
+    pytest.param({"s": 2.7, "subsets": {"1": 1.0}}, "need an integer s, got 2.7", id="s=2.7"),
+    pytest.param({"s": True, "subsets": {"1": 1.0}}, "need an integer s, got True", id="s=true"),
+    pytest.param({"s": "2", "subsets": {"1": 1.0}}, "need an integer s, got '2'", id="s='2'"),
+])
+def test_from_dict_refuses_a_repeated_subset_or_a_bad_s(data, fragment):
+    """Each of these once came back as some other scheme: the last of two
+    weights for {1, 2}, the subset {1} for "1,1", or s read as the largest
+    coordinate named (s = 0), int(s) (2.7) or 1 (true)."""
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        WeightScheme.from_dict({"form": "general", **data})
+
+
 @pytest.mark.parametrize("form", ["product", "pod"])
 @pytest.mark.parametrize("layout", ["contiguous", "moveaxis"])
 def test_running_sum_adds_one_coordinate_at_a_time(form, layout):
@@ -266,6 +282,8 @@ def test_validation():
         WeightScheme.pod([1.0], [1.0, 2.0])
     with pytest.raises(DomainError):
         WeightScheme.general(2, {frozenset({5}): 1.0})
+    with pytest.raises(DomainError):
+        WeightScheme.general(3, {(1, 2): 0.5, (2, 1): 0.25})
     with pytest.raises(GuardError):
         WeightScheme.general(25, {frozenset({1}): 1.0})
     with pytest.raises(DomainError):

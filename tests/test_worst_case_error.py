@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from latticeqmc import kernels, worst_case_error
-from latticeqmc.cbc import cbc_construct, cbc_fast, cbc_plain
+from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.kernels import KernelSpec, kernel, kernel_1d
 from latticeqmc.lattice import (LatticeRule, PointSet, dual_projected, rank1_points, symmetrize,
@@ -864,7 +864,7 @@ ROW_LAYOUT_BITS = {
 
 def _exact_error_bits(Ns, alphas) -> dict:
     """float.hex of value - negative_clamp of the tent and sym exact errors
-    of CBC rules (`cbc_construct`) at s = 20, gamma_j = j^-2, built with
+    of CBC rules (`cbc_fast`) at s = 20, gamma_j = j^-2, built with
     product weights and measured with product and POD (Gamma_k = k!) weights."""
     s = 20
     gamma = [j ** -2.0 for j in range(1, s + 1)]
@@ -872,9 +872,9 @@ def _exact_error_bits(Ns, alphas) -> dict:
                "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
     got = {}
     for N in Ns:
-        tent = cbc_construct(N, s, CbcCriterion("tent", weights["product"])).rule()
+        tent = cbc_fast(N, s, CbcCriterion("tent", weights["product"])).rule()
         tent = tent_transform(rank1_points(tent))
-        sym = {a: cbc_construct(N, s, CbcCriterion("sym", weights["product"], a)).rule()
+        sym = {a: cbc_fast(N, s, CbcCriterion("sym", weights["product"], a)).rule()
                for a in alphas}
         for name, w in weights.items():
             reports = {"sob2-tent": wce_sq_quadratic_form(KernelSpec("sobolev", 2, w), tent)}
