@@ -14,15 +14,15 @@ on half the points, each standing for n and N - n, in the order of
 prime N, n = 0 and the powers g^i of a primitive root g, i < h = (N-1)/2
 (Rader order), for other N, n = 0..N//2.  The plain scorer sums directly,
 O(N) per candidate: at prime N one dot product of a slice of the Rader
-table with the state, at other N a gather of the candidate's residues and
-a matrix product per block of candidates.  The FFT scorer (Nuyens & Cools)
-exploits that for prime N the candidate scores in Rader order form a
-circular correlation.  Because g^h = -1, the omega side of that
-correlation is real, even and of period h, so it folds to one real
-correlation of length h (`np.fft.rfft`), taken at length h when no prime
-factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a 5-smooth
-length >= 2h - 1 otherwise; O(N log N) per dimension.  `cbc_fast` scores
-with it at prime N and with the plain scorer elsewhere.
+table with the state, at other N a matrix product per block of
+candidates, whose residues the order gathers into one reused block.  The
+FFT scorer (Nuyens & Cools) exploits that for prime N the candidate scores
+in Rader order form a circular correlation.  Because g^h = -1, the omega
+side of that correlation is real, even and of period h, so it folds to one
+real correlation of length h (`np.fft.rfft`), taken at length h when no
+prime factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a
+5-smooth length >= 2h - 1 otherwise; O(N log N) per dimension.  `cbc_fast`
+scores with it at prime N and with the plain scorer elsewhere.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
@@ -80,29 +80,24 @@ def _select(scores: np.ndarray, cand: np.ndarray) -> int:
     return int(tied[np.argmin(cand[tied])])
 
 
+@dataclass
 class _PlainScorer:
     """T(z) by direct sums over the half points, O(N) per candidate, for any
     N.  At prime N, T(cand[j]) = omega(0) w(0) + c[j] with c[j] = sum_i
     a2[i + j] w(cand[i]) (`_HalfOrder`), one dot product per candidate over
     a slice of the doubled Rader table (`np.correlate`), with no residue
-    matrix.  Other N gather the residues in blocks of candidates into a
-    buffer allocated once and reused in every dimension."""
+    matrix.  Other N multiply the state by the residues of a block of
+    candidates at a time."""
 
-    def __init__(self, order: _HalfOrder):
-        h = len(order.cand)
-        self.order, self.vals = order, None
-        if order.a2 is None:
-            self.vals = np.empty((min(_block_rows(h + 1), h), h + 1))
+    order: _HalfOrder
 
     def score(self, w: np.ndarray) -> np.ndarray:
         order, h = self.order, len(self.order.cand)
         if order.a2 is not None:
             return order.table[0] * w[0] + np.correlate(order.a2[: 2 * h - 1], w[1:], "valid")
-        vals, t = self.vals, np.empty(h)
-        for lo in range(0, h, len(vals)):
-            hi = min(lo + len(vals), h)
-            t[lo:hi] = order.residues(np.arange(lo, hi), 0, h + 1, vals[: hi - lo]) @ w
-        return t
+        step = min(_block_rows(h + 1), h)
+        return np.concatenate([order.residues(range(lo, min(lo + step, h)), 0, h + 1) @ w
+                               for lo in range(0, h, step)])
 
 
 def _smooth_length(n: int) -> int:
@@ -157,7 +152,6 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     mult, prime = order.mult, order.a2 is not None
     scorer = (_FftScorer if fft and prime else _PlainScorer)(order)
     state = _Running(crit.leading_weights(s), mult.shape)
-    row = np.empty(mult.shape)
     z: list[int] = []
     errs: list[float] = []
     for _ in range(s):
@@ -167,7 +161,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
             with np.errstate(over="ignore", invalid="ignore"):
                 scores = errs[-1] + scorer.score(mult * state.weight_vector()) / N
             i = _select(scores, order.cand)
-        state.add(order.residues(i, 0, len(row), row))
+        state.add(order.residues([i], 0, len(mult))[0])
         z.append(int(order.cand[i]))
         errs.append(state.mean(mult))
     return CbcResult(z=tuple(z), per_dimension_error=tuple(errs), n=N, prime=prime)

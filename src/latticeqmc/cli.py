@@ -22,7 +22,7 @@ from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_exp
 from .fourier import run_appendix_checks
 from .kernels import KernelSpec
 from .lattice import LatticeRule, rank1_points, symmetrize, tent_transform
-from .weights import WeightScheme
+from .weights import WeightScheme, _MalformedWeights
 from .worst_case_error import (
     corollary_bound,
     wce_sq_korobov_lattice,
@@ -57,9 +57,9 @@ def _load_weights(arg: str) -> WeightScheme:
         return WeightScheme.from_dict(data)
     except KeyError as exc:
         raise DomainError(f"--weights of form {data.get('form')!r} needs the key {exc}") from exc
-    except DomainError:
-        raise
     except (TypeError, ValueError) as exc:
+        if isinstance(exc, DomainError) and not isinstance(exc, _MalformedWeights):
+            raise
         raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
 
 

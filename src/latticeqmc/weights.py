@@ -179,19 +179,36 @@ class WeightScheme:
 
     @staticmethod
     def from_dict(data: dict) -> "WeightScheme":
+        """A scheme from its JSON wire format: gamma and Gamma are arrays of
+        numbers, subsets an object of numbers (a JSON true is not a number)."""
         form = data.get("form")
         if form == "product":
-            return WeightScheme.product(data["gamma"])
+            return WeightScheme.product(_json_numbers(data, "gamma", list))
         if form == "pod":
-            return WeightScheme.pod(data["Gamma"], data["gamma"])
+            return WeightScheme.pod(_json_numbers(data, "Gamma", list),
+                                    _json_numbers(data, "gamma", list))
         if form == "general":
             subsets = {tuple(int(t) for t in key.split(",")): g
-                       for key, g in data["subsets"].items()}
+                       for key, g in _json_numbers(data, "subsets", dict).items()}
             s = data.get("s", max((max(u) for u in subsets), default=1))
             if type(s) is not int:
                 raise DomainError(f"general weights need an integer s, got {s!r}")
             return WeightScheme.general(s, subsets)
         raise DomainError(f"unknown weight form {form!r}")
+
+
+class _MalformedWeights(DomainError):
+    """A value of the weights JSON that has the wrong type."""
+
+
+def _json_numbers(data: dict, key: str, kind: type):
+    """data[key] if it is a JSON array (kind list) or object (kind dict) of numbers."""
+    value = data[key]
+    numbers = value.values() if isinstance(value, dict) else value
+    if type(value) is not kind or not all(type(g) in (int, float) for g in numbers):
+        raise _MalformedWeights(f"{key!r} must be a JSON {'array' if kind is list else 'object'}"
+                                f" of numbers, got {value!r}")
+    return value
 
 
 class _Running:

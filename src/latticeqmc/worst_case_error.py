@@ -261,14 +261,13 @@ class _HalfOrder:
     candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
     primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
     g^h = -1 makes w(cand[i]) of period h in i, and a2 holds it for i < 2h,
-    so the residues of the points cand[k..] under z = cand[j] are the slice
-    of a2 that starts at (k + j) mod h.  Other N have no such order
-    (non-units), so a2 is None, cand = 1..N//2 and a residue is a gather
-    from the table."""
+    so the residues of the points cand[m..] under z = cand[k] are the slice
+    of a2 that starts at k + m.  Other N have no such order (non-units), so
+    a2 is None, cand = 1..N//2 and a residue is a gather from the table."""
 
     def __init__(self, N: int, table: np.ndarray):
         h = N // 2
-        self.N, self.table, self.a2 = N, table, None
+        self.N, self.table, self.a2, self.block = N, table, None, np.empty(0)
         if is_prime(N):
             perm = _rader_half(N, primitive_root(N), h)
             self.cand = np.minimum(perm, N - perm, out=perm)
@@ -283,24 +282,25 @@ class _HalfOrder:
         pos[self.cand] = np.arange(len(self.cand))
         return pos[np.minimum(z, self.N - z)]
 
-    def residues(self, j, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """w(n cand[j] mod N) at the half points of index lo..hi-1, written
-        to and returned as out[..., :hi - lo]; j is one index, or an array
-        of them with one row of out each."""
-        out = out[..., : hi - lo]
-        if self.a2 is None:
-            r = np.multiply.outer(self.cand[j], np.arange(lo, hi))
-            np.remainder(r, self.N, out=r)
-            # every index is already reduced mod N; "clip" keeps numpy from buffering out
-            return np.take(self.table, r, out=out, mode="clip")
-        rows = out.reshape(-1, hi - lo)  # one row per index
-        if lo == 0:
-            rows[:, 0], rows, lo = self.table[0], rows[:, 1:], 1
-        h, n = len(self.cand), rows.shape[1]
-        for k, row in zip(np.ravel(j).tolist(), rows):
-            start = (lo - 1 + k) % h
-            row[:] = self.a2[start : start + n]
-        return out
+    def residues(self, idx, lo: int, hi: int):
+        """w(n cand[k] mod N) at the half points lo..hi-1, one row per k in
+        idx: past n = 0 at prime N, slices of a2 (no copy); else the rows of
+        one block that the order reuses, valid until the next call."""
+        if self.a2 is not None and lo > 0:
+            return [self.a2[k + lo - 1 : k + hi - 1] for k in idx]
+        m, n = len(idx), hi - lo
+        if self.block.size < m * n:
+            self.block = np.empty(m * n)
+        out = self.block[: m * n].reshape(m, n)
+        if self.a2 is not None:
+            out[:, 0] = self.table[0]
+            for k, row in zip(idx, out):
+                row[1:] = self.a2[k : k + n - 1]
+            return out
+        r = np.multiply.outer(self.cand[idx], np.arange(lo, hi))
+        np.remainder(r, self.N, out=r)
+        # every index is already reduced mod N; "clip" keeps numpy from buffering out
+        return np.take(self.table, r, out=out, mode="clip")
 
 
 def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
@@ -310,22 +310,20 @@ def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRul
     The summand of n equals that of N - n (w(r) = w(N - r)), so the sum runs
     over the half points of `_HalfOrder` with their multiplicities, in the
     order of the CBC sweep: for prime N each coordinate's residues are a
-    shift of one table.  The residues are made as (s, rows) blocks of one
-    block budget, so memory is O(N), not O(N s)."""
+    slice of one doubled table.  The half points go in blocks of one block
+    budget, s residue rows each, so memory is O(N), not O(N s)."""
     alpha = _smoothness("korobov", alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     order = _HalfOrder(rule.N, korobov_residue_table(alpha, rule.N))
-    idx = order.index(np.array(rule.z, dtype=np.int64))
-    mult = order.mult
-    step = _block_rows(rule.s)
-    eta = np.empty((rule.s, min(step, len(mult))))
+    idx = order.index(np.array(rule.z, dtype=np.int64)).tolist()
+    mult, step = order.mult, _block_rows(rule.s)
     total = 0.0
     # weights that overflow make the total non-finite, which ErrorReport refuses
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(mult), step):
             hi = min(lo + step, len(mult))
-            total += float(mult[lo:hi] @ weights.combine(order.residues(idx, lo, hi, eta).T))
+            total += float(mult[lo:hi] @ weights.combine(list(order.residues(idx, lo, hi))))
     return _clamped(total / rule.N, "closed_form_lattice")
 
 

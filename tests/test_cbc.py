@@ -203,13 +203,15 @@ def _brute_force_scores(N, omega, w):
 def test_half_order(N):
     """The half points n = 0, cand[0..] cover 0..N//2 up to n -> N - n with
     multiplicities summing to N; `index` inverts `cand` for z and N - z; and
-    `residues` equals the gather table[n cand[j] mod N] on any block of half
+    `residues` equals the gather table[n cand[k] mod N] on any block of half
     points: the first (with n = 0), one with lo > 0, a partial last one,
-    and for prime N blocks that wrap around the Rader table; for one index j
-    or an array of them, one row of out each."""
+    and for prime N blocks that wrap around the Rader table; one row per
+    index, for one index or several.  At prime N a row past n = 0 is a view
+    of the doubled table, not a copy; every other row lives in the order's
+    one block, allocated once for the largest request."""
     table = korobov_residue_table(1, N)  # distinct values at r = 0..N//2
     order = _HalfOrder(N, table)
-    h = N // 2
+    h, prime = N // 2, order.a2 is not None
     assert order.cand[0] == 1 and sorted(order.cand.tolist()) == list(range(1, h + 1))
     assert order.mult.shape == (h + 1,) and np.sum(order.mult) == N
     z = np.arange(1, N)
@@ -220,14 +222,18 @@ def test_half_order(N):
                                       (h - 2, h), (1, h // 3 + 2), (h // 3 + 1, h // 3 + h // 2 + 1)]
               if 0 <= lo < hi}
     js = sorted({0, 1 % h, h // 2, h - 1})
-    for j in js + [np.array(js), np.array(js[::-1])]:
+    for idx in [[j] for j in js] + [js, js[::-1], np.array(js)]:
         for lo, hi in blocks:
-            out = np.full(np.shape(j) + (h + 3,), np.nan)
-            got = order.residues(j, lo, hi, out)
-            assert got.shape == np.shape(j) + (hi - lo,) and np.shares_memory(got, out)
-            want = table[np.multiply.outer(order.cand[j], points[lo:hi]) % N]
-            assert np.array_equal(got, want), (j, lo, hi)
-            assert np.isnan(out[..., hi - lo :]).all()
+            got = order.residues(idx, lo, hi)
+            want = table[np.multiply.outer(order.cand[idx], points[lo:hi]) % N]
+            assert len(got) == len(idx)
+            for row, want_row in zip(got, want):
+                assert row.shape == (hi - lo,) and np.array_equal(row, want_row), (idx, lo, hi)
+                in_a2 = prime and lo >= 1
+                assert np.shares_memory(row, order.a2 if in_a2 else order.block), (idx, lo, hi)
+    block = order.block
+    order.residues(js, 0, h + 1)
+    assert order.block is block and block.size == len(js) * (h + 1)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 1009, 1021, 4079, 4099])
@@ -269,14 +275,14 @@ def test_prime_plain_scores_equal_the_residue_matrix_product(N, form):
          else WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gam))
     order = _HalfOrder(N, korobov_residue_table(1, N))
     h = len(order.cand)
-    scorer, buf = cbc._PlainScorer(order), np.empty((h, h + 1))
+    scorer = cbc._PlainScorer(order)
     state = _Running(w, order.mult.shape)
     for j in (0, h // 2, h - 1, h // 3, 1 % h):
         v = order.mult * state.weight_vector()
-        rows = order.residues(np.arange(h), 0, h + 1, buf)
+        rows = np.array(order.residues(range(h), 0, h + 1))
         err = np.abs(scorer.score(v) - rows @ v)
         assert np.all(err <= 1e-13 * (np.abs(rows) @ np.abs(v)))
-        state.add(order.residues(j, 0, h + 1, np.empty(h + 1)))
+        state.add(order.residues([j], 0, h + 1)[0])
 
 
 def test_prime_plain_builds_no_residue_matrix(monkeypatch):
@@ -284,9 +290,9 @@ def test_prime_plain_builds_no_residue_matrix(monkeypatch):
     candidate's), never an array of candidates."""
     residues = _HalfOrder.residues
 
-    def one_row(self, j, lo, hi, out):
-        assert np.ndim(j) == 0, "residue matrix built at prime N"
-        return residues(self, j, lo, hi, out)
+    def one_row(self, idx, lo, hi):
+        assert len(idx) == 1, "residue matrix built at prime N"
+        return residues(self, idx, lo, hi)
 
     monkeypatch.setattr(_HalfOrder, "residues", one_row)
     w = WeightScheme.product([1.0 / j**2 for j in range(1, 7)])

@@ -208,6 +208,15 @@ def test_exit_code_precondition():
     ("no_such_weights.json", "which names no file, is not valid JSON"),
     ("[1.0]", "is not a JSON object"),
     ('{"form":"product","gamma":3}', "malformed value"),
+    # each of these once exited 0 with other weights ("25" read as (2, 5), true as 1.0) ...
+    ('{"form":"product","gamma":"25"}', "'gamma' must be a JSON array of numbers"),
+    ('{"form":"product","gamma":[true,0.5]}', "'gamma' must be a JSON array of numbers"),
+    ('{"form":"product","gamma":[1,"0.5"]}', "'gamma' must be a JSON array of numbers"),
+    ('{"form":"general","subsets":{"1,2":"0.5"}}', "'subsets' must be a JSON object of numbers"),
+    ('{"form":"general","subsets":{"1,2":true}}', "'subsets' must be a JSON object of numbers"),
+    # ... and these exited 1 with an AttributeError traceback
+    ('{"form":"general","subsets":[]}', "'subsets' must be a JSON object of numbers"),
+    ('{"form":"general","subsets":null}', "'subsets' must be a JSON object of numbers"),
 ])
 def test_malformed_weights_are_a_precondition_violation(weights, message, capsys):
     assert main(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9",

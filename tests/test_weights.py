@@ -131,6 +131,25 @@ def test_from_dict_refuses_a_repeated_subset_or_a_bad_s(data, fragment):
         WeightScheme.from_dict({"form": "general", **data})
 
 
+def test_from_dict_refuses_weights_json_of_the_wrong_type():
+    """Each of these once came back as some other scheme (gamma "25" as
+    (2, 5), true as 1.0, "0.5" as 0.5) or raised an AttributeError (subsets
+    [] or null).  A JSON integer is a number; a JSON true is not."""
+    bad = [{"form": "product", "gamma": g} for g in ("25", 3, None, [True, 0.5], [1, "0.5"],
+                                                     {"0.5": 3})]
+    bad += [{"form": "pod", "Gamma": G, "gamma": g}
+            for G, g in (("12", [1, 0.5]), ([1, 2], "12"), ([1, False], [1, 0.5]))]
+    bad += [{"form": "general", "subsets": u}
+            for u in ({"1,2": "0.5"}, {"1,2": True}, [], None, [["1,2", 0.5]])]
+    for data in bad:
+        with pytest.raises(DomainError, match="must be a JSON (array|object) of numbers"):
+            WeightScheme.from_dict(data)
+    assert WeightScheme.from_dict({"form": "product", "gamma": [1, 2]}) == \
+        WeightScheme.product([1.0, 2.0])
+    assert WeightScheme.from_dict({"form": "general", "subsets": {"1,2": 3}}) == \
+        WeightScheme.general(2, {(1, 2): 3.0})
+
+
 @pytest.mark.parametrize("form", ["product", "pod"])
 @pytest.mark.parametrize("layout", ["contiguous", "moveaxis"])
 def test_running_sum_adds_one_coordinate_at_a_time(form, layout):

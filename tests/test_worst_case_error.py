@@ -862,6 +862,76 @@ ROW_LAYOUT_BITS = {
 }
 
 
+# the CBC criteria and the closed-form recheck, recorded while every residue row was
+# copied into a buffer of its caller: key -> (per-dimension criteria, recheck)
+CLOSED_FORM_BITS = {
+    "tent/product/N1021/b262144": (
+        ["0x1.796a8a7400000p-21", "0x1.7fd89a5480000p-18", "0x1.8b4026df00000p-16",
+         "0x1.d105e0d2c0000p-15", "0x1.f04ad17e10000p-14", "0x1.9f598d4296000p-13"],
+        "0x1.9f598d42974d8p-13"),
+    "sym2/product/N1021/b262144": (
+        ["0x1.a481ad1000000p-24", "0x1.fdb4ae1800000p-23", "0x1.c04e411800000p-22",
+         "0x1.4ab8fb1400000p-21", "0x1.d967f8dc00000p-21", "0x1.393461f800000p-20"],
+        "0x1.393461f80c090p-20"),
+    "tent/pod/N1021/b262144": (
+        ["0x1.796a8a751dd66p-21", "0x1.00c3a01e5dd06p-17", "0x1.6f5bb47a0e52fp-15",
+         "0x1.13e53ae938e89p-13", "0x1.651debeed9035p-12", "0x1.503bcb67d239bp-11"],
+        "0x1.503bcb67d239bp-11"),
+    "sym2/pod/N1021/b262144": (
+        ["0x1.a481acfae36a9p-24", "0x1.27195e66d0342p-22", "0x1.28863c831104cp-21",
+         "0x1.e98fa96aeae03p-21", "0x1.7a78eeb134d7ap-20", "0x1.08c7c94a98eabp-19"],
+        "0x1.08c7c94a98eabp-19"),
+    "tent/product/N1024/b262144": (
+        ["0x1.77353ef200000p-21", "0x1.816e33e000000p-18", "0x1.8eedaeb660000p-16",
+         "0x1.ef2e6cd4e0000p-15", "0x1.0641df4d24000p-13", "0x1.b1f4ecfb10000p-13"],
+        "0x1.b1f4ecfb0ef90p-13"),
+    "sym2/product/N1024/b262144": (
+        ["0x1.a20bd70000000p-24", "0x1.fd19d7f000000p-23", "0x1.c34d158800000p-22",
+         "0x1.59db970000000p-21", "0x1.ec322f8c00000p-21", "0x1.41a6d98100000p-20"],
+        "0x1.41a6d9811fe00p-20"),
+    "tent/pod/N1024/b262144": (
+        ["0x1.77353ef154800p-21", "0x1.01f8613113c60p-17", "0x1.718fca7421f30p-15",
+         "0x1.1924a71b1d05cp-13", "0x1.3eb4ee2014da4p-12", "0x1.365299e2d30aep-11"],
+        "0x1.365299e2d30aep-11"),
+    "sym2/pod/N1024/b262144": (
+        ["0x1.a20bd70065a00p-24", "0x1.270db714f6b00p-22", "0x1.2b05bdd0c6f00p-21",
+         "0x1.f0d1d993ccc00p-21", "0x1.7d11969656c80p-20", "0x1.04d15ab0bd720p-19"],
+        "0x1.04d15ab0bd720p-19"),
+    "tent/product/N1021/b1000": (
+        ["0x1.796a8a7400000p-21", "0x1.7fd89a5480000p-18", "0x1.8b4026df00000p-16",
+         "0x1.d105e0d2c0000p-15", "0x1.f04ad17e10000p-14", "0x1.9f598d4296000p-13"],
+        "0x1.9f598d4297477p-13"),
+    "sym2/product/N1021/b1000": (
+        ["0x1.a481ad1000000p-24", "0x1.fdb4ae1800000p-23", "0x1.c04e411800000p-22",
+         "0x1.4ab8fb1400000p-21", "0x1.d967f8dc00000p-21", "0x1.393461f800000p-20"],
+        "0x1.393461f80c090p-20"),
+    "tent/pod/N1021/b1000": (
+        ["0x1.796a8a751dd66p-21", "0x1.00c3a01e5dd06p-17", "0x1.6f5bb47a0e52fp-15",
+         "0x1.13e53ae938e89p-13", "0x1.651debeed9035p-12", "0x1.503bcb67d239bp-11"],
+        "0x1.503bcb67d2389p-11"),
+    "sym2/pod/N1021/b1000": (
+        ["0x1.a481acfae36a9p-24", "0x1.27195e66d0342p-22", "0x1.28863c831104cp-21",
+         "0x1.e98fa96aeae03p-21", "0x1.7a78eeb134d7ap-20", "0x1.08c7c94a98eabp-19"],
+        "0x1.08c7c94a98ca9p-19"),
+    "tent/product/N1024/b1000": (
+        ["0x1.77353ef200000p-21", "0x1.816e33e000000p-18", "0x1.8eedaeb660000p-16",
+         "0x1.ef2e6cd4e0000p-15", "0x1.0641df4d24000p-13", "0x1.b1f4ecfb10000p-13"],
+        "0x1.b1f4ecfb0f400p-13"),
+    "sym2/product/N1024/b1000": (
+        ["0x1.a20bd70000000p-24", "0x1.fd19d7f000000p-23", "0x1.c34d158800000p-22",
+         "0x1.59db970000000p-21", "0x1.ec322f8c00000p-21", "0x1.41a6d98100000p-20"],
+        "0x1.41a6d9811a000p-20"),
+    "tent/pod/N1024/b1000": (
+        ["0x1.77353ef154800p-21", "0x1.01f8613113c60p-17", "0x1.718fca7421f30p-15",
+         "0x1.1924a71b1d05cp-13", "0x1.3eb4ee2014da4p-12", "0x1.365299e2d30aep-11"],
+        "0x1.365299e2d30e0p-11"),
+    "sym2/pod/N1024/b1000": (
+        ["0x1.a20bd70065a00p-24", "0x1.270db714f6b00p-22", "0x1.2b05bdd0c6f00p-21",
+         "0x1.f0d1d993ccc00p-21", "0x1.7d11969656c80p-20", "0x1.04d15ab0bd720p-19"],
+        "0x1.04d15ab0bd400p-19"),
+}
+
+
 def _exact_error_bits(Ns, alphas) -> dict:
     """float.hex of value - negative_clamp of the tent and sym exact errors
     of CBC rules (`cbc_fast`) at s = 20, gamma_j = j^-2, built with
@@ -902,6 +972,40 @@ def test_no_exact_error_starts_a_thread(monkeypatch):
         warnings.simplefilter("ignore", UserWarning)  # composite N: some z_j share a factor
         assert _exact_error_bits((509, 1021), (2,)) == SHIFT_LAYOUT_BITS
         assert _exact_error_bits((510, 1024), (2, 4)) == ROW_LAYOUT_BITS
+
+
+def _closed_form_bits(budget) -> dict:
+    """float.hex of the CBC per-dimension criteria (`cbc_fast`) and of the
+    closed-form recheck of the rule built, tent and sym alpha = 2 at s = 6,
+    gamma_j = j^-2, product and POD (Gamma_k = k!) weights, at the prime
+    N = 1021 (Rader slices) and the composite N = 1024 (gathered residues)."""
+    s = 6
+    gamma = [j ** -2.0 for j in range(1, s + 1)]
+    weights = {"product": WeightScheme.product(gamma),
+               "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
+    got = {}
+    for N in (1021, 1024):
+        for name, w in weights.items():
+            for key, crit in (("tent", CbcCriterion("tent", w)),
+                              ("sym2", CbcCriterion("sym", w, 2))):
+                res = cbc_fast(N, s, crit)
+                got[f"{key}/{name}/N{N}/b{budget}"] = (
+                    [e.hex() for e in res.per_dimension_error], crit.value(res.rule()).hex())
+    return got
+
+
+@pytest.mark.parametrize("budget", [kernels._BLOCK_BUDGET, 1000])
+def test_closed_form_and_cbc_keep_their_bits(budget, monkeypatch):
+    """The criteria and the closed form keep the bits they had when every
+    residue row was copied into a buffer of its caller: at the default
+    budget the closed form is one block; at 1000 entries it takes blocks of
+    166 rows, most with lo >= 1 and some wrapping around the Rader table,
+    and the composite plain scorer gathers 1 candidate per block."""
+    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # composite N: some z_j share a factor
+        got = _closed_form_bits(budget)
+    assert got == {k: v for k, v in CLOSED_FORM_BITS.items() if k.endswith(f"/b{budget}")}
 
 
 def test_quadratic_form_guard(monkeypatch):
