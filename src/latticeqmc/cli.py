@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .errors import DomainError, GuardError
 from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_experiment
 from .fourier import run_appendix_checks
 from .kernels import KernelSpec
-from .lattice import LatticeRule, rank1_points, symmetrize, tent_transform
+from .lattice import LatticeRule, _open_text, rank1_points, symmetrize, tent_transform
 from .weights import WeightScheme, _MalformedWeights
 from .worst_case_error import (
     corollary_bound,
@@ -48,18 +47,10 @@ def _load_weights(arg: str) -> WeightScheme:
         with open(arg) as fh:
             arg = fh.read()
     try:
-        data = json.loads(arg, object_pairs_hook=_unique_keys)
+        return WeightScheme.from_dict(json.loads(arg, object_pairs_hook=_unique_keys))
     except json.JSONDecodeError as exc:
         raise DomainError(f"--weights {source} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise DomainError(f"--weights {source} is not a JSON object")
-    try:
-        return WeightScheme.from_dict(data)
-    except KeyError as exc:
-        raise DomainError(f"--weights of form {data.get('form')!r} needs the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, DomainError) and not isinstance(exc, _MalformedWeights):
-            raise
+    except _MalformedWeights as exc:
         raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
 
 
@@ -71,9 +62,11 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _write_file(out: str, write) -> None:
-    """write(out); a file that cannot be written is a precondition violation."""
+    """write(fh) to the file out, compressed by its suffix as `PointSet.to_csv`
+    compresses; a file that cannot be written is a precondition violation."""
     try:
-        write(out)
+        with _open_text(out) as fh:
+            write(fh)
     except OSError as exc:
         raise DomainError(f"cannot write --out {out!r}: {exc.strerror or exc}") from exc
 
@@ -83,7 +76,7 @@ def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        _write_file(out, lambda path: Path(path).write_text(text))
+        _write_file(out, lambda fh: fh.write(text))
 
 
 def _cmd_points(args) -> int:

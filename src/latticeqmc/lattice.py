@@ -29,6 +29,12 @@ DUAL_SCAN_GUARD = 20_000_000
 _COMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
 
 
+def _open_text(path):
+    """The file at path opened to write text, compressed by its suffix."""
+    codec = _COMPRESSORS.get(os.path.splitext(os.fspath(path))[1])
+    return __import__(codec).open(path, "wt") if codec else open(path, "w")
+
+
 @dataclass(frozen=True)
 class LatticeRule:
     """A rank-1 rule: N points in dimension s with generating vector z."""
@@ -102,9 +108,7 @@ class PointSet:
         Each block of rows formats each distinct numerator once: i / float(D)
         is the quotient that .points holds.  Memory is O(block), not O(D)."""
         if not hasattr(path, "write"):
-            path = os.fspath(path)
-            codec = _COMPRESSORS.get(os.path.splitext(path)[1])
-            with (__import__(codec).open(path, "wt") if codec else open(path, "w")) as fh:
+            with _open_text(path) as fh:
                 self.to_csv(fh)
             return
         D = float(self.denominator)

@@ -19,7 +19,7 @@ also keeps one coordinate at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -54,21 +54,20 @@ class WeightScheme:
             raise DomainError(f"dimension must be >= 1, got {self.s}")
         if self.form not in ("product", "pod", "general"):
             raise DomainError(f"unknown weight form {self.form!r}")
-        if self.form in ("product", "pod"):
-            if len(self.gamma) != self.s:
-                raise DomainError(f"need {self.s} coordinate weights, got {len(self.gamma)}")
-            _check_weights(self.gamma)
-        if self.form == "pod":
-            if len(self.Gamma) != self.s:
-                raise DomainError(f"need {self.s} order weights, got {len(self.Gamma)}")
-            _check_weights(self.Gamma)
+        # each form leaves the fields it does not use empty
+        if len(self.gamma) != (n := 0 if self.form == "general" else self.s):
+            raise DomainError(f"need {n} coordinate weights, got {len(self.gamma)}")
+        if len(self.Gamma) != (n := self.s if self.form == "pod" else 0):
+            raise DomainError(f"need {n} order weights, got {len(self.Gamma)}")
+        if self.subsets and self.form != "general":
+            raise DomainError(f"{self.form} weights take no subsets")
+        _check_weights((*self.gamma, *self.Gamma, *self.subsets.values()))
         if self.form == "general":
             if self.s > GENERAL_DIM_GUARD:
                 raise GuardError(f"general weights limited to s <= {GENERAL_DIM_GUARD}")
             for u in self.subsets:
                 if not u or not all(1 <= j <= self.s for j in u):
                     raise DomainError(f"bad subset {sorted(u)} for dimension {self.s}")
-            _check_weights(self.subsets.values())
 
     # -- constructors ------------------------------------------------------
 
@@ -125,21 +124,14 @@ class WeightScheme:
 
     def scaled_per_coordinate(self, factor: float) -> "WeightScheme":
         """New scheme with gamma_u * factor^|u| (weight modification maps)."""
-        if self.form == "product":
-            return WeightScheme.product([g * factor for g in self.gamma])
-        if self.form == "pod":
-            return WeightScheme.pod(self.Gamma, [g * factor for g in self.gamma])
-        return WeightScheme.general(
-            self.s, {u: g * factor ** len(u) for u, g in self.subsets.items()}
-        )
+        return replace(self, gamma=tuple(float(g * factor) for g in self.gamma),
+                       subsets={u: float(g * factor ** len(u)) for u, g in self.subsets.items()})
 
     def powered(self, p: float) -> "WeightScheme":
         """New scheme with gamma_u^p (POD and product forms are closed under this)."""
-        if self.form == "product":
-            return WeightScheme.product([g**p for g in self.gamma])
-        if self.form == "pod":
-            return WeightScheme.pod([g**p for g in self.Gamma], [g**p for g in self.gamma])
-        return WeightScheme.general(self.s, {u: g**p for u, g in self.subsets.items()})
+        return replace(self, gamma=tuple(float(g**p) for g in self.gamma),
+                       Gamma=tuple(float(g**p) for g in self.Gamma),
+                       subsets={u: float(g**p) for u, g in self.subsets.items()})
 
     def sqrt(self) -> "WeightScheme":
         return self.powered(0.5)
@@ -178,37 +170,55 @@ class WeightScheme:
     # -- parsing -----------------------------------------------------------
 
     @staticmethod
-    def from_dict(data: dict) -> "WeightScheme":
-        """A scheme from its JSON wire format: gamma and Gamma are arrays of
-        numbers, subsets an object of numbers (a JSON true is not a number)."""
+    def from_dict(data) -> "WeightScheme":
+        """A scheme from any JSON value, read as the JSON wire format: gamma and
+        Gamma are arrays of numbers, subsets an object of numbers (a JSON true
+        is not a number).  A fault of that format raises `_MalformedWeights`."""
+        if not isinstance(data, dict):
+            raise _MalformedWeights(f"{data!r} is not a JSON object")
         form = data.get("form")
         if form == "product":
             return WeightScheme.product(_json_numbers(data, "gamma", list))
         if form == "pod":
             return WeightScheme.pod(_json_numbers(data, "Gamma", list),
                                     _json_numbers(data, "gamma", list))
-        if form == "general":
-            subsets = {tuple(int(t) for t in key.split(",")): g
-                       for key, g in _json_numbers(data, "subsets", dict).items()}
-            s = data.get("s", max((max(u) for u in subsets), default=1))
-            if type(s) is not int:
-                raise DomainError(f"general weights need an integer s, got {s!r}")
-            return WeightScheme.general(s, subsets)
-        raise DomainError(f"unknown weight form {form!r}")
+        if form != "general":
+            raise _MalformedWeights(f"unknown weight form {form!r}")
+        keys = _json_numbers(data, "subsets", dict)
+        subsets = {_subset_key(key): g for key, g in keys.items()}
+        if len(subsets) < len(keys):
+            raise DomainError(f"general weights name a subset twice: {list(keys)}")
+        s = data.get("s", max((max(u) for u in subsets), default=1))
+        if type(s) is not int:
+            raise _MalformedWeights(f"general weights need an integer s, got {s!r}")
+        return WeightScheme.general(s, subsets)
 
 
 class _MalformedWeights(DomainError):
-    """A value of the weights JSON that has the wrong type."""
+    """A fault in the format of the weights JSON: a value of the wrong type
+    or a missing key."""
 
 
 def _json_numbers(data: dict, key: str, kind: type):
     """data[key] if it is a JSON array (kind list) or object (kind dict) of numbers."""
+    if key not in data:
+        raise _MalformedWeights(f"form {data['form']!r} needs the key {key!r}")
     value = data[key]
     numbers = value.values() if isinstance(value, dict) else value
     if type(value) is not kind or not all(type(g) in (int, float) for g in numbers):
         raise _MalformedWeights(f"{key!r} must be a JSON {'array' if kind is list else 'object'}"
                                 f" of numbers, got {value!r}")
     return value
+
+
+def _subset_key(key) -> tuple[int, ...]:
+    """The coordinates a general-weights key names, "1,3" or "1, 3": ASCII
+    decimal integers >= 1 joined by commas, spaces around each allowed."""
+    parts = [t.strip(" ") for t in key.split(",")] if type(key) is str else [""]
+    if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in parts):
+        raise _MalformedWeights(f"subset key {key!r} is not a comma-separated list of "
+                                "coordinates >= 1")
+    return tuple(int(t) for t in parts)
 
 
 class _Running:

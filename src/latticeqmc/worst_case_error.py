@@ -35,7 +35,7 @@ runs on the calling thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import inf, isfinite, pi, sqrt
 
 import numpy as np
@@ -387,11 +387,9 @@ class CbcCriterion:
         w = self.effective_weights()
         if w.s < s:
             raise DomainError(f"weights cover {w.s} coordinates, need {s}")
-        if w.form == "product":
-            return WeightScheme.product(w.gamma[:s])
-        if w.form == "pod":
-            return WeightScheme.pod(w.Gamma[:s], w.gamma[:s])
-        raise DomainError("CBC supports product or POD weights only")
+        if w.form == "general":
+            raise DomainError("CBC supports product or POD weights only")
+        return replace(w, s=s, gamma=w.gamma[:s], Gamma=w.Gamma[:s])
 
     def value(self, rule: LatticeRule) -> float:
         """The criterion of a full rule, recomputed from scratch."""

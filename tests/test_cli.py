@@ -39,6 +39,26 @@ def test_points_csv_compresses_by_suffix_as_savetxt_does(tmp_path, suffix, modul
         assert fh.read() == (tmp_path / "p.csv").read_text()
 
 
+@pytest.mark.parametrize("suffix,module", [(".gz", "gzip"), (".bz2", "bz2"), (".xz", "lzma"),
+                                           (".lzma", "lzma")])
+def test_every_out_compresses_by_suffix(tmp_path, suffix, module):
+    """JSON outputs (points --format json, wce, cbc) once went out as plain
+    text under a compressed name."""
+    import importlib
+
+    weights = '{"form":"product","gamma":[1.0,0.25]}'
+    commands = {"points": ["points", "--n", "7", "--z", "1,3", "--format", "json"],
+                "wce": ["wce", "--space", "sym", "--n", "13", "--z", "1,5", "--weights", weights],
+                "cbc": ["cbc", "--n", "13", "--dims", "2", "--criterion", "tent",
+                        "--weights", weights]}
+    for name, args in commands.items():
+        plain, packed = tmp_path / f"{name}.json", tmp_path / f"{name}.json{suffix}"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--out", str(packed)]) == 0
+        with importlib.import_module(module).open(packed, "rt") as fh:
+            assert fh.read() == plain.read_text()
+
+
 def test_points_tent_and_sym_json(tmp_path):
     out = tmp_path / "pts.json"
     assert main(["points", "--n", "5", "--z", "1,2", "--transform", "tent",
@@ -217,6 +237,15 @@ def test_exit_code_precondition():
     # ... and these exited 1 with an AttributeError traceback
     ('{"form":"general","subsets":[]}', "'subsets' must be a JSON object of numbers"),
     ('{"form":"general","subsets":null}', "'subsets' must be a JSON object of numbers"),
+    # ... and each of these was read as another subset ("1_0" as 10), refused as
+    # "dimension must be >= 1" ("0") or without naming --weights
+    ('{"form":"general","subsets":{"1_0":1}}', "has a malformed value: subset key '1_0'"),
+    ('{"form":"general","subsets":{"+2":1}}', "subset key '+2'"),
+    ('{"form":"general","subsets":{"0":1}}', "subset key '0'"),
+    ('{"form":"general","subsets":{"1,,2":1}}', "subset key '1,,2'"),
+    ('{"form":"pod","gamma":[1]}', "needs the key 'Gamma'"),
+    ('{"form":"nope","gamma":[1]}', "unknown weight form 'nope'"),
+    ("null", "is not a JSON object"),
 ])
 def test_malformed_weights_are_a_precondition_violation(weights, message, capsys):
     assert main(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9",

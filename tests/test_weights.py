@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latticeqmc.cbc import CbcCriterion
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.weights import WeightScheme, _Running
 
@@ -101,6 +102,56 @@ def test_scaled_and_powered_schemes():
     assert g.powered(0.5).weight_of([1, 2]) == pytest.approx(np.sqrt(0.5), rel=1e-15)
 
 
+def test_derived_schemes_equal_the_constructor_built_ones():
+    """scaled_per_coordinate, powered and leading_weights map gamma, Gamma
+    and subsets with no branch on the form; each result is the scheme the
+    form's constructor builds from the mapped values."""
+    gamma, Gamma = [0.9, 0.4, 0.25], [1.0, 0.5, 2.0]
+    subsets = {(1,): 0.7, (1, 3): 0.2, (2, 3): 0.5}
+    f, p = 0.3, 0.5
+    product, pod = WeightScheme.product(gamma), WeightScheme.pod(Gamma, gamma)
+    general = WeightScheme.general(3, subsets)
+    assert product.scaled_per_coordinate(f) == WeightScheme.product([g * f for g in gamma])
+    assert pod.scaled_per_coordinate(f) == WeightScheme.pod(Gamma, [g * f for g in gamma])
+    assert general.scaled_per_coordinate(f) == \
+        WeightScheme.general(3, {u: g * f ** len(u) for u, g in subsets.items()})
+    assert product.powered(p) == WeightScheme.product([g**p for g in gamma])
+    assert pod.powered(p) == WeightScheme.pod([g**p for g in Gamma], [g**p for g in gamma])
+    assert general.powered(p) == WeightScheme.general(3, {u: g**p for u, g in subsets.items()})
+    for w in (product, pod):
+        eff = CbcCriterion("tent", w).effective_weights()
+        want = (WeightScheme.product(eff.gamma[:2]) if w.form == "product"
+                else WeightScheme.pod(eff.Gamma[:2], eff.gamma[:2]))
+        assert CbcCriterion("tent", w).leading_weights(2) == want
+        assert CbcCriterion("tent", w).leading_weights(3) == eff
+    with pytest.raises(DomainError, match="CBC supports product or POD weights only"):
+        CbcCriterion("tent", general).leading_weights(2)
+
+
+@pytest.mark.parametrize("data,fragment", [
+    pytest.param({"form": "product"}, "needs the key 'gamma'", id="product/no_gamma"),
+    pytest.param({"form": "pod", "gamma": [1]}, "needs the key 'Gamma'", id="pod/no_Gamma"),
+    pytest.param([1.0], "[1.0] is not a JSON object", id="array"),
+    pytest.param(None, "None is not a JSON object", id="null"),
+    pytest.param("x", "'x' is not a JSON object", id="string"),
+    *(pytest.param({"form": "general", "subsets": {key: 1.0}}, f"subset key {key!r}",
+                   id=f"key={key!r}")
+      for key in ("1_0", "+2", "\uff11", "0", "-1", "", "1,,2", "a", 1)),
+])
+def test_from_dict_refuses_every_format_fault_with_a_domain_error(data, fragment):
+    """Each of these once raised KeyError or AttributeError (the int key 1
+    of a Python dict too), was read as another subset ("1_0" as 10, "+2" as
+    2, the full-width one as 1), or was refused as "dimension must be >= 1"
+    ("0", "-1")."""
+    with pytest.raises(DomainError, match=re.escape(fragment)):
+        WeightScheme.from_dict(data)
+
+
+def test_from_dict_allows_spaces_around_subset_coordinates():
+    assert WeightScheme.from_dict({"form": "general", "subsets": {"1, 2": 0.5, " 3": 0.25}}) == \
+        WeightScheme.general(3, {(1, 2): 0.5, (3,): 0.25})
+
+
 def test_from_dict_parses_the_json_wire_format():
     text = """[{"form": "product", "gamma": [1.0, 0.5]},
                {"form": "pod", "Gamma": [1.0, 0.25], "gamma": [0.3, 0.3]},
@@ -118,6 +169,7 @@ def test_from_dict_parses_the_json_wire_format():
 @pytest.mark.parametrize("data,fragment", [
     pytest.param({"subsets": {"1,2": 0.5, "2,1": 0.25}}, "name a subset twice", id="twice"),
     pytest.param({"subsets": {"1,1": 3.0}}, "repeat a coordinate", id="1,1"),
+    pytest.param({"subsets": {"1,2": 0.5, "1, 2": 0.25}}, "name a subset twice", id="1, 2"),
     pytest.param({"s": 0, "subsets": {"1": 1.0}}, "dimension must be >= 1, got 0", id="s=0"),
     pytest.param({"s": 2.7, "subsets": {"1": 1.0}}, "need an integer s, got 2.7", id="s=2.7"),
     pytest.param({"s": True, "subsets": {"1": 1.0}}, "need an integer s, got True", id="s=true"),
@@ -328,6 +380,13 @@ def test_non_finite_weights_rejected(bad):
                  "unknown weight form 'lattice'", id="form"),
     pytest.param(lambda: WeightScheme(s=2, form="product", gamma=(1.0,)), DomainError,
                  "need 2 coordinate weights, got 1", id="gamma_length"),
+    # each form leaves the fields it does not use empty
+    pytest.param(lambda: WeightScheme(s=1, gamma=(1.0,), Gamma=(1.0,)), DomainError,
+                 "need 0 order weights, got 1", id="product/Gamma"),
+    pytest.param(lambda: WeightScheme(s=1, gamma=(1.0,), subsets={frozenset({1}): 1.0}),
+                 DomainError, "product weights take no subsets", id="product/subsets"),
+    pytest.param(lambda: WeightScheme(s=1, form="general", gamma=(1.0,)), DomainError,
+                 "need 0 coordinate weights, got 1", id="general/gamma"),
     pytest.param(lambda: WeightScheme.product([1.0, 0.5]).weight_of({3}), DomainError,
                  "subset [3] out of range for s=2", id="weight_of/range"),
     pytest.param(lambda: next(WeightScheme.product([0.5] * 21).nonempty_subsets()), GuardError,
