@@ -49,8 +49,6 @@ from .worst_case_error import (
     C_PRIME,
     ErrorReport,
     corollary_bound,
-    sym_modified_weights,
-    tent_modified_weights,
     wce_sq_korobov_lattice,
     wce_sq_quadratic_form,
     wce_sym_bound,

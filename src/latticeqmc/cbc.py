@@ -148,7 +148,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
         raise DomainError(f"need N >= 2, got {N}")
     if s < 1:
         raise DomainError(f"need s >= 1, got {s}")
-    order = _HalfOrder(N, korobov_residue_table(crit.korobov_order, N))
+    order = _HalfOrder(korobov_residue_table(crit.korobov_order, N))
     mult, prime = order.mult, order.a2 is not None
     scorer = (_FftScorer if fft and prime else _PlainScorer)(order)
     state = _Running(crit.leading_weights(s), mult.shape)

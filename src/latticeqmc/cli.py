@@ -48,10 +48,12 @@ def _load_weights(arg: str) -> WeightScheme:
             arg = fh.read()
     try:
         return WeightScheme.from_dict(json.loads(arg, object_pairs_hook=_unique_keys))
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"--weights {source} is not valid JSON: {exc}") from exc
     except _MalformedWeights as exc:
         raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
+    except DomainError:  # a key named twice, or a value the scheme refuses
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() reads
+        raise DomainError(f"--weights {source} is not valid JSON: {exc}") from exc
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -106,10 +108,8 @@ def _cmd_wce(args) -> int:
         CbcCriterion("tent", weights, args.alpha)  # the tent results hold at alpha = 2 only
         spec = KernelSpec(family="sobolev", alpha=2, weights=weights)
         report = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule)))
-    elif args.space == "sym":
+    else:  # sym; argparse restricts --space to the three
         report = wce_sym_exact(args.alpha if args.alpha is not None else 2, weights, rule)
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown space {args.space!r}")
     payload = report.to_dict()
     payload.update({"space": args.space, "n": args.n, "z": list(rule.z), "root": report.root})
     _emit(json.dumps(payload), args.out)

@@ -109,9 +109,7 @@ def cosine_coeff_quadrature(f, k: int, weight: str = "cos2pi") -> float:
     if k < 0:
         raise DomainError("k must be nonnegative")
     w = _WEIGHTS[weight]
-    return composite_gauss_legendre(
-        lambda t: np.asarray(f(t)) * w(k, t), 0.0, 1.0, panels=64, breakpoints=(0.5,)
-    )
+    return composite_gauss_legendre(lambda t: np.asarray(f(t)) * w(k, t), 64, (0.5,))
 
 
 def appendix_inner_sum(l: int, which: str, kmax: int) -> tuple[float, float]:

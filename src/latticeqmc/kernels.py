@@ -225,7 +225,5 @@ def kernel_mean_identity_check(spec: KernelSpec, x) -> float:
     for j in range(spec.s):
         xj = float(x[j])
         means[j] = composite_gauss_legendre(
-            lambda t: kernel_1d(spec.family, spec.alpha, xj, t) - 1.0,
-            0.0, 1.0, panels=8, breakpoints=(xj,),
-        )
+            lambda t: kernel_1d(spec.family, spec.alpha, xj, t) - 1.0, 8, (xj,))
     return float(1.0 + spec.weights.combine(means[None, :])[0])

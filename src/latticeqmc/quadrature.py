@@ -2,33 +2,32 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .errors import DomainError
 
 
-@lru_cache(maxsize=None)
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+@cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 8-point rule on [-1, 1], built on first use: importing loads no np.polynomial."""
+    return np.polynomial.legendre.leggauss(8)
 
 
-def composite_gauss_legendre(f, a: float, b: float, panels: int, nodes: int = 8,
-                             breakpoints=()) -> float:
-    """Integrate f over [a, b] with `panels` Gauss-Legendre panels of `nodes` points.
+def composite_gauss_legendre(f, panels: int, breakpoints=()) -> float:
+    """Integrate f over [0, 1] with `panels` 8-point Gauss-Legendre panels.
 
     Interior breakpoints are forced onto panel edges so that integrands with
     kinks (tent compositions, |x - y| factors) stay smooth panel by panel.
     f must accept numpy arrays.
     """
-    if panels < 1 or nodes < 1:
-        raise DomainError("panels and nodes must be positive")
-    cuts = sorted(set([a, b] + [float(t) for t in breakpoints if a < t < b]))
-    edges = [np.linspace(lo, hi, max(1, round(panels * (hi - lo) / (b - a))) + 1)
+    if panels < 1:
+        raise DomainError("panels must be positive")
+    cuts = sorted(set([0.0, 1.0] + [float(t) for t in breakpoints if 0.0 < t < 1.0]))
+    edges = [np.linspace(lo, hi, max(1, round(panels * (hi - lo))) + 1)
              for lo, hi in zip(cuts[:-1], cuts[1:])]
-    x0, w0 = _gl_rule(nodes)
+    x0, w0 = _gl_rule()
     total = 0.0
     for seg in edges:
         lo, hi = seg[:-1], seg[1:]

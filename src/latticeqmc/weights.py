@@ -34,6 +34,15 @@ def _check_weights(values) -> None:
         raise DomainError("weights must be finite and nonnegative")
 
 
+def _double(g) -> float:
+    """float(g), or inf for an integer beyond the double range, which
+    `_check_weights` then refuses as it refuses 1e400."""
+    try:
+        return float(g)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Weights gamma_u for nonempty u, in product, POD, or general form.
@@ -73,18 +82,18 @@ class WeightScheme:
 
     @staticmethod
     def product(gamma) -> "WeightScheme":
-        gamma = tuple(float(g) for g in gamma)
+        gamma = tuple(map(_double, gamma))
         return WeightScheme(s=len(gamma), form="product", gamma=gamma)
 
     @staticmethod
     def pod(Gamma, gamma) -> "WeightScheme":
-        gamma = tuple(float(g) for g in gamma)
-        Gamma = tuple(float(g) for g in Gamma)
+        gamma = tuple(map(_double, gamma))
+        Gamma = tuple(map(_double, Gamma))
         return WeightScheme(s=len(gamma), form="pod", gamma=gamma, Gamma=Gamma)
 
     @staticmethod
     def general(s: int, subsets: dict) -> "WeightScheme":
-        clean = {frozenset(u): float(g) for u, g in subsets.items()}
+        clean = {frozenset(u): _double(g) for u, g in subsets.items()}
         if len(clean) < len(subsets) or any(len(frozenset(u)) < len(u) for u in subsets):
             raise DomainError(f"general weights name a subset twice or repeat a coordinate in "
                               f"one: {[tuple(u) for u in subsets]}")
@@ -133,9 +142,6 @@ class WeightScheme:
                        Gamma=tuple(float(g**p) for g in self.Gamma),
                        subsets={u: float(g**p) for u, g in self.subsets.items()})
 
-    def sqrt(self) -> "WeightScheme":
-        return self.powered(0.5)
-
     # -- the workhorse -----------------------------------------------------
 
     def combine(self, eta) -> np.ndarray:
@@ -173,18 +179,22 @@ class WeightScheme:
     def from_dict(data) -> "WeightScheme":
         """A scheme from any JSON value, read as the JSON wire format: gamma and
         Gamma are arrays of numbers, subsets an object of numbers (a JSON true
-        is not a number).  A fault of that format raises `_MalformedWeights`."""
+        is not a number), and each form takes only the keys it reads.  A fault
+        of that format raises `_MalformedWeights`."""
         if not isinstance(data, dict):
             raise _MalformedWeights(f"{data!r} is not a JSON object")
         form = data.get("form")
-        if form == "product":
-            return WeightScheme.product(_json_numbers(data, "gamma", list))
-        if form == "pod":
-            return WeightScheme.pod(_json_numbers(data, "Gamma", list),
-                                    _json_numbers(data, "gamma", list))
-        if form != "general":
+        reads = {"product": ("form", "gamma"), "pod": ("form", "gamma", "Gamma"),
+                 "general": ("form", "subsets", "s")}.get(form)
+        if reads is None:
             raise _MalformedWeights(f"unknown weight form {form!r}")
-        keys = _json_numbers(data, "subsets", dict)
+        if unread := [key for key in data if key not in reads]:
+            raise _MalformedWeights(f"form {form!r} takes only the keys {reads}, not {unread}")
+        if form == "product":
+            return WeightScheme.product(_json_numbers(data, "gamma"))
+        if form == "pod":
+            return WeightScheme.pod(_json_numbers(data, "Gamma"), _json_numbers(data, "gamma"))
+        keys = _json_numbers(data, "subsets")
         subsets = {_subset_key(key): g for key, g in keys.items()}
         if len(subsets) < len(keys):
             raise DomainError(f"general weights name a subset twice: {list(keys)}")
@@ -199,11 +209,11 @@ class _MalformedWeights(DomainError):
     or a missing key."""
 
 
-def _json_numbers(data: dict, key: str, kind: type):
-    """data[key] if it is a JSON array (kind list) or object (kind dict) of numbers."""
+def _json_numbers(data: dict, key: str):
+    """data[key] if it is a JSON array of numbers, or for subsets an object of numbers."""
     if key not in data:
         raise _MalformedWeights(f"form {data['form']!r} needs the key {key!r}")
-    value = data[key]
+    value, kind = data[key], dict if key == "subsets" else list
     numbers = value.values() if isinstance(value, dict) else value
     if type(value) is not kind or not all(type(g) in (int, float) for g in numbers):
         raise _MalformedWeights(f"{key!r} must be a JSON {'array' if kind is list else 'object'}"

@@ -171,7 +171,7 @@ def _shift_pairs(weights: WeightScheme, rule: LatticeRule, fold: np.ndarray,
     twice except delta = 0 and, for even h, delta = h/2.  `combine` reads a
     block of deltas (s * deltas * h <= one block budget) as the s shifted
     slices of [E, E], uncopied."""
-    order = _HalfOrder(rule.N, fold)
+    order = _HalfOrder(fold)
     a2, h, s = order.a2, len(order.cand), rule.s
     shifts = order.index(np.array(rule.z, dtype=np.int64)).tolist()
     delta = np.arange(h // 2 + 1)
@@ -239,8 +239,9 @@ def korobov_residue_table(alpha: float, N: int) -> np.ndarray:
     return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
 
 
-def _rader_half(N: int, g: int, h: int) -> np.ndarray:
-    """perm[i] = g^i mod N for i < h, filled by doubling the known prefix."""
+def _rader_half(N: int, g: int) -> np.ndarray:
+    """perm[i] = g^i mod N for i < h = N // 2, filled by doubling the known prefix."""
+    h = N // 2
     perm = np.empty(h, dtype=np.int64)
     perm[0] = 1
     k = 1
@@ -252,8 +253,8 @@ def _rader_half(N: int, g: int, h: int) -> np.ndarray:
 
 
 class _HalfOrder:
-    """The half points of Z_N and the residue table w(r) = table[r], in the
-    one order that both the CBC sweep and the closed form walk.
+    """The half points of Z_N and the residue table w(r) = table[r], N = len(table),
+    in the one order that both the CBC sweep and the closed form walk.
 
     The summand of a point n depends on n only through w(n z_j mod N), and
     w(r) = w(N - r), so the point n stands for n and N - n.  The half points
@@ -265,15 +266,15 @@ class _HalfOrder:
     of a2 that starts at k + m.  Other N have no such order (non-units), so
     a2 is None, cand = 1..N//2 and a residue is a gather from the table."""
 
-    def __init__(self, N: int, table: np.ndarray):
-        h = N // 2
+    def __init__(self, table: np.ndarray):
+        N = len(table)
         self.N, self.table, self.a2, self.block = N, table, None, np.empty(0)
         if is_prime(N):
-            perm = _rader_half(N, primitive_root(N), h)
+            perm = _rader_half(N, primitive_root(N))
             self.cand = np.minimum(perm, N - perm, out=perm)
             self.a2 = table[np.concatenate([self.cand, self.cand])]
         else:
-            self.cand = np.arange(1, h + 1, dtype=np.int64)
+            self.cand = np.arange(1, N // 2 + 1, dtype=np.int64)
         self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
 
     def index(self, z: np.ndarray) -> np.ndarray:
@@ -315,7 +316,7 @@ def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRul
     alpha = _smoothness("korobov", alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
-    order = _HalfOrder(rule.N, korobov_residue_table(alpha, rule.N))
+    order = _HalfOrder(korobov_residue_table(alpha, rule.N))
     idx = order.index(np.array(rule.z, dtype=np.int64)).tolist()
     mult, step = order.mult, _block_rows(rule.s)
     total = 0.0
@@ -372,7 +373,7 @@ class CbcCriterion:
             object.__setattr__(self, name, value)
 
     def modified_weights(self) -> WeightScheme:
-        """gamma_u f^|u|, the weights of the transform's middle term (tent, sym)."""
+        """gamma'_u (tent) or gamma''_u (sym) = gamma_u f^|u|, the middle term's weights."""
         if self.factor is None:
             raise DomainError(f"{self.kind} has no transform weight factor")
         return self.base_weights.scaled_per_coordinate(self.factor)
@@ -380,7 +381,7 @@ class CbcCriterion:
     def effective_weights(self) -> WeightScheme:
         if self.factor is None:
             return self.base_weights
-        return self.modified_weights().sqrt()
+        return self.modified_weights().powered(0.5)
 
     def leading_weights(self, s: int) -> WeightScheme:
         """The effective product or POD weights of the first s coordinates."""
@@ -397,16 +398,6 @@ class CbcCriterion:
         if eff.s != rule.s:
             eff = self.leading_weights(rule.s)
         return wce_sq_korobov_lattice(self.korobov_order, eff, rule).value
-
-
-def tent_modified_weights(weights: WeightScheme) -> WeightScheme:
-    """gamma'_u = gamma_u f^|u| with the tent factor f of `CbcCriterion`."""
-    return CbcCriterion("tent", weights).modified_weights()
-
-
-def sym_modified_weights(alpha: int, weights: WeightScheme) -> WeightScheme:
-    """gamma''_u = gamma_u f^|u| with the sym factor f of `CbcCriterion`, even alpha."""
-    return CbcCriterion("sym", weights, alpha).modified_weights()
 
 
 def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:

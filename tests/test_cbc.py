@@ -210,7 +210,7 @@ def test_half_order(N):
     of the doubled table, not a copy; every other row lives in the order's
     one block, allocated once for the largest request."""
     table = korobov_residue_table(1, N)  # distinct values at r = 0..N//2
-    order = _HalfOrder(N, table)
+    order = _HalfOrder(table)
     h, prime = N // 2, order.a2 is not None
     assert order.cand[0] == 1 and sorted(order.cand.tolist()) == list(range(1, h + 1))
     assert order.mult.shape == (h + 1,) and np.sum(order.mult) == N
@@ -254,7 +254,7 @@ def test_scorers_match_brute_force(N, scorer_class):
         w = rng.random(N)
         w = w + w[-n % N]
         brute = _brute_force_scores(N, omega, w)
-        half = _HalfOrder(N, omega)
+        half = _HalfOrder(omega)
         t = scorer_class(half).score(half.mult * w[np.concatenate(([0], half.cand))])
         assert t.shape == (N // 2,)
         assert np.max(np.abs(t - brute[half.cand - 1])) <= 1e-12 * np.max(np.abs(brute))
@@ -273,7 +273,7 @@ def test_prime_plain_scores_equal_the_residue_matrix_product(N, form):
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     w = (WeightScheme.product(gam) if form == "product"
          else WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gam))
-    order = _HalfOrder(N, korobov_residue_table(1, N))
+    order = _HalfOrder(korobov_residue_table(1, N))
     h = len(order.cand)
     scorer = cbc._PlainScorer(order)
     state = _Running(w, order.mult.shape)
@@ -305,7 +305,7 @@ def test_prime_plain_builds_no_residue_matrix(monkeypatch):
 def test_folded_rader_order_covers_half_range(N):
     g = primitive_root(N)
     h = (N - 1) // 2
-    perm = _rader_half(N, g, h)
+    perm = _rader_half(N, g)
     assert perm.tolist() == [pow(g, i, N) for i in range(h)]
     assert sorted(np.minimum(perm, N - perm).tolist()) == list(range(1, h + 1))
 
@@ -333,7 +333,7 @@ def test_smooth_length_is_minimal():
 ])
 def test_fft_length_depends_only_on_the_largest_prime_factor_of_h(N, L):
     assert cbc.FFT_DIRECT_MAX_PRIME == 97
-    assert cbc._FftScorer(_HalfOrder(N, korobov_residue_table(1, N))).L == L
+    assert cbc._FftScorer(_HalfOrder(korobov_residue_table(1, N))).L == L
 
 
 def _full_range_greedy(N, s, crit):

@@ -191,10 +191,11 @@ def test_experiment_takes_composite_n_as_cbc_does(tmp_path, monkeypatch):
 
 
 def test_runtime_imports_only_numpy():
-    """The package and its CLI load neither the test oracles' scipy and mpmath
-    nor concurrent.futures, which the quadratic form's pool imports on first use."""
-    code = ("import sys, latticeqmc, latticeqmc.cli; "
-            "print([m for m in ('scipy', 'mpmath', 'concurrent.futures') if m in sys.modules])")
+    """The package and its CLI load neither the test oracles' scipy and mpmath,
+    nor concurrent.futures, nor numpy.polynomial, which the quadrature rule
+    loads on first use."""
+    code = ("import sys, latticeqmc, latticeqmc.cli; print([m for m in ('scipy', 'mpmath', "
+            "'concurrent.futures', 'numpy.polynomial') if m in sys.modules])")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parent.parent
                                                           / "src"), env.get("PYTHONPATH")]))
@@ -246,6 +247,14 @@ def test_exit_code_precondition():
     ('{"form":"pod","gamma":[1]}', "needs the key 'Gamma'"),
     ('{"form":"nope","gamma":[1]}', "unknown weight form 'nope'"),
     ("null", "is not a JSON object"),
+    # each of these exited 0 with the keys its form does not read dropped
+    ('{"form":"product","gamma":[1,0.5],"s":3,"Gamma":[9,9],"gamma2":[7]}',
+     "form 'product' takes only the keys ('form', 'gamma'), not ['s', 'Gamma', 'gamma2']"),
+    ('{"form":"pod","gamma":[1],"Gamma":[1],"subsets":{"1":1}}', "not ['subsets']"),
+    # json.loads refuses an integer of 4,401 digits with a ValueError that is not a
+    # JSONDecodeError, which exited 1 with a traceback
+    pytest.param('{"form":"product","gamma":[1%s]}' % ("0" * 4400),
+                 "is not valid JSON: Exceeds the limit (4300 digits)", id="4401_digits"),
 ])
 def test_malformed_weights_are_a_precondition_violation(weights, message, capsys):
     assert main(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9",
@@ -414,6 +423,10 @@ def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp
     pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
                   '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
                  "error: weights cover 3 coordinates, rule has 2", id="wce/dimension_mismatch"),
+    # float() overflowed on a weight of 401 digits, which exited 1 with a traceback
+    pytest.param(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9", "--weights",
+                  '{"form": "product", "gamma": [1%s]}' % ("0" * 400)], 2,
+                 "error: weights must be finite and nonnegative", id="bound/beyond_double"),
     pytest.param(["experiment", "--name", "figure1", "--n-list", "14"], 2,
                  "error: 14 is not a Fibonacci number", id="experiment/not_fibonacci"),
     pytest.param(["cbc", "--n", "101", "--dims", "2", "--criterion", "sym", "--alpha", "310",

@@ -22,7 +22,6 @@ from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     CbcCriterion,
     corollary_bound,
-    sym_modified_weights,
     wce_sq_korobov_lattice,
     wce_sq_quadratic_form,
     wce_sym_exact,
@@ -267,7 +266,9 @@ ALPHA_ENTRY_POINTS = {
     "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "real", False),
     "wce_sym_exact": (lambda a: wce_sym_exact(a, _W3, _RULE), "even", False),
     "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE), "even", False),
-    "sym_modified_weights": (lambda a: sym_modified_weights(a, _W3).gamma, "even", False),
+    # gamma'', the sym modified weights
+    "sym_modified_weights": (lambda a: CbcCriterion("sym", _W3, a).modified_weights().gamma,
+                             "even", False),
     "corollary_bound/sym": (lambda a: corollary_bound("sym", _W3, 13, 0.9, alpha=a), "even",
                             False),
     "c_sym": (lambda a: c_sym(2, 3, a), "even", False),
@@ -298,7 +299,7 @@ def test_bernoulli_table_limit_fails_at_entry_and_names_alpha():
     assert CbcCriterion("plain_korobov", _W3, 9).korobov_order == 9
     assert wce_sq_korobov_lattice(9, _W3, _RULE).value > 0.0
     assert c_sym(2, 3, 18) != 0.0
-    assert sym_modified_weights(18, _W3).s == 3
+    assert CbcCriterion("sym", _W3, 18).modified_weights().s == 3
     assert corollary_bound("sym", _W3, 13, 0.9, alpha=18).value > 0.0
 
 

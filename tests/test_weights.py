@@ -95,7 +95,7 @@ def test_scaled_and_powered_schemes():
     w = WeightScheme.product([0.9, 0.4])
     scaled = w.scaled_per_coordinate(0.25)
     assert scaled.weight_of([1, 2]) == pytest.approx(0.9 * 0.4 * 0.25**2, rel=1e-15)
-    root = w.sqrt()
+    root = w.powered(0.5)
     assert root.weight_of([1, 2]) == pytest.approx(np.sqrt(0.9 * 0.4), rel=1e-15)
     g = WeightScheme.general(2, {frozenset({1, 2}): 0.5})
     assert g.scaled_per_coordinate(0.1).weight_of([1, 2]) == pytest.approx(0.5 * 0.01, rel=1e-15)
@@ -361,7 +361,10 @@ def test_validation():
         WeightScheme.product([1.0]).combine(np.zeros((3, 2)))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 # float() of these raised OverflowError
+                                 pytest.param(10**400, id="10**400"),
+                                 pytest.param(-10**400, id="-10**400")])
 def test_non_finite_weights_rejected(bad):
     with pytest.raises(DomainError):
         WeightScheme.product([1.0, bad, 0.5])

@@ -23,8 +23,6 @@ from latticeqmc.worst_case_error import (
     ErrorReport,
     corollary_bound,
     korobov_residue_table,
-    sym_modified_weights,
-    tent_modified_weights,
     wce_sq_korobov_lattice,
     wce_sq_quadratic_form,
     wce_sym_bound,
@@ -196,18 +194,18 @@ def test_quadratic_form_at_non_integer_alpha_matches_polylog_double_sum():
 
 def test_modified_weight_values():
     w = WeightScheme.product([1.0])
-    wp = tent_modified_weights(w)
+    wp = CbcCriterion("tent", w).modified_weights()
     assert wp.gamma[0] == pytest.approx(58.0 / (12.0 * math.pi**4), rel=1e-15)
     w2 = WeightScheme.general(2, {frozenset({1, 2}): 1.0, frozenset({1}): 0.0})
-    wp2 = tent_modified_weights(w2)
+    wp2 = CbcCriterion("tent", w2).modified_weights()
     assert wp2.weight_of([1, 2]) == pytest.approx((58.0 / (12.0 * math.pi**4)) ** 2, rel=1e-14)
     assert wp2.weight_of([1]) == 0.0
-    ws = sym_modified_weights(2, w)
+    ws = CbcCriterion("sym", w, 2).modified_weights()
     assert ws.gamma[0] == pytest.approx(3.0 / (2**5 * math.pi**4), rel=1e-15)
-    ws4 = sym_modified_weights(4, w)
+    ws4 = CbcCriterion("sym", w, 4).modified_weights()
     assert ws4.gamma[0] == pytest.approx(3.0 / (2**9 * math.pi**8), rel=1e-15)
     with pytest.raises(DomainError):
-        sym_modified_weights(3, w)
+        CbcCriterion("sym", w, 3).modified_weights()
 
 
 def test_tent_bound_composition():
@@ -280,9 +278,9 @@ def test_middle_term_matches_brute_force_dual_enumeration():
         rule = random_rule(rng, N, s)
         w = WeightScheme.product(rng.random(s))
         for middle, modified, order in (
-                (wce_tent_middle_term(w, rule), tent_modified_weights(w), 1),
-                (wce_sym_middle_term(2, w, rule), sym_modified_weights(2, w), 1),
-                (wce_sym_middle_term(4, w, rule), sym_modified_weights(4, w), 2)):
+                (wce_tent_middle_term(w, rule), CbcCriterion("tent", w).modified_weights(), 1),
+                (wce_sym_middle_term(2, w, rule), CbcCriterion("sym", w, 2).modified_weights(), 1),
+                (wce_sym_middle_term(4, w, rule), CbcCriterion("sym", w, 4).modified_weights(), 2)):
             box_sum = 2.0 * sum(k ** (-2.0 * order) for k in range(1, kmax + 1))
             lower = upper = 0.0
             for mask in range(1, 1 << s):
@@ -381,14 +379,15 @@ def test_float_positive_alpha_is_stored_as_an_int():
 def test_float_even_alpha_is_the_integer_alpha():
     rule = LatticeRule(N=13, z=(1, 5, 3))
     w = WeightScheme.product([1.0, 0.5, 0.25])
-    assert sym_modified_weights(4.0, w).gamma == sym_modified_weights(4, w).gamma
+    assert (CbcCriterion("sym", w, 4.0).modified_weights().gamma
+            == CbcCriterion("sym", w, 4).modified_weights().gamma)
     assert CbcCriterion("sym", w, 4.0).value(rule) == CbcCriterion("sym", w, 4).value(rule)
     assert wce_sym_exact(4.0, w, rule) == wce_sym_exact(4, w, rule)
     assert wce_sym_middle_term(4.0, w, rule) == wce_sym_middle_term(4, w, rule)
     assert corollary_bound("sym", w, 13, 0.5, alpha=4.0) == corollary_bound("sym", w, 13, 0.5,
                                                                              alpha=4)
     for bad in (2.5, 3, 3.0, 0):
-        for call in (lambda: sym_modified_weights(bad, w),
+        for call in (lambda: CbcCriterion("sym", w, bad).modified_weights(),
                      lambda: CbcCriterion("sym", w, bad),
                      lambda: wce_sym_exact(bad, w, rule),
                      lambda: wce_sym_middle_term(bad, w, rule),
