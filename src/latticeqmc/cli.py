@@ -47,13 +47,15 @@ def _load_weights(arg: str) -> WeightScheme:
         with open(arg) as fh:
             arg = fh.read()
     try:
-        return WeightScheme.from_dict(json.loads(arg, object_pairs_hook=_unique_keys))
-    except _MalformedWeights as exc:
-        raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
-    except DomainError:  # a key named twice, or a value the scheme refuses
+        data = json.loads(arg, object_pairs_hook=_unique_keys)
+    except DomainError:  # a key named twice
         raise
     except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() reads
         raise DomainError(f"--weights {source} is not valid JSON: {exc}") from exc
+    try:
+        return WeightScheme.from_dict(data)
+    except _MalformedWeights as exc:
+        raise DomainError(f"--weights {source} has a malformed value: {exc}") from exc
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:

@@ -35,11 +35,10 @@ C1 = 1.3  # the exponent of f1 in every study
 CSV_HEADER = "N,points_used,err_lattice,err_tent,err_sym,parity"
 
 _PRESETS = {  # name: (integrand, s, decay of omega_j and of the CBC weights, c2)
-    "figure1": ("bivar", 2, 0, 1.0),  # on Fibonacci rules
     "f1_s20": ("f1", 20, 2, 1.0), "f2c1_s20": ("f2", 20, 2, 1.0), "f2c2_s20": ("f2", 20, 2, 2.0),
     "f1_s100": ("f1", 100, 3, 1.0), "f2c1_s100": ("f2", 100, 3, 1.0), "f2c2_s100": ("f2", 100, 3, 2.0),
 }
-PRESET_NAMES = tuple(_PRESETS)
+PRESET_NAMES = ("figure1", *_PRESETS)  # figure1: the bivariate integrand on Fibonacci rules
 
 
 # -- integrands ---------------------------------------------------------------
@@ -99,12 +98,12 @@ class ExperimentConfig:
 
 def experiment_config(name: str) -> ExperimentConfig:
     """The named experiment presets (N grids are defaults, override as needed)."""
+    if name == "figure1":
+        return ExperimentConfig(name=name, N_list=tuple(fibonacci(m) for m in range(7, 26)),
+                                dims=2, integrand="bivar")
     if name not in _PRESETS:
         raise DomainError(f"unknown experiment {name!r}; choose from {PRESET_NAMES}")
     integrand, s, decay, c2 = _PRESETS[name]
-    if integrand == "bivar":
-        return ExperimentConfig(name=name, N_list=tuple(fibonacci(m) for m in range(7, 26)),
-                                dims=s, integrand=integrand)
     j = np.arange(1, s + 1, dtype=float)
     return ExperimentConfig(
         name=name, N_list=tuple(nearest_prime(2**p) for p in range(6, 15)), dims=s,

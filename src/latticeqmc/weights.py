@@ -35,8 +35,7 @@ def _check_weights(values) -> None:
 
 
 def _double(g) -> float:
-    """float(g), or inf for an integer beyond the double range, which
-    `_check_weights` then refuses as it refuses 1e400."""
+    """float(g), or inf for an integer beyond the double range, refused as 1e400 is."""
     try:
         return float(g)
     except OverflowError:
@@ -185,7 +184,7 @@ class WeightScheme:
             raise _MalformedWeights(f"{data!r} is not a JSON object")
         form = data.get("form")
         reads = {"product": ("form", "gamma"), "pod": ("form", "gamma", "Gamma"),
-                 "general": ("form", "subsets", "s")}.get(form)
+                 "general": ("form", "subsets", "s")}.get(form) if type(form) is str else None
         if reads is None:
             raise _MalformedWeights(f"unknown weight form {form!r}")
         if unread := [key for key in data if key not in reads]:
@@ -225,10 +224,14 @@ def _subset_key(key) -> tuple[int, ...]:
     """The coordinates a general-weights key names, "1,3" or "1, 3": ASCII
     decimal integers >= 1 joined by commas, spaces around each allowed."""
     parts = [t.strip(" ") for t in key.split(",")] if type(key) is str else [""]
-    if not all(t.isascii() and t.isdigit() and int(t) >= 1 for t in parts):
+    try:
+        coords = tuple(int(t) for t in parts if t.isascii() and t.isdigit())
+    except ValueError:  # more digits than int() reads
+        coords = ()
+    if len(coords) < len(parts) or min(coords) < 1:
         raise _MalformedWeights(f"subset key {key!r} is not a comma-separated list of "
                                 "coordinates >= 1")
-    return tuple(int(t) for t in parts)
+    return coords
 
 
 class _Running:

@@ -255,6 +255,10 @@ def test_exit_code_precondition():
     # JSONDecodeError, which exited 1 with a traceback
     pytest.param('{"form":"product","gamma":[1%s]}' % ("0" * 4400),
                  "is not valid JSON: Exceeds the limit (4300 digits)", id="4401_digits"),
+    # these exited 1 with a TypeError traceback, and "is not valid JSON" for valid JSON
+    ('{"form":["product"],"gamma":[1]}', "has a malformed value: unknown weight form ['product']"),
+    pytest.param('{"form":"general","subsets":{"1%s":1}}' % ("0" * 4300),
+                 "has a malformed value: subset key '1000", id="key_of_4301_digits"),
 ])
 def test_malformed_weights_are_a_precondition_violation(weights, message, capsys):
     assert main(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9",

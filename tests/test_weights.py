@@ -137,12 +137,19 @@ def test_derived_schemes_equal_the_constructor_built_ones():
     *(pytest.param({"form": "general", "subsets": {key: 1.0}}, f"subset key {key!r}",
                    id=f"key={key!r}")
       for key in ("1_0", "+2", "\uff11", "0", "-1", "", "1,,2", "a", 1)),
+    pytest.param({"form": "general", "subsets": {"1" + "0" * 4300: 1.0}}, "subset key '1000",
+                 id="key=4301_digits"),
+    pytest.param({"form": ["product"], "gamma": [1]}, "unknown weight form ['product']",
+                 id="form=array"),
+    pytest.param({"form": {}}, "unknown weight form {}", id="form=object"),
 ])
 def test_from_dict_refuses_every_format_fault_with_a_domain_error(data, fragment):
     """Each of these once raised KeyError or AttributeError (the int key 1
     of a Python dict too), was read as another subset ("1_0" as 10, "+2" as
     2, the full-width one as 1), or was refused as "dimension must be >= 1"
-    ("0", "-1")."""
+    ("0", "-1").  A key of more digits than int() reads raised its
+    ValueError, and a form that is an array or object the TypeError of an
+    unhashable dict key."""
     with pytest.raises(DomainError, match=re.escape(fragment)):
         WeightScheme.from_dict(data)
 
