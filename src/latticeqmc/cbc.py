@@ -10,7 +10,7 @@ compute it.  Since omega(r) = omega(N - r), T(z) = T(N - z) for every N,
 and the tie rule keeps the smaller of the two, so the upper half of 1..N-1
 is never scored.  For the same reason W(n) = W(N - n), so the state is kept
 on half the points, each standing for n and N - n, in the order of
-`worst_case_error._HalfOrder`, which the closed-form recheck walks too: for
+`numtheory._HalfOrder`, which the closed-form recheck walks too: for
 prime N, n = 0 and the powers g^i of a primitive root g, i < h = (N-1)/2
 (Rader order), for other N, n = 0..N//2.  The plain scorer sums directly,
 O(N) per candidate: at prime N one dot product of a slice of the Rader
@@ -39,9 +39,9 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .kernels import _block_rows
 from .lattice import LatticeRule
-from .numtheory import prime_factors
+from .numtheory import _HalfOrder, _integer, prime_factors
 from .weights import _Running
-from .worst_case_error import CbcCriterion, _HalfOrder, korobov_residue_table
+from .worst_case_error import CbcCriterion, korobov_residue_table
 
 TIE_TOL = 1e-10
 # The largest prime factor of h = (N-1)/2 up to which one rfft/irfft pair of
@@ -144,6 +144,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     maps a score index to its candidate (index 0 is z = 1); the scorer gives
     T over `cand` from the state's weight vector times the multiplicities,
     and the row of the chosen candidate is its residues at the half points."""
+    N, s = _integer(N, "N"), _integer(s, "s")
     if N < 2:
         raise DomainError(f"need N >= 2, got {N}")
     if s < 1:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .kernels import _block_rows
-from .numtheory import fibonacci
+from .numtheory import _integer, fibonacci
 from .special_functions import _kmax
 
 MAX_N = 2**31  # keeps n*z products inside int64
@@ -37,12 +37,15 @@ def _open_text(path):
 
 @dataclass(frozen=True)
 class LatticeRule:
-    """A rank-1 rule: N points in dimension s with generating vector z."""
+    """A rank-1 rule: N points in dimension s with generating vector z, both
+    stored as Python ints (any integer type is taken, a bool or a float is not)."""
 
     N: int
     z: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _integer(self.N, "N"))
+        object.__setattr__(self, "z", tuple(_integer(zj, "generator entry") for zj in self.z))
         if self.N < 1 or self.N > MAX_N:
             raise DomainError(f"N must be in 1..{MAX_N}, got {self.N}")
         if not self.z:

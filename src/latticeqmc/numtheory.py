@@ -1,17 +1,34 @@
-"""Small integer-arithmetic helpers: primality, primitive roots, Fibonacci numbers.
+"""Small integer-arithmetic helpers: primality, primitive roots, Fibonacci
+numbers, and the order in which fast CBC and the Korobov closed form walk Z_N.
 
 Primality uses the deterministic Miller-Rabin base set that is exact for all
 64-bit integers, so `is_prime` is a proof, not a probabilistic test, in the
-range this package operates in.
+range this package operates in.  `_HalfOrder` is the one home of that order:
+the half points of Z_N, at prime N in the Rader order of a primitive root
+(Nuyens & Cools 2006), with the residue table laid out along it.
 """
 
 from __future__ import annotations
+
+import operator
+
+import numpy as np
 
 from .errors import DomainError
 
 # Witnesses proven sufficient for n < psi_12 = 318665857834031151167461, the least
 # strong pseudoprime to all twelve, so for every 64-bit input.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int, from any integer type (`operator.index`) but bool."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -73,6 +90,71 @@ def primitive_root(n: int) -> int:
         if all(pow(g, (n - 1) // p, n) != 1 for p in factors):
             return g
     raise RuntimeError(f"no primitive root found for prime {n}")  # unreachable
+
+
+def _rader_half(N: int, g: int) -> np.ndarray:
+    """perm[i] = g^i mod N for i < h = N // 2, filled by doubling the known prefix."""
+    h = N // 2
+    perm = np.empty(h, dtype=np.int64)
+    perm[0] = 1
+    k = 1
+    while k < h:
+        m = min(k, h - k)
+        perm[k : k + m] = perm[:m] * pow(g, k, N) % N
+        k += m
+    return perm
+
+
+class _HalfOrder:
+    """The half points of Z_N and the residue table w(r) = table[r], N = len(table),
+    in the one order that both the CBC sweep and the closed form walk.
+
+    The summand of a point n depends on n only through w(n z_j mod N), and
+    w(r) = w(N - r), so the point n stands for n and N - n.  The half points
+    are n = 0 (index 0) then cand[i] (index i + 1), counted mult times; the
+    candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
+    primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
+    g^h = -1 makes w(cand[i]) of period h in i, and a2 holds it for i < 2h,
+    so the residues of the points cand[m..] under z = cand[k] are the slice
+    of a2 that starts at k + m.  Other N have no such order (non-units), so
+    a2 is None, cand = 1..N//2 and a residue is a gather from the table."""
+
+    def __init__(self, table: np.ndarray):
+        N = len(table)
+        self.N, self.table, self.a2, self.block = N, table, None, np.empty(0)
+        if is_prime(N):
+            perm = _rader_half(N, primitive_root(N))
+            self.cand = np.minimum(perm, N - perm, out=perm)
+            self.a2 = table[np.concatenate([self.cand, self.cand])]
+        else:
+            self.cand = np.arange(1, N // 2 + 1, dtype=np.int64)
+        self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
+
+    def index(self, z: np.ndarray) -> np.ndarray:
+        """The i with cand[i] = min(z, N - z), for each entry of z in 1..N-1."""
+        pos = np.empty(len(self.cand) + 1, dtype=np.int64)
+        pos[self.cand] = np.arange(len(self.cand))
+        return pos[np.minimum(z, self.N - z)]
+
+    def residues(self, idx, lo: int, hi: int):
+        """w(n cand[k] mod N) at the half points lo..hi-1, one row per k in
+        idx: past n = 0 at prime N, slices of a2 (no copy); else the rows of
+        one block that the order reuses, valid until the next call."""
+        if self.a2 is not None and lo > 0:
+            return [self.a2[k + lo - 1 : k + hi - 1] for k in idx]
+        m, n = len(idx), hi - lo
+        if self.block.size < m * n:
+            self.block = np.empty(m * n)
+        out = self.block[: m * n].reshape(m, n)
+        if self.a2 is not None:
+            out[:, 0] = self.table[0]
+            for k, row in zip(idx, out):
+                row[1:] = self.a2[k : k + n - 1]
+            return out
+        r = np.multiply.outer(self.cand[idx], np.arange(lo, hi))
+        np.remainder(r, self.N, out=r)
+        # every index is already reduced mod N; "clip" keeps numpy from buffering out
+        return np.take(self.table, r, out=out, mode="clip")
 
 
 def nearest_prime(n: int) -> int:

@@ -15,13 +15,13 @@ Squared worst-case errors come from three routes that cross-check each other:
   average) are summed once with their multiplicity, and kernel symmetry
   leaves one triangle of the pairs.  `_shift_pairs` takes a rank-1 rule at
   an odd prime N and its table of folded numerators (tent points, or the
-  sym error): in the Rader order of `_HalfOrder` every coordinate's
-  numerators are one cyclic shift of a single sequence, so each block of
-  kernel values is made once for all s coordinates;
+  sym error): in the Rader order of `numtheory._HalfOrder` every
+  coordinate's numerators are one cyclic shift of a single sequence, so
+  each block of kernel values is made once for all s coordinates;
 * the group-collapsed closed form for rank-1 lattice rules in Korobov
-  spaces, exact in O(N s) for product weights at every alpha > 1/2 (the
-  residue table is kappa: Bernoulli polynomials within the tables, else its
-  polylog expansion).
+  spaces, exact in O(N s) for product weights at every alpha > 1/2 on the
+  half points of `numtheory._HalfOrder` (the residue table is kappa:
+  Bernoulli polynomials within the tables, else its polylog expansion).
 
 The tent and reflection chains share one shape: exact error <= middle term
 sum_u gamma_u f^|u| (sum_{k_u in dual_u} prod 1/|k_j|^(2 o))^2 <= squared
@@ -44,7 +44,7 @@ from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import KernelSpec, _block_rows, _integer_alpha, _kappa, _lattice_tables, _smoothness
 from .lattice import LatticeRule, PointSet, rank1_points, tent_transform
-from .numtheory import is_prime, primitive_root
+from .numtheory import _HalfOrder, is_prime
 from .special_functions import riemann_zeta
 from .weights import WeightScheme
 
@@ -159,11 +159,11 @@ def _shift_pairs(weights: WeightScheme, rule: LatticeRule, fold: np.ndarray,
     """The pair sum of `_row_pairs` over the folded points of a rank-1 rule at
     an odd prime N, where fold[r] is the folded numerator of the residue r.
 
-    In the `_HalfOrder` of N over fold, with its table a2 = [T, T] of period
-    h = (N - 1)/2 and k_j = order.index(z_j), the point n = 0 has numerator
-    fold[0] in every coordinate and counts once; the half point p in Z_h
-    (standing for +-g^p) counts twice, and its numerator in coordinate j is
-    a2[p + k_j].  So the n = 0 cross terms are the s slices [k_j, k_j + h)
+    In the `numtheory._HalfOrder` of N over fold, with its table a2 = [T, T]
+    of period h = (N - 1)/2 and k_j = order.index(z_j), the point n = 0 has
+    numerator fold[0] in every coordinate and counts once; the half point p in
+    Z_h (standing for +-g^p) counts twice, and its numerator in coordinate j
+    is a2[p + k_j].  So the n = 0 cross terms are the s slices [k_j, k_j + h)
     of the one row eta(fold[0], a2), and with q = p + delta, eta_j(p, q) =
     E[delta, (p + k_j) mod h] for E[delta, a] = eta(T[a], T[a + delta]): one
     block of E, made once, serves every coordinate as a shifted copy.  delta
@@ -239,79 +239,14 @@ def korobov_residue_table(alpha: float, N: int) -> np.ndarray:
     return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
 
 
-def _rader_half(N: int, g: int) -> np.ndarray:
-    """perm[i] = g^i mod N for i < h = N // 2, filled by doubling the known prefix."""
-    h = N // 2
-    perm = np.empty(h, dtype=np.int64)
-    perm[0] = 1
-    k = 1
-    while k < h:
-        m = min(k, h - k)
-        perm[k : k + m] = perm[:m] * pow(g, k, N) % N
-        k += m
-    return perm
-
-
-class _HalfOrder:
-    """The half points of Z_N and the residue table w(r) = table[r], N = len(table),
-    in the one order that both the CBC sweep and the closed form walk.
-
-    The summand of a point n depends on n only through w(n z_j mod N), and
-    w(r) = w(N - r), so the point n stands for n and N - n.  The half points
-    are n = 0 (index 0) then cand[i] (index i + 1), counted mult times; the
-    candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
-    primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
-    g^h = -1 makes w(cand[i]) of period h in i, and a2 holds it for i < 2h,
-    so the residues of the points cand[m..] under z = cand[k] are the slice
-    of a2 that starts at k + m.  Other N have no such order (non-units), so
-    a2 is None, cand = 1..N//2 and a residue is a gather from the table."""
-
-    def __init__(self, table: np.ndarray):
-        N = len(table)
-        self.N, self.table, self.a2, self.block = N, table, None, np.empty(0)
-        if is_prime(N):
-            perm = _rader_half(N, primitive_root(N))
-            self.cand = np.minimum(perm, N - perm, out=perm)
-            self.a2 = table[np.concatenate([self.cand, self.cand])]
-        else:
-            self.cand = np.arange(1, N // 2 + 1, dtype=np.int64)
-        self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
-
-    def index(self, z: np.ndarray) -> np.ndarray:
-        """The i with cand[i] = min(z, N - z), for each entry of z in 1..N-1."""
-        pos = np.empty(len(self.cand) + 1, dtype=np.int64)
-        pos[self.cand] = np.arange(len(self.cand))
-        return pos[np.minimum(z, self.N - z)]
-
-    def residues(self, idx, lo: int, hi: int):
-        """w(n cand[k] mod N) at the half points lo..hi-1, one row per k in
-        idx: past n = 0 at prime N, slices of a2 (no copy); else the rows of
-        one block that the order reuses, valid until the next call."""
-        if self.a2 is not None and lo > 0:
-            return [self.a2[k + lo - 1 : k + hi - 1] for k in idx]
-        m, n = len(idx), hi - lo
-        if self.block.size < m * n:
-            self.block = np.empty(m * n)
-        out = self.block[: m * n].reshape(m, n)
-        if self.a2 is not None:
-            out[:, 0] = self.table[0]
-            for k, row in zip(idx, out):
-                row[1:] = self.a2[k : k + n - 1]
-            return out
-        r = np.multiply.outer(self.cand[idx], np.arange(lo, hi))
-        np.remainder(r, self.N, out=r)
-        # every index is already reduced mod N; "clip" keeps numpy from buffering out
-        return np.take(self.table, r, out=out, mode="clip")
-
-
 def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     """Exact squared worst-case error of a rank-1 lattice rule in the weighted
     Korobov space of smoothness alpha (every alpha the Korobov kernel takes),
     via the single sum over the residue table.
     The summand of n equals that of N - n (w(r) = w(N - r)), so the sum runs
-    over the half points of `_HalfOrder` with their multiplicities, in the
-    order of the CBC sweep: for prime N each coordinate's residues are a
-    slice of one doubled table.  The half points go in blocks of one block
+    over the half points of `numtheory._HalfOrder` with their multiplicities,
+    in the order of the CBC sweep: for prime N each coordinate's residues are
+    a slice of one doubled table.  The half points go in blocks of one block
     budget, s residue rows each, so memory is O(N), not O(N s)."""
     alpha = _smoothness("korobov", alpha)
     if weights.s != rule.s:

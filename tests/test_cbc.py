@@ -14,13 +14,11 @@ from latticeqmc import cbc
 from latticeqmc.cbc import TIE_TOL, CbcCriterion, cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import LatticeRule, rank1_points
-from latticeqmc.numtheory import is_prime, nearest_prime, primitive_root
+from latticeqmc.numtheory import _HalfOrder, _rader_half, is_prime, nearest_prime, primitive_root
 from latticeqmc.special_functions import bernoulli_scaled
 from latticeqmc.weights import WeightScheme, _Running
 from latticeqmc.worst_case_error import (
     C_PRIME,
-    _HalfOrder,
-    _rader_half,
     corollary_bound,
     korobov_residue_table,
     wce_sq_korobov_lattice,
@@ -453,11 +451,24 @@ def test_result_serialization():
     assert res.rule() == LatticeRule(N=5, z=(1, 2))
 
 
+def test_result_at_a_numpy_n_serializes():
+    crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product([1.0, 0.5, 0.25]))
+    res = cbc_fast(np.int64(101), 3, crit)
+    assert type(res.n) is int and res == cbc_fast(101, 3, crit)
+    assert json.loads(json.dumps(res.to_dict()))["n"] == 101
+
+
 @pytest.mark.parametrize("call,fragment", [
     pytest.param(lambda: cbc_plain(13, 0, CbcCriterion("tent", WeightScheme.product([1.0]))),
                  "need s >= 1, got 0", id="sweep/s"),
     pytest.param(lambda: cbc_plain(1, 1, CbcCriterion("tent", WeightScheme.product([1.0]))),
                  "need N >= 2, got 1", id="cbc_plain/N"),
+    pytest.param(lambda: cbc_fast(101.0, 3, CbcCriterion("tent", WeightScheme.product([1.0]))),
+                 "N must be an integer, got 101.0", id="cbc_fast/float_N"),
+    pytest.param(lambda: cbc_plain(101, 3.0, CbcCriterion("tent", WeightScheme.product([1.0]))),
+                 "s must be an integer, got 3.0", id="cbc_plain/float_s"),
+    pytest.param(lambda: cbc_fast(101, True, CbcCriterion("tent", WeightScheme.product([1.0]))),
+                 "s must be an integer, got True", id="cbc_fast/bool_s"),
 ])
 def test_refusals(call, fragment):
     with pytest.raises(DomainError, match=re.escape(fragment)):

@@ -338,6 +338,12 @@ def _point_set(kind="plain", nums=((0, 1), (1, 2)), D=2):
     pytest.param(lambda: LatticeRule(N=0, z=(1,)), "N must be in 1..", id="rule/N"),
     pytest.param(lambda: LatticeRule(N=5, z=()), "generating vector must be nonempty",
                  id="rule/empty_z"),
+    pytest.param(lambda: LatticeRule(101.0, (1, 3)), "N must be an integer, got 101.0",
+                 id="rule/float_N"),
+    pytest.param(lambda: LatticeRule(101, (1.5, 3)),
+                 "generator entry must be an integer, got 1.5", id="rule/float_z"),
+    pytest.param(lambda: LatticeRule(101, (True, 3)),
+                 "generator entry must be an integer, got True", id="rule/bool_z"),
     pytest.param(lambda: _point_set(kind="halton"), "unknown point-set kind 'halton'",
                  id="point_set/kind"),
     pytest.param(lambda: PointSet(s=3, kind="plain", numerators=np.zeros((2, 2), dtype=int),

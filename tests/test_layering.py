@@ -1,0 +1,47 @@
+"""Where the benchmark's traced spans live, and what `cbc` reads of
+`worst_case_error`.
+
+A traced benchmark run fails when a span it maps records no call, so a
+function that moves out of the module its span names breaks the trace of
+every workload that span is mapped to.  These checks catch the move without
+running a workload."""
+
+import ast
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACING = _tracing()
+# Spans the tracer makes from METHODS or around np.fft, not from a module function.
+NOT_FUNCTIONS = {span for *_, span in TRACING.METHODS} | {"cbc.fft"}
+FUNCTION_SPANS = sorted({span for span, *_ in TRACING.PER_LAYER.values()} - NOT_FUNCTIONS)
+
+
+@pytest.mark.parametrize("span", FUNCTION_SPANS)
+def test_traced_span_names_a_public_function_of_its_module(span):
+    layer, name = span.split(".")
+    module = importlib.import_module(f"latticeqmc.{layer}")
+    fn = getattr(module, name, None)
+    assert not name.startswith("_") and inspect.isfunction(fn), span
+    assert fn.__module__ == f"latticeqmc.{layer}", f"{span} is defined in {fn.__module__}"
+
+
+def test_cbc_imports_no_private_name_of_worst_case_error():
+    tree = ast.parse((ROOT / "src" / "latticeqmc" / "cbc.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "worst_case_error"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
