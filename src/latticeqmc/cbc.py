@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GuardError
+from .errors import GuardError
 from .kernels import _block_rows
 from .lattice import LatticeRule
 from .numtheory import _HalfOrder, _integer, prime_factors
@@ -144,11 +144,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     maps a score index to its candidate (index 0 is z = 1); the scorer gives
     T over `cand` from the state's weight vector times the multiplicities,
     and the row of the chosen candidate is its residues at the half points."""
-    N, s = _integer(N, "N"), _integer(s, "s")
-    if N < 2:
-        raise DomainError(f"need N >= 2, got {N}")
-    if s < 1:
-        raise DomainError(f"need s >= 1, got {s}")
+    N, s = _integer(N, "N", 2), _integer(s, "s", 1)
     order = _HalfOrder(korobov_residue_table(crit.korobov_order, N))
     mult, prime = order.mult, order.a2 is not None
     scorer = (_FftScorer if fft and prime else _PlainScorer)(order)

@@ -26,7 +26,7 @@ from .lattice import (
     symmetrize,
     tent_transform,
 )
-from .numtheory import fibonacci, nearest_prime
+from .numtheory import _integer, fibonacci, nearest_prime
 from .weights import WeightScheme
 from .worst_case_error import C_PRIME
 
@@ -90,6 +90,8 @@ class ExperimentConfig:
     cbc_gamma: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "N_list", tuple(_integer(N, "N") for N in self.N_list))
+        object.__setattr__(self, "dims", _integer(self.dims, "dims"))
         if list(self.N_list) != sorted(set(self.N_list)):
             raise DomainError("N_list must be strictly increasing")
         if self.integrand == "bivar" and self.dims != 2:

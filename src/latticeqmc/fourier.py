@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError
 from .kernels import _integer_alpha, kernel_1d
 from .lattice import tent
+from .numtheory import _integer
 from .quadrature import composite_gauss_legendre
-from .special_functions import _kmax
 
 C_PRIME = 58.0 / 3.0  # uniform bound constant: 0 <= c_phi(k,l) <= C_PRIME/(k^2 l^2)
 _SEPARABLE = np.array([[52.0 / 3.0, -16.0 / pi**2, 0.0],
@@ -36,9 +36,10 @@ _SEPARABLE = np.array([[52.0 / 3.0, -16.0 / pi**2, 0.0],
 
 
 def _indices(k, l):
+    """k and l as float arrays, if every entry is a finite integer value >= 1."""
     k, l = np.asarray(k, dtype=float), np.asarray(l, dtype=float)
-    if np.any(k < 1) or np.any(l < 1):
-        raise DomainError("indices must be positive")
+    if not all(np.all((v >= 1) & (v < np.inf) & (v == np.floor(v))) for v in (k, l)):
+        raise DomainError("indices must be positive integers")
     return k, l
 
 
@@ -68,9 +69,8 @@ def c_sym(k, l, alpha: int):
 
 def sin_tent_coeff(k: int, l: int) -> float:
     """Coefficient of cos(2 pi l x) in the expansion of sin(2 pi k tent(x)):
-    (8/pi) k / (4 k^2 - l^2) for odd l, zero for even l."""
-    if k < 1 or l < 1:
-        raise DomainError("indices must be positive")
+    (8/pi) k / (4 k^2 - l^2) for odd l, zero for even l; k and l are integers >= 1."""
+    k, l = _integer(k, "k", 1), _integer(l, "l", 1)
     if l % 2 == 0:
         return 0.0
     return 8.0 / pi * k / (4.0 * k**2 - l**2)
@@ -79,7 +79,7 @@ def sin_tent_coeff(k: int, l: int) -> float:
 def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
     """(1/pi^4) sum_{k,l<=kmax} c_phi(k,l) cos(2 pi k x) cos(2 pi l y),
     evaluated in O(kmax) through the separable form (module doc)."""
-    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
+    k = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)
     odd = k % 2
     v = np.array([odd / k**2, odd / k**4, (1.0 - odd) / k**2])
     cx, cy = np.cos(2 * pi * k * x), np.cos(2 * pi * k * y)
@@ -106,23 +106,23 @@ def cosine_coeff_quadrature(f, k: int, weight: str = "cos2pi") -> float:
     """
     if weight not in _WEIGHTS:
         raise DomainError(f"unknown weight {weight!r}; choose from {sorted(_WEIGHTS)}")
-    if k < 0:
+    if (k := _integer(k, "k")) < 0:
         raise DomainError("k must be nonnegative")
     w = _WEIGHTS[weight]
     return composite_gauss_legendre(lambda t: np.asarray(f(t)) * w(k, t), 64, (0.5,))
 
 
 def appendix_inner_sum(l: int, which: str, kmax: int) -> tuple[float, float]:
-    """Partial sum and closed form of the two auxiliary series over odd l:
+    """Partial sum and closed form of the two auxiliary series at an odd integer l >= 1:
 
     first:  sum_k 1/(4k^2 - l^2)   = 1/(2 l^2)
     second: sum_k 1/(4k^2 - l^2)^2 = (1/(4 l^2)) (pi^2/4 - 2/l^2)
     """
-    if l < 1 or l % 2 == 0:
+    if (l := _integer(l, "l", 1)) % 2 == 0:
         raise DomainError(f"l must be a positive odd integer, got {l}")
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
-    den = np.arange(1, _kmax(kmax) + 1, dtype=float)  # k, then each term, in place
+    den = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)  # k, then each term, in place
     den *= den
     den *= 4.0
     den -= float(l) ** 2

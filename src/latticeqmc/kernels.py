@@ -37,8 +37,9 @@ def _block_rows(row_elems: int) -> int:
 
 def _integer_alpha(alpha, step: int = 1) -> int:
     """alpha as an int, if it is an integer >= step divisible by step (step 1:
-    a positive integer, step 2: an even one); 4.0 becomes 4."""
-    if alpha is None or not step <= alpha < inf or alpha % step != 0:
+    a positive integer, step 2: an even one); 4.0 becomes 4, a bool is refused."""
+    if (alpha is None or isinstance(alpha, (bool, np.bool_))
+            or not step <= alpha < inf or alpha % step != 0):
         raise DomainError(f"alpha must be an integer >= {step} divisible by {step}, got {alpha}")
     return int(alpha)
 
@@ -53,12 +54,12 @@ def _closed_form(family: str, alpha) -> bool:
 
 def _smoothness(family: str, alpha):
     """The one smoothness rule: alpha as the family takes it.  Every family
-    needs a finite alpha > 1/2; a Bernoulli closed form (`_closed_form`) also
-    needs an integer alpha whose degree 2 alpha the tables reach, returned as
-    an int.  A kernel on `_kappa` keeps alpha as given."""
+    needs a finite alpha > 1/2, not a bool; a Bernoulli closed form
+    (`_closed_form`) also needs an integer alpha whose degree 2 alpha the
+    tables reach, returned as an int.  A kernel on `_kappa` keeps alpha as given."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
-    if alpha is None or not 0.5 < alpha < inf:
+    if alpha is None or isinstance(alpha, (bool, np.bool_)) or not 0.5 < alpha < inf:
         raise DomainError(f"{family} requires a finite alpha > 1/2, got {alpha}")
     if not _closed_form(family, alpha):
         return alpha

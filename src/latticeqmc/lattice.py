@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .kernels import _block_rows
 from .numtheory import _integer, fibonacci
-from .special_functions import _kmax
 
 MAX_N = 2**31  # keeps n*z products inside int64
 SYMMETRIZE_DIM_GUARD = 20
@@ -71,8 +70,9 @@ class PointSet:
     """An ordered multiset of points in [0,1]^s with exact rational coordinates.
 
     numerators is an integer array of shape (n_points, s) with at least one
-    point; every coordinate is numerators/denominator, an integer >= 1.
-    kind is one of "plain", "tent", "symmetrized".
+    point; every coordinate is numerators/denominator.  s and the denominator are
+    integers >= 1, stored as Python ints.  kind is one of "plain", "tent",
+    "symmetrized".
     """
 
     s: int
@@ -81,6 +81,8 @@ class PointSet:
     denominator: int
 
     def __post_init__(self):
+        object.__setattr__(self, "s", _integer(self.s, "s", 1))
+        object.__setattr__(self, "denominator", _integer(self.denominator, "denominator", 1))
         if self.kind not in ("plain", "tent", "symmetrized"):
             raise DomainError(f"unknown point-set kind {self.kind!r}")
         if not (isinstance(self.numerators, np.ndarray)
@@ -90,8 +92,6 @@ class PointSet:
             raise DomainError("numerators must have shape (n_points, s)")
         if len(self.numerators) == 0:
             raise DomainError("a point set needs at least one point")
-        if not isinstance(self.denominator, (int, np.integer)) or self.denominator < 1:
-            raise DomainError(f"denominator must be an integer >= 1, got {self.denominator}")
         if self.numerators.min() < 0 or self.numerators.max() > self.denominator:
             raise DomainError("coordinates must lie in [0, 1]")
 
@@ -176,7 +176,7 @@ def distinct_count(ps: PointSet) -> int:
     key in radix D + 1, counted by one sort; larger sets compare rows as tuples."""
     if ps.kind != "symmetrized":
         raise DomainError("distinct_count is defined for symmetrized point sets")
-    radix = int(ps.denominator) + 1
+    radix = ps.denominator + 1
     if radix**ps.s < 2**63:
         place = radix ** np.arange(ps.s, dtype=np.int64)
         keys = ps.numerators.astype(np.int64, copy=False) @ place
@@ -186,8 +186,8 @@ def distinct_count(ps: PointSet) -> int:
 
 
 def is_dual(k, rule: LatticeRule) -> bool:
-    """True iff k . z = 0 mod N (exact integers)."""
-    k = [int(v) for v in k]
+    """True iff k . z = 0 mod N, for k a vector of integers (exact arithmetic)."""
+    k = [_integer(v, "k entry") for v in k]
     if len(k) != rule.s:
         raise DomainError(f"k has length {len(k)}, rule dimension is {rule.s}")
     return sum(kj * zj for kj, zj in zip(k, rule.z)) % rule.N == 0
@@ -200,10 +200,10 @@ def dual_projected(rule: LatticeRule, u, kmax: int) -> list[tuple[int, ...]]:
     mod N, in lexicographic order.  This is a verification oracle, not a
     production path; the scan size is guarded.
     """
-    u = sorted(set(int(j) for j in u))
+    u = sorted(set(_integer(j, "u entry") for j in u))
     if not u or u[0] < 1 or u[-1] > rule.s:
         raise DomainError(f"u must be a nonempty subset of 1..{rule.s}")
-    kmax = _kmax(kmax)
+    kmax = _integer(kmax, "kmax", 1)
     if (2 * kmax) ** len(u) > DUAL_SCAN_GUARD:
         raise GuardError(f"dual scan of size (2*{kmax})^{len(u)} exceeds the guard")
     values = [k for k in range(-kmax, kmax + 1) if k != 0]
@@ -216,7 +216,7 @@ def dual_projected(rule: LatticeRule, u, kmax: int) -> list[tuple[int, ...]]:
 
 
 def character_sum(rule: LatticeRule, k, method: str = "exact") -> float:
-    """(1/N) sum over lattice points of e^{2 pi i k . x}.
+    """(1/N) sum over lattice points of e^{2 pi i k . x}, for k a vector of integers.
 
     The exact path evaluates the dual-membership criterion (k . z mod N) and
     returns 1.0 or 0.0.  The float path actually sums the complex
@@ -226,16 +226,14 @@ def character_sum(rule: LatticeRule, k, method: str = "exact") -> float:
         return 1.0 if is_dual(k, rule) else 0.0
     if method == "float":
         x = rank1_points(rule).points
-        k = np.asarray(list(k), dtype=float)
+        k = np.array([_integer(v, "k entry") for v in k], dtype=float)
         phases = 2.0 * np.pi * (x @ k)
         return float(np.mean(np.cos(phases)))
     raise DomainError(f"unknown method {method!r}")
 
 
 def fibonacci_rule(m: int) -> LatticeRule:
-    """The 2-d rule with N = F_m points and z = (1, F_{m-1})."""
-    if m < 3:
-        raise DomainError(f"Fibonacci rules need m >= 3, got {m}")
-    if m > 46:
+    """The 2-d rule with N = F_m points and z = (1, F_{m-1}), for an integer m >= 3."""
+    if (m := _integer(m, "m", 3)) > 46:
         raise GuardError("F_m exceeds the supported point-count range for m > 46")
     return LatticeRule(N=fibonacci(m), z=(1, fibonacci(m - 1)))

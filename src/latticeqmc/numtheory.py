@@ -1,5 +1,5 @@
-"""Small integer-arithmetic helpers: primality, primitive roots, Fibonacci
-numbers, and the order in which fast CBC and the Korobov closed form walk Z_N.
+"""Small integer-arithmetic helpers: the one integer rule (`_integer`), primality,
+primitive roots, Fibonacci numbers, and the order fast CBC and the closed form walk Z_N.
 
 Primality uses the deterministic Miller-Rabin base set that is exact for all
 64-bit integers, so `is_prime` is a proof, not a probabilistic test, in the
@@ -21,18 +21,20 @@ from .errors import DomainError
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _integer(value, what: str) -> int:
-    """value as a Python int, from any integer type (`operator.index`) but bool."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+def _integer(value, what: str, low: int | None = None) -> int:
+    """The one integer rule of every count, index and size: value as a Python int,
+    from any integer type (`operator.index`) but bool, and >= low if low is given."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    n = operator.index(value)
+    if low is not None and n < low:
+        raise DomainError(f"{what} must be >= {low}, got {n}")
+    return n
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < 2**64; larger n are refused."""
+    n = _integer(n, "n")
     if n < 2:
         return False
     if n >= 2**64:
@@ -59,9 +61,8 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 2 by trial division."""
-    if n < 2:
-        raise DomainError(f"prime_factors requires n >= 2, got {n}")
+    """Distinct prime factors of an integer n >= 2 by trial division."""
+    n = _integer(n, "n", 2)
     out = []
     d = 2
     while d * d <= n:
@@ -81,7 +82,7 @@ def primitive_root(n: int) -> int:
     Returns 1 for n = 2 (the group is trivial).  Verified by checking
     g^((n-1)/p) != 1 mod n for every prime factor p of n - 1.
     """
-    if not is_prime(n):
+    if not is_prime(n := _integer(n, "n")):
         raise DomainError(f"primitive_root requires a prime, got {n}")
     if n == 2:
         return 1
@@ -158,7 +159,8 @@ class _HalfOrder:
 
 
 def nearest_prime(n: int) -> int:
-    """Prime closest to n; ties between n-d and n+d resolve upward."""
+    """Prime closest to the integer n; ties between n-d and n+d resolve upward."""
+    n = _integer(n, "n")
     if n < 3:
         return 2
     d = 0
@@ -171,9 +173,8 @@ def nearest_prime(n: int) -> int:
 
 
 def fibonacci(m: int) -> int:
-    """F_m with F_1 = F_2 = 1."""
-    if m < 1:
-        raise DomainError(f"fibonacci index must be >= 1, got {m}")
+    """F_m with F_1 = F_2 = 1, for an integer m >= 1."""
+    m = _integer(m, "fibonacci index", 1)
     a, b = 1, 1
     for _ in range(m - 1):
         a, b = b, a + b

@@ -7,6 +7,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DomainError
+from .numtheory import _integer
 
 
 @cache
@@ -22,7 +23,7 @@ def composite_gauss_legendre(f, panels: int, breakpoints=()) -> float:
     kinks (tent compositions, |x - y| factors) stay smooth panel by panel.
     f must accept numpy arrays.
     """
-    if panels < 1:
+    if (panels := _integer(panels, "panels")) < 1:
         raise DomainError("panels must be positive")
     cuts = sorted(set([0.0, 1.0] + [float(t) for t in breakpoints if 0.0 < t < 1.0]))
     edges = [np.linspace(lo, hi, max(1, round(panels * (hi - lo))) + 1)

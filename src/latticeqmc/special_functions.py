@@ -18,6 +18,7 @@ from math import comb, expm1, factorial, fsum, gamma, inf, log, pi, sin
 import numpy as np
 
 from .errors import DomainError
+from .numtheory import _integer
 
 MAX_DEGREE = 16
 
@@ -47,7 +48,7 @@ def bernoulli_coefficients(tau: int) -> tuple[Fraction, ...]:
 
     B_tau(x) = sum_k C(tau, k) B_{tau-k} x^k.
     """
-    if tau < 0 or tau > MAX_DEGREE:
+    if not 0 <= (tau := _integer(tau, "degree")) <= MAX_DEGREE:
         raise DomainError(f"degree must be in 0..{MAX_DEGREE}, got {tau}")
     numbers = bernoulli_numbers()
     return tuple(Fraction(comb(tau, k)) * numbers[tau - k] for k in range(tau + 1))
@@ -74,13 +75,6 @@ def bernoulli_poly(tau: int, x):
 def bernoulli_scaled(tau: int, x):
     """b_tau(x) = B_tau(x) / tau!."""
     return bernoulli_poly(tau, x) / factorial(tau)
-
-
-def _kmax(kmax) -> int:
-    """kmax as an int: every series truncation is an integer >= 1 (not a bool)."""
-    if isinstance(kmax, bool) or not isinstance(kmax, (int, np.integer)) or kmax < 1:
-        raise DomainError(f"kmax must be an integer >= 1, got {kmax!r}")
-    return int(kmax)
 
 
 _EM_COEFFS = tuple(float(bernoulli_numbers()[2 * j] / factorial(2 * j)) for j in range(1, 8))

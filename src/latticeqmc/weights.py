@@ -25,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, GuardError
+from .numtheory import _integer
 
 GENERAL_DIM_GUARD = 20
 
@@ -58,8 +59,7 @@ class WeightScheme:
     subsets: dict[frozenset[int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.s < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.s}")
+        object.__setattr__(self, "s", _integer(self.s, "dimension", 1))
         if self.form not in ("product", "pod", "general"):
             raise DomainError(f"unknown weight form {self.form!r}")
         # each form leaves the fields it does not use empty
@@ -74,7 +74,7 @@ class WeightScheme:
             if self.s > GENERAL_DIM_GUARD:
                 raise GuardError(f"general weights limited to s <= {GENERAL_DIM_GUARD}")
             for u in self.subsets:
-                if not u or not all(1 <= j <= self.s for j in u):
+                if not u or not all(1 <= _integer(j, "subset coordinate") <= self.s for j in u):
                     raise DomainError(f"bad subset {sorted(u)} for dimension {self.s}")
 
     # -- constructors ------------------------------------------------------
@@ -101,8 +101,8 @@ class WeightScheme:
     # -- basic queries -----------------------------------------------------
 
     def weight_of(self, u) -> float:
-        """gamma_u for an arbitrary subset of 1..s (empty set -> 1)."""
-        u = frozenset(u)
+        """gamma_u for an arbitrary subset of the integers 1..s (empty set -> 1)."""
+        u = frozenset(_integer(j, "subset coordinate") for j in u)
         if not u:
             return 1.0
         if not all(1 <= j <= self.s for j in u):

@@ -44,7 +44,7 @@ from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import KernelSpec, _block_rows, _integer_alpha, _kappa, _lattice_tables, _smoothness
 from .lattice import LatticeRule, PointSet, rank1_points, tent_transform
-from .numtheory import _HalfOrder, is_prime
+from .numtheory import _HalfOrder, _integer, is_prime
 from .special_functions import riemann_zeta
 from .weights import WeightScheme
 
@@ -214,7 +214,7 @@ def _tent_lattice(ps: PointSet) -> LatticeRule | None:
     is an odd prime, else None.  Row n = 1 holds 2 min(z_j, N - z_j), and the
     folded z of a rule gives the same tent points, so one O(N s) regeneration
     decides."""
-    N, nums = int(ps.denominator), ps.numerators
+    N, nums = ps.denominator, ps.numerators
     if ps.kind != "tent" or N < 3 or len(ps) != N or not is_prime(N):
         return None
     z = nums[1] // 2
@@ -235,6 +235,7 @@ def korobov_residue_table(alpha: float, N: int) -> np.ndarray:
     w(N - r) = w(r), and the table holds it bit for bit: r <= N/2 is
     evaluated and mirrored, so sums over the half points n <= N/2 and over
     another order of the points (the CBC sweep's) read the same values."""
+    N = _integer(N, "N", 1)
     half = _kappa(alpha, np.arange(N // 2 + 1, dtype=float) / N)
     return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
 

@@ -6,7 +6,8 @@ import numpy as np
 
 from latticeqmc.errors import DomainError
 from latticeqmc.kernels import _smoothness
-from latticeqmc.special_functions import _ROUND_UP, _kmax, _zeta_tail, bernoulli_poly
+from latticeqmc.numtheory import _integer
+from latticeqmc.special_functions import _ROUND_UP, _zeta_tail, bernoulli_poly
 
 
 def bernoulli_periodic(tau: int, x):
@@ -31,7 +32,7 @@ def bernoulli_fourier_partial_sum(tau: int, x: float, kmax: int) -> float:
     """
     if tau < 2:
         raise DomainError("partial sums require tau >= 2")
-    k = np.arange(1, _kmax(kmax) + 1, dtype=float)
+    k = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)
     if tau % 2 == 0:
         m = tau // 2
         sign = -1.0 if m % 2 == 0 else 1.0
@@ -44,13 +45,13 @@ def bernoulli_fourier_partial_sum(tau: int, x: float, kmax: int) -> float:
 def fourier_tail_bound(tau: int, kmax: int) -> float:
     """Rigorous bound on |b_tau(x) - partial sum|, uniform in x: 2 (2 pi)^-tau sum_{k>kmax}
     k^-tau (`_zeta_tail`), rounded up once more for the three roundings of the factor."""
-    return 2.0 / (2 * pi) ** tau * _zeta_tail(float(tau), _kmax(kmax) + 1) * _ROUND_UP
+    return 2.0 / (2 * pi) ** tau * _zeta_tail(float(tau), _integer(kmax, "kmax", 1) + 1) * _ROUND_UP
 
 
 def korobov_series_1d(alpha: float, x, y, kmax: int):
     """1 + kappa(|x - y|) by the series kappa(t) = 2 sum_{k<=kmax} cos(2 pi k t) / k^(2 alpha)
     truncated at kmax, for any alpha > 1/2; within `series_tail_bound` of the kernel."""
-    alpha, k = _smoothness("cosine", alpha), np.arange(1, _kmax(kmax) + 1, dtype=float)
+    alpha, k = _smoothness("cosine", alpha), np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)
     t = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     out = 1.0 + np.cos(2 * pi * np.multiply.outer(t, k)) @ (2.0 * k ** (-2 * alpha))
     return out if out.ndim else float(out)
@@ -60,4 +61,4 @@ def series_tail_bound(alpha: float, kmax: int) -> float:
     """Uniform bound on the truncation error of the series of kappa at kmax, and of every
     kernel on it: kappa drops at most 2 sum_{k>kmax} k^(-2 alpha) (`_zeta_tail`), and the
     coefficients of each family on kappa sum to 1."""
-    return 2.0 * _zeta_tail(2 * _smoothness("cosine", alpha), _kmax(kmax) + 1)
+    return 2.0 * _zeta_tail(2 * _smoothness("cosine", alpha), _integer(kmax, "kmax", 1) + 1)

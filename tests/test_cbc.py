@@ -460,9 +460,9 @@ def test_result_at_a_numpy_n_serializes():
 
 @pytest.mark.parametrize("call,fragment", [
     pytest.param(lambda: cbc_plain(13, 0, CbcCriterion("tent", WeightScheme.product([1.0]))),
-                 "need s >= 1, got 0", id="sweep/s"),
+                 "s must be >= 1, got 0", id="sweep/s"),
     pytest.param(lambda: cbc_plain(1, 1, CbcCriterion("tent", WeightScheme.product([1.0]))),
-                 "need N >= 2, got 1", id="cbc_plain/N"),
+                 "N must be >= 2, got 1", id="cbc_plain/N"),
     pytest.param(lambda: cbc_fast(101.0, 3, CbcCriterion("tent", WeightScheme.product([1.0]))),
                  "N must be an integer, got 101.0", id="cbc_fast/float_N"),
     pytest.param(lambda: cbc_plain(101, 3.0, CbcCriterion("tent", WeightScheme.product([1.0]))),

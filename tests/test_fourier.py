@@ -189,7 +189,11 @@ def test_appendix_suite_all_green():
 
 
 @pytest.mark.parametrize("call,fragment", [
-    pytest.param(lambda: sin_tent_coeff(0, 1), "indices must be positive", id="sin_tent_coeff"),
+    pytest.param(lambda: sin_tent_coeff(0, 1), "k must be >= 1, got 0", id="sin_tent_coeff"),
+    pytest.param(lambda: c_phi(1.5, 1.5), "indices must be positive", id="c_phi/fraction"),
+    pytest.param(lambda: c_sym(2, 2.5, 2), "indices must be positive", id="c_sym/fraction"),
+    pytest.param(lambda: c_phi(math.nan, 1), "indices must be positive", id="c_phi/nan"),
+    pytest.param(lambda: c_phi(math.inf, 1), "indices must be positive", id="c_phi/inf"),
     pytest.param(lambda: cosine_coeff_quadrature(np.cos, 1, weight="tan"),
                  "unknown weight 'tan'", id="cosine_coeff_quadrature/weight"),
     pytest.param(lambda: cosine_coeff_quadrature(np.cos, -1), "k must be nonnegative",

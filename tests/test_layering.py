@@ -1,10 +1,11 @@
-"""Where the benchmark's traced spans live, and what `cbc` reads of
-`worst_case_error`.
+"""Where the benchmark's traced spans live, what `cbc` reads of
+`worst_case_error`, and which module decides what an integer input is.
 
 A traced benchmark run fails when a span it maps records no call, so a
 function that moves out of the module its span names breaks the trace of
 every workload that span is mapped to.  These checks catch the move without
-running a workload."""
+running a workload.  Every count, index and size goes through
+`numtheory._integer`, so no other module checks integers on its own."""
 
 import ast
 import importlib.util
@@ -45,3 +46,30 @@ def test_cbc_imports_no_private_name_of_worst_case_error():
                if isinstance(node, ast.ImportFrom) and node.module == "worst_case_error"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _integer_checks(tree):
+    """The integer checks a module makes itself: calls of operator.index, and
+    isinstance tests against int or np.integer."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func == "operator.index":
+            yield ast.unparse(node)
+        elif func == "isinstance" and len(node.args) == 2:
+            spec = node.args[1]
+            names = [ast.unparse(e) for e in getattr(spec, "elts", [spec])]
+            if any(n == "int" or n.endswith(".integer") for n in names):
+                yield ast.unparse(node)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "latticeqmc").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_numtheory_decides_what_an_integer_is(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.stem != "numtheory":
+        assert list(_integer_checks(tree)) == [], "read integers through numtheory._integer"
+    if path.stem == "special_functions":
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "_kmax" not in defined

@@ -1,12 +1,34 @@
-"""Primality over the whole 64-bit range, and the integer helpers' refusals."""
+"""Primality over the whole 64-bit range, the integer helpers' refusals, and the
+one integer rule that every count, index and size of the package goes through."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError
-from latticeqmc.numtheory import fibonacci, is_prime, nearest_prime, prime_factors
+from latticeqmc.experiments import ExperimentConfig
+from latticeqmc.fourier import (
+    appendix_inner_sum,
+    cosine_coeff_quadrature,
+    sin_tent_coeff,
+    tent_kernel_partial_sum,
+)
+from latticeqmc.lattice import (
+    LatticeRule,
+    PointSet,
+    character_sum,
+    dual_projected,
+    fibonacci_rule,
+    is_dual,
+)
+from latticeqmc.numtheory import fibonacci, is_prime, nearest_prime, prime_factors, primitive_root
+from latticeqmc.quadrature import composite_gauss_legendre
+from latticeqmc.special_functions import bernoulli_poly
+from latticeqmc.weights import WeightScheme
+from latticeqmc.worst_case_error import CbcCriterion, corollary_bound, korobov_residue_table
 
 # the least strong pseudoprime to all twelve bases 2..37: 399165290221 * 798330580441
 PSI_12 = 318665857834031151167461
@@ -43,9 +65,71 @@ def test_nearest_prime_below_three_is_two():
 @pytest.mark.parametrize("call,fragment", [
     pytest.param(lambda: is_prime(PSI_12), "exact for n < 2**64", id="is_prime/psi_12"),
     pytest.param(lambda: is_prime(2**64), "exact for n < 2**64", id="is_prime/2^64"),
-    pytest.param(lambda: prime_factors(1), "prime_factors requires n >= 2", id="prime_factors"),
+    pytest.param(lambda: prime_factors(1), "n must be >= 2, got 1", id="prime_factors"),
     pytest.param(lambda: fibonacci(0), "fibonacci index must be >= 1", id="fibonacci"),
 ])
 def test_refusals(call, fragment):
     with pytest.raises(DomainError, match=re.escape(fragment)):
         call()
+
+
+_W3 = WeightScheme.product([1.0, 0.5, 0.25])
+_TENT = CbcCriterion("tent", _W3)
+_RULE = LatticeRule(5, (1, 2))
+
+# Every integer parameter of the package, called with it: (call, the low bound it
+# takes or None, whether the call returns the value as stored).  Each call accepts 3.
+INTEGER_ENTRY_POINTS = {
+    "is_prime": (is_prime, None, False),
+    "nearest_prime": (nearest_prime, None, True),
+    "prime_factors": (prime_factors, 2, False),
+    "primitive_root": (primitive_root, None, False),
+    "fibonacci": (fibonacci, 1, False),
+    "corollary_bound/N": (lambda n: corollary_bound("tent", _W3, n, 0.9).value, None, False),
+    "LatticeRule/N": (lambda n: LatticeRule(n, (1, 2)).N, None, True),
+    "LatticeRule/z": (lambda n: LatticeRule(5, (1, n)).z[1], None, True),
+    "PointSet/s": (lambda n: PointSet(s=n, kind="plain", numerators=np.zeros((1, 3), dtype=int),
+                                      denominator=1).s, 1, True),
+    "PointSet/denominator": (lambda n: PointSet(s=1, kind="plain", numerators=np.array([[1]]),
+                                                denominator=n).denominator, 1, True),
+    "fibonacci_rule": (fibonacci_rule, 3, False),
+    "dual_projected/kmax": (lambda n: dual_projected(_RULE, [1, 2], n), 1, False),
+    "dual_projected/u": (lambda n: dual_projected(LatticeRule(13, (1, 5, 3)), [1, n], 2), None,
+                         False),
+    "is_dual/k": (lambda n: is_dual((n, 2), _RULE), None, False),
+    "character_sum/float_k": (lambda n: character_sum(_RULE, (n, 2), method="float"), None, False),
+    "cbc/N": (lambda n: cbc_fast(n, 2, _TENT).z, 2, False),
+    "cbc/s": (lambda n: cbc_plain(13, n, _TENT).z, 1, False),
+    "tent_kernel_partial_sum/kmax": (lambda n: tent_kernel_partial_sum(0.2, 0.7, n), 1, False),
+    "appendix_inner_sum/kmax": (lambda n: appendix_inner_sum(3, "first", n), 1, False),
+    "appendix_inner_sum/l": (lambda n: appendix_inner_sum(n, "second", 10), 1, False),
+    "sin_tent_coeff/k": (lambda n: sin_tent_coeff(n, 1), 1, False),
+    "sin_tent_coeff/l": (lambda n: sin_tent_coeff(1, n), 1, False),
+    "cosine_coeff_quadrature/k": (lambda n: cosine_coeff_quadrature(np.cos, n), None, False),
+    "WeightScheme/s": (lambda n: WeightScheme(s=n, form="general").s, 1, True),
+    # tuples, not sets: {1, True} is {1}
+    "weight_of": (lambda n: _W3.weight_of((2, n)), None, False),
+    "general/subset": (lambda n: WeightScheme.general(3, {(2, n): 0.5}).weight_of((2, 3)), None,
+                       False),
+    "ExperimentConfig/N_list": (lambda n: ExperimentConfig("x", (n, 13), 2, "bivar").N_list[0],
+                                None, True),
+    "ExperimentConfig/dims": (lambda n: ExperimentConfig("x", (13,), n, "f1").dims, None, True),
+    "bernoulli_poly/degree": (lambda n: bernoulli_poly(n, 0.3), None, False),
+    "composite_gauss_legendre/panels": (lambda n: composite_gauss_legendre(np.cos, n), None,
+                                        False),
+    "korobov_residue_table/N": (lambda n: korobov_residue_table(2, n).tolist(), 1, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ENTRY_POINTS))
+def test_every_integer_entry_applies_the_one_integer_rule(name):
+    call, low, stores = INTEGER_ENTRY_POINTS[name]
+    for value in (2.5, 3.0, np.float64(3.0), True, None, "3", math.nan):
+        with pytest.raises(DomainError, match=re.escape(f"must be an integer, got {value!r}")):
+            call(value)
+    if low is not None:
+        with pytest.raises(DomainError, match=re.escape(f"must be >= {low}, got {low - 1}")):
+            call(low - 1)
+    assert call(np.int64(3)) == call(3) == call(np.int32(3))
+    if stores:
+        assert type(call(np.int64(3))) is int
