@@ -22,7 +22,8 @@ side of that correlation is real, even and of period h, so it folds to one
 real correlation of length h (`np.fft.rfft`), taken at length h when no
 prime factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a
 5-smooth length >= 2h - 1 otherwise; O(N log N) per dimension.  `cbc_fast`
-scores with it at prime N and with the plain scorer elsewhere.
+scores with it at prime N and with the plain scorer elsewhere.  It and the
+sweep fill arrays they own, so a prime-N dimension allocates nothing.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
@@ -94,7 +95,7 @@ class _PlainScorer:
     def score(self, w: np.ndarray) -> np.ndarray:
         order, h = self.order, len(self.order.cand)
         if order.a2 is not None:
-            return order.table[0] * w[0] + np.correlate(order.a2[: 2 * h - 1], w[1:], "valid")
+            return order.w0 * w[0] + np.correlate(order.a2[: 2 * h - 1], w[1:], "valid")
         step = min(_block_rows(h + 1), h)
         return np.concatenate([order.residues(range(lo, min(lo + step, h)), 0, h + 1) @ w
                                for lo in range(0, h, step)])
@@ -120,7 +121,9 @@ class _FftScorer:
     of a is shared by all dimensions.  When h has a prime factor above
     FFT_DIRECT_MAX_PRIME, c is the head of the linear correlation of
     a2[:2h - 1] = [a, a[:h-1]] (`_HalfOrder`) with w, zero-padded to the
-    smallest 5-smooth length >= 2h - 1.
+    smallest 5-smooth length >= 2h - 1.  The spectrum and the correlation are
+    the scorer's own, filled in place (`out=`, numpy >= 2.0); `score`
+    returns a view of the correlation, valid until the next call.
     """
 
     def __init__(self, order: _HalfOrder):
@@ -128,11 +131,16 @@ class _FftScorer:
         direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
         self.L = h if direct else _smooth_length(2 * h - 1)
         self.f_a = np.fft.rfft(order.a2[: 2 * h - 1], self.L)  # rfft crops to a2[:h] at L = h
-        self.omega0 = order.table[0]
+        self.omega0 = order.w0
+        self.spectrum, self.c = np.empty_like(self.f_a), np.empty(self.L)
 
     def score(self, w: np.ndarray) -> np.ndarray:
-        c = np.fft.irfft(self.f_a * np.conj(np.fft.rfft(w[1:], self.L)), self.L)
-        return self.omega0 * w[0] + c[: len(w) - 1]
+        f = np.fft.rfft(w[1:], self.L, out=self.spectrum)
+        # f_a first at every L: numpy's complex multiply is not bitwise commutative
+        np.multiply(self.f_a, np.conj(f, out=f), out=f)
+        c = np.fft.irfft(f, self.L, out=self.c)[: len(w) - 1]
+        c += self.omega0 * w[0]
+        return c
 
 
 def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
@@ -143,12 +151,15 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     The state is kept on the half points of the `_HalfOrder`, whose `cand`
     maps a score index to its candidate (index 0 is z = 1); the scorer gives
     T over `cand` from the state's weight vector times the multiplicities,
-    and the row of the chosen candidate is its residues at the half points."""
+    and the row of the chosen candidate is its residues at the half points.
+    The weighted state is the sweep's own array; the scores are made in
+    place in the scorer's output (the plain scorer's is fresh)."""
     N, s = _integer(N, "N", 2), _integer(s, "s", 1)
     order = _HalfOrder(korobov_residue_table(crit.korobov_order, N))
     mult, prime = order.mult, order.a2 is not None
     scorer = (_FftScorer if fft and prime else _PlainScorer)(order)
     state = _Running(crit.leading_weights(s), mult.shape)
+    wv = np.empty_like(mult)
     z: list[int] = []
     errs: list[float] = []
     for _ in range(s):
@@ -156,7 +167,9 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
         if errs:
             # weights that overflow make the minimum non-finite, which _select refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                scores = errs[-1] + scorer.score(mult * state.weight_vector()) / N
+                scores = scorer.score(np.multiply(mult, state.weight_vector(), out=wv))
+                scores /= N
+                scores += errs[-1]
             i = _select(scores, order.cand)
         state.add(order.residues([i], 0, len(mult))[0])
         z.append(int(order.cand[i]))

@@ -36,9 +36,12 @@ _SEPARABLE = np.array([[52.0 / 3.0, -16.0 / pi**2, 0.0],
 
 
 def _indices(k, l):
-    """k and l as float arrays, if every entry is a finite integer value >= 1."""
+    """k and l as float arrays, if every entry is a finite integer value >= 1
+    and neither is of a bool dtype."""
+    kinds = np.asarray(k).dtype.kind + np.asarray(l).dtype.kind
     k, l = np.asarray(k, dtype=float), np.asarray(l, dtype=float)
-    if not all(np.all((v >= 1) & (v < np.inf) & (v == np.floor(v))) for v in (k, l)):
+    whole = all(np.all((v >= 1) & (v < np.inf) & (v == np.floor(v))) for v in (k, l))
+    if "b" in kinds or not whole:
         raise DomainError("indices must be positive integers")
     return k, l
 

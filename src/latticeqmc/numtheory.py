@@ -117,19 +117,24 @@ class _HalfOrder:
     primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
     g^h = -1 makes w(cand[i]) of period h in i, and a2 holds it for i < 2h,
     so the residues of the points cand[m..] under z = cand[k] are the slice
-    of a2 that starts at k + m.  Other N have no such order (non-units), so
-    a2 is None, cand = 1..N//2 and a residue is a gather from the table."""
+    of a2 that starts at k + m; a2 has the table's dtype, and of the table
+    only w0 = w(0) is kept.  Other N have no such order (non-units), so a2
+    is None, cand = 1..N//2 and a residue is a gather from the kept table."""
 
     def __init__(self, table: np.ndarray):
-        N = len(table)
-        self.N, self.table, self.a2, self.block = N, table, None, np.empty(0)
+        N, h = len(table), len(table) // 2
+        self.N, self.w0, self.table, self.a2, self.block = N, table[0], None, None, np.empty(0)
         if is_prime(N):
             perm = _rader_half(N, primitive_root(N))
             self.cand = np.minimum(perm, N - perm, out=perm)
-            self.a2 = table[np.concatenate([self.cand, self.cand])]
+            self.a2 = np.empty(2 * h, dtype=table.dtype)
+            np.take(table, self.cand, out=self.a2[:h], mode="clip")  # unbuffered, see residues
+            self.a2[h:] = self.a2[:h]
         else:
-            self.cand = np.arange(1, N // 2 + 1, dtype=np.int64)
-        self.mult = np.concatenate(([1.0], np.where(2 * self.cand == N, 1.0, 2.0)))
+            self.table, self.cand = table, np.arange(1, h + 1, dtype=np.int64)
+        # each half point stands for n and N - n, but n = 0 and n = N/2 once
+        self.mult = np.full(h + 1, 2.0)
+        self.mult[0] = self.mult[h if N % 2 == 0 else 0] = 1.0
 
     def index(self, z: np.ndarray) -> np.ndarray:
         """The i with cand[i] = min(z, N - z), for each entry of z in 1..N-1."""
@@ -148,7 +153,7 @@ class _HalfOrder:
             self.block = np.empty(m * n)
         out = self.block[: m * n].reshape(m, n)
         if self.a2 is not None:
-            out[:, 0] = self.table[0]
+            out[:, 0] = self.w0
             for k, row in zip(idx, out):
                 row[1:] = self.a2[k : k + n - 1]
             return out

@@ -107,6 +107,10 @@ class WeightScheme:
             return 1.0
         if not all(1 <= j <= self.s for j in u):
             raise DomainError(f"subset {sorted(u)} out of range for s={self.s}")
+        return self._weight(u)
+
+    def _weight(self, u: frozenset) -> float:
+        """gamma_u for a nonempty subset of 1..s, unchecked."""
         if self.form == "general":
             return self.subsets.get(u, 0.0)
         out = self.Gamma[len(u) - 1] if self.form == "pod" else 1.0
@@ -122,7 +126,8 @@ class WeightScheme:
         elif self.s > GENERAL_DIM_GUARD:
             raise GuardError(f"subset iteration limited to s <= {GENERAL_DIM_GUARD}")
         else:
-            items = ((u, self.weight_of(u)) for k in range(1, self.s + 1)
+            # u rebuilt as in weight_of: the product follows its iteration order
+            items = ((u, self._weight(frozenset(j for j in u))) for k in range(1, self.s + 1)
                      for u in map(frozenset, combinations(range(1, self.s + 1), k)))
         for u, g in items:
             if g != 0.0:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -234,6 +235,24 @@ def test_half_order(N):
     assert order.block is block and block.size == len(js) * (h + 1)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 13, 101, 256])
+def test_half_order_keeps_the_table_only_where_it_gathers(N):
+    """At prime N the order keeps w(0) of the table and a2 in the table's dtype
+    (the integer fold tables of the shift layout), so the N entries are freed;
+    other N gather from the table and keep it.  mult is 1 at n = 0 and at
+    n = N/2 for even N, else 2."""
+    fold = np.minimum(np.arange(N), N - np.arange(N))
+    order = _HalfOrder(fold)
+    h = N // 2
+    assert order.w0 == 0 and (order.table is None) == is_prime(N)
+    if is_prime(N):
+        assert order.a2.dtype == fold.dtype and np.array_equal(order.a2, np.tile(order.cand, 2))
+    else:
+        assert order.table is fold
+    want = [1.0] + [1.0 if 2 * c == N else 2.0 for c in order.cand]
+    assert order.mult.tolist() == want and len(want) == h + 1
+
+
 @pytest.mark.parametrize("N", [2, 3, 5, 257, 641, 1009, 1021, 4079, 4099])
 @pytest.mark.parametrize("scorer_class", [cbc._PlainScorer, cbc._FftScorer],
                          ids=["_plain_scorer", "_fft_scorer"])
@@ -332,6 +351,48 @@ def test_smooth_length_is_minimal():
 def test_fft_length_depends_only_on_the_largest_prime_factor_of_h(N, L):
     assert cbc.FFT_DIRECT_MAX_PRIME == 97
     assert cbc._FftScorer(_HalfOrder(korobov_residue_table(1, N))).L == L
+
+
+@pytest.mark.parametrize("N", [1021, 227, 65537])
+def test_fft_scorer_scores_into_one_buffer_with_the_same_bits(N):
+    """The FFT scorer fills its own spectrum and correlation in place, at the
+    direct length (N = 1021, h = 510; N = 65537, h = 2^15) and padded
+    (N = 227, h = 113 above FFT_DIRECT_MAX_PRIME), with the bits of the
+    allocating expression, and returns views of one buffer, each valid until
+    the next call.  The product takes f_a first at every length: numpy's
+    complex multiply is not bitwise commutative, and `f_a * conj(...)` is
+    evaluated as conj(...) * f_a once numpy elides the temporary (256 KiB)."""
+    order = _HalfOrder(korobov_residue_table(1, N))
+    scorer, h = cbc._FftScorer(order), len(order.cand)
+    assert (scorer.L == h) == (N != 227)
+    rng = np.random.default_rng(N)
+    views = []
+    for _ in range(2):
+        w = rng.random(h + 1)
+        views.append(scorer.score(w))
+        spectrum = np.multiply(scorer.f_a, np.conj(np.fft.rfft(w[1:], scorer.L)))
+        want = np.fft.irfft(spectrum, scorer.L)[:h] + order.w0 * w[0]
+        assert views[-1].shape == (h,) and views[-1].tobytes() == want.tobytes()
+    assert np.shares_memory(*views)
+
+
+@pytest.mark.parametrize("N,units", [(16381, 12), (16187, 15)])
+def test_fft_sweep_allocates_near_its_floor(N, units):
+    """The traced peak of a warm tent sweep, in arrays of h = (N-1)/2 doubles:
+    the half order (cand, a2, mult), the FFT scorer (the rfft of a2, its
+    spectrum and correlation), the state, its weighted copy and one residue
+    row, plus the transients of `_Running`; the padded length (N = 16187,
+    h = 8093 prime) adds about three.  No dimension allocates FFT outputs."""
+    w = WeightScheme.product([1.0 / j**2 for j in range(1, 9)])
+    crit = CbcCriterion(kind="tent", base_weights=w)
+    cbc_fast(N, 8, crit)
+    tracemalloc.start()
+    try:
+        cbc_fast(N, 8, crit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= units * 8 * ((N - 1) // 2)
 
 
 def _full_range_greedy(N, s, crit):

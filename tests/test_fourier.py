@@ -194,6 +194,8 @@ def test_appendix_suite_all_green():
     pytest.param(lambda: c_sym(2, 2.5, 2), "indices must be positive", id="c_sym/fraction"),
     pytest.param(lambda: c_phi(math.nan, 1), "indices must be positive", id="c_phi/nan"),
     pytest.param(lambda: c_phi(math.inf, 1), "indices must be positive", id="c_phi/inf"),
+    pytest.param(lambda: c_phi(True, True), "indices must be positive", id="c_phi/bool"),
+    pytest.param(lambda: c_sym(True, 1, 2), "indices must be positive", id="c_sym/bool"),
     pytest.param(lambda: cosine_coeff_quadrature(np.cos, 1, weight="tan"),
                  "unknown weight 'tan'", id="cosine_coeff_quadrature/weight"),
     pytest.param(lambda: cosine_coeff_quadrature(np.cos, -1), "k must be nonnegative",

@@ -91,6 +91,31 @@ def test_nonempty_subsets_come_in_size_then_sorted_order_for_every_form():
         assert all(g == w.weight_of(u) for u, g in got)
 
 
+def test_nonempty_subsets_skip_the_integer_rule(monkeypatch):
+    """The subsets a scheme enumerates are its own, so listing them runs no
+    integer check per coordinate; `weight_of` still checks what callers pass.
+    Each gamma_u keeps the bits of weight_of(u): at s = 12, gamma_j = j^-2 the
+    product over {3, 9, 10, 11} rounds by the order its set is iterated in."""
+    from latticeqmc import weights as weights_module
+
+    gamma = [1.0 / j**2 for j in range(1, 13)]
+    schemes = (WeightScheme.product(gamma), WeightScheme.pod([1.0 + k for k in range(12)], gamma))
+    want = [[(u, w.weight_of(u)) for u, _ in w.nonempty_subsets()] for w in schemes]
+
+    def refuse(*args):
+        raise AssertionError("integer rule applied to a subset the scheme built")
+
+    monkeypatch.setattr(weights_module, "_integer", refuse)
+    for w, pairs in zip(schemes, want):
+        got = list(w.nonempty_subsets())
+        assert len(got) == 2**12 - 1 and [(u, g.hex()) for u, g in got] == [
+            (u, g.hex()) for u, g in pairs]
+    monkeypatch.undo()
+    for bad in (1.5, True):
+        with pytest.raises(DomainError, match="subset coordinate must be an integer"):
+            schemes[0].weight_of({bad})
+
+
 def test_scaled_and_powered_schemes():
     w = WeightScheme.product([0.9, 0.4])
     scaled = w.scaled_per_coordinate(0.25)
