@@ -21,10 +21,10 @@ print(f"{'N':>6} {'used':>6} {'lattice':>10} {'tent':>10} {'sym':>10}  parity")
 for r in res.rows:
     print(f"{r.N:6d} {r.points_used:6d} {r.err_lattice:10.2e} {r.err_tent:10.2e} "
           f"{r.err_sym:10.2e}  {r.parity}")
-window = (55, 6765)
+window = [r for r in res.rows if 55 <= r.N <= 6765]
 print("slopes over the window N in [55, 6765]:")
 for col in ("lattice", "tent", "sym"):
-    print(f"  {col:8s} {slope_fit(res.rows, col, window):+.2f}")
+    print(f"  {col:8s} {slope_fit(window, col):+.2f}")
 
 print("\nhigh-dimensional tent rules (CBC-built per N):")
 for name in ("f1_s20", "f2c2_s20"):

@@ -65,9 +65,12 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise DomainError(f"cannot parse {flag} {text!r} as comma-separated integers") from exc
 
 
-def _write_file(out: str, write) -> None:
-    """write(fh) to the file out, compressed by its suffix as `PointSet.to_csv`
-    compresses; a file that cannot be written is a precondition violation."""
+def _write(out: str | None, write) -> None:
+    """write(fh) to stdout (out None or "-") or to the file out, compressed by its suffix as
+    `PointSet.to_csv` compresses; a file that cannot be written is a precondition violation."""
+    if out in (None, "-"):
+        write(sys.stdout)
+        return
     try:
         with _open_text(out) as fh:
             write(fh)
@@ -76,11 +79,7 @@ def _write_file(out: str, write) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        _write_file(out, lambda fh: fh.write(text))
+    _write(out, lambda fh: fh.write(text if text.endswith("\n") else text + "\n"))
 
 
 def _cmd_points(args) -> int:
@@ -92,10 +91,8 @@ def _cmd_points(args) -> int:
         ps = symmetrize(ps)
     if args.format == "json":
         _emit(ps.to_json(), args.out)
-    elif args.out in (None, "-"):
-        ps.to_csv(sys.stdout)
     else:
-        _write_file(args.out, ps.to_csv)
+        _write(args.out, ps.to_csv)
     return 0
 
 

@@ -19,7 +19,6 @@ from .errors import DomainError
 from .kernels import _block_rows
 from .lattice import (
     LatticeRule,
-    PointSet,
     distinct_count,
     fibonacci_rule,
     rank1_points,
@@ -44,16 +43,27 @@ PRESET_NAMES = ("figure1", *_PRESETS)  # figure1: the bivariate integrand on Fib
 # -- integrands ---------------------------------------------------------------
 
 
+def _coefficients(omega, c2) -> np.ndarray:
+    """omega as a float array, refused with c2 unless every value is finite."""
+    w = np.asarray(omega, dtype=float)
+    if not (np.all(np.isfinite(w)) and math.isfinite(c2)):
+        raise DomainError(f"the integrands take a finite omega and c2, got {omega} and {c2}")
+    return w
+
+
 def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
-    """Evaluate a test integrand at points x of shape (m, s); f1 takes the exponent C1."""
+    """Evaluate a test integrand at points x in [0, 1]^s, of shape (m, s); f1 takes
+    the exponent C1.  A point outside the cube, NaN included, is refused."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # a NaN min or max compares False
+        raise DomainError("the integrands take points in [0, 1]^s, not outside it or NaN")
     if name == "bivar":
         if x.shape[1] != 2:
             raise DomainError("the bivariate integrand needs s = 2")
         return x[:, 1] * np.exp(x[:, 0] * x[:, 1]) / (math.e - 2.0)
     if name not in ("f1", "f2"):
         raise DomainError(f"unknown integrand {name!r}")
-    w = np.asarray(omega, dtype=float)
+    w = _coefficients(omega, c2)
     if x.shape[1] != len(w):
         raise DomainError(f"need {x.shape[1]} coefficients, got {len(w)}")
     if name == "f1":
@@ -64,10 +74,10 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
 def exact_integral(name: str, omega=(), c2: float = 1.0) -> float:
     """Closed-form integrals of the test integrands over the unit cube (f1 integrates
     to 1 for every exponent)."""
+    w = _coefficients(omega, c2)
     if name in ("bivar", "f1"):
         return 1.0
     if name == "f2":
-        w = np.asarray(omega, dtype=float)
         if c2 == 1.0:
             return float(np.prod(1.0 + np.log1p(w)))
         if c2 == 2.0:
@@ -169,33 +179,33 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
     and tabulate absolute errors against the exact integral."""
     target = exact_integral(cfg.integrand, cfg.omega, cfg.c2)
 
-    def qmc_error(ps: PointSet) -> float:
-        """|mean - target| from row blocks of i / float(D), the quotient .points
-        holds, so no (N, s) float view of the point set is made."""
-        nums, D, step = ps.numerators, float(ps.denominator), _block_rows(ps.s)
-        values = [integrand_eval(cfg.integrand, nums[lo:lo + step] / D, cfg.omega, cfg.c2)
-                  for lo in range(0, len(nums), step)]
+    def qmc_error(x, D=1) -> float:
+        """|mean - target| over row blocks of x / float(D): numerators over their denominator,
+        the quotient .points holds with no (N, s) float view made, or float points, D = 1."""
+        step = _block_rows(x.shape[1])
+        values = [integrand_eval(cfg.integrand, x[lo:lo + step] / float(D), cfg.omega, cfg.c2)
+                  for lo in range(0, len(x), step)]
         return abs(float(np.mean(np.concatenate(values))) - target)
 
+    ext = None if external_points is None else np.atleast_2d(np.asarray(external_points, float))
     rows = []
     vectors = {}
     for N in cfg.N_list:
         rule = _build_rule(cfg, N)
         vectors[N] = rule.z
         plain = rank1_points(rule)
-        err_lattice, err_tent = qmc_error(plain), qmc_error(tent_transform(plain))
+        err_lattice = qmc_error(plain.numerators, N)
+        err_tent = qmc_error(tent_transform(plain).numerators, N)
         err_sym = math.nan
         points_used = N
         if cfg.integrand == "bivar":
             sym = symmetrize(plain)
-            err_sym = qmc_error(sym)
+            err_sym = qmc_error(sym.numerators, sym.denominator)
             points_used = distinct_count(sym)
         err_external = math.nan
-        if external_points is not None:
-            ext = np.atleast_2d(np.asarray(external_points, dtype=float))
+        if ext is not None:
             if ext.shape[0] >= N and ext.shape[1] == cfg.dims:
-                q = float(np.mean(integrand_eval(cfg.integrand, ext[:N], cfg.omega, cfg.c2)))
-                err_external = abs(q - target)
+                err_external = qmc_error(ext[:N])
             else:
                 warnings.warn(f"external point file cannot serve N={N}, s={cfg.dims}")
         rows.append(ConvergenceRow(
@@ -204,21 +214,18 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
             err_external=err_external,
         ))
     return ExperimentResult(config=cfg, rows=tuple(rows), vectors=vectors,
-                            has_external=external_points is not None)
+                            has_external=ext is not None)
 
 
-def slope_fit(rows, column: str, window: tuple[int, int] | None = None) -> float:
-    """Least-squares slope of log(error) against log(N) over the N window.
+def slope_fit(rows, column: str) -> float:
+    """Least-squares slope of log(error) against log(N) over the given rows.
 
-    Errors at or below the 1e-15 floor are dropped with a warning (the window
-    auto-shrinks); at least three points must remain.
+    Errors at or below the 1e-15 floor are dropped with a warning; at least
+    three points must remain.
     """
-    lo, hi = window if window is not None else (0, 2**62)
     pts = []
     dropped = 0
     for r in rows:
-        if not lo <= r.N <= hi:
-            continue
         err = getattr(r, f"err_{column}")
         if not math.isfinite(err):
             continue
@@ -227,7 +234,7 @@ def slope_fit(rows, column: str, window: tuple[int, int] | None = None) -> float
             continue
         pts.append((math.log(r.N), math.log(err)))
     if dropped:
-        warnings.warn(f"{dropped} error(s) at the 1e-15 floor excluded from the slope window")
+        warnings.warn(f"{dropped} error(s) at the 1e-15 floor excluded from the slope fit")
     if len(pts) < 3:
         raise DomainError(f"slope fit needs >= 3 usable rows, got {len(pts)}")
     x = np.array([p[0] for p in pts])

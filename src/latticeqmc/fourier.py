@@ -80,8 +80,11 @@ def sin_tent_coeff(k: int, l: int) -> float:
 
 
 def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
-    """(1/pi^4) sum_{k,l<=kmax} c_phi(k,l) cos(2 pi k x) cos(2 pi l y),
-    evaluated in O(kmax) through the separable form (module doc)."""
+    """(1/pi^4) sum_{k,l<=kmax} c_phi(k,l) cos(2 pi k x) cos(2 pi l y) at x, y in [0, 1]
+    (outside it, and NaN, refused as by its reference), in O(kmax) through the
+    separable form (module doc)."""
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise DomainError("tent_kernel_partial_sum takes x and y in [0, 1]")
     k = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)
     odd = k % 2
     v = np.array([odd / k**2, odd / k**4, (1.0 - odd) / k**2])

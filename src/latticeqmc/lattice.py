@@ -138,8 +138,10 @@ def rank1_points(rule: LatticeRule) -> PointSet:
 
 
 def tent(x):
-    """The tent map 1 - |2x - 1| on [0, 1]."""
+    """The tent map 1 - |2x - 1| on [0, 1]; x outside it (and NaN) is refused."""
     x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise DomainError("tent takes x in [0, 1]")
     out = 1.0 - np.abs(2.0 * x - 1.0)
     return out if out.ndim else float(out)
 

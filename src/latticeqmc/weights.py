@@ -110,11 +110,11 @@ class WeightScheme:
         return self._weight(u)
 
     def _weight(self, u: frozenset) -> float:
-        """gamma_u for a nonempty subset of 1..s, unchecked."""
+        """gamma_u for a nonempty subset of 1..s, unchecked; the product runs in increasing j."""
         if self.form == "general":
             return self.subsets.get(u, 0.0)
         out = self.Gamma[len(u) - 1] if self.form == "pod" else 1.0
-        for j in u:
+        for j in sorted(u):
             out *= self.gamma[j - 1]
         return out
 
@@ -126,8 +126,7 @@ class WeightScheme:
         elif self.s > GENERAL_DIM_GUARD:
             raise GuardError(f"subset iteration limited to s <= {GENERAL_DIM_GUARD}")
         else:
-            # u rebuilt as in weight_of: the product follows its iteration order
-            items = ((u, self._weight(frozenset(j for j in u))) for k in range(1, self.s + 1)
+            items = ((u, self._weight(u)) for k in range(1, self.s + 1)
                      for u in map(frozenset, combinations(range(1, self.s + 1), k)))
         for u, g in items:
             if g != 0.0:
@@ -168,7 +167,7 @@ class WeightScheme:
             out = np.zeros(cols[0].shape)
             for u, g in self.nonempty_subsets():
                 term = np.ones(cols[0].shape)
-                for j in u:
+                for j in sorted(u):
                     term = term * cols[j - 1]
                 out = out + g * term
             return out

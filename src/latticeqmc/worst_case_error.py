@@ -229,13 +229,13 @@ def _tent_lattice(ps: PointSet) -> LatticeRule | None:
 
 def korobov_residue_table(alpha: float, N: int) -> np.ndarray:
     """w(r) = kappa(r / N) = 2 sum_(k >= 1) cos(2 pi k r / N) / k^(2 alpha) for
-    r = 0..N-1, from `_kappa` at every alpha > 1/2 (at an integer alpha within
-    the Bernoulli tables, (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N)).
+    r = 0..N-1, from `_kappa` at alpha read through `_smoothness` (at an integer
+    alpha within the Bernoulli tables, (-1)^(alpha+1) (2 pi)^(2 alpha) b_(2 alpha)(r / N)).
 
     w(N - r) = w(r), and the table holds it bit for bit: r <= N/2 is
     evaluated and mirrored, so sums over the half points n <= N/2 and over
     another order of the points (the CBC sweep's) read the same values."""
-    N = _integer(N, "N", 1)
+    alpha, N = _smoothness("korobov", alpha), _integer(N, "N", 1)
     half = _kappa(alpha, np.arange(N // 2 + 1, dtype=float) / N)
     return np.concatenate([half, half[N - N // 2 - 1 : 0 : -1]])
 
@@ -249,7 +249,6 @@ def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRul
     in the order of the CBC sweep: for prime N each coordinate's residues are
     a slice of one doubled table.  The half points go in blocks of one block
     budget, s residue rows each, so memory is O(N), not O(N s)."""
-    alpha = _smoothness("korobov", alpha)
     if weights.s != rule.s:
         raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
     order = _HalfOrder(korobov_residue_table(alpha, rule.N))

@@ -212,9 +212,9 @@ def test_criterion_7_bivariate_fibonacci_convergence():
     cfg = replace(cfg, N_list=tuple(n for n in cfg.N_list if n <= 6765))  # F_7..F_20
     res = run_experiment(cfg)
     window = (55, 6765)  # F_10..F_20
-    slope_sym = slope_fit(res.rows, "sym", window)
-    slope_lat = slope_fit(res.rows, "lattice", window)
     in_window = [r for r in res.rows if window[0] <= r.N <= window[1]]
+    slope_sym = slope_fit(in_window, "sym")
+    slope_lat = slope_fit(in_window, "lattice")
     envelope_c = max(r.err_tent * r.N**1.7 for r in in_window[:3])
     tent_ok = all(r.err_tent <= envelope_c * r.N**-1.7 * (1 + 1e-12) for r in in_window)
     elapsed = time.perf_counter() - start

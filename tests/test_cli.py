@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,40 @@ def test_experiment_with_external_points(tmp_path):
                  "--external-points", str(ext), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].endswith(",err_external")
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".xz"])
+@pytest.mark.parametrize("name,N", [("figure1", 89), ("f1_s20", 127)])
+def test_exported_points_read_back_as_external_points_give_the_lattice_error(name, N, suffix,
+                                                                             tmp_path):
+    """`points --out` writes a rule's points and `experiment --external-points`
+    reads them back through one compressed file: err_external (column 7) equals
+    err_lattice (column 3) with ==, since both average the same floats."""
+    cfg = replace(experiment_config(name), N_list=(N,))
+    z = run_experiment(cfg).vectors[N]
+    pts, table = tmp_path / f"pts.csv{suffix}", tmp_path / "rt.csv"
+    assert main(["points", "--n", str(N), "--z", ",".join(map(str, z)), "--out", str(pts)]) == 0
+    assert main(["experiment", "--name", name, "--n-list", str(N), "--external-points", str(pts),
+                 "--out", str(table)]) == 0
+    header, row = table.read_text().splitlines()
+    assert header.split(",")[2] == "err_lattice" and header.split(",")[6] == "err_external"
+    assert float(row.split(",")[2]) == float(row.split(",")[6])
+
+
+@pytest.mark.parametrize("cell", ["nan", "1.7"])
+def test_external_points_outside_the_cube_exit_2_with_one_line(cell, tmp_path, capsys):
+    """An --external-points file of f1_s20's 67 x 20 points, all 0.5 but one
+    cell that is NaN or 1.7, is refused: no err_external is printed for it."""
+    cells = np.full((67, 20), "0.5", dtype=object)
+    cells[30, 7] = cell
+    ext = tmp_path / "ext.csv"
+    ext.write_text("".join(",".join(row) + "\n" for row in cells))
+    assert main(["experiment", "--name", "f1_s20", "--n-list", "67",
+                 "--external-points", str(ext)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the integrands take points in [0, 1]^s, not outside it or NaN"]
 
 
 def test_experiment_takes_composite_n_as_cbc_does(tmp_path, monkeypatch):

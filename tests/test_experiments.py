@@ -101,7 +101,7 @@ def test_slope_fit_floor_exclusion_and_window():
         with pytest.raises(DomainError):
             slope_fit(rows, "sym")
     with pytest.raises(DomainError):
-        slope_fit(rows, "lattice", window=(2, 4))
+        slope_fit([r for r in rows if 2 <= r.N <= 4], "lattice")
 
 
 def test_config_validation():
@@ -194,6 +194,18 @@ def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monke
                 assert r.err_sym == error(symmetrize(plain))
 
 
+@pytest.mark.parametrize("name,N_list", [("figure1", (13, 21, 34)), ("f1_s20", (67, 127))])
+def test_the_rule_as_external_points_gives_the_lattice_error(name, N_list):
+    """External points equal to the rule's own .points go through the blocked
+    mean the rule takes, so err_external == err_lattice at each N."""
+    cfg = replace(experiment_config(name), N_list=N_list)
+    vectors = run_experiment(cfg).vectors
+    for N in N_list:
+        points = rank1_points(LatticeRule(N, vectors[N])).points
+        (row,) = run_experiment(replace(cfg, N_list=(N,)), external_points=points).rows
+        assert row.err_external == row.err_lattice
+
+
 @pytest.mark.parametrize("call,fragment", [
     pytest.param(lambda: integrand_eval("f1", [[0.5, 0.5]], omega=[1.0]),
                  "need 2 coefficients, got 1", id="integrand_eval/omega"),
@@ -203,6 +215,20 @@ def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monke
                  id="integrand_eval/name_before_omega"),
     pytest.param(lambda: exact_integral("nope"), "unknown integrand 'nope'",
                  id="exact_integral/name"),
+    pytest.param(lambda: integrand_eval("f1", [[0.5, 1.7]], omega=[1.0, 0.5]),
+                 "the integrands take points in [0, 1]^s", id="integrand_eval/above"),
+    pytest.param(lambda: integrand_eval("f2", [[-0.5]], omega=[1.0]),
+                 "the integrands take points in [0, 1]^s", id="integrand_eval/below"),
+    pytest.param(lambda: integrand_eval("bivar", [[0.5, math.nan]]),
+                 "the integrands take points in [0, 1]^s", id="integrand_eval/nan"),
+    pytest.param(lambda: integrand_eval("f1", [[0.5]], omega=[math.nan]),
+                 "the integrands take a finite omega and c2", id="integrand_eval/omega_nan"),
+    pytest.param(lambda: integrand_eval("f2", [[0.5]], omega=[1.0], c2=math.inf),
+                 "the integrands take a finite omega and c2", id="integrand_eval/c2_inf"),
+    pytest.param(lambda: exact_integral("f2", omega=[math.inf], c2=1.0),
+                 "the integrands take a finite omega and c2", id="exact_integral/omega_inf"),
+    pytest.param(lambda: exact_integral("f1", omega=[math.nan]),
+                 "the integrands take a finite omega and c2", id="exact_integral/omega_nan"),
     pytest.param(lambda: replace(experiment_config("figure1"), dims=3),
                  "Fibonacci rules are two-dimensional", id="config/bivar_dims"),
 ])

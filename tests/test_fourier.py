@@ -202,6 +202,12 @@ def test_appendix_suite_all_green():
                  id="cosine_coeff_quadrature/k"),
     pytest.param(lambda: appendix_inner_sum(1, "third", 10), "which must be 'first' or 'second'",
                  id="appendix_inner_sum/which"),
+    pytest.param(lambda: tent_kernel_partial_sum(math.nan, 0.2, 10),
+                 "tent_kernel_partial_sum takes x and y in [0, 1]", id="tent_kernel_partial_sum/nan"),
+    pytest.param(lambda: tent_kernel_partial_sum(0.2, 1.5, 10),
+                 "tent_kernel_partial_sum takes x and y in [0, 1]", id="tent_kernel_partial_sum/y"),
+    pytest.param(lambda: tent_kernel_partial_sum(-0.1, 0.2, 10),
+                 "tent_kernel_partial_sum takes x and y in [0, 1]", id="tent_kernel_partial_sum/x"),
 ])
 def test_refusals(call, fragment):
     with pytest.raises(DomainError, match=re.escape(fragment)):

@@ -22,6 +22,7 @@ from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
     CbcCriterion,
     corollary_bound,
+    korobov_residue_table,
     wce_sq_korobov_lattice,
     wce_sq_quadratic_form,
     wce_sym_exact,
@@ -264,6 +265,7 @@ ALPHA_ENTRY_POINTS = {
                                    True),
     "CbcCriterion/sym": (lambda a: CbcCriterion("sym", _W3, a).alpha, "even", True),
     "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "real", False),
+    "korobov_residue_table": (lambda a: korobov_residue_table(a, 13).tolist(), "real", False),
     "wce_sym_exact": (lambda a: wce_sym_exact(a, _W3, _RULE), "even", False),
     "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE), "even", False),
     # gamma'', the sym modified weights

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -361,6 +362,9 @@ def _point_set(kind="plain", nums=((0, 1), (1, 2)), D=2):
                  "u must be a nonempty subset of 1..2", id="dual_projected/u"),
     pytest.param(lambda: character_sum(LatticeRule(5, (1, 2)), (1, 1), method="fft"),
                  "unknown method 'fft'", id="character_sum/method"),
+    pytest.param(lambda: tent(2.0), "tent takes x in [0, 1]", id="tent/above"),
+    pytest.param(lambda: tent(-0.25), "tent takes x in [0, 1]", id="tent/below"),
+    pytest.param(lambda: tent(np.array([0.5, math.nan])), "tent takes x in [0, 1]", id="tent/nan"),
 ])
 def test_refusals(call, fragment):
     with pytest.raises(DomainError, match=re.escape(fragment)):

@@ -94,8 +94,9 @@ def test_nonempty_subsets_come_in_size_then_sorted_order_for_every_form():
 def test_nonempty_subsets_skip_the_integer_rule(monkeypatch):
     """The subsets a scheme enumerates are its own, so listing them runs no
     integer check per coordinate; `weight_of` still checks what callers pass.
-    Each gamma_u keeps the bits of weight_of(u): at s = 12, gamma_j = j^-2 the
-    product over {3, 9, 10, 11} rounds by the order its set is iterated in."""
+    Each gamma_u keeps the bits of weight_of(u), which multiplies in increasing
+    coordinate order however u is listed: at s = 12, gamma_j = j^-2, the tuples
+    (3, 9, 10, 11) and (11, 9, 10, 3) and the frozenset give one gamma_u."""
     from latticeqmc import weights as weights_module
 
     gamma = [1.0 / j**2 for j in range(1, 13)]
@@ -111,6 +112,9 @@ def test_nonempty_subsets_skip_the_integer_rule(monkeypatch):
         assert len(got) == 2**12 - 1 and [(u, g.hex()) for u, g in got] == [
             (u, g.hex()) for u, g in pairs]
     monkeypatch.undo()
+    for w in schemes:
+        listed = ((3, 9, 10, 11), (11, 9, 10, 3), frozenset({3, 9, 10, 11}))
+        assert len({w.weight_of(u).hex() for u in listed}) == 1
     for bad in (1.5, True):
         with pytest.raises(DomainError, match="subset coordinate must be an integer"):
             schemes[0].weight_of({bad})

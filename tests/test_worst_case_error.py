@@ -73,6 +73,19 @@ def test_closed_form_row_blocks_match_unblocked_sum(form):
                 pytest.approx(unblocked, rel=1e-12)
 
 
+def test_residue_table_reads_alpha_through_the_smoothness_rule():
+    """korobov_residue_table takes alpha as the Korobov kernel does: an integral
+    float is its integer, and alpha <= 1/2 (where the series diverges), a bool and
+    NaN are refused."""
+    for N in (13, 101, 1024):
+        for alpha in (1, 2):
+            assert np.array_equal(korobov_residue_table(float(alpha), N),
+                                  korobov_residue_table(alpha, N))
+    for alpha in (0.3, 0.5, True, math.nan):
+        with pytest.raises(DomainError, match="korobov requires a finite alpha > 1/2"):
+            korobov_residue_table(alpha, 13)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 7, 12, 13, 101, 256, 1009])
 def test_closed_form_half_sum_matches_full_subset_sum(N):
     """The closed form sums half the points, n standing for n and N - n (in
