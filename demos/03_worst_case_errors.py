@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from latticeqmc import (
+    CbcCriterion,
     KernelSpec,
     LatticeRule,
     WeightScheme,
@@ -25,9 +26,7 @@ from latticeqmc import (
     wce_sq_quadratic_form,
     wce_sym_bound,
     wce_sym_exact,
-    wce_sym_middle_term,
     wce_tent_bound,
-    wce_tent_middle_term,
 )
 
 
@@ -60,7 +59,7 @@ rule3 = LatticeRule(N=53, z=(1, 23, 14))
 w3 = WeightScheme.product([1.0, 0.25, 1.0 / 9.0])
 spec = KernelSpec(family="sobolev", alpha=2, weights=w3)
 exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule3)))
-mid = wce_tent_middle_term(w3, rule3)
+mid = CbcCriterion("tent", w3).middle_term(rule3)
 bound = wce_tent_bound(w3, rule3)
 print("\ntent-transformed rule, N=53:")
 print(f"  exact squared error   {exact.value:.6e}")
@@ -70,7 +69,7 @@ print(f"  squared criterion     {bound.value:.6e}{chain(exact.value, mid.value, 
 # The reflection (symmetrization) chain at alpha = 2 and 4.
 for alpha in (2, 4):
     ex = wce_sym_exact(alpha, w3, rule3).value
-    md = wce_sym_middle_term(alpha, w3, rule3).value
+    md = CbcCriterion("sym", w3, alpha).middle_term(rule3).value
     bd = wce_sym_bound(alpha, w3, rule3).value
     print(f"symmetrized rule, alpha={alpha}: exact {ex:.6e} <= middle {md:.6e}"
           f" <= bound {bd:.6e}{chain(ex, md, bd)}")

@@ -53,9 +53,7 @@ from .worst_case_error import (
     wce_sq_quadratic_form,
     wce_sym_bound,
     wce_sym_exact,
-    wce_sym_middle_term,
     wce_tent_bound,
-    wce_tent_middle_term,
 )
 
 __version__ = "0.1.0"

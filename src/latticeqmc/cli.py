@@ -99,8 +99,6 @@ def _cmd_points(args) -> int:
 def _cmd_wce(args) -> int:
     rule = LatticeRule(N=args.n, z=_parse_ints(args.z, "--z"))
     weights = _load_weights(args.weights)
-    if weights.s != rule.s:
-        raise DomainError(f"weights cover {weights.s} coordinates, rule has {rule.s}")
     if args.space == "korobov":
         report = wce_sq_korobov_lattice(args.alpha if args.alpha is not None else 1, weights, rule)
     elif args.space == "sob2-tent":

@@ -43,11 +43,14 @@ PRESET_NAMES = ("figure1", *_PRESETS)  # figure1: the bivariate integrand on Fib
 # -- integrands ---------------------------------------------------------------
 
 
-def _coefficients(omega, c2) -> np.ndarray:
-    """omega as a float array, refused with c2 unless every value is finite."""
+def _coefficients(name: str, omega, c2) -> np.ndarray:
+    """omega as a float array, refused with c2 unless every value is finite, and for
+    f2 unless omega > -1, where 1 + omega x^c2 stays positive on [0, 1]."""
     w = np.asarray(omega, dtype=float)
     if not (np.all(np.isfinite(w)) and math.isfinite(c2)):
         raise DomainError(f"the integrands take a finite omega and c2, got {omega} and {c2}")
+    if name == "f2" and np.any(w <= -1.0):
+        raise DomainError(f"f2 takes omega > -1, got {omega}")
     return w
 
 
@@ -63,7 +66,7 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
         return x[:, 1] * np.exp(x[:, 0] * x[:, 1]) / (math.e - 2.0)
     if name not in ("f1", "f2"):
         raise DomainError(f"unknown integrand {name!r}")
-    w = _coefficients(omega, c2)
+    w = _coefficients(name, omega, c2)
     if x.shape[1] != len(w):
         raise DomainError(f"need {x.shape[1]} coefficients, got {len(w)}")
     if name == "f1":
@@ -74,14 +77,16 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
 def exact_integral(name: str, omega=(), c2: float = 1.0) -> float:
     """Closed-form integrals of the test integrands over the unit cube (f1 integrates
     to 1 for every exponent)."""
-    w = _coefficients(omega, c2)
+    w = _coefficients(name, omega, c2)
     if name in ("bivar", "f1"):
         return 1.0
     if name == "f2":
         if c2 == 1.0:
             return float(np.prod(1.0 + np.log1p(w)))
-        if c2 == 2.0:
-            return float(np.prod(1.0 + np.sqrt(w) * np.arctan(np.sqrt(w))))
+        if c2 == 2.0:  # a arctan(a) at omega = a^2 >= 0, -a artanh(a) at omega = -a^2
+            a, neg = np.sqrt(np.abs(w)), w < 0
+            t = np.where(neg, -np.arctanh(np.where(neg, a, 0.0)), np.arctan(a))
+            return float(np.prod(1.0 + a * t))
         raise DomainError(f"no closed form for the second integrand with exponent {c2}")
     raise DomainError(f"unknown integrand {name!r}")
 

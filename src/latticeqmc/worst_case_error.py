@@ -27,16 +27,16 @@ The tent and reflection chains share one shape: exact error <= middle term
 sum_u gamma_u f^|u| (sum_{k_u in dual_u} prod 1/|k_j|^(2 o))^2 <= squared
 criterion (the Korobov error of order o with weights (gamma_u f^|u|)^(1/2)),
 with one (order o, weight factor f) pair per transform (`CbcCriterion`).  The
-middle terms read the dual sums exactly from the residue table of the closed
-form; the prime-N construction bounds are parameterized by lambda.  Every
-blocked sum here sizes its blocks from the one block budget of `kernels` and
-runs on the calling thread.
+middle term, `CbcCriterion.middle_term`, reads the dual sums exactly from the
+closed form's residue table and half points; the prime-N construction bounds
+are parameterized by lambda.  Every blocked sum here sizes its blocks from
+the one block budget of `kernels` and runs on the calling thread.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf, isfinite, pi, sqrt
+from math import inf, isfinite, pi, prod, sqrt
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def _guard(weights: WeightScheme, m: int, D: int, s: int) -> None:
         raise GuardError(f"{m} points over denominator {D}: both must be at most the "
                          f"O(|P|^2) guard of {QUADRATIC_FORM_GUARD}")
     if s != weights.s:
-        raise DomainError(f"point dimension {s} != weight dimension {weights.s}")
+        raise DomainError(f"weights cover {weights.s} coordinates, the points have {s}")
 
 
 def _row_pairs(weights: WeightScheme, nums: np.ndarray, g, beta, g_sum) -> float:
@@ -250,7 +250,7 @@ def wce_sq_korobov_lattice(alpha: float, weights: WeightScheme, rule: LatticeRul
     a slice of one doubled table.  The half points go in blocks of one block
     budget, s residue rows each, so memory is O(N), not O(N s)."""
     if weights.s != rule.s:
-        raise DomainError(f"weight dimension {weights.s} != rule dimension {rule.s}")
+        raise DomainError(f"weights cover {weights.s} coordinates, rule has {rule.s}")
     order = _HalfOrder(korobov_residue_table(alpha, rule.N))
     idx = order.index(np.array(rule.z, dtype=np.int64)).tolist()
     mult, step = order.mult, _block_rows(rule.s)
@@ -278,7 +278,7 @@ class CbcCriterion:
         plain_korobov:          o = alpha, as the Korobov kernel takes it; no f
 
     The effective weights are (gamma_u f^|u|)^(1/2), or for plain_korobov
-    the weights as given.
+    the weights as given; `middle_term` sums the modified weights gamma_u f^|u|.
     """
 
     kind: str
@@ -334,30 +334,31 @@ class CbcCriterion:
             eff = self.leading_weights(rule.s)
         return wce_sq_korobov_lattice(self.korobov_order, eff, rule).value
 
+    def middle_term(self, rule: LatticeRule) -> ErrorReport:
+        """The middle term sum_u gamma_u f^|u| S_u^2 of the transform's chain (exact
+        error <= middle term <= squared criterion), for weights of the rule's dimension.
+        S_u, the sum over the dual lattice projected on u (every k_j != 0) of
+        prod 1/|k_j|^(2 o), is mean_n prod_{j in u} w(n z_j mod N) over the residue
+        table w, read as the closed form reads it (the s residue rows at the half points
+        of `numtheory._HalfOrder`, with their multiplicities) and summed pairwise."""
+        if self.base_weights.s != rule.s:
+            raise DomainError(f"weights cover {self.base_weights.s} coordinates, rule has {rule.s}")
+        if rule.s > SUBSET_DIM_GUARD:
+            raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
+        order = _HalfOrder(korobov_residue_table(self.korobov_order, rule.N))
+        idx = order.index(np.array(rule.z, dtype=np.int64)).tolist()
+        rows, value = order.residues(idx, 0, len(order.mult)), 0.0
+        for u, g in self.modified_weights().nonempty_subsets():
+            dual = float(np.sum(order.mult * prod(rows[j - 1] for j in sorted(u)))) / rule.N
+            value += g * dual**2
+        return ErrorReport(value=value, kind="middle_term")
+
 
 def _squared_criterion(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
     """The criterion of the rule, squared.  It is computed at the rule's full
     dimension, so weights of another dimension are refused, not truncated."""
     value = wce_sq_korobov_lattice(crit.korobov_order, crit.effective_weights(), rule).value
     return ErrorReport(value=_power(value, 2), kind="theorem_bound")
-
-
-def _middle_term(crit: CbcCriterion, rule: LatticeRule) -> ErrorReport:
-    """The middle term sum_u gamma_u f^|u| S_u^2 of the transform's bound
-    chain, (o, f) from the criterion, exactly.
-
-    S_u = sum_{k_u in dual_u} prod_{j in u} 1/|k_j|^(2 o), over the dual
-    lattice projected on u with every k_j nonzero, is the character sum
-    mean_n prod_{j in u} w(n z_j mod N) of the residue table w
-    (`korobov_residue_table`), which holds the whole series in closed form.
-    """
-    if rule.s > SUBSET_DIM_GUARD:
-        raise GuardError(f"subset enumeration limited to s <= {SUBSET_DIM_GUARD}")
-    table = korobov_residue_table(crit.korobov_order, rule.N)[rank1_points(rule).numerators]
-    value = 0.0
-    for u, g in crit.modified_weights().nonempty_subsets():
-        value += g * float(np.mean(np.prod(table[:, [j - 1 for j in sorted(u)]], axis=1))) ** 2
-    return ErrorReport(value=value, kind="middle_term")
 
 
 # -- tent-transform bounds ---------------------------------------------------
@@ -368,12 +369,6 @@ def wce_tent_bound(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
     squared error of the tent-transformed rule in the second-order Sobolev
     space."""
     return _squared_criterion(CbcCriterion("tent", weights), rule)
-
-
-def wce_tent_middle_term(weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
-    """The middle term of the tent chain (`_middle_term`): it lies between the
-    exact squared error of the tent-transformed rule and `wce_tent_bound`."""
-    return _middle_term(CbcCriterion("tent", weights), rule)
 
 
 # -- symmetrized-rule errors and bounds --------------------------------------
@@ -414,12 +409,6 @@ def wce_sym_bound(alpha: int, weights: WeightScheme, rule: LatticeRule) -> Error
     """Square of the sym criterion (`CbcCriterion`), even alpha: an upper
     bound for the squared error of the symmetrized rule."""
     return _squared_criterion(CbcCriterion("sym", weights, alpha), rule)
-
-
-def wce_sym_middle_term(alpha: int, weights: WeightScheme, rule: LatticeRule) -> ErrorReport:
-    """The middle term of the reflection chain, even alpha (`_middle_term`): it
-    lies between `wce_sym_exact` and `wce_sym_bound`."""
-    return _middle_term(CbcCriterion("sym", weights, alpha), rule)
 
 
 # -- prime-N construction bounds ---------------------------------------------

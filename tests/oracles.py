@@ -1,13 +1,16 @@
 """Oracles that only the tests use, kept out of the package."""
 
-from math import pi
+from fractions import Fraction
+from itertools import combinations
+from math import factorial, pi, prod
 
 import numpy as np
 
 from latticeqmc.errors import DomainError
 from latticeqmc.kernels import _smoothness
 from latticeqmc.numtheory import _integer
-from latticeqmc.special_functions import _ROUND_UP, _zeta_tail, bernoulli_poly
+from latticeqmc.special_functions import (_ROUND_UP, _zeta_tail, bernoulli_coefficients,
+                                          bernoulli_poly)
 
 
 def bernoulli_periodic(tau: int, x):
@@ -62,3 +65,29 @@ def series_tail_bound(alpha: float, kmax: int) -> float:
     kernel on it: kappa drops at most 2 sum_{k>kmax} k^(-2 alpha) (`_zeta_tail`), and the
     coefficients of each family on kappa sum to 1."""
     return 2.0 * _zeta_tail(2 * _smoothness("cosine", alpha), _integer(kmax, "kmax", 1) + 1)
+
+
+def dual_sums(order: int, rule) -> dict:
+    """S_u = mean_n prod_{j in u} w(n z_j mod N) for every nonempty u of a rank-1
+    rule, with w the residue table of Korobov order o (an integer), as mpmath
+    numbers of 50 digits that are exact to their last digit.
+
+    w(r) = (-1)^(o+1) (2 pi)^(2 o) B_(2o)(r/N) / (2o)!, so S_u is the rational
+    Q_u = mean_n prod_{j in u} (-1)^(o+1) B_(2o)(n z_j/N mod 1) / (2o)!, summed in
+    Fractions over `bernoulli_coefficients`, times (2 pi)^(2 o |u|); mpmath
+    makes only that power.  Keys are frozensets of 1-based coordinates."""
+    import mpmath
+
+    o, N = _integer(order, "order", 1), rule.N
+    coeffs, sign = bernoulli_coefficients(2 * o), Fraction((-1) ** (o + 1), factorial(2 * o))
+    w = [sign * sum(c * Fraction(r, N) ** k for k, c in enumerate(coeffs)) for r in range(N)]
+    subsets = [u for k in range(1, rule.s + 1) for u in combinations(range(rule.s), k)]
+    sums = dict.fromkeys(subsets, Fraction(0))
+    for n in range(N):
+        row = [w[n * z % N] for z in rule.z]
+        for u in subsets:
+            sums[u] += prod(row[j] for j in u)
+    with mpmath.workdps(50):
+        power = (2 * mpmath.pi) ** (2 * o)
+        return {frozenset(j + 1 for j in u): mpmath.mpf(q.numerator) / (q.denominator * N)
+                * power ** len(u) for u, q in sums.items()}

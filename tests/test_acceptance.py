@@ -42,7 +42,6 @@ from latticeqmc.worst_case_error import (
     wce_sym_bound,
     wce_sym_exact,
     wce_tent_bound,
-    wce_tent_middle_term,
 )
 
 
@@ -113,7 +112,7 @@ def test_criterion_3_tent_chain():
         w = WeightScheme.product(rng.random(s))
         spec = KernelSpec(family="sobolev", alpha=2, weights=w)
         exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule))).value
-        middle = wce_tent_middle_term(w, rule).value
+        middle = CbcCriterion("tent", w).middle_term(rule).value
         bound = wce_tent_bound(w, rule).value
         if not (exact <= middle * (1 + 1e-11) + 1e-14 and middle <= bound * (1 + 1e-11) + 1e-14):
             violations += 1

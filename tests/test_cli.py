@@ -462,6 +462,12 @@ def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp
     pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
                   '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
                  "error: weights cover 3 coordinates, rule has 2", id="wce/dimension_mismatch"),
+    pytest.param(["wce", "--space", "sym", "--n", "13", "--z", "1,5", "--weights",
+                  '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
+                 "error: weights cover 3 coordinates", id="wce/sym_dimension_mismatch"),
+    pytest.param(["wce", "--space", "sob2-tent", "--n", "13", "--z", "1,5", "--weights",
+                  '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
+                 "error: weights cover 3 coordinates", id="wce/sob2_tent_dimension_mismatch"),
     # float() overflowed on a weight of 401 digits, which exited 1 with a traceback
     pytest.param(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9", "--weights",
                   '{"form": "product", "gamma": [1%s]}' % ("0" * 400)], 2,

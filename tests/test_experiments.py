@@ -19,6 +19,7 @@ from latticeqmc.experiments import (
     slope_fit,
 )
 from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize
+from latticeqmc.quadrature import composite_gauss_legendre
 
 
 def test_integrand_values():
@@ -57,6 +58,19 @@ def test_exact_integrals_against_quadrature():
     ):
         quad = float(wgt @ integrand_eval(name, grid, **kwargs))
         assert quad == pytest.approx(exact_integral(name, **kwargs), abs=tol)
+
+
+def test_f2_integral_at_negative_omega_against_quadrature():
+    """-1 < omega < 0: at c2 = 2 the integral of omega / (1 + omega x^2) is
+    -a artanh(a) with a = sqrt(-omega), as sqrt(omega) has no real value; at
+    c2 = 1 it is log1p(omega).  64-panel Gauss-Legendre in 1-d."""
+    for omega in (-0.5, -0.9, -0.1):
+        for c2 in (1.0, 2.0):
+            quad = composite_gauss_legendre(
+                lambda x: integrand_eval("f2", x[:, None], omega=[omega], c2=c2), 64)
+            assert exact_integral("f2", omega=[omega], c2=c2) == pytest.approx(quad, rel=1e-14)
+    assert exact_integral("f2", omega=[-0.5], c2=2.0) == pytest.approx(0.3767747598597695,
+                                                                       rel=1e-15)
 
 
 def test_symmetrized_average_equals_reflected_averages():
@@ -229,6 +243,15 @@ def test_the_rule_as_external_points_gives_the_lattice_error(name, N_list):
                  "the integrands take a finite omega and c2", id="exact_integral/omega_inf"),
     pytest.param(lambda: exact_integral("f1", omega=[math.nan]),
                  "the integrands take a finite omega and c2", id="exact_integral/omega_nan"),
+    # at omega <= -1, 1 + omega x^c2 reaches 0 on [0, 1]: f2 has a pole there
+    pytest.param(lambda: integrand_eval("f2", [[1.0]], omega=[-1.0]),
+                 "f2 takes omega > -1", id="integrand_eval/f2_omega_minus_1"),
+    pytest.param(lambda: integrand_eval("f2", [[0.5, 0.5]], omega=[0.5, -2.0], c2=2.0),
+                 "f2 takes omega > -1", id="integrand_eval/f2_omega_below"),
+    pytest.param(lambda: exact_integral("f2", omega=[-2.0]),
+                 "f2 takes omega > -1", id="exact_integral/f2_omega_minus_2"),
+    pytest.param(lambda: exact_integral("f2", omega=[0.5, -1.0], c2=2.0),
+                 "f2 takes omega > -1", id="exact_integral/f2_c2_omega_minus_1"),
     pytest.param(lambda: replace(experiment_config("figure1"), dims=3),
                  "Fibonacci rules are two-dimensional", id="config/bivar_dims"),
 ])

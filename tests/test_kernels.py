@@ -26,7 +26,6 @@ from latticeqmc.worst_case_error import (
     wce_sq_korobov_lattice,
     wce_sq_quadratic_form,
     wce_sym_exact,
-    wce_sym_middle_term,
 )
 from oracles import (bernoulli_fourier_partial_sum, fourier_tail_bound, korobov_series_1d,
                      series_tail_bound)
@@ -267,7 +266,8 @@ ALPHA_ENTRY_POINTS = {
     "wce_sq_korobov_lattice": (lambda a: wce_sq_korobov_lattice(a, _W3, _RULE), "real", False),
     "korobov_residue_table": (lambda a: korobov_residue_table(a, 13).tolist(), "real", False),
     "wce_sym_exact": (lambda a: wce_sym_exact(a, _W3, _RULE), "even", False),
-    "wce_sym_middle_term": (lambda a: wce_sym_middle_term(a, _W3, _RULE), "even", False),
+    "CbcCriterion.middle_term/sym": (lambda a: CbcCriterion("sym", _W3, a).middle_term(_RULE),
+                                     "even", False),
     # gamma'', the sym modified weights
     "sym_modified_weights": (lambda a: CbcCriterion("sym", _W3, a).modified_weights().gamma,
                              "even", False),

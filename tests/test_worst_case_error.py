@@ -27,10 +27,9 @@ from latticeqmc.worst_case_error import (
     wce_sq_quadratic_form,
     wce_sym_bound,
     wce_sym_exact,
-    wce_sym_middle_term,
     wce_tent_bound,
-    wce_tent_middle_term,
 )
+from oracles import dual_sums
 
 
 def random_rule(rng, N, s) -> LatticeRule:
@@ -118,7 +117,7 @@ def test_zero_weights_give_zero_everywhere():
     assert wce_tent_bound(w0, rule).value == 0.0
     assert wce_sym_bound(2, w0, rule).value == 0.0
     assert wce_sym_exact(2, w0, rule).value == 0.0
-    assert wce_tent_middle_term(w0, rule).value == 0.0
+    assert CbcCriterion("tent", w0).middle_term(rule).value == 0.0
     assert corollary_bound("tent", w0, 5, 1.0).value == 0.0
 
 
@@ -239,10 +238,11 @@ def test_sym_bound_composition():
 
 
 def test_bounds_refuse_weights_of_another_dimension(monkeypatch):
-    """The bounds, and the exact errors through their one guard, which refuses
-    before any table or point array is built: at prime N = 5 (the shift
-    layout) and at composite N = 6 (the row layout), on plain and tent
-    points."""
+    """The bounds, the middle terms, and the exact errors through their one
+    guard, which refuses before any table or point array is built: at prime
+    N = 5 (the shift layout) and at composite N = 6 (the row layout), on
+    plain and tent points.  One weight once gave the middle term of a
+    projection, and three an IndexError."""
     rules = (LatticeRule(N=5, z=(1, 2)), LatticeRule(N=6, z=(1, 5)))
     point_sets = [(rule, ps) for rule in rules
                   for ps in (rank1_points(rule), tent_transform(rank1_points(rule)))]
@@ -257,6 +257,10 @@ def test_bounds_refuse_weights_of_another_dimension(monkeypatch):
                 wce_sym_bound(2, w, rule)
             with pytest.raises(DomainError):
                 wce_sym_exact(2, w, rule)
+            with pytest.raises(DomainError, match=f"weights cover {w.s} coordinates, rule has 2"):
+                CbcCriterion("tent", w).middle_term(rule)
+            with pytest.raises(DomainError, match=f"weights cover {w.s} coordinates, rule has 2"):
+                CbcCriterion("sym", w, 2).middle_term(rule)
             with pytest.raises(DomainError):
                 wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w), ps)
 
@@ -267,13 +271,46 @@ def test_middle_term_closed_form_case():
     (o = 2)."""
     rule = LatticeRule(N=2, z=(1,))
     w = WeightScheme.product([1.0])
-    mid = wce_tent_middle_term(w, rule)
+    mid = CbcCriterion("tent", w).middle_term(rule)
     gamma_p = 58.0 / (12.0 * math.pi**4)
     assert mid.value == pytest.approx(gamma_p * (math.pi**2 / 12.0) ** 2, rel=1e-14)
     assert mid.kind == "middle_term"
     gamma_pp = 3.0 / (2.0**9 * math.pi**8)
-    assert wce_sym_middle_term(4, w, rule).value == pytest.approx(
+    assert CbcCriterion("sym", w, 4).middle_term(rule).value == pytest.approx(
         gamma_pp * (math.pi**4 / 720.0) ** 2, rel=1e-14)
+
+
+def test_middle_terms_and_closed_form_against_the_exact_rational_oracle():
+    """The middle terms (tent, sym alpha = 2, 4, 6) and the closed form at
+    Korobov orders 1, 2, 3 against the dual sums S_u of `oracles.dual_sums`,
+    exact rationals times (2 pi)^(2 o |u|), on 12 seeded random rules:
+    N in {53, 64, 100, 101, 149, 191}, s <= 4, product weights from U(0.1, 1).
+
+    The relative tolerances are 1.5 times the largest error of the code
+    before the middle term walked the half order, on these rules: middle
+    term tent and sym alpha = 2 (order 1) 6e-12, sym alpha = 4 2.2e-8,
+    sym alpha = 6 8.7e-3; closed form order 1 2.6e-12, order 2 1.6e-8,
+    order 3 4.4e-3.  They are wide at high order because the sums cancel
+    against residue-table entries of size 2 zeta(2 o) (ROADMAP item 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    middle_tol = {(None, "tent"): 6e-12, (2, "sym"): 6e-12, (4, "sym"): 2.2e-8,
+                  (6, "sym"): 8.7e-3}
+    closed_tol = {1: 2.6e-12, 2: 1.6e-8, 3: 4.4e-3}
+    rng = np.random.default_rng(0)
+    for N in (53, 64, 100, 101, 149, 191) * 2:
+        rule = random_rule(rng, N, int(rng.integers(1, 5)))
+        w = WeightScheme.product(rng.uniform(0.1, 1.0, size=rule.s))
+        sums = {o: dual_sums(o, rule) for o in (1, 2, 3)}
+        with mpmath.workdps(50):
+            for (alpha, kind), tol in middle_tol.items():
+                crit = CbcCriterion(kind, w, alpha)
+                modified = crit.modified_weights()
+                exact = sum(modified.weight_of(u) * S**2
+                            for u, S in sums[crit.korobov_order].items())
+                assert abs(crit.middle_term(rule).value - exact) <= tol * exact, (rule, kind)
+            for o, tol in closed_tol.items():
+                exact = sum(w.weight_of(u) * S for u, S in sums[o].items())
+                assert abs(wce_sq_korobov_lattice(o, w, rule).value - exact) <= tol * exact, rule
 
 
 def test_middle_term_matches_brute_force_dual_enumeration():
@@ -291,9 +328,12 @@ def test_middle_term_matches_brute_force_dual_enumeration():
         rule = random_rule(rng, N, s)
         w = WeightScheme.product(rng.random(s))
         for middle, modified, order in (
-                (wce_tent_middle_term(w, rule), CbcCriterion("tent", w).modified_weights(), 1),
-                (wce_sym_middle_term(2, w, rule), CbcCriterion("sym", w, 2).modified_weights(), 1),
-                (wce_sym_middle_term(4, w, rule), CbcCriterion("sym", w, 4).modified_weights(), 2)):
+                (CbcCriterion("tent", w).middle_term(rule),
+                 CbcCriterion("tent", w).modified_weights(), 1),
+                (CbcCriterion("sym", w, 2).middle_term(rule),
+                 CbcCriterion("sym", w, 2).modified_weights(), 1),
+                (CbcCriterion("sym", w, 4).middle_term(rule),
+                 CbcCriterion("sym", w, 4).modified_weights(), 2)):
             box_sum = 2.0 * sum(k ** (-2.0 * order) for k in range(1, kmax + 1))
             lower = upper = 0.0
             for mask in range(1, 1 << s):
@@ -315,7 +355,7 @@ def test_tent_error_bound_chain():
         w = WeightScheme.product(rng.random(s))
         spec = KernelSpec(family="sobolev", alpha=2, weights=w)
         exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule))).value
-        middle = wce_tent_middle_term(w, rule).value
+        middle = CbcCriterion("tent", w).middle_term(rule).value
         bound = wce_tent_bound(w, rule).value
         assert exact <= middle * (1 + 1e-11) + 1e-14
         assert middle <= bound * (1 + 1e-11) + 1e-14
@@ -330,7 +370,7 @@ def test_sym_error_bound_chain():
         w = WeightScheme.product(rng.random(s))
         for alpha in (2, 4):
             exact = wce_sym_exact(alpha, w, rule).value
-            middle = wce_sym_middle_term(alpha, w, rule).value
+            middle = CbcCriterion("sym", w, alpha).middle_term(rule).value
             bound = wce_sym_bound(alpha, w, rule).value
             assert exact <= middle * (1 + 1e-11) + 1e-14
             assert middle <= bound * (1 + 1e-11) + 1e-14
@@ -345,11 +385,11 @@ def test_error_bound_chain_on_cbc_rules(kind, alpha, N):
     if kind == "tent":
         spec = KernelSpec(family="sobolev", alpha=2, weights=w)
         exact = wce_sq_quadratic_form(spec, tent_transform(rank1_points(rule))).value
-        middle = wce_tent_middle_term(w, rule).value
+        middle = CbcCriterion("tent", w).middle_term(rule).value
         bound = wce_tent_bound(w, rule).value
     else:
         exact = wce_sym_exact(alpha, w, rule).value
-        middle = wce_sym_middle_term(alpha, w, rule).value
+        middle = CbcCriterion("sym", w, alpha).middle_term(rule).value
         bound = wce_sym_bound(alpha, w, rule).value
     assert 0.0 < exact <= middle * (1 + 1e-11)
     assert middle <= bound * (1 + 1e-11)
@@ -396,14 +436,15 @@ def test_float_even_alpha_is_the_integer_alpha():
             == CbcCriterion("sym", w, 4).modified_weights().gamma)
     assert CbcCriterion("sym", w, 4.0).value(rule) == CbcCriterion("sym", w, 4).value(rule)
     assert wce_sym_exact(4.0, w, rule) == wce_sym_exact(4, w, rule)
-    assert wce_sym_middle_term(4.0, w, rule) == wce_sym_middle_term(4, w, rule)
+    assert (CbcCriterion("sym", w, 4.0).middle_term(rule)
+            == CbcCriterion("sym", w, 4).middle_term(rule))
     assert corollary_bound("sym", w, 13, 0.5, alpha=4.0) == corollary_bound("sym", w, 13, 0.5,
                                                                              alpha=4)
     for bad in (2.5, 3, 3.0, 0):
         for call in (lambda: CbcCriterion("sym", w, bad).modified_weights(),
                      lambda: CbcCriterion("sym", w, bad),
                      lambda: wce_sym_exact(bad, w, rule),
-                     lambda: wce_sym_middle_term(bad, w, rule),
+                     lambda: CbcCriterion("sym", w, bad).middle_term(rule),
                      lambda: corollary_bound("sym", w, 13, 0.9, alpha=bad)):
             with pytest.raises(DomainError):
                 call()
@@ -792,7 +833,7 @@ def test_error_report_validation_and_json():
     data = rep.to_dict()
     assert data["lambda"] == 0.75 and rep.root == 0.5
     rule = LatticeRule(N=3, z=(1,))
-    rep = wce_tent_middle_term(WeightScheme.product([1.0]), rule)
+    rep = CbcCriterion("tent", WeightScheme.product([1.0])).middle_term(rule)
     assert rep.to_dict() == {"value": rep.value, "kind": "middle_term", "lambda": None,
                              "negative_clamp": 0.0}
 
@@ -811,8 +852,8 @@ def test_overflowing_weights_raise_guard_error():
         lambda: wce_sym_exact(2, w, rule),
         lambda: wce_sq_quadratic_form(KernelSpec(family="sobolev", alpha=2, weights=w),
                                       tent_transform(rank1_points(rule))),
-        lambda: wce_tent_middle_term(w, rule),
-        lambda: wce_sym_middle_term(2, w, rule),
+        lambda: CbcCriterion("tent", w).middle_term(rule),
+        lambda: CbcCriterion("sym", w, 2).middle_term(rule),
         lambda: wce_tent_bound(w, rule),
         lambda: wce_sym_bound(2, w, rule),
         lambda: corollary_bound("tent", WeightScheme.product([1e300] * 3), 13, 0.51),
@@ -1045,8 +1086,8 @@ def test_quadratic_form_guard(monkeypatch):
 @pytest.mark.parametrize("call,error,fragment", [
     pytest.param(lambda: CbcCriterion("tent", WeightScheme.product([1.0, 0.5])).leading_weights(3),
                  DomainError, "weights cover 2 coordinates, need 3", id="leading_weights/short"),
-    pytest.param(lambda: wce_tent_middle_term(WeightScheme.product([0.5] * 13),
-                                              LatticeRule(29, (1,) * 13)),
+    pytest.param(lambda: CbcCriterion("tent", WeightScheme.product([0.5] * 13)).middle_term(
+                     LatticeRule(29, (1,) * 13)),
                  GuardError, "subset enumeration limited to s <= 12", id="middle_term/guard"),
     pytest.param(lambda: CbcCriterion("sym", WeightScheme.product([1.0]), 310), GuardError,
                  "sym alpha = 310: the weight factor 0.0 is not a positive finite double",
