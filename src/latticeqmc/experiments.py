@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,11 +20,12 @@ from .errors import DomainError
 from .kernels import _block_rows
 from .lattice import (
     LatticeRule,
+    _rank1_rows,
+    _tent_numerators,
     distinct_count,
     fibonacci_rule,
     rank1_points,
     symmetrize,
-    tent_transform,
 )
 from .numtheory import _integer, fibonacci, nearest_prime
 from .weights import WeightScheme
@@ -183,14 +185,15 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
     tent-transformed points (and symmetrized ones in the bivariate study),
     and tabulate absolute errors against the exact integral."""
     target = exact_integral(cfg.integrand, cfg.omega, cfg.c2)
+    f = partial(integrand_eval, cfg.integrand, omega=cfg.omega, c2=cfg.c2)
+
+    def error(values) -> float:
+        return abs(float(np.mean(np.concatenate(values))) - target)
 
     def qmc_error(x, D=1) -> float:
-        """|mean - target| over row blocks of x / float(D): numerators over their denominator,
-        the quotient .points holds with no (N, s) float view made, or float points, D = 1."""
+        """|mean - target| over row blocks of x / float(D): numerators over D, or points, D = 1."""
         step = _block_rows(x.shape[1])
-        values = [integrand_eval(cfg.integrand, x[lo:lo + step] / float(D), cfg.omega, cfg.c2)
-                  for lo in range(0, len(x), step)]
-        return abs(float(np.mean(np.concatenate(values))) - target)
+        return error([f(x[lo:lo + step] / float(D)) for lo in range(0, len(x), step)])
 
     ext = None if external_points is None else np.atleast_2d(np.asarray(external_points, float))
     rows = []
@@ -198,13 +201,14 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
     for N in cfg.N_list:
         rule = _build_rule(cfg, N)
         vectors[N] = rule.z
-        plain = rank1_points(rule)
-        err_lattice = qmc_error(plain.numerators, N)
-        err_tent = qmc_error(tent_transform(plain).numerators, N)
+        step = _block_rows(rule.s)  # each row block of numerators, and its tent map, made once
+        pairs = [(f(x / float(N)), f(_tent_numerators(x, N) / float(N)))
+                 for x in (_rank1_rows(rule, lo, min(lo + step, N)) for lo in range(0, N, step))]
+        err_lattice, err_tent = (error(values) for values in zip(*pairs))
         err_sym = math.nan
         points_used = N
         if cfg.integrand == "bivar":
-            sym = symmetrize(plain)
+            sym = symmetrize(rank1_points(rule))
             err_sym = qmc_error(sym.numerators, sym.denominator)
             points_used = distinct_count(sym)
         err_external = math.nan

@@ -19,12 +19,13 @@ O(kmax) instead of O(kmax^2).
 
 from __future__ import annotations
 
-from math import pi
+from itertools import combinations_with_replacement
+from math import fsum, inf, isqrt, pi
 
 import numpy as np
 
 from .errors import DomainError
-from .kernels import _integer_alpha, kernel_1d
+from .kernels import _block_rows, _integer_alpha, kernel_1d
 from .lattice import tent
 from .numtheory import _integer
 from .quadrature import composite_gauss_legendre
@@ -128,19 +129,41 @@ def appendix_inner_sum(l: int, which: str, kmax: int) -> tuple[float, float]:
         raise DomainError(f"l must be a positive odd integer, got {l}")
     if which not in ("first", "second"):
         raise DomainError("which must be 'first' or 'second'")
-    den = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)  # k, then each term, in place
-    den *= den
-    den *= 4.0
-    den -= float(l) ** 2
-    if which == "second":
+    kmax, step = _integer(kmax, "kmax", 1), _block_rows(1)
+
+    def block(lo):  # a call, so that one block is freed before the next is made
+        den = np.arange(lo, min(lo + step, kmax + 1), dtype=float)  # k, then each term, in place
         den *= den
-    np.reciprocal(den, out=den)
-    if which == "first":
-        return float(np.sum(den)), 1.0 / (2.0 * l**2)
-    return float(np.sum(den)), (pi**2 / 4.0 - 2.0 / l**2) / (4.0 * l**2)
+        den *= 4.0
+        den -= float(l) ** 2
+        if which == "second":
+            den *= den
+        return float(np.sum(np.reciprocal(den, out=den)))
+
+    closed = 1.0 / (2.0 * l**2) if which == "first" else (pi**2 / 4.0 - 2.0 / l**2) / (4.0 * l**2)
+    return fsum(block(lo) for lo in range(1, kmax + 1, step)), closed  # O(block) at any kmax
 
 
 # -- the verification suite behind the `verify-appendix` command ------------
+
+
+def _tiled_bound_check(coef, c: float, a: int, low=-inf):
+    """(every coef(k, l) in [low, c/(k^a l^a) + 1e-15], the max ratio, coef symmetric) over
+    k, l = 1..1000.  Square tiles pair up i <= j: tile (k_i, l_j) and its mirror (k_j, l_i)
+    are computed once each, and a pair with its temporaries, about 16 tiles, fits one block."""
+    k, width = np.arange(1.0, 1001.0), isqrt(_block_rows(16))
+
+    def pair(i, j):  # a call, so that one pair's tiles are freed before the next pair's
+        down, across = k[i:i + width, None], k[None, j:j + width]
+        tile = coef(down, across)
+        mirror = tile if i == j else coef(across.T, down.T)
+        top = c / (down**a * across**a)  # top.T bounds the mirror, bit for bit
+        both = [(tile, top)] + ([(mirror, top.T)] if i != j else [])
+        return (all(np.all(v >= low) and np.all(v <= cap + 1e-15) for v, cap in both),
+                max(float(np.max(v / cap)) for v, cap in both), np.array_equal(tile, mirror.T))
+
+    folds = [pair(i, j) for i, j in combinations_with_replacement(range(0, len(k), width), 2)]
+    return all(f[0] for f in folds), max(f[1] for f in folds), all(f[2] for f in folds)
 
 
 def run_appendix_checks() -> list[tuple[str, bool, str]]:
@@ -154,25 +177,12 @@ def run_appendix_checks() -> list[tuple[str, bool, str]]:
                     for x, y in rng.random((20, 2)))
         rows.append((name, worst <= tol, f"max err {worst:.3e}"))
 
-    # k down, l across: c(l, k) is the transpose, read for the symmetry row
-    k = np.arange(1.0, 1001.0)[:, None]
-    l = k.T
-    vals = c_phi(k, l)
-    symmetric = np.array_equal(vals, vals.T)
-    bound = C_PRIME / (k**2 * l**2)
-    ok = bool(np.all(vals >= 0.0) and np.all(vals <= bound + 1e-15))
-    rows.append(("0 <= c_phi(k,l) <= c'/(k^2 l^2), k,l <= 1e3", ok,
-                 f"max ratio {float(np.max(vals / bound)):.6f}"))
-    ok = True
-    worst = 0.0
-    for alpha in (2, 4):
-        vals = c_sym(k, l, alpha)
-        bound = 6.0 / (k**alpha * l**alpha)
-        worst = max(worst, float(np.max(vals / bound)))
-        ok = ok and bool(np.all(vals <= bound + 1e-15))
-        symmetric = symmetric and np.array_equal(vals, vals.T)
-    rows.append(("c_sym(k,l,a) <= 6/(k^a l^a), k,l <= 1e3, a in {2,4}", ok,
-                 f"max ratio {worst:.6f}"))
+    ok, worst, symmetric = _tiled_bound_check(c_phi, C_PRIME, 2, low=0.0)
+    rows.append(("0 <= c_phi(k,l) <= c'/(k^2 l^2), k,l <= 1e3", ok, f"max ratio {worst:.6f}"))
+    checks = [_tiled_bound_check(lambda k, l, a=a: c_sym(k, l, a), 6.0, a) for a in (2, 4)]
+    symmetric = symmetric and all(c[2] for c in checks)
+    rows.append(("c_sym(k,l,a) <= 6/(k^a l^a), k,l <= 1e3, a in {2,4}", all(c[0] for c in checks),
+                 f"max ratio {max(c[1] for c in checks):.6f}"))
 
     worst_cos = worst_sin = 0.0
     for k in range(1, 9):

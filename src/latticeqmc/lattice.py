@@ -129,12 +129,19 @@ class PointSet:
         )
 
 
+def _rank1_rows(rule: LatticeRule, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of n z mod N (int64), whole in rank1_points, by blocks in experiments."""
+    return np.outer(np.arange(lo, hi, dtype=np.int64), np.array(rule.z, dtype=np.int64)) % rule.N
+
+
+def _tent_numerators(nums, D: int) -> np.ndarray:
+    """The tent map on numerators over D, exact: i -> D - |2i - D|."""
+    return D - np.abs(2 * nums - D)
+
+
 def rank1_points(rule: LatticeRule) -> PointSet:
     """The point set { {n z / N} : 0 <= n < N }, exact in integer arithmetic."""
-    n = np.arange(rule.N, dtype=np.int64)
-    z = np.array(rule.z, dtype=np.int64)
-    nums = np.outer(n, z) % rule.N
-    return PointSet(s=rule.s, kind="plain", numerators=nums, denominator=rule.N)
+    return PointSet(rule.s, "plain", _rank1_rows(rule, 0, rule.N), rule.N)
 
 
 def tent(x):
@@ -151,8 +158,7 @@ def tent_transform(ps: PointSet) -> PointSet:
     over the result must match the equal-weight average over the original rule."""
     if ps.kind != "plain":
         raise DomainError(f"tent transform expects a plain point set, got {ps.kind!r}")
-    nums = ps.denominator - np.abs(2 * ps.numerators - ps.denominator)
-    return PointSet(s=ps.s, kind="tent", numerators=nums, denominator=ps.denominator)
+    return PointSet(ps.s, "tent", _tent_numerators(ps.numerators, ps.denominator), ps.denominator)
 
 
 def symmetrize(ps: PointSet) -> PointSet:

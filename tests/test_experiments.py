@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -179,8 +180,9 @@ def test_fitted_slopes_dict():
 def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monkeypatch, budget):
     """run_experiment never reads PointSet.points: it evaluates row blocks of the
     numerators, here one block or one to three rows per block, and its errors
-    equal those from the full float view with ==."""
-    from latticeqmc import kernels
+    equal those from the full float view with ==.  The f1 study builds no point
+    set at all: its lattice and tent numerators are made block by block."""
+    from latticeqmc import experiments, kernels
     from latticeqmc.lattice import PointSet, tent_transform
 
     if budget is not None:
@@ -188,10 +190,14 @@ def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monke
     configs = [replace(experiment_config("figure1"), N_list=(13, 21, 34, 55, 89)),
                replace(experiment_config("f1_s20"), N_list=(67, 127))]
     with monkeypatch.context() as patch:
-        def refuse(self):
-            raise AssertionError("the float view was built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the float view, or a whole point set, was built")
         patch.setattr(PointSet, "points", property(refuse))
-        results = [run_experiment(cfg) for cfg in configs]
+        results = [run_experiment(configs[0])]
+        # rank1_points and tent_transform, the latter through the PointSet it builds
+        patch.setattr(experiments, "rank1_points", refuse)
+        patch.setattr(PointSet, "__post_init__", refuse)
+        results.append(run_experiment(configs[1]))
 
     for cfg, res in zip(configs, results):
         target = exact_integral(cfg.integrand, cfg.omega, cfg.c2)
@@ -206,6 +212,21 @@ def test_errors_come_from_numerator_blocks_with_the_bits_of_the_float_view(monke
             assert r.err_tent == error(tent_transform(plain))
             if cfg.integrand == "bivar":
                 assert r.err_sym == error(symmetrize(plain))
+
+
+def test_f1_s100_holds_no_whole_point_set():
+    """At N = 16381, s = 100 the plain and tent numerators were 13 MB each as whole
+    arrays (a 39.3 MB traced peak); made block by block, the run with its fast CBC
+    peaks at 8.7 MB and stays under 12 MB."""
+    cfg = replace(experiment_config("f1_s100"), N_list=(16381,))
+    run_experiment(cfg)  # the first call's one-off tables are not the run's
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 @pytest.mark.parametrize("name,N_list", [("figure1", (13, 21, 34)), ("f1_s20", (67, 127))])

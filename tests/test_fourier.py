@@ -2,10 +2,12 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from latticeqmc import fourier, kernels
 from latticeqmc.errors import DomainError
 from latticeqmc.fourier import (
     C_PRIME,
@@ -186,6 +188,63 @@ def test_appendix_suite_all_green():
         "inner-sum identities at kmax=1e6 within tail bounds",
         "coefficient symmetry in (k, l)",
     ]
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+@pytest.mark.parametrize("l", [1, 7])
+@pytest.mark.parametrize("blocks", [(1, -1), (1, 1), (3, 5)])
+def test_inner_sum_block_edges_against_fsum(which, l, blocks):
+    """kmax one below and above a block edge, and three blocks and a few terms: the
+    block sums agree with math.fsum of the same float terms, which change sign at
+    k = l/2 (at l = 7 the terms at k = 1, 2, 3 are negative)."""
+    kmax = blocks[0] * kernels._BLOCK_BUDGET + blocks[1]
+    k = np.arange(1, kmax + 1, dtype=float)
+    terms = 4.0 * k * k - float(l) ** 2
+    terms = 1.0 / (terms * terms if which == "second" else terms)
+    partial, _ = appendix_inner_sum(l, which, kmax)
+    assert abs(partial - math.fsum(terms.tolist())) <= 1e-15
+
+
+def _rows_and_tiles(monkeypatch):
+    """run_appendix_checks' rows, and the (first k, first l, shape) of each c_phi tile."""
+    tiles = []
+
+    def recorded(k, l):
+        shape = np.broadcast_shapes(np.shape(k), np.shape(l))
+        tiles.append((float(np.min(k)), float(np.min(l)), shape))
+        return c_phi(k, l)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fourier, "c_phi", recorded)
+        return run_appendix_checks(), tiles
+
+
+def test_appendix_suite_in_mirror_tiles_matches_the_default_budget(monkeypatch):
+    """Under a budget of 16 x 100^2 entries the 1000 x 1000 grid runs in 100-wide tiles,
+    off the diagonal as a tile and its mirror: every row but the inner sums' keeps its
+    name, flag and detail, and each coefficient is computed once at either budget."""
+    default, default_tiles = _rows_and_tiles(monkeypatch)
+    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", 16 * 100**2)
+    tiled, tiles = _rows_and_tiles(monkeypatch)
+    corners = {(1.0 + 100 * i, 1.0 + 100 * j) for i in range(10) for j in range(10)}
+    assert sorted(t[:2] for t in tiles) == sorted(corners)  # 10 diagonal, 45 pairs mirrored
+    assert {t[2] for t in tiles} == {(100, 100)}
+    assert sum(math.prod(t[2]) for t in default_tiles) == 10**6
+    inner = "inner-sum identities at kmax=1e6 within tail bounds"
+    assert [r for r in tiled if r[0] != inner] == [r for r in default if r[0] != inner]
+    assert all(ok for _, ok, _ in tiled)
+
+
+def test_appendix_suite_holds_no_full_grid():
+    """The coefficient grid in tiles and the inner sums in blocks: the suite's traced
+    peak (3.5 MB) stays under 8 MB; a whole 1000 x 1000 grid with its bound made 32 MB."""
+    tracemalloc.start()
+    try:
+        run_appendix_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize("call,fragment", [
