@@ -10,13 +10,7 @@ no kernel is a truncated series.
 
 import numpy as np
 
-from latticeqmc import (
-    KernelSpec,
-    WeightScheme,
-    kernel,
-    kernel_1d,
-    kernel_mean_identity_check,
-)
+from latticeqmc import KernelSpec, WeightScheme, kernel, kernel_1d
 
 print("closed forms at x = y = 0.3:")
 for family, alpha in (("korobov", 1), ("sobolev", 2), ("sob_odd", 4), ("sob_odd_alpha", 4)):
@@ -50,7 +44,3 @@ spec = KernelSpec(family="sobolev", alpha=2, weights=w)
 pt_a = np.array([0.1, 0.5, 0.9])
 pt_b = np.array([0.3, 0.3, 0.3])
 print("\nweighted 3-d Sobolev kernel:", kernel(spec, pt_a, pt_b))
-
-# The mean-one identity is what reduces the worst-case error to a double sum.
-print("integral of K(x, .) over the cube (should be 1):",
-      kernel_mean_identity_check(spec, pt_a))

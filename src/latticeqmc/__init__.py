@@ -24,15 +24,12 @@ from .fourier import (
     sin_tent_coeff,
     tent_kernel_partial_sum,
 )
-from .kernels import KernelSpec, kernel, kernel_1d, kernel_mean_identity_check
+from .kernels import KernelSpec, kernel, kernel_1d
 from .lattice import (
     LatticeRule,
     PointSet,
-    character_sum,
     distinct_count,
-    dual_projected,
     fibonacci_rule,
-    is_dual,
     rank1_points,
     symmetrize,
     tent,

@@ -44,7 +44,7 @@ def _load_weights(arg: str) -> WeightScheme:
     source = f"{arg!r}, which names no file,"
     if os.path.isfile(arg):
         source = f"file {arg!r}"
-        with open(arg) as fh:
+        with open(arg, "rb") as fh:
             arg = fh.read()
     try:
         data = json.loads(arg, object_pairs_hook=_unique_keys)

@@ -20,7 +20,6 @@ from math import cos, factorial, fsum, gamma, inf, log1p, pi
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import composite_gauss_legendre
 from .special_functions import MAX_DEGREE, _zeta, _zeta_regular, bernoulli_scaled
 from .weights import WeightScheme
 
@@ -45,10 +44,9 @@ def _integer_alpha(alpha, step: int = 1) -> int:
 
 
 def _closed_form(family: str, alpha) -> bool:
-    """The one rule for a Bernoulli closed form, which kernel_1d and `_kappa` evaluate
-    and the mean-identity check takes: the Sobolev families always, the families on
-    kappa at an integer alpha with 2 alpha <= MAX_DEGREE.  Off it `_kappa` takes the
-    polylog expansion."""
+    """The one rule for a Bernoulli closed form, which kernel_1d and `_kappa` evaluate:
+    the Sobolev families always, the families on kappa at an integer alpha with
+    2 alpha <= MAX_DEGREE.  Off it `_kappa` takes the polylog expansion."""
     return family in SOBOLEV_FAMILIES or (alpha % 1 == 0 and 2 * alpha <= MAX_DEGREE)
 
 
@@ -208,23 +206,3 @@ def kernel(spec: KernelSpec, x, y):
     eta = kernel_1d(spec.family, spec.alpha, x, y) - 1.0
     out = 1.0 + spec.weights.combine(eta)
     return out if np.ndim(out) else float(out)
-
-
-def kernel_mean_identity_check(spec: KernelSpec, x) -> float:
-    """Numerically integrate y -> K(x, y) over the cube; the unit-mean kernels
-    used by the worst-case-error shortcut must return 1 here.
-
-    The integral factorizes coordinate-wise; each 1-d factor is integrated by
-    composite Gauss-Legendre (8 panels) split at x_j (the |x - y| kink).
-    """
-    if not _closed_form(spec.family, spec.alpha):
-        raise DomainError("mean-identity check applies to the closed-form kernel families")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.s,):
-        raise DomainError(f"x must be a point of dimension {spec.s}")
-    means = np.empty(spec.s)
-    for j in range(spec.s):
-        xj = float(x[j])
-        means[j] = composite_gauss_legendre(
-            lambda t: kernel_1d(spec.family, spec.alpha, xj, t) - 1.0, 8, (xj,))
-    return float(1.0 + spec.weights.combine(means[None, :])[0])

@@ -3,13 +3,11 @@
 Coordinates of every point set produced here are rationals i/N.  The integer
 numerators are kept alongside the float view: the tent map and the coordinate
 reflections act exactly on numerators (i -> N - |2i - N| and i -> N - i), so
-duplicate detection, character sums and dual-lattice checks never touch
-floating point.
+duplicate detection never touches floating point.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import warnings
@@ -24,7 +22,6 @@ from .numtheory import _integer, fibonacci
 
 MAX_N = 2**31  # keeps n*z products inside int64
 SYMMETRIZE_DIM_GUARD = 20
-DUAL_SCAN_GUARD = 20_000_000
 _COMPRESSORS = {".gz": "gzip", ".bz2": "bz2", ".xz": "lzma", ".lzma": "lzma"}
 
 
@@ -191,53 +188,6 @@ def distinct_count(ps: PointSet) -> int:
         keys.sort()  # in place: the product is a fresh array, the numerators stay as they are
         return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     return len({tuple(row) for row in ps.numerators.tolist()})
-
-
-def is_dual(k, rule: LatticeRule) -> bool:
-    """True iff k . z = 0 mod N, for k a vector of integers (exact arithmetic)."""
-    k = [_integer(v, "k entry") for v in k]
-    if len(k) != rule.s:
-        raise DomainError(f"k has length {len(k)}, rule dimension is {rule.s}")
-    return sum(kj * zj for kj, zj in zip(k, rule.z)) % rule.N == 0
-
-
-def dual_projected(rule: LatticeRule, u, kmax: int) -> list[tuple[int, ...]]:
-    """Brute-force scan of the dual lattice projected to coordinates u.
-
-    Returns all k_u in (Z\\{0})^|u| with |k_j| <= kmax and (k_u, 0) . z = 0
-    mod N, in lexicographic order.  This is a verification oracle, not a
-    production path; the scan size is guarded.
-    """
-    u = sorted(set(_integer(j, "u entry") for j in u))
-    if not u or u[0] < 1 or u[-1] > rule.s:
-        raise DomainError(f"u must be a nonempty subset of 1..{rule.s}")
-    kmax = _integer(kmax, "kmax", 1)
-    if (2 * kmax) ** len(u) > DUAL_SCAN_GUARD:
-        raise GuardError(f"dual scan of size (2*{kmax})^{len(u)} exceeds the guard")
-    values = [k for k in range(-kmax, kmax + 1) if k != 0]
-    zu = [rule.z[j - 1] for j in u]
-    out = []
-    for combo in itertools.product(values, repeat=len(u)):
-        if sum(k * z for k, z in zip(combo, zu)) % rule.N == 0:
-            out.append(combo)
-    return out
-
-
-def character_sum(rule: LatticeRule, k, method: str = "exact") -> float:
-    """(1/N) sum over lattice points of e^{2 pi i k . x}, for k a vector of integers.
-
-    The exact path evaluates the dual-membership criterion (k . z mod N) and
-    returns 1.0 or 0.0.  The float path actually sums the complex
-    exponentials and returns the real part, for cross-checking.
-    """
-    if method == "exact":
-        return 1.0 if is_dual(k, rule) else 0.0
-    if method == "float":
-        x = rank1_points(rule).points
-        k = np.array([_integer(v, "k entry") for v in k], dtype=float)
-        phases = 2.0 * np.pi * (x @ k)
-        return float(np.mean(np.cos(phases)))
-    raise DomainError(f"unknown method {method!r}")
 
 
 def fibonacci_rule(m: int) -> LatticeRule:

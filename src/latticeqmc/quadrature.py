@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature used by the verification oracles."""
+"""Composite Gauss-Legendre quadrature of the Fourier-coefficient checks."""
 
 from __future__ import annotations
 

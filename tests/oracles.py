@@ -1,16 +1,21 @@
 """Oracles that only the tests use, kept out of the package."""
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, pi, prod
 
 import numpy as np
 
-from latticeqmc.errors import DomainError
-from latticeqmc.kernels import _smoothness
+from latticeqmc.errors import DomainError, GuardError
+from latticeqmc.kernels import KernelSpec, _closed_form, _smoothness, kernel_1d
+from latticeqmc.lattice import LatticeRule, rank1_points
 from latticeqmc.numtheory import _integer
+from latticeqmc.quadrature import composite_gauss_legendre
 from latticeqmc.special_functions import (_ROUND_UP, _zeta_tail, bernoulli_coefficients,
                                           bernoulli_poly)
+
+DUAL_SCAN_GUARD = 20_000_000
 
 
 def bernoulli_periodic(tau: int, x):
@@ -91,3 +96,70 @@ def dual_sums(order: int, rule) -> dict:
         power = (2 * mpmath.pi) ** (2 * o)
         return {frozenset(j + 1 for j in u): mpmath.mpf(q.numerator) / (q.denominator * N)
                 * power ** len(u) for u, q in sums.items()}
+
+
+def is_dual(k, rule: LatticeRule) -> bool:
+    """True iff k . z = 0 mod N, for k a vector of integers (exact arithmetic)."""
+    k = [_integer(v, "k entry") for v in k]
+    if len(k) != rule.s:
+        raise DomainError(f"k has length {len(k)}, rule dimension is {rule.s}")
+    return sum(kj * zj for kj, zj in zip(k, rule.z)) % rule.N == 0
+
+
+def dual_projected(rule: LatticeRule, u, kmax: int) -> list[tuple[int, ...]]:
+    """Brute-force scan of the dual lattice projected to coordinates u.
+
+    Returns all k_u in (Z\\{0})^|u| with |k_j| <= kmax and (k_u, 0) . z = 0
+    mod N, in lexicographic order.  This is a verification oracle, not a
+    production path; the scan size is guarded.
+    """
+    u = sorted(set(_integer(j, "u entry") for j in u))
+    if not u or u[0] < 1 or u[-1] > rule.s:
+        raise DomainError(f"u must be a nonempty subset of 1..{rule.s}")
+    kmax = _integer(kmax, "kmax", 1)
+    if (2 * kmax) ** len(u) > DUAL_SCAN_GUARD:
+        raise GuardError(f"dual scan of size (2*{kmax})^{len(u)} exceeds the guard")
+    values = [k for k in range(-kmax, kmax + 1) if k != 0]
+    zu = [rule.z[j - 1] for j in u]
+    out = []
+    for combo in itertools.product(values, repeat=len(u)):
+        if sum(k * z for k, z in zip(combo, zu)) % rule.N == 0:
+            out.append(combo)
+    return out
+
+
+def character_sum(rule: LatticeRule, k, method: str = "exact") -> float:
+    """(1/N) sum over lattice points of e^{2 pi i k . x}, for k a vector of integers.
+
+    The exact path evaluates the dual-membership criterion (k . z mod N) and
+    returns 1.0 or 0.0.  The float path actually sums the complex
+    exponentials and returns the real part, for cross-checking.
+    """
+    if method == "exact":
+        return 1.0 if is_dual(k, rule) else 0.0
+    if method == "float":
+        x = rank1_points(rule).points
+        k = np.array([_integer(v, "k entry") for v in k], dtype=float)
+        phases = 2.0 * np.pi * (x @ k)
+        return float(np.mean(np.cos(phases)))
+    raise DomainError(f"unknown method {method!r}")
+
+
+def kernel_mean_identity_check(spec: KernelSpec, x) -> float:
+    """Numerically integrate y -> K(x, y) over the cube; the unit-mean kernels
+    used by the worst-case-error shortcut must return 1 here.
+
+    The integral factorizes coordinate-wise; each 1-d factor is integrated by
+    composite Gauss-Legendre (8 panels) split at x_j (the |x - y| kink).
+    """
+    if not _closed_form(spec.family, spec.alpha):
+        raise DomainError("mean-identity check applies to the closed-form kernel families")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.s,):
+        raise DomainError(f"x must be a point of dimension {spec.s}")
+    means = np.empty(spec.s)
+    for j in range(spec.s):
+        xj = float(x[j])
+        means[j] = composite_gauss_legendre(
+            lambda t: kernel_1d(spec.family, spec.alpha, xj, t) - 1.0, 8, (xj,))
+    return float(1.0 + spec.weights.combine(means[None, :])[0])

@@ -26,7 +26,6 @@ from latticeqmc.fourier import (
 from latticeqmc.kernels import KernelSpec
 from latticeqmc.lattice import (
     LatticeRule,
-    character_sum,
     distinct_count,
     rank1_points,
     symmetrize,
@@ -43,6 +42,7 @@ from latticeqmc.worst_case_error import (
     wce_sym_exact,
     wce_tent_bound,
 )
+from oracles import character_sum
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

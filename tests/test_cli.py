@@ -302,6 +302,17 @@ def test_malformed_weights_are_a_precondition_violation(weights, message, capsys
     assert err.startswith("error: --weights") and message in err
 
 
+def test_weights_file_that_is_not_utf8_is_a_precondition_violation(tmp_path, capsys):
+    """A file starting with byte 0xff once exited 1 with a UnicodeDecodeError traceback."""
+    wfile = tmp_path / "bad.json"
+    wfile.write_bytes(b"\xff{")
+    assert main(["wce", "--space", "korobov", "--n", "13", "--z", "1,5",
+                 "--weights", str(wfile)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: --weights file {str(wfile)!r} is not valid JSON: ")
+
+
 def test_tent_commands_refuse_alpha_other_than_2():
     weights = json.dumps({"form": "product", "gamma": [1.0]})
     assert main(["bound", "--kind", "tent", "--alpha", "3", "--n", "5", "--lambda", "1.0",

@@ -9,14 +9,8 @@ import pytest
 
 from latticeqmc.errors import DomainError
 from latticeqmc.fourier import appendix_inner_sum, c_sym, tent_kernel_partial_sum
-from latticeqmc.kernels import (
-    FAMILIES,
-    KernelSpec,
-    kernel,
-    kernel_1d,
-    kernel_mean_identity_check,
-)
-from latticeqmc.lattice import LatticeRule, dual_projected, rank1_points
+from latticeqmc.kernels import FAMILIES, KernelSpec, kernel, kernel_1d
+from latticeqmc.lattice import LatticeRule, rank1_points
 from latticeqmc.special_functions import MAX_DEGREE
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
@@ -27,8 +21,8 @@ from latticeqmc.worst_case_error import (
     wce_sq_quadratic_form,
     wce_sym_exact,
 )
-from oracles import (bernoulli_fourier_partial_sum, fourier_tail_bound, korobov_series_1d,
-                     series_tail_bound)
+from oracles import (bernoulli_fourier_partial_sum, dual_projected, fourier_tail_bound,
+                     kernel_mean_identity_check, korobov_series_1d, series_tail_bound)
 
 
 def spec_for(family, alpha, s=1, gamma=1.0):
@@ -353,7 +347,7 @@ def test_every_alpha_accepted_before_is_still_accepted():
 
 
 # Every public entry point that takes a series truncation kmax, and the series
-# oracles of the tests, called with it.
+# and dual-lattice oracles of the tests, called with it.
 KMAX_ENTRY_POINTS = {
     "korobov_series_1d": lambda k: korobov_series_1d(1.5, 0.2, 0.7, k),
     "series_tail_bound": lambda k: series_tail_bound(1.5, k),

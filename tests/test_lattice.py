@@ -13,16 +13,14 @@ from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.lattice import (
     LatticeRule,
     PointSet,
-    character_sum,
     distinct_count,
-    dual_projected,
     fibonacci_rule,
-    is_dual,
     rank1_points,
     symmetrize,
     tent,
     tent_transform,
 )
+from oracles import character_sum, dual_projected, is_dual
 
 
 def random_rule(rng, N, s) -> LatticeRule:

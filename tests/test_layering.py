@@ -1,5 +1,6 @@
 """Where the benchmark's traced spans live, what `cbc` reads of
-`worst_case_error`, and which module decides what an integer input is.
+`worst_case_error`, which module decides what an integer input is, and that
+the test oracles stay out of the package and the demos.
 
 A traced benchmark run fails when a span it maps records no call, so a
 function that moves out of the module its span names breaks the trace of
@@ -73,3 +74,26 @@ def test_only_numtheory_decides_what_an_integer_is(path):
     if path.stem == "special_functions":
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert "_kmax" not in defined
+
+
+def test_no_module_of_the_package_or_the_demos_holds_a_test_oracle():
+    """No alias, re-export or second copy of a function of tests/oracles.py, and
+    no import of that module: the demos run with only src/ on the path."""
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    names = {node.name for node in oracles.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for path in sorted((ROOT / "src" / "latticeqmc").glob("*.py")) + sorted(
+            (ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = {node.id}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):  # module paths, names, aliases
+                paths = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                bound = {part for p in paths for part in p.split(".")}
+                bound |= {a.asname for a in node.names}
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in sorted(bound & (names | {"oracles"}))]
+    assert found == []

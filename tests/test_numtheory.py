@@ -16,19 +16,13 @@ from latticeqmc.fourier import (
     sin_tent_coeff,
     tent_kernel_partial_sum,
 )
-from latticeqmc.lattice import (
-    LatticeRule,
-    PointSet,
-    character_sum,
-    dual_projected,
-    fibonacci_rule,
-    is_dual,
-)
+from latticeqmc.lattice import LatticeRule, PointSet, fibonacci_rule
 from latticeqmc.numtheory import fibonacci, is_prime, nearest_prime, prime_factors, primitive_root
 from latticeqmc.quadrature import composite_gauss_legendre
 from latticeqmc.special_functions import bernoulli_poly
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import CbcCriterion, corollary_bound, korobov_residue_table
+from oracles import character_sum, dual_projected, is_dual
 
 # the least strong pseudoprime to all twelve bases 2..37: 399165290221 * 798330580441
 PSI_12 = 318665857834031151167461
@@ -77,8 +71,9 @@ _W3 = WeightScheme.product([1.0, 0.5, 0.25])
 _TENT = CbcCriterion("tent", _W3)
 _RULE = LatticeRule(5, (1, 2))
 
-# Every integer parameter of the package, called with it: (call, the low bound it
-# takes or None, whether the call returns the value as stored).  Each call accepts 3.
+# Every integer parameter of the package and of the dual-lattice oracles, called with
+# it: (call, the low bound it takes or None, whether the call returns the value as
+# stored).  Each call accepts 3.
 INTEGER_ENTRY_POINTS = {
     "is_prime": (is_prime, None, False),
     "nearest_prime": (nearest_prime, None, True),

@@ -13,8 +13,7 @@ from latticeqmc import kernels, worst_case_error
 from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError, GuardError
 from latticeqmc.kernels import KernelSpec, kernel, kernel_1d
-from latticeqmc.lattice import (LatticeRule, PointSet, dual_projected, rank1_points, symmetrize,
-                                tent_transform)
+from latticeqmc.lattice import LatticeRule, PointSet, rank1_points, symmetrize, tent_transform
 from latticeqmc.special_functions import bernoulli_coefficients
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import (
@@ -29,7 +28,7 @@ from latticeqmc.worst_case_error import (
     wce_sym_exact,
     wce_tent_bound,
 )
-from oracles import dual_sums
+from oracles import dual_projected, dual_sums
 
 
 def random_rule(rng, N, s) -> LatticeRule:
