@@ -243,7 +243,8 @@ class _Running:
     eta_d (an array of the given shape) at a time, with x_j = gamma_j eta_j.
     Adding eta_d adds weight_vector() * eta_d.
 
-    Product weights keep p = prod_j (1 + x_j); the sum is p - 1.
+    Product weights keep p = prod_j (1 + x_j), the empty product (ones)
+    until the first factor is written into it in place; the sum is p - 1.
 
     POD weights meet in the middle.  With G_0 = 0 and G_k = Gamma_k, the sum
     over s coordinates is sum_k G_k e_k(x_1..x_s), and e_k splits as
@@ -275,8 +276,13 @@ class _Running:
         self.F, self.e = np.tensordot(hankel, self.e, axes=1), None
 
     def add(self, eta_d: np.ndarray) -> None:
-        v = self.w.gamma[self.d] * eta_d
+        g = self.w.gamma[self.d]
         self.d += 1
+        if self.w.form == "product" and self.d == 1:  # 1 * v = v: p takes v in place
+            np.multiply(eta_d, g, out=self.p)
+            self.p += 1.0
+            return
+        v = g * eta_d
         if self.w.form == "product":
             v += 1.0
             self.p *= v

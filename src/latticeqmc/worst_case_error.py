@@ -108,17 +108,18 @@ def _clamped(raw: float, kind: str) -> ErrorReport:
 # -- quadratic form ----------------------------------------------------------
 
 
-def _eta(g, beta, g_sum, a, b) -> np.ndarray:
+def _eta(g, g_sum, a, b, beta_a, beta_b) -> np.ndarray:
     """eta(a, b) = g[|a - b|] + g_sum[a + b] + sum_tau beta[tau][a] beta[tau][b] = K_1 - 1 of
     a unit-mean kernel at the numerator arrays a and b over D (broadcast), the one formula
-    that both pair layouts read.  g and beta[tau] have D + 1 entries; g_sum has 2D + 1 (the
-    cosine families), D + 1 where the numerators are folded to a + b <= D
-    (`wce_sym_exact`), or is None."""
+    that both pair layouts read.  The caller evaluates beta: beta_a and beta_b hold
+    beta[tau][a] and beta[tau][b] in the order of tau.  g and beta[tau] have D + 1 entries;
+    g_sum has 2D + 1 (the cosine families), D + 1 where the numerators are folded to
+    a + b <= D (`wce_sym_exact`), or is None."""
     eta = g[np.abs(a - b)]
     if g_sum is not None:
         eta += g_sum[a + b]
-    for t in beta.values():
-        eta += t[a] * t[b]
+    for ta, tb in zip(beta_a, beta_b):
+        eta += ta * tb
     return eta
 
 
@@ -147,7 +148,9 @@ def _row_pairs(weights: WeightScheme, nums: np.ndarray, g, beta, g_sum) -> float
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, r, step):
             hi = min(lo + step, r)
-            eta = _eta(g, beta, g_sum, rows[:, lo:hi, None], rows[:, None, lo:])
+            a, b = rows[:, lo:hi, None], rows[:, None, lo:]
+            eta = _eta(g, g_sum, a, b, [t[a] for t in beta.values()],
+                       [t[b] for t in beta.values()])
             cols = 2.0 * mu[lo:]
             cols[:hi - lo] = mu[lo:hi]
             total += float(mu[lo:hi] @ weights.combine(np.moveaxis(eta, 0, -1)) @ cols)
@@ -168,25 +171,30 @@ def _shift_pairs(weights: WeightScheme, rule: LatticeRule, fold: np.ndarray,
     E[delta, (p + k_j) mod h] for E[delta, a] = eta(T[a], T[a + delta]): one
     block of E, made once, serves every coordinate as a shifted copy.  delta
     and -delta give equal sums over p, so delta runs over 0..h//2, counted
-    twice except delta = 0 and, for even h, delta = h/2.  `combine` reads a
-    block of deltas (s * deltas * h <= one block budget) as the s shifted
-    slices of [E, E], uncopied."""
+    twice except delta = 0 and, for even h, delta = h/2.  Each beta[tau] is
+    gathered once along a2; a block reads its near side beta[tau][T[a]] as
+    the first h entries of that row and its far side beta[tau][T[a + delta]]
+    as windows of it, as it reads T[a + delta] as windows of a2.  `combine`
+    reads a block of deltas (s * deltas * h <= one block budget) as the s
+    shifted slices of [E, E], uncopied."""
     order = _HalfOrder(fold)
     a2, h, s = order.a2, len(order.cand), rule.s
     shifts = order.index(np.array(rule.z, dtype=np.int64)).tolist()
     delta = np.arange(h // 2 + 1)
-    # after[d, a] = T[(a + d) mod h], a view of a2
-    after = np.lib.stride_tricks.sliding_window_view(a2, h)[:len(delta)]
     count = np.where((delta == 0) | (2 * delta == h), 1.0, 2.0)
     step, zero = _block_rows(s * h), fold[:1]
+    b2 = [t[a2] for t in beta.values()]  # beta[tau] along [T, T], gathered once
+    b0, b_near = [t[zero] for t in beta.values()], [b[:h] for b in b2]
+    # far[d, a] = T[(a + d) mod h], b_far[tau][d, a] = beta[tau][far[d, a]]: views of a2, b2
+    far, *b_far = [np.lib.stride_tricks.sliding_window_view(x, h)[:len(delta)] for x in (a2, *b2)]
     # weights that overflow make the total non-finite, which ErrorReport refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        own = weights.combine(np.broadcast_to(_eta(g, beta, g_sum, zero, zero), (1, s)))
-        row = _eta(g, beta, g_sum, zero, a2)
+        own = weights.combine(np.broadcast_to(_eta(g, g_sum, zero, zero, b0, b0), (1, s)))
+        row = _eta(g, g_sum, zero, a2, b0, b2)
         cross = weights.combine([row[kj:kj + h] for kj in shifts])
         total = float(own[0]) + 4.0 * float(cross.sum())
         for lo in range(0, len(delta), step):
-            E = _eta(g, beta, g_sum, a2[:h], after[lo:lo + step])
+            E = _eta(g, g_sum, a2[:h], far[lo:lo + step], b_near, [b[lo:lo + step] for b in b_far])
             E = np.concatenate([E, E], axis=1)  # eta_j(p, p + delta) = E[delta, p + k_j]
             part = weights.combine([E[:, kj:kj + h] for kj in shifts]).sum(axis=1)
             total += 4.0 * float(count[lo:lo + step] @ part)

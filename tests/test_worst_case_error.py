@@ -1010,11 +1010,14 @@ def test_no_exact_error_starts_a_thread(monkeypatch):
     """Both pair layouts run on the calling thread: no thread starts, and
     every kernel block is made on the caller's thread.  The shift layout
     (odd prime N) and the row layout (composite N) keep the bits they had
-    when their blocks could run on a pool of threads."""
-    caller, eta = threading.current_thread(), worst_case_error._eta
+    when their blocks could run on a pool of threads.  Every eta of the
+    shift layout comes from `_eta`: it is called for the own row, the cross
+    row and each block of deltas 0..h//2, h = (N - 1)/2, and no more."""
+    caller, eta, calls = threading.current_thread(), worst_case_error._eta, []
 
     def on_the_caller(*args):
         assert threading.current_thread() is caller, "a kernel block left the calling thread"
+        calls.append(1)
         return eta(*args)
 
     monkeypatch.setattr(threading.Thread, "start",
@@ -1023,7 +1026,52 @@ def test_no_exact_error_starts_a_thread(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # composite N: some z_j share a factor
         assert _exact_error_bits((509, 1021), (2,)) == SHIFT_LAYOUT_BITS
+        blocks = [-(-((N - 1) // 4 + 1) // kernels._block_rows(20 * (N - 1) // 2))
+                  for N in (509, 1021)]
+        # per N, 4 shift-layout calls: sob2-tent and sym2, each with product and POD weights
+        assert len(calls) == sum(4 * (2 + b) for b in blocks)
         assert _exact_error_bits((510, 1024), (2, 4)) == ROW_LAYOUT_BITS
+
+
+# the shift layout's exact errors for the table shapes SHIFT_LAYOUT_BITS does not
+# hold (no beta with and without a sum table, two and three beta, one beta at
+# alpha = 4 beside a sum table), recorded while each block still gathered every
+# beta[tau] at its far-side numerators
+SHIFT_LAYOUT_TABLE_SHAPE_BITS = {
+    "korobov2-tent/N509": "0x1.4f7a19049bbefp-8",
+    "cosine2-tent/N509": "0x1.4d376e0f4a19ep-14",
+    "kor_plus_cos2-tent/N509": "0x1.7d6e7865dd0d7p-10",
+    "sobolev3-tent/N509": "0x1.d3de7d627d5a7p-28",
+    "sob_odd3-tent/N509": "0x1.4ccf05692f618p-28",
+    "sob_odd_alpha4-tent/N509": "0x1.4b2cbae676de1p-28",
+    "sym4/N509": "-0x1.346a89ad5230ap-57",
+    "korobov2-tent/N1021": "0x1.8ec034aec2b6ep-10",
+    "cosine2-tent/N1021": "0x1.516530b0a988fp-16",
+    "kor_plus_cos2-tent/N1021": "0x1.a429b7c3c9970p-12",
+    "sobolev3-tent/N1021": "0x1.0b704ad4c109ep-30",
+    "sob_odd3-tent/N1021": "0x1.5ee20f4e2ca70p-31",
+    "sob_odd_alpha4-tent/N1021": "0x1.5c946841bbf4fp-31",
+    "sym4/N1021": "-0x1.4344307250380p-57",
+}
+
+
+def test_shift_layout_keeps_its_bits_for_every_table_shape():
+    """float.hex of value - negative_clamp (sym alpha = 4 clamps to 0.0) of
+    the tent errors of CBC tent rules in six more kernel cases and of the
+    sym alpha = 4 error, s = 20, product weights gamma_j = j^-2."""
+    s = 20
+    w = WeightScheme.product([j ** -2.0 for j in range(1, s + 1)])
+    families = (("korobov", 2), ("cosine", 2), ("kor_plus_cos", 2), ("sobolev", 3),
+                ("sob_odd", 3), ("sob_odd_alpha", 4))
+    got = {}
+    for N in (509, 1021):
+        tent = tent_transform(rank1_points(cbc_fast(N, s, CbcCriterion("tent", w)).rule()))
+        reports = {f"{f}{a}-tent": wce_sq_quadratic_form(KernelSpec(f, a, w), tent)
+                   for f, a in families}
+        reports["sym4"] = wce_sym_exact(4, w, cbc_fast(N, s, CbcCriterion("sym", w, 4)).rule())
+        for key, rep in reports.items():
+            got[f"{key}/N{N}"] = (rep.value - rep.negative_clamp).hex()
+    assert got == SHIFT_LAYOUT_TABLE_SHAPE_BITS
 
 
 def _closed_form_bits(budget) -> dict:
