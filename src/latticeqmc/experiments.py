@@ -71,9 +71,19 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
     w = _coefficients(name, omega, c2)
     if x.shape[1] != len(w):
         raise DomainError(f"need {x.shape[1]} coefficients, got {len(w)}")
-    if name == "f1":
-        return np.prod(1.0 + w * (x**C1 - 1.0 / (1.0 + C1)), axis=1)
-    return np.prod(1.0 + w / (1.0 + w * x**c2), axis=1)
+    # the power is the one fresh (m, s) array, and the steps after it work on it in place
+    # in the formula's order; x**c keeps numpy's scalar fast paths (x**2.0 is a square)
+    if name == "f1":  # 1 + w (x^C1 - 1/(1 + C1))
+        t = x**C1
+        t -= 1.0 / (1.0 + C1)
+        t *= w
+    else:  # 1 + w / (1 + w x^c2)
+        t = x**c2
+        t *= w
+        t += 1.0
+        np.divide(w, t, out=t)
+    t += 1.0
+    return np.prod(t, axis=1)
 
 
 def exact_integral(name: str, omega=(), c2: float = 1.0) -> float:
@@ -169,7 +179,7 @@ def _fibonacci_rule_for(N: int) -> LatticeRule:
     while fibonacci(m) < N:
         m += 1
     if fibonacci(m) != N:
-        raise DomainError(f"{N} is not a Fibonacci number")
+        raise DomainError(f"Fibonacci rules take N = F_m with m >= 3 (2, 3, 5, 8, ...), got {N}")
     return fibonacci_rule(m)
 
 
@@ -252,14 +262,21 @@ def slope_fit(rows, column: str) -> float:
     return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
-def fitted_slopes(result: ExperimentResult) -> dict[str, float]:
-    """Slopes for every rule column present in the result."""
+def _slope_fits(result: ExperimentResult) -> dict[str, float | DomainError]:
+    """The slope of every rule column present in the result, or the DomainError
+    that refused its fit."""
     out = {}
     columns = ["lattice", "tent"] + (["sym"] if result.config.integrand == "bivar" else [])
     columns += ["external"] if result.has_external else []
     for col in columns:
         try:
             out[col] = slope_fit(result.rows, col)
-        except DomainError:
-            out[col] = math.nan
+        except DomainError as exc:
+            out[col] = exc
     return out
+
+
+def fitted_slopes(result: ExperimentResult) -> dict[str, float]:
+    """Slopes for every rule column present in the result, NaN where too few rows fit."""
+    return {col: math.nan if isinstance(fit, DomainError) else fit
+            for col, fit in _slope_fits(result).items()}

@@ -19,6 +19,46 @@ from latticeqmc.lattice import LatticeRule, rank1_points, symmetrize, tent_trans
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import corollary_bound, wce_sq_korobov_lattice, wce_sym_exact
 
+import cli_cases
+
+
+CASES = cli_cases.load()
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _rows(test):
+    """The rows of tests/data/cli_cases.json that this test runs."""
+    return [row for row in CASES if row["test"] == test]
+
+
+def _cases(test):
+    """The rows of one test as pytest params, one per id."""
+    ids = dict.fromkeys(row["id"] for row in _rows(test))
+    return [pytest.param([r for r in _rows(test) if r["id"] == i], id=i) for i in ids]
+
+
+@pytest.fixture
+def run_cases(tmp_path, monkeypatch, capsys):
+    """Run rows of the case table in tmp_path through main, or as a child process
+    where the row says so, and check each as tests/cli_cases.py does."""
+    monkeypatch.chdir(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def run(rows):
+        assert rows
+        for row in rows:
+            if row.get("child"):
+                cli_cases.run(row, [sys.executable, "-m", "latticeqmc.cli"], tmp_path, env)
+                continue
+            cli_cases.write_inputs(row, tmp_path)
+            for argv in row.get("before", ()):
+                assert main(argv) == 0
+            capsys.readouterr()
+            code = main(row["argv"])
+            out, err = capsys.readouterr()
+            cli_cases.check(row, code, out, err, tmp_path)
+    return run
 
 def test_points_csv(tmp_path):
     out = tmp_path / "pts.csv"
@@ -188,20 +228,12 @@ def test_exported_points_read_back_as_external_points_give_the_lattice_error(nam
     assert float(row.split(",")[2]) == float(row.split(",")[6])
 
 
-@pytest.mark.parametrize("cell", ["nan", "1.7"])
-def test_external_points_outside_the_cube_exit_2_with_one_line(cell, tmp_path, capsys):
+@pytest.mark.parametrize("rows",
+                         _cases("test_external_points_outside_the_cube_exit_2_with_one_line"))
+def test_external_points_outside_the_cube_exit_2_with_one_line(rows, run_cases):
     """An --external-points file of f1_s20's 67 x 20 points, all 0.5 but one
     cell that is NaN or 1.7, is refused: no err_external is printed for it."""
-    cells = np.full((67, 20), "0.5", dtype=object)
-    cells[30, 7] = cell
-    ext = tmp_path / "ext.csv"
-    ext.write_text("".join(",".join(row) + "\n" for row in cells))
-    assert main(["experiment", "--name", "f1_s20", "--n-list", "67",
-                 "--external-points", str(ext)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: the integrands take points in [0, 1]^s, not outside it or NaN"]
+    run_cases(rows)
 
 
 def test_experiment_takes_composite_n_as_cbc_does(tmp_path, monkeypatch):
@@ -240,87 +272,26 @@ def test_runtime_imports_only_numpy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_verify_appendix_passes(capsys):
-    assert main(["verify-appendix"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+def test_verify_appendix_passes(run_cases):
+    run_cases(_rows("test_verify_appendix_passes"))
 
 
-def test_exit_code_precondition():
-    weights = json.dumps({"form": "product", "gamma": [1.0]})
-    # composite N for the construction bound -> precondition violation
-    assert main(["bound", "--kind", "tent", "--n", "6", "--lambda", "1.0",
-                 "--weights", weights]) == 2
-    # lambda out of range
-    assert main(["bound", "--kind", "tent", "--n", "5", "--lambda", "0.5",
-                 "--weights", weights]) == 2
-    # bad generating vector entry
-    assert main(["points", "--n", "5", "--z", "0", "--out", "-"]) == 2
+def test_exit_code_precondition(run_cases):
+    run_cases(_rows("test_exit_code_precondition"))
 
 
-@pytest.mark.parametrize("weights,message", [
-    ("{bad", "is not valid JSON"),
-    ('{"form":"product"}', "needs the key 'gamma'"),
-    ("no_such_weights.json", "which names no file, is not valid JSON"),
-    ("[1.0]", "is not a JSON object"),
-    ('{"form":"product","gamma":3}', "malformed value"),
-    # each of these once exited 0 with other weights ("25" read as (2, 5), true as 1.0) ...
-    ('{"form":"product","gamma":"25"}', "'gamma' must be a JSON array of numbers"),
-    ('{"form":"product","gamma":[true,0.5]}', "'gamma' must be a JSON array of numbers"),
-    ('{"form":"product","gamma":[1,"0.5"]}', "'gamma' must be a JSON array of numbers"),
-    ('{"form":"general","subsets":{"1,2":"0.5"}}', "'subsets' must be a JSON object of numbers"),
-    ('{"form":"general","subsets":{"1,2":true}}', "'subsets' must be a JSON object of numbers"),
-    # ... and these exited 1 with an AttributeError traceback
-    ('{"form":"general","subsets":[]}', "'subsets' must be a JSON object of numbers"),
-    ('{"form":"general","subsets":null}', "'subsets' must be a JSON object of numbers"),
-    # ... and each of these was read as another subset ("1_0" as 10), refused as
-    # "dimension must be >= 1" ("0") or without naming --weights
-    ('{"form":"general","subsets":{"1_0":1}}', "has a malformed value: subset key '1_0'"),
-    ('{"form":"general","subsets":{"+2":1}}', "subset key '+2'"),
-    ('{"form":"general","subsets":{"0":1}}', "subset key '0'"),
-    ('{"form":"general","subsets":{"1,,2":1}}', "subset key '1,,2'"),
-    ('{"form":"pod","gamma":[1]}', "needs the key 'Gamma'"),
-    ('{"form":"nope","gamma":[1]}', "unknown weight form 'nope'"),
-    ("null", "is not a JSON object"),
-    # each of these exited 0 with the keys its form does not read dropped
-    ('{"form":"product","gamma":[1,0.5],"s":3,"Gamma":[9,9],"gamma2":[7]}',
-     "form 'product' takes only the keys ('form', 'gamma'), not ['s', 'Gamma', 'gamma2']"),
-    ('{"form":"pod","gamma":[1],"Gamma":[1],"subsets":{"1":1}}', "not ['subsets']"),
-    # json.loads refuses an integer of 4,401 digits with a ValueError that is not a
-    # JSONDecodeError, which exited 1 with a traceback
-    pytest.param('{"form":"product","gamma":[1%s]}' % ("0" * 4400),
-                 "is not valid JSON: Exceeds the limit (4300 digits)", id="4401_digits"),
-    # these exited 1 with a TypeError traceback, and "is not valid JSON" for valid JSON
-    ('{"form":["product"],"gamma":[1]}', "has a malformed value: unknown weight form ['product']"),
-    pytest.param('{"form":"general","subsets":{"1%s":1}}' % ("0" * 4300),
-                 "has a malformed value: subset key '1000", id="key_of_4301_digits"),
-])
-def test_malformed_weights_are_a_precondition_violation(weights, message, capsys):
-    assert main(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9",
-                 "--weights", weights]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --weights") and message in err
+@pytest.mark.parametrize("rows", _cases("test_malformed_weights_are_a_precondition_violation"))
+def test_malformed_weights_are_a_precondition_violation(rows, run_cases):
+    run_cases(rows)
 
 
-def test_weights_file_that_is_not_utf8_is_a_precondition_violation(tmp_path, capsys):
+def test_weights_file_that_is_not_utf8_is_a_precondition_violation(run_cases):
     """A file starting with byte 0xff once exited 1 with a UnicodeDecodeError traceback."""
-    wfile = tmp_path / "bad.json"
-    wfile.write_bytes(b"\xff{")
-    assert main(["wce", "--space", "korobov", "--n", "13", "--z", "1,5",
-                 "--weights", str(wfile)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: --weights file {str(wfile)!r} is not valid JSON: ")
+    run_cases(_rows("test_weights_file_that_is_not_utf8_is_a_precondition_violation"))
 
 
-def test_tent_commands_refuse_alpha_other_than_2():
-    weights = json.dumps({"form": "product", "gamma": [1.0]})
-    assert main(["bound", "--kind", "tent", "--alpha", "3", "--n", "5", "--lambda", "1.0",
-                 "--weights", weights]) == 2
-    assert main(["bound", "--kind", "tent", "--alpha", "2", "--n", "5", "--lambda", "1.0",
-                 "--weights", weights]) == 0
-    assert main(["wce", "--space", "sob2-tent", "--alpha", "3", "--n", "5", "--z", "1",
-                 "--weights", weights]) == 2
+def test_tent_commands_refuse_alpha_other_than_2(run_cases):
+    run_cases(_rows("test_tent_commands_refuse_alpha_other_than_2"))
 
 
 def test_wce_korobov_takes_a_real_alpha(capsys):
@@ -362,15 +333,9 @@ def test_integer_alpha_prints_the_bytes_of_the_integer_path(capsys):
             assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("alpha", ["3", "2.5"])
-def test_sym_commands_refuse_an_alpha_that_is_not_even(alpha, capsys):
-    weights = json.dumps({"form": "product", "gamma": [1.0, 0.5]})
-    for args in (["wce", "--space", "sym", "--n", "13", "--z", "1,5"],
-                 ["bound", "--kind", "sym", "--n", "13", "--lambda", "0.9"],
-                 ["cbc", "--n", "13", "--dims", "2", "--criterion", "sym"]):
-        assert main(args + ["--alpha", alpha, "--weights", weights]) == 2
-        assert capsys.readouterr().err.startswith("error: alpha must be an integer >= 2 "
-                                                  "divisible by 2")
+@pytest.mark.parametrize("rows", _cases("test_sym_commands_refuse_an_alpha_that_is_not_even"))
+def test_sym_commands_refuse_an_alpha_that_is_not_even(rows, run_cases):
+    run_cases(rows)
 
 
 def test_points_csv_on_stdout_matches_the_file(tmp_path, capsys):
@@ -381,10 +346,9 @@ def test_points_csv_on_stdout_matches_the_file(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
-def test_exit_code_guard():
-    # symmetrizing a 21-dimensional rule trips the 2^s multiset guard
-    z = ",".join(["1"] * 21)
-    assert main(["points", "--n", "3", "--z", z, "--transform", "sym", "--out", "-"]) == 3
+def test_exit_code_guard(run_cases):
+    """Symmetrizing a 21-dimensional rule trips the 2^s multiset guard."""
+    run_cases(_rows("test_exit_code_guard"))
 
 
 @pytest.mark.parametrize("message,line", [
@@ -404,105 +368,38 @@ def test_a_refused_allocation_exits_with_the_guard_code(message, line, monkeypat
     assert captured.out == "" and captured.err == line + "\n"
 
 
-@pytest.mark.parametrize("weights,z", [
-    ('{"form": "general", "subsets": {"1,2": 0.5, "2,1": 0.25}}', "1,5"),
-    ('{"form": "general", "subsets": {"1,2": 0.5, "1,2": 0.25}}', "1,5"),
-    ('{"form": "general", "subsets": {"1,1": 3.0, "2": 1.0}}', "1,5"),
-    ('{"form": "general", "s": 0, "subsets": {"1,2": 1.0}}', "1,5"),
-    ('{"form": "general", "s": 2.7, "subsets": {"1": 1.0}}', "1,5"),
-    ('{"form": "general", "s": true, "subsets": {"1": 1.0}}', "1"),
-])
-def test_general_weights_that_repeat_a_subset_or_give_a_bad_s_exit_2(weights, z, capsys):
+@pytest.mark.parametrize("rows",
+                         _cases("test_general_weights_that_repeat_a_subset_or_give_a_bad_s_exit_2"))
+def test_general_weights_that_repeat_a_subset_or_give_a_bad_s_exit_2(rows, run_cases):
     """Each of these weights once matched the rule's dimension and exited 0."""
-    assert main(["wce", "--space", "korobov", "--n", "13", "--z", z, "--weights", weights]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    run_cases(rows)
 
 
-def test_overflowing_weights_exit_with_the_guard_code(capsys):
-    weights = json.dumps({"form": "product", "gamma": [1e300, 1e300]})
+def test_overflowing_weights_exit_with_the_guard_code(run_cases):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["wce", "--space", "korobov", "--n", "13", "--z", "1,5",
-                     "--weights", weights]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("guard:")
+        run_cases(_rows("test_overflowing_weights_exit_with_the_guard_code"))
 
 
-@pytest.mark.parametrize("args,gamma", [
-    (["wce", "--space", "korobov", "--n", "13", "--z", "1,5"], [1e300, 1e300]),
-    (["wce", "--space", "sob2-tent", "--n", "13", "--z", "1,5"], [1e300, 1e300]),
-    (["cbc", "--n", "13", "--dims", "4", "--criterion", "tent"], [1.0] + [1e308] * 3),
-], ids=["wce_korobov", "wce_sob2_tent", "cbc"])
-def test_overflowing_weights_print_only_the_guard_line(args, gamma):
+@pytest.mark.parametrize("rows", _cases("test_overflowing_weights_print_only_the_guard_line"))
+def test_overflowing_weights_print_only_the_guard_line(rows, run_cases):
     """Run as a user runs it, with Python's default warning filters: numpy's
     overflow warnings must not reach stderr ahead of the guard line."""
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    weights = json.dumps({"form": "product", "gamma": gamma})
-    proc = subprocess.run([sys.executable, "-m", "latticeqmc.cli", *args, "--weights", weights],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("guard: "), proc.stderr
+    run_cases(rows)
 
 
-@pytest.mark.parametrize("args,message", [
-    (["figure1", "--n-list", "13,x"], "--n-list '13,x'"),
-    (["f1_s20", "--n-list", "67", "--external-points", "no_such_points.csv"],
-     "cannot read --external-points 'no_such_points.csv'"),
-    (["f1_s20", "--n-list", "67", "--external-points", "MALFORMED"],
-     "cannot read --external-points"),
-])
-def test_experiment_input_errors_are_a_precondition_violation(args, message, tmp_path,
-                                                               capsys):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("0.1,0.2\nfoo,bar\n")
-    args = [str(bad) if a == "MALFORMED" else a for a in args]
-    assert main(["experiment", "--name"] + args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+@pytest.mark.parametrize("rows",
+                         _cases("test_experiment_input_errors_are_a_precondition_violation"))
+def test_experiment_input_errors_are_a_precondition_violation(rows, run_cases):
+    run_cases(rows)
 
 
-@pytest.mark.parametrize("args,code,fragment", [
-    pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
-                  '{"form": "product", "gamma": [1.0, -0.5]}'], 2,
-                 "error: weights must be finite and nonnegative", id="wce/negative_gamma"),
-    pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
-                  '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
-                 "error: weights cover 3 coordinates, rule has 2", id="wce/dimension_mismatch"),
-    pytest.param(["wce", "--space", "sym", "--n", "13", "--z", "1,5", "--weights",
-                  '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
-                 "error: weights cover 3 coordinates", id="wce/sym_dimension_mismatch"),
-    pytest.param(["wce", "--space", "sob2-tent", "--n", "13", "--z", "1,5", "--weights",
-                  '{"form": "product", "gamma": [1.0, 0.5, 0.25]}'], 2,
-                 "error: weights cover 3 coordinates", id="wce/sob2_tent_dimension_mismatch"),
-    # float() overflowed on a weight of 401 digits, which exited 1 with a traceback
-    pytest.param(["bound", "--kind", "tent", "--n", "13", "--lambda", "0.9", "--weights",
-                  '{"form": "product", "gamma": [1%s]}' % ("0" * 400)], 2,
-                 "error: weights must be finite and nonnegative", id="bound/beyond_double"),
-    pytest.param(["experiment", "--name", "figure1", "--n-list", "14"], 2,
-                 "error: 14 is not a Fibonacci number", id="experiment/not_fibonacci"),
-    pytest.param(["cbc", "--n", "101", "--dims", "2", "--criterion", "sym", "--alpha", "310",
-                  "--weights", '{"form": "product", "gamma": [1.0, 0.25]}'], 3,
-                 "guard: sym alpha = 310: the weight factor 0.0 is not a positive finite double",
-                 id="cbc/sym_factor_underflows"),
-    pytest.param(["points", "--n", "7", "--z", "1,3", "--out", "no_such_dir/pts.csv"], 2,
-                 "error: cannot write --out 'no_such_dir/pts.csv': No such file or directory",
-                 id="points/unwritable_out"),
-    pytest.param(["wce", "--space", "korobov", "--n", "13", "--z", "1,5", "--weights",
-                  '{"form": "product", "gamma": [1.0, 0.5]}', "--out", "no_such_dir/wce.json"], 2,
-                 "error: cannot write --out 'no_such_dir/wce.json'", id="wce/unwritable_out"),
-    pytest.param(["cbc", "--n", "13", "--dims", "2", "--criterion", "tent", "--weights",
-                  '{"form": "product", "gamma": [1.0, 0.5]}', "--out", "no_such_dir/z.json"], 2,
-                 "error: cannot write --out 'no_such_dir/z.json'", id="cbc/unwritable_out"),
-    pytest.param(["experiment", "--name", "figure1", "--n-list", "13,21", "--out",
-                  "no_such_dir/table.csv"], 2,
-                 "error: cannot write --out 'no_such_dir/table.csv'", id="experiment/unwritable_out"),
-])
-def test_refusals(args, code, fragment, capsys):
-    assert main(args) == code
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(fragment)
+@pytest.mark.parametrize("rows", _cases("test_refusals"))
+def test_refusals(rows, run_cases):
+    run_cases(rows)
+
+
+@pytest.mark.parametrize("rows", _cases("test_script_cases_run_through_main"))
+def test_script_cases_run_through_main(rows, run_cases):
+    """The cases CI runs through the installed script, here through main."""
+    run_cases(rows)

@@ -11,6 +11,7 @@ import pytest
 
 from latticeqmc.errors import DomainError
 from latticeqmc.experiments import (
+    C1,
     ConvergenceRow,
     exact_integral,
     experiment_config,
@@ -33,6 +34,22 @@ def test_integrand_values():
         integrand_eval("nope", [[0.5]])
     with pytest.raises(DomainError):
         integrand_eval("bivar", [[0.5]])
+
+
+@pytest.mark.parametrize("name,c2", [("f1", 1.0), ("f2", 1.0), ("f2", 2.0)])
+def test_integrand_eval_leaves_the_callers_points_unchanged(name, c2):
+    """f1 and f2 work in place on the power of x, a fresh array, never on x, and
+    give the bits of the formula written as one expression."""
+    x = np.random.default_rng(0).random((6, 3))
+    before = x.copy()
+    w = np.array([1.0, 0.5, 0.25])
+    values = integrand_eval(name, x, omega=w, c2=c2)
+    np.testing.assert_array_equal(x, before)
+    if name == "f1":
+        want = np.prod(1.0 + w * (x**C1 - 1.0 / (1.0 + C1)), axis=1)
+    else:
+        want = np.prod(1.0 + w / (1.0 + w * x**c2), axis=1)
+    assert np.array_equal(values, want)
 
 
 def test_exact_integrals():
@@ -174,6 +191,12 @@ def test_fitted_slopes_dict():
     slopes = fitted_slopes(res)
     assert set(slopes) == {"lattice", "tent", "sym"}
     assert slopes["sym"] < -1.0
+
+
+def test_fitted_slopes_are_nan_where_too_few_rows_fit():
+    """Library callers get NaN; the CLI prints the refusal instead."""
+    res = run_experiment(replace(experiment_config("figure1"), N_list=(13, 21)))
+    assert all(math.isnan(v) for v in fitted_slopes(res).values())
 
 
 @pytest.mark.parametrize("budget", [None, 7])
