@@ -12,9 +12,10 @@ is never scored.  For the same reason W(n) = W(N - n), so the state is kept
 on half the points, each standing for n and N - n, in the order of
 `numtheory._HalfOrder`, which the closed-form recheck walks too: for
 prime N, n = 0 and the powers g^i of a primitive root g, i < h = (N-1)/2
-(Rader order), for other N, n = 0..N//2.  The plain scorer sums directly,
-O(N) per candidate: at prime N one dot product of a slice of the Rader
-table with the state, at other N a matrix product per block of
+(Rader order), for other N, n = 0..N//2.  A scorer takes W on the half
+points and counts each point as the order does.  The plain scorer sums
+directly, O(N) per candidate: at prime N one dot product of a slice of the
+Rader table with the state, at other N a matrix product per block of
 candidates, whose residues the order gathers into one reused block.  The
 FFT scorer (Nuyens & Cools) exploits that for prime N the candidate scores
 in Rader order form a circular correlation.  Because g^h = -1, the omega
@@ -22,8 +23,8 @@ side of that correlation is real, even and of period h, so it folds to one
 real correlation of length h (`np.fft.rfft`), taken at length h when no
 prime factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a
 5-smooth length >= 2h - 1 otherwise; O(N log N) per dimension.  `cbc_fast`
-scores with it at prime N and with the plain scorer elsewhere.  It and the
-sweep fill arrays they own, so a prime-N dimension allocates nothing.
+scores with it at prime N and with the plain scorer elsewhere.  It fills
+arrays it owns, so a prime-N dimension allocates no FFT output.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
@@ -83,20 +84,20 @@ def _select(scores: np.ndarray, cand: np.ndarray) -> int:
 
 @dataclass
 class _PlainScorer:
-    """T(z) by direct sums over the half points, O(N) per candidate, for any
-    N.  At prime N, T(cand[j]) = omega(0) w(0) + c[j] with c[j] = sum_i
-    a2[i + j] w(cand[i]) (`_HalfOrder`), one dot product per candidate over
-    a slice of the doubled Rader table (`np.correlate`), with no residue
-    matrix.  Other N multiply the state by the residues of a block of
-    candidates at a time."""
+    """T(z) from w on the half points, each counted mult times, by direct
+    sums, O(N) per candidate, for any N.  At prime N, T(cand[j]) = omega(0)
+    w(0) + mult[-1] c[j], c[j] = sum_i a2[i + j] w(cand[i]) (`_HalfOrder`),
+    one dot product per candidate over a slice of the doubled Rader table
+    (`np.correlate`), with no residue matrix.  Other N multiply mult * w by
+    the residues of a block of candidates at a time."""
 
     order: _HalfOrder
 
     def score(self, w: np.ndarray) -> np.ndarray:
-        order, h = self.order, len(self.order.cand)
+        order, h, mult = self.order, len(self.order.cand), self.order.mult
         if order.a2 is not None:
-            return order.w0 * w[0] + np.correlate(order.a2[: 2 * h - 1], w[1:], "valid")
-        step = min(_block_rows(h + 1), h)
+            return order.w0 * w[0] + mult[-1] * np.correlate(order.a2[: 2 * h - 1], w[1:], "valid")
+        w, step = mult * w, min(_block_rows(h + 1), h)
         return np.concatenate([order.residues(range(lo, min(lo + step, h)), 0, h + 1) @ w
                                for lo in range(0, h, step)])
 
@@ -116,21 +117,21 @@ def _smooth_length(n: int) -> int:
 
 class _FftScorer:
     """T as one real circular correlation of length h = (N-1)/2, for prime N
-    in the Rader order: with a[i] = omega(cand[i]) of period h, T(cand[j]) =
-    omega(0) w(0) + c[j], c[j] = sum_i a[(i + j) mod h] w(cand[i]).  The rfft
-    of a is shared by all dimensions.  When h has a prime factor above
-    FFT_DIRECT_MAX_PRIME, c is the head of the linear correlation of
-    a2[:2h - 1] = [a, a[:h-1]] (`_HalfOrder`) with w, zero-padded to the
-    smallest 5-smooth length >= 2h - 1.  The spectrum and the correlation are
-    the scorer's own, filled in place (`out=`, numpy >= 2.0); `score`
-    returns a view of the correlation, valid until the next call.
-    """
+    in the Rader order, from w on the half points: with a[i] = omega(cand[i])
+    of period h, T(cand[j]) = omega(0) w(0) + c[j], c[j] = sum_i
+    m a[(i + j) mod h] w(cand[i]), where m = mult[-1] counts each cand[i].  The rfft of m a is shared by all
+    dimensions.  When h has a prime factor above FFT_DIRECT_MAX_PRIME, c is
+    the head of the linear correlation of a2[:2h - 1] = [a, a[:h-1]]
+    (`_HalfOrder`) with w, zero-padded to the smallest 5-smooth length
+    >= 2h - 1.  The spectrum and the correlation are the scorer's own,
+    filled in place (`out=`, numpy >= 2.0); `score` returns a view of the
+    correlation, valid until the next call."""
 
     def __init__(self, order: _HalfOrder):
-        h = len(order.cand)
+        h, m = len(order.cand), order.mult[-1]
         direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
         self.L = h if direct else _smooth_length(2 * h - 1)
-        self.f_a = np.fft.rfft(order.a2[: 2 * h - 1], self.L)  # rfft crops to a2[:h] at L = h
+        self.f_a = m * np.fft.rfft(order.a2[: 2 * h - 1], self.L)  # rfft crops to a2[:h] at L = h
         self.omega0 = order.w0
         self.spectrum, self.c = np.empty_like(self.f_a), np.empty(self.L)
 
@@ -150,16 +151,15 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
 
     The state is kept on the half points of the `_HalfOrder`, whose `cand`
     maps a score index to its candidate (index 0 is z = 1); the scorer gives
-    T over `cand` from the state's weight vector times the multiplicities,
-    and the row of the chosen candidate is its residues at the half points.
-    The weighted state is the sweep's own array; the scores are made in
-    place in the scorer's output (the plain scorer's is fresh)."""
+    T over `cand` from the state's weight vector on the half points as it
+    is, each point counted as the order counts it, and the row of the
+    chosen candidate is its residues at the half points.  The scores are
+    made in place in the scorer's output (the plain scorer's is fresh)."""
     N, s = _integer(N, "N", 2), _integer(s, "s", 1)
     order = _HalfOrder(korobov_residue_table(crit.korobov_order, N))
     mult, prime = order.mult, order.a2 is not None
     scorer = (_FftScorer if fft and prime else _PlainScorer)(order)
     state = _Running(crit.leading_weights(s), mult.shape)
-    wv = np.empty_like(mult)
     z: list[int] = []
     errs: list[float] = []
     for _ in range(s):
@@ -167,7 +167,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
         if errs:
             # weights that overflow make the minimum non-finite, which _select refuses
             with np.errstate(over="ignore", invalid="ignore"):
-                scores = scorer.score(np.multiply(mult, state.weight_vector(), out=wv))
+                scores = scorer.score(state.weight_vector())
                 scores /= N
                 scores += errs[-1]
             i = _select(scores, order.cand)

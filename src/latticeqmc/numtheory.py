@@ -112,7 +112,8 @@ class _HalfOrder:
 
     The summand of a point n depends on n only through w(n z_j mod N), and
     w(r) = w(N - r), so the point n stands for n and N - n.  The half points
-    are n = 0 (index 0) then cand[i] (index i + 1), counted mult times; the
+    are n = 0 (index 0) then cand[i] (index i + 1), counted mult times (1 at
+    n = 0 and at n = N/2 for even N, the prime N = 2 included, else 2); the
     candidates z = cand[i] run over 1..N//2 once.  For prime N, with g a
     primitive root and h = N//2, cand[i] = min(g^i, N - g^i) (Rader order):
     g^h = -1 makes w(cand[i]) of period h in i, and a2 holds it for i < 2h,
@@ -132,7 +133,6 @@ class _HalfOrder:
             self.a2[h:] = self.a2[:h]
         else:
             self.table, self.cand = table, np.arange(1, h + 1, dtype=np.int64)
-        # each half point stands for n and N - n, but n = 0 and n = N/2 once
         self.mult = np.full(h + 1, 2.0)
         self.mult[0] = self.mult[h if N % 2 == 0 else 0] = 1.0
 

@@ -259,7 +259,9 @@ def test_half_order_keeps_the_table_only_where_it_gathers(N):
 def test_scorers_match_brute_force(N, scorer_class):
     """The state lives on the half points of the `_HalfOrder`, each standing
     for n and N - n, so each scorer is fed a symmetric W(n) = W(N - n), the
-    only kind the sweep makes.  The FFT scorer takes the direct length
+    only kind the sweep makes, on the half points and unweighted: the
+    scorer counts each point as the order does, and the brute force sums
+    over all N points.  The FFT scorer takes the direct length
     h = (N-1)/2 when h is 5-smooth (257, 641) or has no prime factor above
     FFT_DIRECT_MAX_PRIME without being 5-smooth (1009: 2^3 3^2 7, 1021:
     2 3 5 17), and zero-pads when h is prime (4079) or 3 * 683 (4099); h is
@@ -272,7 +274,7 @@ def test_scorers_match_brute_force(N, scorer_class):
         w = w + w[-n % N]
         brute = _brute_force_scores(N, omega, w)
         half = _HalfOrder(omega)
-        t = scorer_class(half).score(half.mult * w[np.concatenate(([0], half.cand))])
+        t = scorer_class(half).score(w[np.concatenate(([0], half.cand))])
         assert t.shape == (N // 2,)
         assert np.max(np.abs(t - brute[half.cand - 1])) <= 1e-12 * np.max(np.abs(brute))
 
@@ -281,11 +283,13 @@ def test_scorers_match_brute_force(N, scorer_class):
 @pytest.mark.parametrize("N", [3, 5, 7, 13, 101, 1499, 4099])
 def test_prime_plain_scores_equal_the_residue_matrix_product(N, form):
     """At prime N the plain scorer correlates the doubled Rader table with
-    the state; the old route, the (h, h + 1) residue matrix times the state,
-    stays here as the oracle.  The states are those of a sweep: the weight
-    vector after adding the rows of a few candidates.  The first is constant,
-    where T cancels to near zero (the residue table sums to about 0), so the
-    error is measured against the sum of the absolute terms."""
+    the state; the old route, the (h, h + 1) residue matrix with each column
+    counted as the order counts its point, times the state, stays here as
+    the oracle.  The states are those of a sweep: the weight vector, as the
+    sweep hands it over, after adding the rows of a few candidates.  The
+    first is constant, where T cancels to near zero (the residue table sums
+    to about 0), so the error is measured against the sum of the absolute
+    terms."""
     s = 6
     gam = [1.0 / j**2 for j in range(1, s + 1)]
     w = (WeightScheme.product(gam) if form == "product"
@@ -295,8 +299,8 @@ def test_prime_plain_scores_equal_the_residue_matrix_product(N, form):
     scorer = cbc._PlainScorer(order)
     state = _Running(w, order.mult.shape)
     for j in (0, h // 2, h - 1, h // 3, 1 % h):
-        v = order.mult * state.weight_vector()
-        rows = np.array(order.residues(range(h), 0, h + 1))
+        v = state.weight_vector()
+        rows = np.array(order.residues(range(h), 0, h + 1)) * order.mult
         err = np.abs(scorer.score(v) - rows @ v)
         assert np.all(err <= 1e-13 * (np.abs(rows) @ np.abs(v)))
         state.add(order.residues([j], 0, h + 1)[0])
@@ -353,36 +357,53 @@ def test_fft_length_depends_only_on_the_largest_prime_factor_of_h(N, L):
     assert cbc._FftScorer(_HalfOrder(korobov_residue_table(1, N))).L == L
 
 
-@pytest.mark.parametrize("N", [1021, 227, 65537])
+@pytest.mark.parametrize("N", [2, 1021, 227, 65537, 16187])
 def test_fft_scorer_scores_into_one_buffer_with_the_same_bits(N):
     """The FFT scorer fills its own spectrum and correlation in place, at the
-    direct length (N = 1021, h = 510; N = 65537, h = 2^15) and padded
-    (N = 227, h = 113 above FFT_DIRECT_MAX_PRIME), with the bits of the
-    allocating expression, and returns views of one buffer, each valid until
-    the next call.  The product takes f_a first at every length: numpy's
-    complex multiply is not bitwise commutative, and `f_a * conj(...)` is
-    evaluated as conj(...) * f_a once numpy elides the temporary (256 KiB)."""
+    direct length (N = 2, h = 1; N = 1021, h = 510; N = 65537, h = 2^15) and
+    padded (N = 227, h = 113 above FFT_DIRECT_MAX_PRIME; N = 16187, h = 8093
+    prime), and returns views of one buffer, each valid until the next call.
+    Fed the state unweighted, it has the bits of the allocating expression
+    on the weighted state mult * w, with the rfft of the unscaled Rader
+    table: the count is 2 (1 at N = 2), a power of two, so scaling f_a in
+    place of w rounds alike.  The product takes f_a first at every length:
+    numpy's complex multiply is not bitwise commutative, and
+    `f_a * conj(...)` is evaluated as conj(...) * f_a once numpy elides the
+    temporary (256 KiB)."""
     order = _HalfOrder(korobov_residue_table(1, N))
     scorer, h = cbc._FftScorer(order), len(order.cand)
-    assert (scorer.L == h) == (N != 227)
+    assert (scorer.L == h) == (N not in (227, 16187))
+    f_a = np.fft.rfft(order.a2[: 2 * h - 1], scorer.L)
     rng = np.random.default_rng(N)
     views = []
     for _ in range(2):
         w = rng.random(h + 1)
         views.append(scorer.score(w))
-        spectrum = np.multiply(scorer.f_a, np.conj(np.fft.rfft(w[1:], scorer.L)))
+        spectrum = np.multiply(f_a, np.conj(np.fft.rfft((order.mult * w)[1:], scorer.L)))
         want = np.fft.irfft(spectrum, scorer.L)[:h] + order.w0 * w[0]
         assert views[-1].shape == (h,) and views[-1].tobytes() == want.tobytes()
     assert np.shares_memory(*views)
 
 
-@pytest.mark.parametrize("N,units", [(16381, 12), (16187, 15)])
+@pytest.mark.parametrize("N", [2, 3, 227, 1021, 16187])
+def test_prime_plain_scorer_has_the_bits_of_the_weighted_correlation(N):
+    """Fed the state unweighted, the plain scorer at prime N scales its one
+    correlation by the count of the candidate points, 2 (1 at N = 2), and
+    keeps the bits of correlating the weighted state mult * w."""
+    order = _HalfOrder(korobov_residue_table(1, N))
+    h = len(order.cand)
+    w = np.random.default_rng(N).random(h + 1)
+    want = order.w0 * w[0] + np.correlate(order.a2[: 2 * h - 1], (order.mult * w)[1:], "valid")
+    assert cbc._PlainScorer(order).score(w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N,units", [(16381, 11), (16187, 14)])
 def test_fft_sweep_allocates_near_its_floor(N, units):
     """The traced peak of a warm tent sweep, in arrays of h = (N-1)/2 doubles:
     the half order (cand, a2, mult), the FFT scorer (the rfft of a2, its
-    spectrum and correlation), the state, its weighted copy and one residue
-    row, plus the transients of `_Running`; the padded length (N = 16187,
-    h = 8093 prime) adds about three.  No dimension allocates FFT outputs."""
+    spectrum and correlation), the state and one residue row, plus the
+    transients of `_Running`; the padded length (N = 16187, h = 8093 prime)
+    adds about three.  No dimension allocates FFT outputs."""
     w = WeightScheme.product([1.0 / j**2 for j in range(1, 9)])
     crit = CbcCriterion(kind="tent", base_weights=w)
     cbc_fast(N, 8, crit)
