@@ -17,7 +17,7 @@ import numpy as np
 
 from .cbc import CbcCriterion, cbc_fast
 from .errors import DomainError, GuardError
-from .experiments import PRESET_NAMES, _slope_fits, experiment_config, run_experiment
+from .experiments import PRESET_NAMES, experiment_config, fitted_slopes, run_experiment
 from .fourier import run_appendix_checks
 from .kernels import KernelSpec
 from .lattice import LatticeRule, _open_text, rank1_points, symmetrize, tent_transform
@@ -145,7 +145,7 @@ def _cmd_experiment(args) -> int:
                               f"{exc}") from exc
     result = run_experiment(cfg, external_points=external)
     _emit(result.to_csv_text(), args.out)
-    for rule_name, fit in _slope_fits(result).items():
+    for rule_name, fit in fitted_slopes(result).items():
         text = f"none, {fit}" if isinstance(fit, DomainError) else f"{fit:+.3f}"
         print(f"fitted slope ({rule_name}): {text}", file=sys.stderr)
     return 0

@@ -27,7 +27,7 @@ from .lattice import (
     rank1_points,
     symmetrize,
 )
-from .numtheory import _integer, fibonacci, nearest_prime
+from .numtheory import _integer, _real, fibonacci, nearest_prime
 from .weights import WeightScheme
 from .worst_case_error import C_PRIME
 
@@ -45,15 +45,14 @@ PRESET_NAMES = ("figure1", *_PRESETS)  # figure1: the bivariate integrand on Fib
 # -- integrands ---------------------------------------------------------------
 
 
-def _coefficients(name: str, omega, c2) -> np.ndarray:
-    """omega as a float array, refused with c2 unless every value is finite, and for
-    f2 unless omega > -1, where 1 + omega x^c2 stays positive on [0, 1]."""
-    w = np.asarray(omega, dtype=float)
-    if not (np.all(np.isfinite(w)) and math.isfinite(c2)):
-        raise DomainError(f"the integrands take a finite omega and c2, got {omega} and {c2}")
+def _coefficients(name: str, omega, c2) -> tuple[np.ndarray, float]:
+    """omega as a float array and c2 as a float, each value read as a real (`_real`),
+    and for f2 refused unless omega > -1, where 1 + omega x^c2 stays positive on [0, 1]."""
+    refusal = "the integrands take a finite omega and c2"
+    w = np.array([_real(g, refusal) for g in np.asarray(omega, dtype=object).ravel()])
     if name == "f2" and np.any(w <= -1.0):
         raise DomainError(f"f2 takes omega > -1, got {omega}")
-    return w
+    return w, _real(c2, refusal)
 
 
 def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
@@ -68,7 +67,7 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
         return x[:, 1] * np.exp(x[:, 0] * x[:, 1]) / (math.e - 2.0)
     if name not in ("f1", "f2"):
         raise DomainError(f"unknown integrand {name!r}")
-    w = _coefficients(name, omega, c2)
+    w, c2 = _coefficients(name, omega, c2)
     if x.shape[1] != len(w):
         raise DomainError(f"need {x.shape[1]} coefficients, got {len(w)}")
     # the power is the one fresh (m, s) array, and the steps after it work on it in place
@@ -89,7 +88,7 @@ def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
 def exact_integral(name: str, omega=(), c2: float = 1.0) -> float:
     """Closed-form integrals of the test integrands over the unit cube (f1 integrates
     to 1 for every exponent)."""
-    w = _coefficients(name, omega, c2)
+    w, c2 = _coefficients(name, omega, c2)
     if name in ("bivar", "f1"):
         return 1.0
     if name == "f2":
@@ -262,9 +261,9 @@ def slope_fit(rows, column: str) -> float:
     return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
-def _slope_fits(result: ExperimentResult) -> dict[str, float | DomainError]:
+def fitted_slopes(result: ExperimentResult) -> dict[str, float | DomainError]:
     """The slope of every rule column present in the result, or the DomainError
-    that refused its fit."""
+    that refused its fit (never a silent NaN)."""
     out = {}
     columns = ["lattice", "tent"] + (["sym"] if result.config.integrand == "bivar" else [])
     columns += ["external"] if result.has_external else []
@@ -274,9 +273,3 @@ def _slope_fits(result: ExperimentResult) -> dict[str, float | DomainError]:
         except DomainError as exc:
             out[col] = exc
     return out
-
-
-def fitted_slopes(result: ExperimentResult) -> dict[str, float]:
-    """Slopes for every rule column present in the result, NaN where too few rows fit."""
-    return {col: math.nan if isinstance(fit, DomainError) else fit
-            for col, fit in _slope_fits(result).items()}

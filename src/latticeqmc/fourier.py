@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import _block_rows, _integer_alpha, kernel_1d
 from .lattice import tent
-from .numtheory import _integer
+from .numtheory import _integer, _real
 from .quadrature import composite_gauss_legendre
 
 C_PRIME = 58.0 / 3.0  # uniform bound constant: 0 <= c_phi(k,l) <= C_PRIME/(k^2 l^2)
@@ -84,8 +84,9 @@ def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
     """(1/pi^4) sum_{k,l<=kmax} c_phi(k,l) cos(2 pi k x) cos(2 pi l y) at x, y in [0, 1]
     (outside it, and NaN, refused as by its reference), in O(kmax) through the
     separable form (module doc)."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise DomainError("tent_kernel_partial_sum takes x and y in [0, 1]")
+    refusal = "tent_kernel_partial_sum takes x and y in [0, 1]"
+    if max(x := _real(x, refusal, 0.0), y := _real(y, refusal, 0.0)) > 1.0:
+        raise DomainError(refusal)
     k = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)
     odd = k % 2
     v = np.array([odd / k**2, odd / k**4, (1.0 - odd) / k**2])

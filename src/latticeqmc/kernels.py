@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import cos, factorial, fsum, gamma, inf, log1p, pi
+from math import cos, factorial, fsum, gamma, log1p, pi
 
 import numpy as np
 
 from .errors import DomainError
+from .numtheory import _real
 from .special_functions import MAX_DEGREE, _zeta, _zeta_regular, bernoulli_scaled
 from .weights import WeightScheme
 
@@ -35,12 +36,12 @@ def _block_rows(row_elems: int) -> int:
 
 
 def _integer_alpha(alpha, step: int = 1) -> int:
-    """alpha as an int, if it is an integer >= step divisible by step (step 1:
-    a positive integer, step 2: an even one); 4.0 becomes 4, a bool is refused."""
-    if (alpha is None or isinstance(alpha, (bool, np.bool_))
-            or not step <= alpha < inf or alpha % step != 0):
-        raise DomainError(f"alpha must be an integer >= {step} divisible by {step}, got {alpha}")
-    return int(alpha)
+    """alpha as an int, if it is a real (`_real`) integer >= step divisible by step
+    (step 1: a positive integer, step 2: an even one); 4.0 becomes 4."""
+    refusal = f"alpha must be an integer >= {step} divisible by {step}, got {alpha}"
+    if (order := _real(alpha, refusal, step)) % step != 0:
+        raise DomainError(refusal)
+    return int(order)
 
 
 def _closed_form(family: str, alpha) -> bool:
@@ -52,15 +53,16 @@ def _closed_form(family: str, alpha) -> bool:
 
 def _smoothness(family: str, alpha):
     """The one smoothness rule: alpha as the family takes it.  Every family
-    needs a finite alpha > 1/2, not a bool; a Bernoulli closed form
-    (`_closed_form`) also needs an integer alpha whose degree 2 alpha the
-    tables reach, returned as an int.  A kernel on `_kappa` keeps alpha as given."""
+    needs a real (`_real`) alpha > 1/2; a Bernoulli closed form (`_closed_form`)
+    also needs an integer alpha whose degree 2 alpha the tables reach, returned
+    as an int.  A kernel on `_kappa` takes alpha as a float."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
-    if alpha is None or isinstance(alpha, (bool, np.bool_)) or not 0.5 < alpha < inf:
-        raise DomainError(f"{family} requires a finite alpha > 1/2, got {alpha}")
-    if not _closed_form(family, alpha):
-        return alpha
+    refusal = f"{family} requires a finite alpha > 1/2, got {alpha}"
+    if not (real := _real(alpha, refusal)) > 0.5:
+        raise DomainError(refusal)
+    if not _closed_form(family, real):
+        return real
     order = _integer_alpha(alpha)
     if 2 * order > MAX_DEGREE:
         raise DomainError(f"alpha = {alpha} needs Bernoulli degree {2 * order} > {MAX_DEGREE}")

@@ -1,5 +1,5 @@
-"""Small integer-arithmetic helpers: the one integer rule (`_integer`), primality,
-primitive roots, Fibonacci numbers, and the order fast CBC and the closed form walk Z_N.
+"""Small number helpers: the one integer and real-number rules (`_integer`, `_real`),
+primality, primitive roots, Fibonacci numbers, and the order fast CBC and the closed form walk Z_N.
 
 Primality uses the deterministic Miller-Rabin base set that is exact for all
 64-bit integers, so `is_prime` is a proof, not a probabilistic test, in the
@@ -10,7 +10,9 @@ the half points of Z_N, at prime N in the Rader order of a primitive root
 
 from __future__ import annotations
 
+import numbers
 import operator
+from math import inf, nan
 
 import numpy as np
 
@@ -30,6 +32,19 @@ def _integer(value, what: str, low: int | None = None) -> int:
     if low is not None and n < low:
         raise DomainError(f"{what} must be >= {low}, got {n}")
     return n
+
+
+def _real(value, refusal: str, low: float = -inf) -> float:
+    """The one real-number rule: value as a Python float, from any `numbers.Real` but bool,
+    finite and >= low (a float skips the isinstance tests); else DomainError(refusal)."""
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        value = float(value) if real else nan
+    except OverflowError:  # an integer or a fraction beyond the double range
+        value = inf
+    if -inf < value < inf and value >= low:
+        return value
+    raise DomainError(refusal)
 
 
 def is_prime(n: int) -> bool:

@@ -18,7 +18,7 @@ from math import comb, expm1, factorial, fsum, gamma, inf, log, pi, sin
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import _integer
+from .numtheory import _integer, _real
 
 MAX_DEGREE = 16
 
@@ -114,8 +114,8 @@ def _zeta_tail(sigma: float, m: int) -> float:
 
 
 def riemann_zeta(sigma: float) -> float:
-    """zeta(sigma) = `_zeta_tail`(sigma, 1): at most 7 eps above, never below."""
-    return _zeta_tail(sigma, 1)
+    """zeta(sigma) = `_zeta_tail`(sigma, 1) at a `_real` sigma: at most 7 eps above, never below."""
+    return _zeta_tail(_real(sigma, f"zeta requires a finite sigma > 1, got {sigma}"), 1)
 
 
 def _zeta_regular(sigma: float) -> float:

@@ -18,29 +18,15 @@ also keeps one coordinate at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
 from .errors import DomainError, GuardError
-from .numtheory import _integer
+from .numtheory import _integer, _real
 
 GENERAL_DIM_GUARD = 20
-
-
-def _check_weights(values) -> None:
-    if not all(0.0 <= g < math.inf for g in values):
-        raise DomainError("weights must be finite and nonnegative")
-
-
-def _double(g) -> float:
-    """float(g), or inf for an integer beyond the double range, refused as 1e400 is."""
-    try:
-        return float(g)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -69,7 +55,11 @@ class WeightScheme:
             raise DomainError(f"need {n} order weights, got {len(self.Gamma)}")
         if self.subsets and self.form != "general":
             raise DomainError(f"{self.form} weights take no subsets")
-        _check_weights((*self.gamma, *self.Gamma, *self.subsets.values()))
+        refusal, low = repeat("weights must be finite and nonnegative"), repeat(0.0)
+        for name in ("gamma", "Gamma"):
+            object.__setattr__(self, name, tuple(map(_real, getattr(self, name), refusal, low)))
+        values = map(_real, self.subsets.values(), refusal, low)
+        object.__setattr__(self, "subsets", dict(zip(self.subsets, values)))
         if self.form == "general":
             if self.s > GENERAL_DIM_GUARD:
                 raise GuardError(f"general weights limited to s <= {GENERAL_DIM_GUARD}")
@@ -81,18 +71,16 @@ class WeightScheme:
 
     @staticmethod
     def product(gamma) -> "WeightScheme":
-        gamma = tuple(map(_double, gamma))
-        return WeightScheme(s=len(gamma), form="product", gamma=gamma)
+        return WeightScheme(s=len(gamma := tuple(gamma)), form="product", gamma=gamma)
 
     @staticmethod
     def pod(Gamma, gamma) -> "WeightScheme":
-        gamma = tuple(map(_double, gamma))
-        Gamma = tuple(map(_double, Gamma))
+        gamma, Gamma = tuple(gamma), tuple(Gamma)
         return WeightScheme(s=len(gamma), form="pod", gamma=gamma, Gamma=Gamma)
 
     @staticmethod
     def general(s: int, subsets: dict) -> "WeightScheme":
-        clean = {frozenset(u): _double(g) for u, g in subsets.items()}
+        clean = {frozenset(u): g for u, g in subsets.items()}
         if len(clean) < len(subsets) or any(len(frozenset(u)) < len(u) for u in subsets):
             raise DomainError(f"general weights name a subset twice or repeat a coordinate in "
                               f"one: {[tuple(u) for u in subsets]}")
@@ -136,14 +124,14 @@ class WeightScheme:
 
     def scaled_per_coordinate(self, factor: float) -> "WeightScheme":
         """New scheme with gamma_u * factor^|u| (weight modification maps)."""
-        return replace(self, gamma=tuple(float(g * factor) for g in self.gamma),
-                       subsets={u: float(g * factor ** len(u)) for u, g in self.subsets.items()})
+        return replace(self, gamma=tuple(g * factor for g in self.gamma),
+                       subsets={u: g * factor ** len(u) for u, g in self.subsets.items()})
 
     def powered(self, p: float) -> "WeightScheme":
         """New scheme with gamma_u^p (POD and product forms are closed under this)."""
-        return replace(self, gamma=tuple(float(g**p) for g in self.gamma),
-                       Gamma=tuple(float(g**p) for g in self.Gamma),
-                       subsets={u: float(g**p) for u, g in self.subsets.items()})
+        return replace(self, gamma=tuple(g**p for g in self.gamma),
+                       Gamma=tuple(g**p for g in self.Gamma),
+                       subsets={u: g**p for u, g in self.subsets.items()})
 
     # -- the workhorse -----------------------------------------------------
 

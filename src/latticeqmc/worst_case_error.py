@@ -43,8 +43,8 @@ import numpy as np
 from .errors import DomainError, GuardError
 from .fourier import C_PRIME
 from .kernels import KernelSpec, _block_rows, _integer_alpha, _kappa, _lattice_tables, _smoothness
-from .lattice import LatticeRule, PointSet, rank1_points, tent_transform
-from .numtheory import _HalfOrder, _integer, is_prime
+from .lattice import LatticeRule, PointSet, _tent_numerators, rank1_points, tent_transform
+from .numtheory import _HalfOrder, _integer, _real, is_prime
 from .special_functions import riemann_zeta
 from .weights import WeightScheme
 
@@ -212,8 +212,8 @@ def wce_sq_quadratic_form(spec: KernelSpec, ps: PointSet) -> ErrorReport:
     rule, tables = _tent_lattice(ps), _lattice_tables(spec.family, spec.alpha, D)
     if rule is None:
         total = _row_pairs(spec.weights, ps.numerators, *tables)
-    else:  # residue r has the tent numerator N - |2r - N|
-        total = _shift_pairs(spec.weights, rule, D - np.abs(2 * np.arange(D) - D), *tables)
+    else:  # residue r has the tent numerator
+        total = _shift_pairs(spec.weights, rule, _tent_numerators(np.arange(D), D), *tables)
     return _clamped(total / (m * m), "exact_quadratic_form")
 
 
@@ -436,8 +436,9 @@ def corollary_bound(kind: str, weights: WeightScheme, N: int, lam: float,
         raise DomainError(f"the construction bound requires prime N, got {N}")
     crit = CbcCriterion(kind, weights, alpha)
     order = crit.korobov_order
-    if not 1.0 / (2 * order) < lam <= 1.0:
-        raise DomainError(f"lambda must lie in (1/{2 * order}, 1], got {lam}")
+    refusal = f"lambda must lie in (1/{2 * order}, 1], got {lam}"
+    if not 1.0 / (2 * order) < (lam := _real(lam, refusal)) <= 1.0:
+        raise DomainError(refusal)
     two_zeta = np.full((1, weights.s), 2.0 * riemann_zeta(2.0 * order * lam))
     subset_sum = float(crit.effective_weights().powered(lam).combine(two_zeta)[0])
     return ErrorReport(value=_power(subset_sum / (N - 1), 1.0 / lam), kind="corollary_bound",

@@ -194,9 +194,13 @@ def test_fitted_slopes_dict():
 
 
 def test_fitted_slopes_are_nan_where_too_few_rows_fit():
-    """Library callers get NaN; the CLI prints the refusal instead."""
+    """Where too few rows fit, the slope is the DomainError that refused the fit,
+    never a silent NaN; the CLI prints that refusal."""
     res = run_experiment(replace(experiment_config("figure1"), N_list=(13, 21)))
-    assert all(math.isnan(v) for v in fitted_slopes(res).values())
+    slopes = fitted_slopes(res)
+    assert set(slopes) == {"lattice", "tent", "sym"}
+    for fit in slopes.values():
+        assert isinstance(fit, DomainError) and "slope fit needs >= 3 usable rows" in str(fit)
 
 
 @pytest.mark.parametrize("budget", [None, 7])

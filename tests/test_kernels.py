@@ -274,7 +274,7 @@ ALPHA_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(ALPHA_ENTRY_POINTS))
 def test_every_alpha_entry_point_applies_the_one_smoothness_rule(name):
     call, takes, stores = ALPHA_ENTRY_POINTS[name]
-    bad = [math.nan, math.inf, -math.inf, None, 0.5, True, False, np.True_]
+    bad = [math.nan, math.inf, -math.inf, None, 0.5, True, False, np.True_, "2"]
     bad += {"real": [], "int": [2.5], "even": [2.5, 3]}[takes]
     for alpha in bad:
         with pytest.raises(DomainError):

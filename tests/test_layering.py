@@ -1,12 +1,13 @@
 """Where the benchmark's traced spans live, what `cbc` reads of
-`worst_case_error`, which module decides what an integer input is, and that
-the test oracles stay out of the package and the demos.
+`worst_case_error`, which module decides what an integer or a real input is,
+and that the test oracles stay out of the package and the demos.
 
 A traced benchmark run fails when a span it maps records no call, so a
 function that moves out of the module its span names breaks the trace of
 every workload that span is mapped to.  These checks catch the move without
 running a workload.  Every count, index and size goes through
-`numtheory._integer`, so no other module checks integers on its own."""
+`numtheory._integer`, and every real parameter through `numtheory._real`, so
+no other module checks integers or real numbers on its own."""
 
 import ast
 import importlib.util
@@ -74,6 +75,32 @@ def test_only_numtheory_decides_what_an_integer_is(path):
     if path.stem == "special_functions":
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert "_kmax" not in defined
+
+
+def _real_checks(tree):
+    """The real-number checks a module makes itself: isinstance tests against
+    bool or np.bool_, and handlers of OverflowError around a float() call."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                and len(node.args) == 2):
+            spec = node.args[1]
+            names = [ast.unparse(e) for e in getattr(spec, "elts", [spec])]
+            if any(n == "bool" or n.endswith(".bool_") for n in names):
+                yield ast.unparse(node)
+        elif isinstance(node, ast.Try):
+            calls = {ast.unparse(n.func) for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Call)}
+            caught = {ast.unparse(h.type) for h in node.handlers if h.type is not None}
+            if "float" in calls and any("OverflowError" in c for c in caught):
+                yield ast.unparse(node)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "latticeqmc").glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_numtheory_decides_what_a_real_number_is(path):
+    if path.stem != "numtheory":
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert list(_real_checks(tree)) == [], "read real numbers through numtheory._real"
 
 
 def test_no_module_of_the_package_or_the_demos_holds_a_test_oracle():

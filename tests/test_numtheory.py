@@ -1,15 +1,18 @@
-"""Primality over the whole 64-bit range, the integer helpers' refusals, and the
-one integer rule that every count, index and size of the package goes through."""
+"""Primality over the whole 64-bit range, the integer helpers' refusals, the
+one integer rule that every count, index and size of the package goes through,
+and the one real-number rule that every real parameter goes through."""
 
+import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError
-from latticeqmc.experiments import ExperimentConfig
+from latticeqmc.experiments import ExperimentConfig, exact_integral
 from latticeqmc.fourier import (
     appendix_inner_sum,
     cosine_coeff_quadrature,
@@ -19,7 +22,7 @@ from latticeqmc.fourier import (
 from latticeqmc.lattice import LatticeRule, PointSet, fibonacci_rule
 from latticeqmc.numtheory import fibonacci, is_prime, nearest_prime, prime_factors, primitive_root
 from latticeqmc.quadrature import composite_gauss_legendre
-from latticeqmc.special_functions import bernoulli_poly
+from latticeqmc.special_functions import bernoulli_poly, riemann_zeta
 from latticeqmc.weights import WeightScheme
 from latticeqmc.worst_case_error import CbcCriterion, corollary_bound, korobov_residue_table
 from oracles import character_sum, dual_projected, is_dual
@@ -128,3 +131,40 @@ def test_every_integer_entry_applies_the_one_integer_rule(name):
     assert call(np.int64(3)) == call(3) == call(np.int32(3))
     if stores:
         assert type(call(np.int64(3))) is int
+
+
+# Every real parameter of the package, called with it: (call, a value it takes that
+# float32 holds exactly, whether the call returns the value as stored).  Each entry
+# keeps its own bounds and refusal text; the alphas have their own table in
+# tests/test_kernels.py.
+REAL_ENTRY_POINTS = {
+    "product/gamma": (lambda g: WeightScheme.product([0.5, g]).gamma[1], 0.75, True),
+    "pod/gamma": (lambda g: WeightScheme.pod([1.0, 0.5], [0.5, g]).gamma[1], 0.75, True),
+    "pod/Gamma": (lambda g: WeightScheme.pod([1.0, g], [0.5, 0.5]).Gamma[1], 0.75, True),
+    "general/subset": (lambda g: WeightScheme.general(2, {(1, 2): g}).weight_of((1, 2)), 0.75,
+                       True),
+    "WeightScheme/gamma": (lambda g: WeightScheme(s=1, gamma=(g,)).gamma[0], 0.75, True),
+    "WeightScheme/subsets": (lambda g: WeightScheme(s=1, form="general",
+                                                    subsets={frozenset({1}): g}).weight_of((1,)),
+                             0.75, True),
+    # the report as JSON, which holds its value and lambda and fails on a numpy float32
+    "corollary_bound/lambda": (lambda lam: json.dumps(corollary_bound("tent", _W3, 13, lam)
+                                                      .to_dict()), 0.75, False),
+    "exact_integral/omega": (lambda w: exact_integral("f2", omega=[0.5, w], c2=1.0), 0.75, False),
+    "exact_integral/c2": (lambda c: exact_integral("f2", omega=[0.5, 0.75], c2=c), 2.0, False),
+    "riemann_zeta/sigma": (riemann_zeta, 2.0, False),
+    "tent_kernel_partial_sum/x": (lambda x: tent_kernel_partial_sum(x, 0.2, 10), 0.75, False),
+    "tent_kernel_partial_sum/y": (lambda y: tent_kernel_partial_sum(0.2, y, 10), 0.75, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ENTRY_POINTS))
+def test_every_real_entry_applies_the_one_real_number_rule(name):
+    call, value, stores = REAL_ENTRY_POINTS[name]
+    for bad in (True, np.True_, None, "0.5", math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(DomainError):
+            call(bad)
+    got = [call(kind(value)) for kind in (float, np.float64, np.float32, Fraction)]
+    assert got == [got[0]] * 4
+    if stores:
+        assert [type(g) for g in got] == [float] * 4
