@@ -27,7 +27,7 @@ from .lattice import (
     rank1_points,
     symmetrize,
 )
-from .numtheory import _integer, _real, fibonacci, nearest_prime
+from .numtheory import _integer, _real, _reals, fibonacci, nearest_prime
 from .weights import WeightScheme
 from .worst_case_error import C_PRIME
 
@@ -40,16 +40,17 @@ _PRESETS = {  # name: (integrand, s, decay of omega_j and of the CBC weights, c2
     "f1_s100": ("f1", 100, 3, 1.0), "f2c1_s100": ("f2", 100, 3, 1.0), "f2c2_s100": ("f2", 100, 3, 2.0),
 }
 PRESET_NAMES = ("figure1", *_PRESETS)  # figure1: the bivariate integrand on Fibonacci rules
+_OUTSIDE_THE_CUBE = "the integrands take points in [0, 1]^s, not outside it or NaN"
 
 
 # -- integrands ---------------------------------------------------------------
 
 
 def _coefficients(name: str, omega, c2) -> tuple[np.ndarray, float]:
-    """omega as a float array and c2 as a float, each value read as a real (`_real`),
-    and for f2 refused unless omega > -1, where 1 + omega x^c2 stays positive on [0, 1]."""
+    """omega as a flat float array (`_reals`) and c2 as a float (`_real`), and for f2
+    refused unless omega > -1, where 1 + omega x^c2 stays positive on [0, 1]."""
     refusal = "the integrands take a finite omega and c2"
-    w = np.array([_real(g, refusal) for g in np.asarray(omega, dtype=object).ravel()])
+    w = _reals(omega, refusal).ravel()
     if name == "f2" and np.any(w <= -1.0):
         raise DomainError(f"f2 takes omega > -1, got {omega}")
     return w, _real(c2, refusal)
@@ -57,10 +58,8 @@ def _coefficients(name: str, omega, c2) -> tuple[np.ndarray, float]:
 
 def integrand_eval(name: str, x, omega=(), c2: float = 1.0):
     """Evaluate a test integrand at points x in [0, 1]^s, of shape (m, s); f1 takes
-    the exponent C1.  A point outside the cube, NaN included, is refused."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):  # a NaN min or max compares False
-        raise DomainError("the integrands take points in [0, 1]^s, not outside it or NaN")
+    the exponent C1.  A point outside the cube, NaN included, is refused (`_reals`)."""
+    x = np.atleast_2d(_reals(x, _OUTSIDE_THE_CUBE, 0.0, 1.0))
     if name == "bivar":
         if x.shape[1] != 2:
             raise DomainError("the bivariate integrand needs s = 2")
@@ -204,7 +203,8 @@ def run_experiment(cfg: ExperimentConfig, external_points=None) -> ExperimentRes
         step = _block_rows(x.shape[1])
         return error([f(x[lo:lo + step] / float(D)) for lo in range(0, len(x), step)])
 
-    ext = None if external_points is None else np.atleast_2d(np.asarray(external_points, float))
+    ext = (None if external_points is None
+           else np.atleast_2d(_reals(external_points, _OUTSIDE_THE_CUBE, 0.0, 1.0)))
     rows = []
     vectors = {}
     for N in cfg.N_list:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import _block_rows, _integer_alpha, kernel_1d
 from .lattice import tent
-from .numtheory import _integer, _real
+from .numtheory import _integer, _real, _reals
 from .quadrature import composite_gauss_legendre
 
 C_PRIME = 58.0 / 3.0  # uniform bound constant: 0 <= c_phi(k,l) <= C_PRIME/(k^2 l^2)
@@ -37,12 +37,9 @@ _SEPARABLE = np.array([[52.0 / 3.0, -16.0 / pi**2, 0.0],
 
 
 def _indices(k, l):
-    """k and l as float arrays, if every entry is a finite integer value >= 1
-    and neither is of a bool dtype."""
-    kinds = np.asarray(k).dtype.kind + np.asarray(l).dtype.kind
-    k, l = np.asarray(k, dtype=float), np.asarray(l, dtype=float)
-    whole = all(np.all((v >= 1) & (v < np.inf) & (v == np.floor(v))) for v in (k, l))
-    if "b" in kinds or not whole:
+    """k and l as float arrays (`_reals`), if every entry is an integer value >= 1."""
+    k, l = (_reals(v, "indices must be positive integers", 1.0) for v in (k, l))
+    if not all(np.all(v == np.floor(v)) for v in (k, l)):
         raise DomainError("indices must be positive integers")
     return k, l
 
@@ -85,8 +82,7 @@ def tent_kernel_partial_sum(x: float, y: float, kmax: int) -> float:
     (outside it, and NaN, refused as by its reference), in O(kmax) through the
     separable form (module doc)."""
     refusal = "tent_kernel_partial_sum takes x and y in [0, 1]"
-    if max(x := _real(x, refusal, 0.0), y := _real(y, refusal, 0.0)) > 1.0:
-        raise DomainError(refusal)
+    x, y = _real(x, refusal, 0.0, 1.0), _real(y, refusal, 0.0, 1.0)
     k = np.arange(1, _integer(kmax, "kmax", 1) + 1, dtype=float)
     odd = k % 2
     v = np.array([odd / k**2, odd / k**4, (1.0 - odd) / k**2])
@@ -114,9 +110,7 @@ def cosine_coeff_quadrature(f, k: int, weight: str = "cos2pi") -> float:
     """
     if weight not in _WEIGHTS:
         raise DomainError(f"unknown weight {weight!r}; choose from {sorted(_WEIGHTS)}")
-    if (k := _integer(k, "k")) < 0:
-        raise DomainError("k must be nonnegative")
-    w = _WEIGHTS[weight]
+    k, w = _integer(k, "k", 0), _WEIGHTS[weight]
     return composite_gauss_legendre(lambda t: np.asarray(f(t)) * w(k, t), 64, (0.5,))
 
 

@@ -20,7 +20,7 @@ from math import cos, factorial, fsum, gamma, log1p, pi
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import _real
+from .numtheory import _real, _reals
 from .special_functions import MAX_DEGREE, _zeta, _zeta_regular, bernoulli_scaled
 from .weights import WeightScheme
 
@@ -163,11 +163,9 @@ def kernel_1d(family: str, alpha: float, x, y):
     are 1 + sum_tau b_tau(x) b_tau(y) + (-1)^(alpha+1) b_(2 alpha)(|x - y|), tau over all of
     1..alpha (sobolev), the odd ones (sob_odd), or the odd ones and alpha (sob_odd_alpha); the
     others are 1 plus `_KAPPA_COEFFS` on `_kappa`.  Outside [0, 1] the closed forms are not
-    the kernel, so such points (and NaN) are refused."""
+    the kernel, so such points (and NaN) are refused (`_reals`)."""
     alpha = _smoothness(family, alpha)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.all((x >= 0.0) & (x <= 1.0)) and np.all((y >= 0.0) & (y <= 1.0))):
-        raise DomainError("kernel_1d takes x and y in [0, 1]")
+    x, y = (_reals(v, "kernel_1d takes x and y in [0, 1]", 0.0, 1.0) for v in (x, y))
     d = np.abs(x - y)
     if family in SOBOLEV_FAMILIES:
         out = 1.0 + (-1.0) ** (alpha + 1) * bernoulli_scaled(2 * alpha, d)
@@ -200,10 +198,8 @@ def _lattice_tables(family: str, alpha, D: int):
 
 
 def kernel(spec: KernelSpec, x, y):
-    """Weighted multivariate kernel at point arrays of shape (..., s)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != spec.s or y.shape[-1] != spec.s:
+    """Weighted multivariate kernel at point arrays of shape (..., s), read by `kernel_1d`."""
+    if np.shape(x)[-1:] != (spec.s,) or np.shape(y)[-1:] != (spec.s,):
         raise DomainError(f"points must have last axis {spec.s}")
     eta = kernel_1d(spec.family, spec.alpha, x, y) - 1.0
     out = 1.0 + spec.weights.combine(eta)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError
 from .kernels import _block_rows
-from .numtheory import _integer, fibonacci
+from .numtheory import _integer, _reals, fibonacci
 
 MAX_N = 2**31  # keeps n*z products inside int64
 SYMMETRIZE_DIM_GUARD = 20
@@ -142,10 +142,8 @@ def rank1_points(rule: LatticeRule) -> PointSet:
 
 
 def tent(x):
-    """The tent map 1 - |2x - 1| on [0, 1]; x outside it (and NaN) is refused."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise DomainError("tent takes x in [0, 1]")
+    """The tent map 1 - |2x - 1| on [0, 1]; x outside it (and NaN) is refused (`_reals`)."""
+    x = _reals(x, "tent takes x in [0, 1]", 0.0, 1.0)
     out = 1.0 - np.abs(2.0 * x - 1.0)
     return out if out.ndim else float(out)
 

@@ -1,5 +1,6 @@
-"""Small number helpers: the one integer and real-number rules (`_integer`, `_real`),
-primality, primitive roots, Fibonacci numbers, and the order fast CBC and the closed form walk Z_N.
+"""Small number helpers: the one integer and real-number rules (`_integer`, `_real`
+and its array form `_reals`), primality, primitive roots, Fibonacci numbers, and the
+order fast CBC and the closed form walk Z_N.
 
 Primality uses the deterministic Miller-Rabin base set that is exact for all
 64-bit integers, so `is_prime` is a proof, not a probabilistic test, in the
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import sys
 from math import inf, nan
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import DomainError
 # Witnesses proven sufficient for n < psi_12 = 318665857834031151167461, the least
 # strong pseudoprime to all twelve, so for every 64-bit input.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX = sys.float_info.max  # the real-number rules' default bounds, so NaN and ±inf fail them
 
 
 def _integer(value, what: str, low: int | None = None) -> int:
@@ -34,17 +37,33 @@ def _integer(value, what: str, low: int | None = None) -> int:
     return n
 
 
-def _real(value, refusal: str, low: float = -inf) -> float:
+def _real(value, refusal: str, low: float = -_MAX, high: float = _MAX) -> float:
     """The one real-number rule: value as a Python float, from any `numbers.Real` but bool,
-    finite and >= low (a float skips the isinstance tests); else DomainError(refusal)."""
+    in [low, high] (a float skips the isinstance tests); else DomainError(refusal)."""
     real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         value = float(value) if real else nan
     except OverflowError:  # an integer or a fraction beyond the double range
         value = inf
-    if -inf < value < inf and value >= low:
+    if low <= value <= high:
         return value
     raise DomainError(refusal)
+
+
+def _reals(values, refusal: str, low: float = -_MAX, high: float = _MAX) -> np.ndarray:
+    """The real-number rule on arrays: values as a float64 array of their shape, each entry in
+    [low, high], and values never written; an ndarray read by its dtype (integer or real kinds),
+    anything else entry by entry through `_real` (a list's bools too); else DomainError(refusal)."""
+    if not isinstance(values, np.ndarray):
+        entries = np.array(values, dtype=object)
+        out = [_real(v, refusal, low, high) for v in entries.flat]
+        return np.array(out, dtype=float).reshape(entries.shape)
+    if values.dtype.kind not in "iuf":
+        raise DomainError(refusal)
+    out = np.asarray(values, dtype=float)
+    if out.size and not (out.min() >= low and out.max() <= high):  # a NaN compares False
+        raise DomainError(refusal)
+    return out
 
 
 def is_prime(n: int) -> bool:

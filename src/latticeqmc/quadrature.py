@@ -6,8 +6,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError
-from .numtheory import _integer
+from .numtheory import _integer, _reals
 
 
 @cache
@@ -20,12 +19,11 @@ def composite_gauss_legendre(f, panels: int, breakpoints=()) -> float:
     """Integrate f over [0, 1] with `panels` 8-point Gauss-Legendre panels.
 
     Interior breakpoints are forced onto panel edges so that integrands with
-    kinks (tent compositions, |x - y| factors) stay smooth panel by panel.
-    f must accept numpy arrays.
+    kinks (tent compositions, |x - y| factors) stay smooth panel by panel;
+    each is read as a real in [0, 1] (`_reals`).  f must accept numpy arrays.
     """
-    if (panels := _integer(panels, "panels")) < 1:
-        raise DomainError("panels must be positive")
-    cuts = sorted(set([0.0, 1.0] + [float(t) for t in breakpoints if 0.0 < t < 1.0]))
+    panels = _integer(panels, "panels", 1)
+    cuts = sorted({0.0, 1.0, *_reals(breakpoints, "breakpoints must lie in [0, 1]", 0.0, 1.0).flat})
     edges = [np.linspace(lo, hi, max(1, round(panels * (hi - lo))) + 1)
              for lo, hi in zip(cuts[:-1], cuts[1:])]
     x0, w0 = _gl_rule()

@@ -298,8 +298,8 @@ class CbcCriterion:
     def __post_init__(self):
         alpha = self.alpha
         if self.kind == "tent":
-            if alpha is not None and alpha != 2:
-                raise DomainError(f"the tent results hold at alpha = 2 only, got {alpha}")
+            if alpha is not None:
+                alpha = _real(alpha, f"the tent results hold at alpha = 2 only, got {alpha}", 2, 2)
             order, factor = 1, C_PRIME / (4.0 * pi**4)
         elif self.kind == "sym":
             alpha = _integer_alpha(alpha, 2)

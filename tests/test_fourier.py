@@ -257,7 +257,7 @@ def test_appendix_suite_holds_no_full_grid():
     pytest.param(lambda: c_sym(True, 1, 2), "indices must be positive", id="c_sym/bool"),
     pytest.param(lambda: cosine_coeff_quadrature(np.cos, 1, weight="tan"),
                  "unknown weight 'tan'", id="cosine_coeff_quadrature/weight"),
-    pytest.param(lambda: cosine_coeff_quadrature(np.cos, -1), "k must be nonnegative",
+    pytest.param(lambda: cosine_coeff_quadrature(np.cos, -1), "k must be >= 0, got -1",
                  id="cosine_coeff_quadrature/k"),
     pytest.param(lambda: appendix_inner_sum(1, "third", 10), "which must be 'first' or 'second'",
                  id="appendix_inner_sum/which"),

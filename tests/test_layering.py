@@ -6,8 +6,9 @@ A traced benchmark run fails when a span it maps records no call, so a
 function that moves out of the module its span names breaks the trace of
 every workload that span is mapped to.  These checks catch the move without
 running a workload.  Every count, index and size goes through
-`numtheory._integer`, and every real parameter through `numtheory._real`, so
-no other module checks integers or real numbers on its own."""
+`numtheory._integer`, and every real parameter and array of reals through
+`numtheory._real` and `_reals`, so no other module checks integers or real
+numbers on its own."""
 
 import ast
 import importlib.util
@@ -79,9 +80,13 @@ def test_only_numtheory_decides_what_an_integer_is(path):
 
 def _real_checks(tree):
     """The real-number checks a module makes itself: isinstance tests against
-    bool or np.bool_, and handlers of OverflowError around a float() call."""
+    bool or np.bool_, handlers of OverflowError around a float() call, and reads
+    of an array's dtype kind."""
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+        if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+            yield ast.unparse(node)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
                 and len(node.args) == 2):
             spec = node.args[1]
             names = [ast.unparse(e) for e in getattr(spec, "elts", [spec])]
@@ -100,7 +105,7 @@ def _real_checks(tree):
 def test_only_numtheory_decides_what_a_real_number_is(path):
     if path.stem != "numtheory":
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert list(_real_checks(tree)) == [], "read real numbers through numtheory._real"
+        assert list(_real_checks(tree)) == [], "read real numbers through numtheory._real(s)"
 
 
 def test_no_module_of_the_package_or_the_demos_holds_a_test_oracle():

@@ -1,10 +1,12 @@
 """Primality over the whole 64-bit range, the integer helpers' refusals, the
 one integer rule that every count, index and size of the package goes through,
-and the one real-number rule that every real parameter goes through."""
+and the one real-number rule that every real parameter and array of reals goes
+through."""
 
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,14 +14,23 @@ import pytest
 
 from latticeqmc.cbc import cbc_fast, cbc_plain
 from latticeqmc.errors import DomainError
-from latticeqmc.experiments import ExperimentConfig, exact_integral
+from latticeqmc.experiments import (
+    ExperimentConfig,
+    exact_integral,
+    experiment_config,
+    integrand_eval,
+    run_experiment,
+)
 from latticeqmc.fourier import (
     appendix_inner_sum,
+    c_phi,
+    c_sym,
     cosine_coeff_quadrature,
     sin_tent_coeff,
     tent_kernel_partial_sum,
 )
-from latticeqmc.lattice import LatticeRule, PointSet, fibonacci_rule
+from latticeqmc.kernels import kernel_1d
+from latticeqmc.lattice import LatticeRule, PointSet, fibonacci_rule, tent
 from latticeqmc.numtheory import fibonacci, is_prime, nearest_prime, prime_factors, primitive_root
 from latticeqmc.quadrature import composite_gauss_legendre
 from latticeqmc.special_functions import bernoulli_poly, riemann_zeta
@@ -103,7 +114,7 @@ INTEGER_ENTRY_POINTS = {
     "appendix_inner_sum/l": (lambda n: appendix_inner_sum(n, "second", 10), 1, False),
     "sin_tent_coeff/k": (lambda n: sin_tent_coeff(n, 1), 1, False),
     "sin_tent_coeff/l": (lambda n: sin_tent_coeff(1, n), 1, False),
-    "cosine_coeff_quadrature/k": (lambda n: cosine_coeff_quadrature(np.cos, n), None, False),
+    "cosine_coeff_quadrature/k": (lambda n: cosine_coeff_quadrature(np.cos, n), 0, False),
     "WeightScheme/s": (lambda n: WeightScheme(s=n, form="general").s, 1, True),
     # tuples, not sets: {1, True} is {1}
     "weight_of": (lambda n: _W3.weight_of((2, n)), None, False),
@@ -113,8 +124,7 @@ INTEGER_ENTRY_POINTS = {
                                 None, True),
     "ExperimentConfig/dims": (lambda n: ExperimentConfig("x", (13,), n, "f1").dims, None, True),
     "bernoulli_poly/degree": (lambda n: bernoulli_poly(n, 0.3), None, False),
-    "composite_gauss_legendre/panels": (lambda n: composite_gauss_legendre(np.cos, n), None,
-                                        False),
+    "composite_gauss_legendre/panels": (lambda n: composite_gauss_legendre(np.cos, n), 1, False),
     "korobov_residue_table/N": (lambda n: korobov_residue_table(2, n).tolist(), 1, False),
 }
 
@@ -155,16 +165,68 @@ REAL_ENTRY_POINTS = {
     "riemann_zeta/sigma": (riemann_zeta, 2.0, False),
     "tent_kernel_partial_sum/x": (lambda x: tent_kernel_partial_sum(x, 0.2, 10), 0.75, False),
     "tent_kernel_partial_sum/y": (lambda y: tent_kernel_partial_sum(0.2, y, 10), 0.75, False),
+    "CbcCriterion/tent_alpha": (lambda a: CbcCriterion("tent", _W3, a).alpha, 2.0, True),
 }
+NONE_IS_THE_DEFAULT = {"CbcCriterion/tent_alpha"}  # alpha None: not given, and kept so
 
 
 @pytest.mark.parametrize("name", sorted(REAL_ENTRY_POINTS))
 def test_every_real_entry_applies_the_one_real_number_rule(name):
     call, value, stores = REAL_ENTRY_POINTS[name]
     for bad in (True, np.True_, None, "0.5", math.nan, math.inf, -math.inf, 10**400):
+        if bad is None and name in NONE_IS_THE_DEFAULT:
+            assert call(None) is None
+            continue
         with pytest.raises(DomainError):
             call(bad)
     got = [call(kind(value)) for kind in (float, np.float64, np.float32, Fraction)]
     assert got == [got[0]] * 4
     if stores:
         assert [type(g) for g in got] == [float] * 4
+
+
+_F1_S20_AT_67 = replace(experiment_config("f1_s20"), N_list=(67,))
+
+
+def _cells(v):
+    """67 x 20 external points, every cell v: an array broadcast (a read-only view of it,
+    dtype kept), anything else as nested lists of v, or of a list v's entries."""
+    if isinstance(v, np.ndarray):
+        return np.broadcast_to(v, (67, 20))
+    return [(v if isinstance(v, list) else [v]) * 20] * 67
+
+
+# Every entry that takes an array of reals, called with it: (call, a value it takes that
+# float32 holds exactly).  Each keeps its own bounds and refusal text.
+REAL_ARRAY_ENTRY_POINTS = {
+    "tent": (tent, 0.75),
+    "kernel_1d/x": (lambda x: kernel_1d("korobov", 2, x, 0.2), 0.75),
+    "kernel_1d/y": (lambda y: kernel_1d("sobolev", 2, 0.2, y), 0.75),
+    "integrand_eval/x": (lambda x: integrand_eval("f1", x, omega=[0.5]), 0.75),
+    "run_experiment/external_points": (
+        lambda v: run_experiment(_F1_S20_AT_67, _cells(v)).rows[0].err_external, 0.75),
+    "c_phi/k": (lambda k: c_phi(k, 3), 3.0),
+    "c_sym/l": (lambda l: c_sym(3, l, 2), 3.0),
+    "composite_gauss_legendre/breakpoints": (
+        lambda t: composite_gauss_legendre(lambda x: np.abs(x - 0.75), 4, t), 0.75),
+    "exact_integral/omega": (lambda w: exact_integral("f2", omega=w, c2=1.0), 0.75),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARRAY_ENTRY_POINTS))
+def test_every_real_array_entry_applies_the_one_real_number_rule(name):
+    """A bool or a string is refused however it comes (alone, in a list, as a dtype), and so
+    are None, NaN, ±inf and a complex; a list, an array of any real or integer dtype and a
+    list of Fractions give one result, and the caller's array is never written."""
+    call, value = REAL_ARRAY_ENTRY_POINTS[name]
+    for bad in ("0.5", ["0.5"], True, np.True_, [0.5, True], np.array([True]), np.array(["0.5"]),
+                None, math.nan, math.inf, -math.inf, 0.5 + 0j):
+        with pytest.raises(DomainError):
+            call(bad)
+    forms = [value, [value], np.array([value]), np.array([value], dtype=np.float32),
+             [Fraction(value)]] + ([np.array([int(value)])] if value % 1 == 0 else [])
+    kept = [np.copy(f) for f in forms]
+    got = [np.ravel(call(f)).tolist() for f in forms]
+    assert got == [got[0]] * len(forms)
+    for form, copy in zip(forms, kept):
+        assert np.array_equal(form, copy) and np.asarray(form).dtype == copy.dtype

@@ -195,5 +195,5 @@ def test_zeta_is_never_below_the_true_value():
 def test_quadrature_refuses_empty_panels():
     from latticeqmc.quadrature import composite_gauss_legendre
 
-    with pytest.raises(DomainError, match="panels must be positive"):
+    with pytest.raises(DomainError, match="panels must be >= 1, got 0"):
         composite_gauss_legendre(np.cos, panels=0)
