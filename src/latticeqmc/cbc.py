@@ -17,14 +17,14 @@ points and counts each point as the order does.  The plain scorer sums
 directly, O(N) per candidate: at prime N one dot product of a slice of the
 Rader table with the state, at other N a matrix product per block of
 candidates, whose residues the order gathers into one reused block.  The
-FFT scorer (Nuyens & Cools) exploits that for prime N the candidate scores
-in Rader order form a circular correlation.  Because g^h = -1, the omega
-side of that correlation is real, even and of period h, so it folds to one
-real correlation of length h (`np.fft.rfft`), taken at length h when no
-prime factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a
-5-smooth length >= 2h - 1 otherwise; O(N log N) per dimension.  `cbc_fast`
-scores with it at prime N and with the plain scorer elsewhere.  It fills
-arrays it owns, so a prime-N dimension allocates no FFT output.
+FFT scorer (Nuyens & Cools) exploits that for prime N the candidate scores in Rader order
+form a circular correlation.  Because g^h = -1, the omega side of that correlation is real,
+even and of period h, so it folds to one real correlation of length h (`np.fft.rfft`), taken
+at length h when no prime factor of h exceeds FFT_DIRECT_MAX_PRIME and zero-padded to a
+5-smooth length >= 2h - 1 otherwise; O(N log N) per dimension; at even lengths L >=
+FFT_SPLIT_MIN in two polyphase halves, c[2l + q] = irfft(X_q Y_0 + X_{q+1} Y_1)[l]
+(`_FftScorer`), each stage's second on the sweep's one worker thread.  `cbc_fast` scores
+with it at prime N and with the plain scorer elsewhere, in arrays it owns.
 
 Both scorers share one tie rule -- smallest candidate within a small relative
 band of the minimum -- so they return identical vectors even though their
@@ -34,6 +34,8 @@ Rader order, so their criteria are equal bit for bit.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +53,10 @@ TIE_TOL = 1e-10
 # timing taken (numpy 2.4, h from 3e4 to 5e5); above it the direct length
 # lost at some sizes, by 5x and more for prime h.
 FFT_DIRECT_MAX_PRIME = 97
+# The smallest even FFT length at which the scorer splits.  Tent sweeps, s = 100, 2 cores, per-
+# process minima, split vs not: lost at L = 16384 (34-36 vs 30-31 ms), mixed at 24576-30720, won
+# at 32768 in 10 of 14 (by ~5%) and at 40960 in 8 of 11, and in all from 43200 to 65610 (10-25%).
+FFT_SPLIT_MIN = 2**15
 
 
 @dataclass(frozen=True)
@@ -116,30 +122,50 @@ def _smooth_length(n: int) -> int:
 
 
 class _FftScorer:
-    """T as one real circular correlation of length h = (N-1)/2, for prime N
-    in the Rader order, from w on the half points: with a[i] = omega(cand[i])
-    of period h, T(cand[j]) = omega(0) w(0) + c[j], c[j] = sum_i
-    m a[(i + j) mod h] w(cand[i]), where m = mult[-1] counts each cand[i].  The rfft of m a is shared by all
-    dimensions.  When h has a prime factor above FFT_DIRECT_MAX_PRIME, c is
-    the head of the linear correlation of a2[:2h - 1] = [a, a[:h-1]]
-    (`_HalfOrder`) with w, zero-padded to the smallest 5-smooth length
-    >= 2h - 1.  The spectrum and the correlation are the scorer's own,
-    filled in place (`out=`, numpy >= 2.0); `score` returns a view of the
-    correlation, valid until the next call."""
+    """T as one real circular correlation of length h = (N-1)/2, for prime N in the Rader
+    order, from w on the half points: with a[i] = omega(cand[i]) of period h, T(cand[j]) =
+    omega(0) w(0) + c[j], c[j] = sum_i m a[(i + j) mod h] w(cand[i]), where m = mult[-1]
+    counts each cand[i]: the length-L correlation of x = m a2[:2h - 1] = m [a, a[:h-1]]
+    (`_HalfOrder`) with y = w[1:], zero-padded to the smallest 5-smooth L >= 2h - 1 if h has
+    a prime factor above FFT_DIRECT_MAX_PRIME, else cropped to L = h.  It is taken in P
+    polyphase parts, P = 2 at even L >= FFT_SPLIT_MIN, else 1: with M = L / P, X_k =
+    rfft(x[k::P]) for k < P, at P = 2 X_2 = rfft(roll(x[0::2], -1)) (`f_a`, for every
+    dimension) and Y_p = conj(rfft(y[p::P], M)), c[P l + q] = irfft_M(sum_p X_{p+q} Y_p)[l].
+    The sweep lends a splitting scorer one worker (`pool`), which runs phase 1 of the
+    forward (p) and inverse (q) stages under the caller's errstate (numpy keeps it per
+    thread); without it the phases run in turn.  The arrays are the scorer's own, filled in
+    place (`out=`, numpy >= 2.0); `score` returns a view of c, valid until the next call."""
 
     def __init__(self, order: _HalfOrder):
         h, m = len(order.cand), order.mult[-1]
         direct = h == 1 or max(prime_factors(h)) <= FFT_DIRECT_MAX_PRIME
-        self.L = h if direct else _smooth_length(2 * h - 1)
-        self.f_a = m * np.fft.rfft(order.a2[: 2 * h - 1], self.L)  # rfft crops to a2[:h] at L = h
-        self.omega0 = order.w0
-        self.spectrum, self.c = np.empty_like(self.f_a), np.empty(self.L)
+        L = self.L = h if direct else _smooth_length(2 * h - 1)
+        P = self.P = 2 if L % 2 == 0 and L >= FFT_SPLIT_MIN else 1
+        x = np.pad(m * order.a2[: 2 * h - 1][:L], (0, max(0, L + 1 - 2 * h))).reshape(-1, P).T
+        self.f_a = np.fft.rfft(np.vstack([x, np.roll(x[: P - 1], -1, axis=1)]))  # m = 2 or 1: exact
+        self.omega0, self.pool = order.w0, None
+        self.spectrum, self.c = np.empty_like(self.f_a[:P]), np.empty(L)
+        self.prod = self.spectrum[None] if P == 1 else np.empty((P,) + self.spectrum.shape, complex)
+
+    def _forward(self, p: int, y: np.ndarray) -> None:
+        f = np.fft.rfft(y[p :: self.P], self.L // self.P, out=self.spectrum[p])
+        np.conj(f, out=f)
+
+    def _inverse(self, q: int) -> None:
+        # f_a first at every L: numpy's complex multiply is not bitwise commutative
+        prod = np.multiply(self.f_a[q : q + self.P], self.spectrum, out=self.prod[q])
+        for row in prod[1:]:
+            prod[0] += row
+        np.fft.irfft(prod[0], self.L // self.P, out=self.c[q :: self.P])
 
     def score(self, w: np.ndarray) -> np.ndarray:
-        f = np.fft.rfft(w[1:], self.L, out=self.spectrum)
-        # f_a first at every L: numpy's complex multiply is not bitwise commutative
-        np.multiply(self.f_a, np.conj(f, out=f), out=f)
-        c = np.fft.irfft(f, self.L, out=self.c)[: len(w) - 1]
+        for stage, args in ((self._forward, (w[1:],)), (self._inverse, ())):
+            job = self.pool and self.pool.submit(contextvars.copy_context().run, stage, 1, *args)
+            for p in range(1 if job else self.P):
+                stage(p, *args)
+            if job:
+                job.result()
+        c = self.c[: len(w) - 1]
         c += self.omega0 * w[0]
         return c
 
@@ -162,18 +188,22 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     state = _Running(crit.leading_weights(s), mult.shape)
     z: list[int] = []
     errs: list[float] = []
-    for _ in range(s):
-        i = 0
-        if errs:
-            # weights that overflow make the minimum non-finite, which _select refuses
-            with np.errstate(over="ignore", invalid="ignore"):
-                scores = scorer.score(state.weight_vector())
-                scores /= N
-                scores += errs[-1]
-            i = _select(scores, order.cand)
-        state.add(order.residues([i], 0, len(mult))[0])
-        z.append(int(order.cand[i]))
-        errs.append(state.mean(mult))
+    with contextlib.ExitStack() as stack:
+        if getattr(scorer, "P", 1) == 2:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only by a sweep that splits
+            scorer.pool = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+        for _ in range(s):
+            i = 0
+            if errs:
+                # weights that overflow make the minimum non-finite, which _select refuses
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scores = scorer.score(state.weight_vector())
+                    scores /= N
+                    scores += errs[-1]
+                i = _select(scores, order.cand)
+            state.add(order.residues([i], 0, len(mult))[0])
+            z.append(int(order.cand[i]))
+            errs.append(state.mean(mult))
     return CbcResult(z=tuple(z), per_dimension_error=tuple(errs), n=N, prime=prime)
 
 

@@ -199,7 +199,11 @@ def _lattice_tables(family: str, alpha, D: int):
 
 def kernel(spec: KernelSpec, x, y):
     """Weighted multivariate kernel at point arrays of shape (..., s), read by `kernel_1d`."""
-    if np.shape(x)[-1:] != (spec.s,) or np.shape(y)[-1:] != (spec.s,):
+    try:
+        shapes = np.shape(x)[-1:], np.shape(y)[-1:]
+    except ValueError:  # arrays of unequal shapes, which numpy cannot lay out
+        shapes = None
+    if shapes != ((spec.s,), (spec.s,)):
         raise DomainError(f"points must have last axis {spec.s}")
     eta = kernel_1d(spec.family, spec.alpha, x, y) - 1.0
     out = 1.0 + spec.weights.combine(eta)

@@ -55,7 +55,10 @@ def _reals(values, refusal: str, low: float = -_MAX, high: float = _MAX) -> np.n
     [low, high], and values never written; an ndarray read by its dtype (integer or real kinds),
     anything else entry by entry through `_real` (a list's bools too); else DomainError(refusal)."""
     if not isinstance(values, np.ndarray):
-        entries = np.array(values, dtype=object)
+        try:
+            entries = np.array(values, dtype=object)
+        except ValueError:  # arrays of unequal shapes, which numpy cannot lay out
+            raise DomainError(refusal) from None
         out = [_real(v, refusal, low, high) for v in entries.flat]
         return np.array(out, dtype=float).reshape(entries.shape)
     if values.dtype.kind not in "iuf":

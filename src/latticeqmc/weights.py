@@ -27,6 +27,7 @@ from .errors import DomainError, GuardError
 from .numtheory import _integer, _real
 
 GENERAL_DIM_GUARD = 20
+_MEAN_BLOCK = 8192  # the longest np.vdot seen to have the same bits on 1 and 2 OpenBLAS threads
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,9 @@ class _Running:
     def mean(self, mult: np.ndarray) -> float:
         """The mean over the points, entry i counted mult[i] times:
         mean(p) - 1 for product weights, which rounds otherwise than
-        mean(p - 1)."""
-        if self.w.form == "product":
-            return float(np.vdot(mult, self.p)) / float(np.sum(mult)) - 1.0
-        return float(np.vdot(mult, self._pod(0))) / float(np.sum(mult))
+        mean(p - 1).  Its dot runs in blocks of _MEAN_BLOCK entries, summed in order, each one
+        single-threaded OpenBLAS call, so that it does not follow the BLAS thread count."""
+        v, one = (self.p, 1.0) if self.w.form == "product" else (self._pod(0), 0.0)
+        dots = [np.vdot(mult[i : i + _MEAN_BLOCK], v[i : i + _MEAN_BLOCK])
+                for i in range(0, len(v), _MEAN_BLOCK)]
+        return float(sum(dots[1:], dots[0])) / float(np.sum(mult)) - one

@@ -3,9 +3,14 @@
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -357,32 +362,130 @@ def test_fft_length_depends_only_on_the_largest_prime_factor_of_h(N, L):
     assert cbc._FftScorer(_HalfOrder(korobov_residue_table(1, N))).L == L
 
 
+def _two_phase_correlation(x, y, L):
+    """The length-L circular correlation of x with y (both zero-padded to L)
+    in two polyphase halves, allocating: with M = L / 2, X_k = rfft(x[k::2])
+    for k < 2, X_2 = rfft(roll(x[0::2], -1)) and Y_p = conj(rfft(y[p::2], M)),
+    c[2 l + q] = irfft_M(X_q Y_0 + X_{q+1} Y_1)[l]."""
+    xp, yp, M = np.zeros(L), np.zeros(L), L // 2
+    xp[: min(len(x), L)], yp[: len(y)] = x[:L], y
+    X = [np.fft.rfft(xp[0::2]), np.fft.rfft(xp[1::2]), np.fft.rfft(np.roll(xp[0::2], -1))]
+    Y = [np.conj(np.fft.rfft(yp[p::2], M)) for p in (0, 1)]
+    c = np.empty(L)
+    for q in (0, 1):
+        c[q::2] = np.fft.irfft(X[q] * Y[0] + X[q + 1] * Y[1], M)
+    return c
+
+
 @pytest.mark.parametrize("N", [2, 1021, 227, 65537, 16187])
 def test_fft_scorer_scores_into_one_buffer_with_the_same_bits(N):
-    """The FFT scorer fills its own spectrum and correlation in place, at the
+    """The FFT scorer fills its own spectra and correlation in place, at the
     direct length (N = 2, h = 1; N = 1021, h = 510; N = 65537, h = 2^15) and
     padded (N = 227, h = 113 above FFT_DIRECT_MAX_PRIME; N = 16187, h = 8093
     prime), and returns views of one buffer, each valid until the next call.
     Fed the state unweighted, it has the bits of the allocating expression
     on the weighted state mult * w, with the rfft of the unscaled Rader
     table: the count is 2 (1 at N = 2), a power of two, so scaling f_a in
-    place of w rounds alike.  The product takes f_a first at every length:
-    numpy's complex multiply is not bitwise commutative, and
-    `f_a * conj(...)` is evaluated as conj(...) * f_a once numpy elides the
-    temporary (256 KiB)."""
+    place of w rounds alike.  Below FFT_SPLIT_MIN that expression is one
+    correlation, whose product takes f_a first at every length: numpy's
+    complex multiply is not bitwise commutative, and `f_a * conj(...)` is
+    evaluated as conj(...) * f_a once numpy elides the temporary (256 KiB).
+    At N = 65537 (L = 2^15 = FFT_SPLIT_MIN) the scorer splits: it has the
+    bits of the two-phase expression, on the calling thread alone and with
+    a worker, and is within 1e-13 max|c| of the one correlation."""
     order = _HalfOrder(korobov_residue_table(1, N))
     scorer, h = cbc._FftScorer(order), len(order.cand)
     assert (scorer.L == h) == (N not in (227, 16187))
+    assert scorer.P == (2 if N == 65537 else 1)
     f_a = np.fft.rfft(order.a2[: 2 * h - 1], scorer.L)
     rng = np.random.default_rng(N)
     views = []
-    for _ in range(2):
-        w = rng.random(h + 1)
-        views.append(scorer.score(w))
-        spectrum = np.multiply(f_a, np.conj(np.fft.rfft((order.mult * w)[1:], scorer.L)))
-        want = np.fft.irfft(spectrum, scorer.L)[:h] + order.w0 * w[0]
-        assert views[-1].shape == (h,) and views[-1].tobytes() == want.tobytes()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for run in range(2):
+            scorer.pool = pool if run and scorer.P == 2 else None
+            w = rng.random(h + 1)
+            views.append(scorer.score(w))
+            spectrum = np.multiply(f_a, np.conj(np.fft.rfft((order.mult * w)[1:], scorer.L)))
+            one = np.fft.irfft(spectrum, scorer.L)[:h] + order.w0 * w[0]
+            assert views[-1].shape == (h,)
+            if scorer.P == 1:
+                assert views[-1].tobytes() == one.tobytes()
+                continue
+            want = _two_phase_correlation(order.a2[: 2 * h - 1], (order.mult * w)[1:], scorer.L)
+            assert views[-1].tobytes() == (want[:h] + order.w0 * w[0]).tobytes()
+            assert np.max(np.abs(views[-1] - one)) <= 1e-13 * np.max(np.abs(one))
     assert np.shares_memory(*views)
+
+
+@pytest.mark.parametrize("N,L", [(24593, 12296), (40961, 20480), (65537, 32768),
+                                 (65543, 65610), (131101, 65550), (32401, 16200), (59051, 59049)])
+def test_fft_scorer_splits_at_even_lengths_from_the_threshold(N, L):
+    """Two polyphase halves exactly at even L >= FFT_SPLIT_MIN = 2^15; odd L
+    (N = 59051, h = 5^2 1181, padded to 3^10) and shorter L keep one."""
+    assert cbc.FFT_SPLIT_MIN == 2**15
+    scorer = cbc._FftScorer(_HalfOrder(korobov_residue_table(1, N)))
+    assert (scorer.L, scorer.P) == (L, 2 if L % 2 == 0 and L >= 2**15 else 1)
+    assert scorer.f_a.shape == (2 * scorer.P - 1, L // scorer.P // 2 + 1)
+
+
+@pytest.mark.parametrize("N", [65537, 65543, 131101])
+def test_split_sweep_builds_the_unsplit_vectors_and_criteria(N, monkeypatch):
+    """At each of the three kinds of split length (2^15 direct, padded 65610
+    for h = 32771 prime, direct 65550 = 2 3 5^2 19 23), the split sweep picks
+    the unsplit sweep's z, and its criteria have the same bits."""
+    crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product([j**-2.0
+                                                                        for j in range(1, 11)]))
+    split = cbc_fast(N, 10, crit)
+    monkeypatch.setattr(cbc, "FFT_SPLIT_MIN", 2**40)
+    assert cbc._FftScorer(_HalfOrder(korobov_residue_table(1, N))).P == 1
+    unsplit = cbc_fast(N, 10, crit)
+    assert split.z == unsplit.z
+    assert [float.hex(e) for e in split.per_dimension_error] == [
+        float.hex(e) for e in unsplit.per_dimension_error]
+
+
+def test_split_sweep_runs_one_worker_and_leaves_no_thread(monkeypatch):
+    """A splitting sweep runs phase 1 of each forward stage on one other
+    thread, and that thread is gone when cbc_fast returns."""
+    seen = set()
+    forward = cbc._FftScorer._forward
+
+    def spy(self, p, y):
+        seen.add((p, threading.get_ident()))
+        forward(self, p, y)
+
+    monkeypatch.setattr(cbc._FftScorer, "_forward", spy)
+    before = threading.active_count()
+    crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product([1.0, 0.5, 0.25, 0.125]))
+    cbc_fast(65537, 4, crit)
+    assert threading.active_count() == before
+    idents = {p: {t for q, t in seen if q == p} for p in (0, 1)}
+    assert idents[0] == {threading.get_ident()} and len(idents[1]) == 1
+    assert idents[1] != idents[0]
+
+
+def test_tent_cbc_criteria_are_the_same_with_one_or_two_blas_threads():
+    """The sweep's mean takes its dot in blocks of at most 8192 entries, each
+    one single-threaded OpenBLAS call, so tent criteria past 8192 points have
+    the same bits on 1 and 2 BLAS threads (a single np.vdot over the h + 1
+    half points did not: the last criteria differed at N = 65537 and
+    131101).  The closed-form recheck and the POD contraction still go
+    through multithreaded BLAS calls; this checks the sweep alone."""
+    code = ("import json; from latticeqmc import CbcCriterion, WeightScheme, cbc_fast; "
+            "c = CbcCriterion('tent', WeightScheme.product([j ** -2.0 for j in range(1, 11)])); "
+            "r = [cbc_fast(n, 10, c) for n in (65537, 131101)]; "
+            "print(json.dumps([[x.z, [float.hex(e) for e in x.per_dimension_error]] for x in r]))")
+    root = Path(__file__).resolve().parent.parent
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(json.loads(proc.stdout))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("N", [2, 3, 227, 1021, 16187])
@@ -397,13 +500,17 @@ def test_prime_plain_scorer_has_the_bits_of_the_weighted_correlation(N):
     assert cbc._PlainScorer(order).score(w).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("N,units", [(16381, 11), (16187, 14)])
+@pytest.mark.parametrize("N,units", [(16381, 11), (16187, 14), (65537, 13)])
 def test_fft_sweep_allocates_near_its_floor(N, units):
     """The traced peak of a warm tent sweep, in arrays of h = (N-1)/2 doubles:
     the half order (cand, a2, mult), the FFT scorer (the rfft of a2, its
     spectrum and correlation), the state and one residue row, plus the
     transients of `_Running`; the padded length (N = 16187, h = 8093 prime)
-    adds about three.  No dimension allocates FFT outputs."""
+    adds about three.  No dimension allocates FFT outputs.  The split
+    (N = 65537, L = h = 2^15) keeps three phase spectra of L/4 + 1 complex
+    entries where one correlation keeps one of L/2 + 1 (1.5 units, not 1)
+    and adds the (2, 2, L/4 + 1) complex products of its two halves
+    (2 units): it measures 12.6 units, one correlation 10.0."""
     w = WeightScheme.product([1.0 / j**2 for j in range(1, 9)])
     crit = CbcCriterion(kind="tent", base_weights=w)
     cbc_fast(N, 8, crit)
@@ -448,13 +555,16 @@ def test_plain_composite_n_matches_full_range_greedy(N):
 
 
 def test_overflowing_weights_fail_loudly():
-    """Finite weights whose scores overflow must not yield a default vector."""
-    crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product([1.0] + [1e308] * 3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for run in (cbc_fast, cbc_plain):
-            with pytest.raises(GuardError):
-                run(13, 4, crit)
+    """Finite weights whose scores overflow must not yield a default vector,
+    nor a warning: at N = 65537 the split scorer's worker thread, whose
+    numpy errstate is its own, runs under the sweep's."""
+    for gamma in ([1.0] + [1e308] * 3, [1e300] * 4):
+        crit = CbcCriterion(kind="tent", base_weights=WeightScheme.product(gamma))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run, N in ((cbc_fast, 13), (cbc_plain, 13), (cbc_fast, 65537)):
+                with pytest.raises(GuardError):
+                    run(N, 4, crit)
 
 
 def test_pod_criterion_against_general_weights_oracle():

@@ -376,6 +376,9 @@ def test_every_kmax_entry_point_applies_the_one_kmax_rule(name):
                  "points must have last axis 2", id="kernel/shape"),
     pytest.param(lambda: kernel(KernelSpec("korobov", 1, WeightScheme.product([1.0])), 0.3, 0.2),
                  "points must have last axis 1", id="kernel/scalar"),
+    pytest.param(lambda: kernel(KernelSpec("korobov", 1, WeightScheme.product([1.0, 1.0])),
+                                [np.zeros((2, 2)), np.zeros((2, 3))], np.zeros((2, 2))),
+                 "points must have last axis 2", id="kernel/ragged"),
     pytest.param(lambda: kernel_mean_identity_check(
         KernelSpec("korobov", 1, WeightScheme.product([1.0, 1.0])), [0.5]),
                  "x must be a point of dimension 2", id="kernel_mean_identity_check/shape"),

@@ -216,11 +216,12 @@ REAL_ARRAY_ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(REAL_ARRAY_ENTRY_POINTS))
 def test_every_real_array_entry_applies_the_one_real_number_rule(name):
     """A bool or a string is refused however it comes (alone, in a list, as a dtype), and so
-    are None, NaN, ±inf and a complex; a list, an array of any real or integer dtype and a
-    list of Fractions give one result, and the caller's array is never written."""
+    are None, NaN, ±inf, a complex and a list of arrays of unequal shapes; a list, an array of
+    any real or integer dtype and a list of Fractions give one result, and the caller's array
+    is never written."""
     call, value = REAL_ARRAY_ENTRY_POINTS[name]
     for bad in ("0.5", ["0.5"], True, np.True_, [0.5, True], np.array([True]), np.array(["0.5"]),
-                None, math.nan, math.inf, -math.inf, 0.5 + 0j):
+                None, math.nan, math.inf, -math.inf, 0.5 + 0j, [np.zeros((2, 2)), np.zeros((2, 3))]):
         with pytest.raises(DomainError):
             call(bad)
     forms = [value, [value], np.array([value]), np.array([value], dtype=np.float32),
