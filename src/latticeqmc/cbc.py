@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import GuardError
 from .kernels import _block_rows
-from .lattice import LatticeRule
+from .lattice import LatticeRule, _rule_size
 from .numtheory import _HalfOrder, _integer, prime_factors
 from .weights import _Running
 from .worst_case_error import CbcCriterion, korobov_residue_table
@@ -181,7 +181,7 @@ def _sweep(N: int, s: int, crit: CbcCriterion, fft: bool) -> CbcResult:
     is, each point counted as the order counts it, and the row of the
     chosen candidate is its residues at the half points.  The scores are
     made in place in the scorer's output (the plain scorer's is fresh)."""
-    N, s = _integer(N, "N", 2), _integer(s, "s", 1)
+    N, s = _rule_size(_integer(N, "N", 2)), _integer(s, "s", 1)
     order = _HalfOrder(korobov_residue_table(crit.korobov_order, N))
     mult, prime = order.mult, order.a2 is not None
     scorer = (_FftScorer if fft and prime else _PlainScorer)(order)

@@ -20,7 +20,7 @@ from math import cos, factorial, fsum, gamma, log1p, pi
 import numpy as np
 
 from .errors import DomainError
-from .numtheory import _real, _reals
+from .numtheory import _MAX, _real, _reals
 from .special_functions import MAX_DEGREE, _zeta, _zeta_regular, bernoulli_scaled
 from .weights import WeightScheme
 
@@ -52,14 +52,14 @@ def _closed_form(family: str, alpha) -> bool:
 
 
 def _smoothness(family: str, alpha):
-    """The one smoothness rule: alpha as the family takes it.  Every family
-    needs a real (`_real`) alpha > 1/2; a Bernoulli closed form (`_closed_form`)
-    also needs an integer alpha whose degree 2 alpha the tables reach, returned
-    as an int.  A kernel on `_kappa` takes alpha as a float."""
+    """The one smoothness rule: alpha as the family takes it.  Every family needs
+    a real (`_real`) alpha > 1/2 whose 2 alpha is a finite double; a Bernoulli closed
+    form (`_closed_form`) also needs an integer alpha whose degree 2 alpha the tables
+    reach, returned as an int.  A kernel on `_kappa` takes alpha as a float."""
     if family not in FAMILIES:
         raise DomainError(f"unknown kernel family {family!r}")
-    refusal = f"{family} requires a finite alpha > 1/2, got {alpha}"
-    if not (real := _real(alpha, refusal)) > 0.5:
+    refusal = f"{family} requires a finite alpha > 1/2 with 2 alpha a finite double, got {alpha}"
+    if not (real := _real(alpha, refusal, high=_MAX / 2)) > 0.5:
         raise DomainError(refusal)
     if not _closed_form(family, real):
         return real

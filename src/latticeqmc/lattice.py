@@ -31,6 +31,13 @@ def _open_text(path):
     return __import__(codec).open(path, "wt") if codec else open(path, "w")
 
 
+def _rule_size(N: int) -> int:
+    """N as every rule and CBC sweep takes it: 1..MAX_N."""
+    if not 1 <= N <= MAX_N:
+        raise DomainError(f"N must be in 1..{MAX_N}, got {N}")
+    return N
+
+
 @dataclass(frozen=True)
 class LatticeRule:
     """A rank-1 rule: N points in dimension s with generating vector z, both
@@ -40,10 +47,8 @@ class LatticeRule:
     z: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _integer(self.N, "N"))
+        object.__setattr__(self, "N", _rule_size(_integer(self.N, "N")))
         object.__setattr__(self, "z", tuple(_integer(zj, "generator entry") for zj in self.z))
-        if self.N < 1 or self.N > MAX_N:
-            raise DomainError(f"N must be in 1..{MAX_N}, got {self.N}")
         if not self.z:
             raise DomainError("generating vector must be nonempty")
         for zj in self.z:

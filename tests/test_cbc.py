@@ -1,6 +1,5 @@
 """CBC construction: plain vs fast equivalence, criteria, primitive roots."""
 
-import importlib.util
 import json
 import math
 import os
@@ -29,6 +28,8 @@ from latticeqmc.worst_case_error import (
     korobov_residue_table,
     wce_sq_korobov_lattice,
 )
+
+import pinned
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 
@@ -488,6 +489,12 @@ def test_tent_cbc_criteria_are_the_same_with_one_or_two_blas_threads():
     assert outs[0] == outs[1]
 
 
+def test_sweep_past_2_20_keeps_its_bits():
+    """The one sweep past N = 2^20 in tier-1: the mean's 64 blocks and the
+    split scorer at h = 524286 keep z and the criteria bits."""
+    assert pinned.sweep_bits() == pinned.load()["sweep_2_20"]
+
+
 @pytest.mark.parametrize("N", [2, 3, 227, 1021, 16187])
 def test_prime_plain_scorer_has_the_bits_of_the_weighted_correlation(N):
     """Fed the state unweighted, the plain scorer at prime N scales its one
@@ -605,34 +612,17 @@ def test_corollary_guarantee_for_constructed_vectors():
             assert crit_val <= corollary_bound("sym", w, N, float(lam), alpha=2).value
 
 
-def _load_grid_recorder():
-    path = Path(__file__).parent / "data" / "record_cbc_grid.py"
-    spec = importlib.util.spec_from_file_location("record_cbc_grid", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# Criteria may move by summation order between two correct trees: the largest
-# such move seen so far was 2.7e-12 relative (s = 100), and mean(p) - 1 near
-# zero carries an absolute rounding floor of a few eps * log2(N).
-GRID_RTOL = 3e-12
-GRID_ATOL = 64 * np.finfo(float).eps
-
-
 def test_cbc_grid_fixture():
-    """Every run of tests/data/cbc_grid.json (recorded by the script beside
-    it) gives the recorded generating vector exactly and the recorded
-    per-dimension criteria to rounding."""
-    recorder = _load_grid_recorder()
-    rows = json.loads(recorder.OUT.read_text())
+    """Every run of the CBC grid of tests/data/pinned.json gives the recorded
+    generating vector exactly and the recorded per-dimension criteria to rounding."""
+    rows = pinned.load()["cbc_grid"]
     assert [{k: r[k] for k in r if k not in ("z", "criteria")} for r in rows] == \
-        list(recorder.cases())
+        list(pinned.grid_cases())
     for r in rows:
-        res = recorder.run(r)
+        res = pinned.grid_run(r)
         assert list(res.z) == r["z"], r
         for got, want in zip(res.per_dimension_error, r["criteria"], strict=True):
-            assert abs(got - want) <= GRID_RTOL * abs(want) + GRID_ATOL, r
+            assert pinned.grid_close(got, want), r
 
 
 def test_result_serialization():
@@ -661,6 +651,8 @@ def test_result_at_a_numpy_n_serializes():
                  "s must be an integer, got 3.0", id="cbc_plain/float_s"),
     pytest.param(lambda: cbc_fast(101, True, CbcCriterion("tent", WeightScheme.product([1.0]))),
                  "s must be an integer, got True", id="cbc_fast/bool_s"),
+    pytest.param(lambda: cbc_fast(2**31 + 1, 1, CbcCriterion("tent", WeightScheme.product([1.0]))),
+                 "N must be in 1..2147483648, got 2147483649", id="sweep/N_above_MAX_N"),
 ])
 def test_refusals(call, fragment):
     with pytest.raises(DomainError, match=re.escape(fragment)):

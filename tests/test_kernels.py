@@ -245,7 +245,7 @@ _RULE = LatticeRule(N=13, z=(1, 5, 3))
 
 # Every public entry point that takes a smoothness alpha, and the series oracles on
 # kappa: (call, which alpha it takes, whether it returns the alpha it stored).  "real" is any finite
-# alpha > 1/2, "int" an integer >= 1, "even" an even integer >= 2.
+# alpha > 1/2 whose 2 alpha is finite, "int" an integer >= 1, "even" an even integer >= 2.
 ALPHA_ENTRY_POINTS = {
     "KernelSpec/sobolev": (lambda a: KernelSpec("sobolev", a, _W1).alpha, "int", True),
     "KernelSpec/korobov": (lambda a: KernelSpec("korobov", a, _W1).alpha, "real", False),
@@ -275,7 +275,7 @@ ALPHA_ENTRY_POINTS = {
 def test_every_alpha_entry_point_applies_the_one_smoothness_rule(name):
     call, takes, stores = ALPHA_ENTRY_POINTS[name]
     bad = [math.nan, math.inf, -math.inf, None, 0.5, True, False, np.True_, "2"]
-    bad += {"real": [], "int": [2.5], "even": [2.5, 3]}[takes]
+    bad += {"real": [1e308], "int": [2.5], "even": [2.5, 3]}[takes]  # 1e308: 2 alpha = inf
     for alpha in bad:
         with pytest.raises(DomainError):
             call(alpha)

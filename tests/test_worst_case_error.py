@@ -28,6 +28,7 @@ from latticeqmc.worst_case_error import (
     wce_sym_exact,
     wce_tent_bound,
 )
+import pinned
 from oracles import dual_projected, dual_sums
 
 
@@ -884,128 +885,6 @@ def test_overflow_in_either_pair_layout_raises_guard_error():
                                       tent_transform(rank1_points(rule)))
 
 
-# the exact errors' float.hex, recorded while the shift layout still ran on the block pool
-SHIFT_LAYOUT_BITS = {
-    "sob2-tent/product/N509": "0x1.2b28c29e0428fp-27",
-    "sob2-tent/product/N1021": "0x1.653b204212f75p-30",
-    "sob2-tent/pod/N509": "0x1.5c3865e351342p-24",
-    "sob2-tent/pod/N1021": "0x1.e3ad190df050ap-27",
-    "sym2/product/N509": "0x1.57120d37075a4p-40",
-    "sym2/product/N1021": "0x1.d62747f5d84a2p-44",
-    "sym2/pod/N509": "0x1.0b30ef6617a13p-38",
-    "sym2/pod/N1021": "0x1.74c887abb53f5p-42",
-}
-
-# the same at composite N (the row layout), recorded while its blocks still ran on the
-# block pool; value - negative_clamp is the signed total before the clamp at 0
-ROW_LAYOUT_BITS = {
-    "sob2-tent/product/N510": "0x1.5e007a3b1a59ap-27",
-    "sob2-tent/product/N1024": "0x1.621bbdcb60000p-30",
-    "sob2-tent/pod/N510": "0x1.4272f47cfd377p-24",
-    "sob2-tent/pod/N1024": "0x1.e9a21d0a64000p-27",
-    "sym2/product/N510": "0x1.87dfd50a3f74bp-40",
-    "sym2/product/N1024": "0x1.02750c8000000p-43",
-    "sym2/pod/N510": "0x1.069115a726a62p-38",
-    "sym2/pod/N1024": "0x1.9cd12f2800000p-42",
-    "sym4/product/N510": "-0x1.a140e0801fbf6p-61",
-    "sym4/product/N1024": "-0x1.cab0000000000p-58",
-    "sym4/pod/N510": "0x1.6a4aea0928476p-64",
-    "sym4/pod/N1024": "0x1.45f6800000000p-64",
-}
-
-
-# the CBC criteria and the closed-form recheck, recorded while every residue row was
-# copied into a buffer of its caller: key -> (per-dimension criteria, recheck)
-CLOSED_FORM_BITS = {
-    "tent/product/N1021/b262144": (
-        ["0x1.796a8a7400000p-21", "0x1.7fd89a5480000p-18", "0x1.8b4026df00000p-16",
-         "0x1.d105e0d2c0000p-15", "0x1.f04ad17e10000p-14", "0x1.9f598d4296000p-13"],
-        "0x1.9f598d42974d8p-13"),
-    "sym2/product/N1021/b262144": (
-        ["0x1.a481ad1000000p-24", "0x1.fdb4ae1800000p-23", "0x1.c04e411800000p-22",
-         "0x1.4ab8fb1400000p-21", "0x1.d967f8dc00000p-21", "0x1.393461f800000p-20"],
-        "0x1.393461f80c090p-20"),
-    "tent/pod/N1021/b262144": (
-        ["0x1.796a8a751dd66p-21", "0x1.00c3a01e5dd06p-17", "0x1.6f5bb47a0e52fp-15",
-         "0x1.13e53ae938e89p-13", "0x1.651debeed9035p-12", "0x1.503bcb67d239bp-11"],
-        "0x1.503bcb67d239bp-11"),
-    "sym2/pod/N1021/b262144": (
-        ["0x1.a481acfae36a9p-24", "0x1.27195e66d0342p-22", "0x1.28863c831104cp-21",
-         "0x1.e98fa96aeae03p-21", "0x1.7a78eeb134d7ap-20", "0x1.08c7c94a98eabp-19"],
-        "0x1.08c7c94a98eabp-19"),
-    "tent/product/N1024/b262144": (
-        ["0x1.77353ef200000p-21", "0x1.816e33e000000p-18", "0x1.8eedaeb660000p-16",
-         "0x1.ef2e6cd4e0000p-15", "0x1.0641df4d24000p-13", "0x1.b1f4ecfb10000p-13"],
-        "0x1.b1f4ecfb0ef90p-13"),
-    "sym2/product/N1024/b262144": (
-        ["0x1.a20bd70000000p-24", "0x1.fd19d7f000000p-23", "0x1.c34d158800000p-22",
-         "0x1.59db970000000p-21", "0x1.ec322f8c00000p-21", "0x1.41a6d98100000p-20"],
-        "0x1.41a6d9811fe00p-20"),
-    "tent/pod/N1024/b262144": (
-        ["0x1.77353ef154800p-21", "0x1.01f8613113c60p-17", "0x1.718fca7421f30p-15",
-         "0x1.1924a71b1d05cp-13", "0x1.3eb4ee2014da4p-12", "0x1.365299e2d30aep-11"],
-        "0x1.365299e2d30aep-11"),
-    "sym2/pod/N1024/b262144": (
-        ["0x1.a20bd70065a00p-24", "0x1.270db714f6b00p-22", "0x1.2b05bdd0c6f00p-21",
-         "0x1.f0d1d993ccc00p-21", "0x1.7d11969656c80p-20", "0x1.04d15ab0bd720p-19"],
-        "0x1.04d15ab0bd720p-19"),
-    "tent/product/N1021/b1000": (
-        ["0x1.796a8a7400000p-21", "0x1.7fd89a5480000p-18", "0x1.8b4026df00000p-16",
-         "0x1.d105e0d2c0000p-15", "0x1.f04ad17e10000p-14", "0x1.9f598d4296000p-13"],
-        "0x1.9f598d4297477p-13"),
-    "sym2/product/N1021/b1000": (
-        ["0x1.a481ad1000000p-24", "0x1.fdb4ae1800000p-23", "0x1.c04e411800000p-22",
-         "0x1.4ab8fb1400000p-21", "0x1.d967f8dc00000p-21", "0x1.393461f800000p-20"],
-        "0x1.393461f80c090p-20"),
-    "tent/pod/N1021/b1000": (
-        ["0x1.796a8a751dd66p-21", "0x1.00c3a01e5dd06p-17", "0x1.6f5bb47a0e52fp-15",
-         "0x1.13e53ae938e89p-13", "0x1.651debeed9035p-12", "0x1.503bcb67d239bp-11"],
-        "0x1.503bcb67d2389p-11"),
-    "sym2/pod/N1021/b1000": (
-        ["0x1.a481acfae36a9p-24", "0x1.27195e66d0342p-22", "0x1.28863c831104cp-21",
-         "0x1.e98fa96aeae03p-21", "0x1.7a78eeb134d7ap-20", "0x1.08c7c94a98eabp-19"],
-        "0x1.08c7c94a98ca9p-19"),
-    "tent/product/N1024/b1000": (
-        ["0x1.77353ef200000p-21", "0x1.816e33e000000p-18", "0x1.8eedaeb660000p-16",
-         "0x1.ef2e6cd4e0000p-15", "0x1.0641df4d24000p-13", "0x1.b1f4ecfb10000p-13"],
-        "0x1.b1f4ecfb0f400p-13"),
-    "sym2/product/N1024/b1000": (
-        ["0x1.a20bd70000000p-24", "0x1.fd19d7f000000p-23", "0x1.c34d158800000p-22",
-         "0x1.59db970000000p-21", "0x1.ec322f8c00000p-21", "0x1.41a6d98100000p-20"],
-        "0x1.41a6d9811a000p-20"),
-    "tent/pod/N1024/b1000": (
-        ["0x1.77353ef154800p-21", "0x1.01f8613113c60p-17", "0x1.718fca7421f30p-15",
-         "0x1.1924a71b1d05cp-13", "0x1.3eb4ee2014da4p-12", "0x1.365299e2d30aep-11"],
-        "0x1.365299e2d30e0p-11"),
-    "sym2/pod/N1024/b1000": (
-        ["0x1.a20bd70065a00p-24", "0x1.270db714f6b00p-22", "0x1.2b05bdd0c6f00p-21",
-         "0x1.f0d1d993ccc00p-21", "0x1.7d11969656c80p-20", "0x1.04d15ab0bd720p-19"],
-        "0x1.04d15ab0bd400p-19"),
-}
-
-
-def _exact_error_bits(Ns, alphas) -> dict:
-    """float.hex of value - negative_clamp of the tent and sym exact errors
-    of CBC rules (`cbc_fast`) at s = 20, gamma_j = j^-2, built with
-    product weights and measured with product and POD (Gamma_k = k!) weights."""
-    s = 20
-    gamma = [j ** -2.0 for j in range(1, s + 1)]
-    weights = {"product": WeightScheme.product(gamma),
-               "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
-    got = {}
-    for N in Ns:
-        tent = cbc_fast(N, s, CbcCriterion("tent", weights["product"])).rule()
-        tent = tent_transform(rank1_points(tent))
-        sym = {a: cbc_fast(N, s, CbcCriterion("sym", weights["product"], a)).rule()
-               for a in alphas}
-        for name, w in weights.items():
-            reports = {"sob2-tent": wce_sq_quadratic_form(KernelSpec("sobolev", 2, w), tent)}
-            reports.update({f"sym{a}": wce_sym_exact(a, w, rule) for a, rule in sym.items()})
-            for key, rep in reports.items():
-                got[f"{key}/{name}/N{N}"] = (rep.value - rep.negative_clamp).hex()
-    return got
-
-
 def test_no_exact_error_starts_a_thread(monkeypatch):
     """Both pair layouts run on the calling thread: no thread starts, and
     every kernel block is made on the caller's thread.  The shift layout
@@ -1023,89 +902,29 @@ def test_no_exact_error_starts_a_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: pytest.fail("an exact error started a thread"))
     monkeypatch.setattr(worst_case_error, "_eta", on_the_caller)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # composite N: some z_j share a factor
-        assert _exact_error_bits((509, 1021), (2,)) == SHIFT_LAYOUT_BITS
-        blocks = [-(-((N - 1) // 4 + 1) // kernels._block_rows(20 * (N - 1) // 2))
-                  for N in (509, 1021)]
-        # per N, 4 shift-layout calls: sob2-tent and sym2, each with product and POD weights
-        assert len(calls) == sum(4 * (2 + b) for b in blocks)
-        assert _exact_error_bits((510, 1024), (2, 4)) == ROW_LAYOUT_BITS
-
-
-# the shift layout's exact errors for the table shapes SHIFT_LAYOUT_BITS does not
-# hold (no beta with and without a sum table, two and three beta, one beta at
-# alpha = 4 beside a sum table), recorded while each block still gathered every
-# beta[tau] at its far-side numerators
-SHIFT_LAYOUT_TABLE_SHAPE_BITS = {
-    "korobov2-tent/N509": "0x1.4f7a19049bbefp-8",
-    "cosine2-tent/N509": "0x1.4d376e0f4a19ep-14",
-    "kor_plus_cos2-tent/N509": "0x1.7d6e7865dd0d7p-10",
-    "sobolev3-tent/N509": "0x1.d3de7d627d5a7p-28",
-    "sob_odd3-tent/N509": "0x1.4ccf05692f618p-28",
-    "sob_odd_alpha4-tent/N509": "0x1.4b2cbae676de1p-28",
-    "sym4/N509": "-0x1.346a89ad5230ap-57",
-    "korobov2-tent/N1021": "0x1.8ec034aec2b6ep-10",
-    "cosine2-tent/N1021": "0x1.516530b0a988fp-16",
-    "kor_plus_cos2-tent/N1021": "0x1.a429b7c3c9970p-12",
-    "sobolev3-tent/N1021": "0x1.0b704ad4c109ep-30",
-    "sob_odd3-tent/N1021": "0x1.5ee20f4e2ca70p-31",
-    "sob_odd_alpha4-tent/N1021": "0x1.5c946841bbf4fp-31",
-    "sym4/N1021": "-0x1.4344307250380p-57",
-}
+    want = pinned.load()
+    assert pinned.exact_error_bits((509, 1021), (2,)) == want["shift_layout"]
+    blocks = [-(-((N - 1) // 4 + 1) // kernels._block_rows(20 * (N - 1) // 2))
+              for N in (509, 1021)]
+    # per N, 4 shift-layout calls: sob2-tent and sym2, each with product and POD weights
+    assert len(calls) == sum(4 * (2 + b) for b in blocks)
+    assert pinned.exact_error_bits((510, 1024), (2, 4)) == want["row_layout"]
 
 
 def test_shift_layout_keeps_its_bits_for_every_table_shape():
-    """float.hex of value - negative_clamp (sym alpha = 4 clamps to 0.0) of
-    the tent errors of CBC tent rules in six more kernel cases and of the
-    sym alpha = 4 error, s = 20, product weights gamma_j = j^-2."""
-    s = 20
-    w = WeightScheme.product([j ** -2.0 for j in range(1, s + 1)])
-    families = (("korobov", 2), ("cosine", 2), ("kor_plus_cos", 2), ("sobolev", 3),
-                ("sob_odd", 3), ("sob_odd_alpha", 4))
-    got = {}
-    for N in (509, 1021):
-        tent = tent_transform(rank1_points(cbc_fast(N, s, CbcCriterion("tent", w)).rule()))
-        reports = {f"{f}{a}-tent": wce_sq_quadratic_form(KernelSpec(f, a, w), tent)
-                   for f, a in families}
-        reports["sym4"] = wce_sym_exact(4, w, cbc_fast(N, s, CbcCriterion("sym", w, 4)).rule())
-        for key, rep in reports.items():
-            got[f"{key}/N{N}"] = (rep.value - rep.negative_clamp).hex()
-    assert got == SHIFT_LAYOUT_TABLE_SHAPE_BITS
+    assert pinned.table_shape_bits() == pinned.load()["table_shape"]
 
 
-def _closed_form_bits(budget) -> dict:
-    """float.hex of the CBC per-dimension criteria (`cbc_fast`) and of the
-    closed-form recheck of the rule built, tent and sym alpha = 2 at s = 6,
-    gamma_j = j^-2, product and POD (Gamma_k = k!) weights, at the prime
-    N = 1021 (Rader slices) and the composite N = 1024 (gathered residues)."""
-    s = 6
-    gamma = [j ** -2.0 for j in range(1, s + 1)]
-    weights = {"product": WeightScheme.product(gamma),
-               "pod": WeightScheme.pod([float(math.factorial(k)) for k in range(1, s + 1)], gamma)}
-    got = {}
-    for N in (1021, 1024):
-        for name, w in weights.items():
-            for key, crit in (("tent", CbcCriterion("tent", w)),
-                              ("sym2", CbcCriterion("sym", w, 2))):
-                res = cbc_fast(N, s, crit)
-                got[f"{key}/{name}/N{N}/b{budget}"] = (
-                    [e.hex() for e in res.per_dimension_error], crit.value(res.rule()).hex())
-    return got
-
-
-@pytest.mark.parametrize("budget", [kernels._BLOCK_BUDGET, 1000])
-def test_closed_form_and_cbc_keep_their_bits(budget, monkeypatch):
+@pytest.mark.parametrize("budget", pinned.BUDGETS)
+def test_closed_form_and_cbc_keep_their_bits(budget):
     """The criteria and the closed form keep the bits they had when every
     residue row was copied into a buffer of its caller: at the default
     budget the closed form is one block; at 1000 entries it takes blocks of
     166 rows, most with lo >= 1 and some wrapping around the Rader table,
     and the composite plain scorer gathers 1 candidate per block."""
-    monkeypatch.setattr(kernels, "_BLOCK_BUDGET", budget)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # composite N: some z_j share a factor
-        got = _closed_form_bits(budget)
-    assert got == {k: v for k, v in CLOSED_FORM_BITS.items() if k.endswith(f"/b{budget}")}
+    want = pinned.load()["closed_form"]
+    assert pinned.closed_form_bits(budget) == {k: v for k, v in want.items()
+                                               if k.endswith(f"/b{budget}")}
 
 
 def test_quadratic_form_guard(monkeypatch):
